@@ -18,9 +18,8 @@ from .model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
                     box_polytope, empty_polytope, lti_as_nonlinear, lti_step,
                     pendulum_model, pendulum_step, polytope_contains,
                     steady_state_input_lti, steady_state_input_nonlinear)
-from .nlp_solver import (NlpProblem, NlpSolution, build_feq,
+from .nlp_solver import (NlpProblem, NlpSolution, NlpStatus, build_feq,
                          build_feq_jacobian, solve_nlp)
-from .numerics import (finite_diff_jacobian, mat_vec, pseudo_inverse_apply,
-                       solve_linear)
-from .qp_solver import (NlpStatus, QpProblem, QpSolution, QpStatus,
-                        SolverSettings, kkt_residuals, solve_qp)
+from .numerics import finite_diff_jacobian, pseudo_inverse_apply
+from .qp_solver import (QpProblem, QpSolution, QpStatus, SolverSettings,
+                        kkt_residuals, solve_qp)

@@ -76,7 +76,17 @@ def parse_config(text):
         raise ConfigError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(doc, dict):
         raise ConfigError("top-level config must be an object")
+    try:
+        return _experiment(doc)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"missing required key {exc.args[0]!r}")
+    except (MpcError, ValueError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"invalid configuration: {exc}")
 
+
+def _experiment(doc):
     try:
         model_sec = doc["model"]
         horizon = doc["horizon"]
@@ -84,6 +94,10 @@ def parse_config(text):
         x0 = _vector(doc["initial_state"], "initial_state")
     except KeyError as exc:
         raise ConfigError(f"missing required section {exc.args[0]!r}")
+    if not np.isfinite(x0).all():
+        raise ConfigError("initial_state must be finite")
+    if not isinstance(model_sec, dict):
+        raise ConfigError("model must be an object")
 
     kind = model_sec.get("kind")
     if kind == "lti":
@@ -121,28 +135,21 @@ def parse_config(text):
     reference = doc.get("reference")
     x_r = _vector(reference["x_r"], "x_r") if reference else None
 
-    try:
-        mpc = MpcConfig(
-            N=int(horizon["N"]),
-            N_T=int(horizon["N_T"]),
-            N_C=int(horizon["N_C"]) if "N_C" in horizon else None,
-            Q=_matrix(weights["Q"], "Q"),
-            R=_matrix(weights["R"], "R"),
-            Q_N=_matrix(weights["Q_N"], "Q_N") if "Q_N" in weights else None,
-            X_set=X_set,
-            U_set=U_set,
-            terminal_set=terminal,
-            formulation=solver.get("formulation", "condensed"),
-            reference=x_r,
-            settings=settings,
-            warm_start=bool(solver.get("warm_start", True)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc.args[0]!r}")
-    except MpcError as exc:
-        raise ConfigError(f"invalid configuration: {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"invalid configuration: {exc}")
+    mpc = MpcConfig(
+        N=int(horizon["N"]),
+        N_T=int(horizon["N_T"]),
+        N_C=int(horizon["N_C"]) if "N_C" in horizon else None,
+        Q=_matrix(weights["Q"], "Q"),
+        R=_matrix(weights["R"], "R"),
+        Q_N=_matrix(weights["Q_N"], "Q_N") if "Q_N" in weights else None,
+        X_set=X_set,
+        U_set=U_set,
+        terminal_set=terminal,
+        formulation=solver.get("formulation", "condensed"),
+        reference=x_r,
+        settings=settings,
+        warm_start=bool(solver.get("warm_start", True)),
+    )
 
     n = mpc.n
     if x0.shape[0] != n:

@@ -118,6 +118,27 @@ def stack_constraints(X_set, U_set, terminal, N):
     return StackedConstraints(F_X=F_X, g_X=g_X, F_U=F_U, g_U=g_U)
 
 
+def trajectory_blocks(w, c):
+    """Cost H and inequality rows F z <= g over the trajectory z = (X, U)."""
+    nX = w.Q_X.shape[0]
+    d = nX + w.R_U.shape[0]
+    H = np.zeros((d, d))
+    H[:nX, :nX] = w.Q_X
+    H[nX:, nX:] = w.R_U
+    F = np.zeros((c.F_X.shape[0] + c.F_U.shape[0], d))
+    F[:c.F_X.shape[0], :nX] = c.F_X
+    F[c.F_X.shape[0]:, nX:] = c.F_U
+    g = np.concatenate([c.g_X, c.g_U])
+    return H, F, g
+
+
+def condensed_inequalities(pm, c, x_k):
+    """Inequality rows F U <= g over the inputs, the states eliminated at x_k."""
+    F = np.vstack([c.F_X @ pm.B_U, c.F_U])
+    g = np.concatenate([c.g_X - c.F_X @ (pm.A_X @ x_k), c.g_U])
+    return F, g
+
+
 def assemble_sparse_qp(pm, w, c, x_k):
     """QP over z = (X, U) with the dynamics as equality rows [I, -B_U] z = A_X x_k."""
     x_k = as_vector(x_k, "x_k")
@@ -129,17 +150,10 @@ def assemble_sparse_qp(pm, w, c, x_k):
         raise ShapeError("weights inconsistent with prediction matrices")
     if c.F_X.shape[1] != nX or c.F_U.shape[1] != nU:
         raise ShapeError("constraints inconsistent with prediction matrices")
-    d = nX + nU
-    H = np.zeros((d, d))
-    H[:nX, :nX] = w.Q_X
-    H[nX:, nX:] = w.R_U
-    F = np.zeros((c.F_X.shape[0] + c.F_U.shape[0], d))
-    F[:c.F_X.shape[0], :nX] = c.F_X
-    F[c.F_X.shape[0]:, nX:] = c.F_U
-    g = np.concatenate([c.g_X, c.g_U])
+    H, F, g = trajectory_blocks(w, c)
     F_eq = np.hstack([np.eye(nX), -pm.B_U])
     g_eq = pm.A_X @ x_k
-    return QpProblem(H=H, q=np.zeros(d), r=0.0, F=F, g=g, F_eq=F_eq, g_eq=g_eq)
+    return QpProblem(H=H, q=np.zeros(nX + nU), r=0.0, F=F, g=g, F_eq=F_eq, g_eq=g_eq)
 
 
 def assemble_condensed_qp(pm, w, c, x_k):
@@ -155,9 +169,7 @@ def assemble_condensed_qp(pm, w, c, x_k):
     H = 0.5 * (H + H.T)
     q = 2.0 * pm.B_U.T @ (QA @ x_k)
     r = float(x_k @ (pm.A_X.T @ (QA @ x_k)))
-    free = pm.A_X @ x_k
-    F = np.vstack([c.F_X @ pm.B_U, c.F_U])
-    g = np.concatenate([c.g_X - c.F_X @ free, c.g_U])
+    F, g = condensed_inequalities(pm, c, x_k)
     return QpProblem(H=H, q=q, r=r, F=F, g=g)
 
 

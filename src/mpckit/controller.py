@@ -8,7 +8,8 @@ import numpy as np
 
 from .condense import (assemble_condensed_qp, assemble_sparse_qp,
                        build_prediction, build_weights,
-                       reduce_control_horizon, stack_constraints)
+                       reduce_control_horizon, stack_constraints,
+                       trajectory_blocks)
 from .exceptions import (InfeasibleStepError, InvalidHorizonError,
                          InvalidWeightError, ReferenceInfeasibleError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
@@ -43,7 +44,6 @@ class MpcConfig:
     def __post_init__(self):
         self.Q = as_matrix(self.Q, "Q")
         self.R = as_matrix(self.R, "R")
-        self.Q_N = self.Q.copy() if self.Q_N is None else as_matrix(self.Q_N, "Q_N")
         if self.N_C is None:
             self.N_C = self.N
         if self.N < 1:
@@ -64,6 +64,14 @@ class MpcConfig:
             raise InvalidWeightError("Q must be positive semidefinite")
         if q_eigs.min() <= 1e-12:
             warnings.warn("Q is only positive semidefinite")
+        if self.Q_N is None:
+            self.Q_N = self.Q.copy()
+        else:
+            self.Q_N = as_matrix(self.Q_N, "Q_N")
+            if self.Q_N.shape != self.Q.shape:
+                raise InvalidWeightError(f"Q_N shape {self.Q_N.shape} != Q shape {self.Q.shape}")
+            if np.linalg.eigvalsh(0.5 * (self.Q_N + self.Q_N.T)).min() < -1e-10:
+                raise InvalidWeightError("Q_N must be positive semidefinite")
         if self.reference is not None:
             self.reference = as_vector(self.reference, "reference")
 
@@ -157,13 +165,7 @@ def nmpc_step(model, cfg, x_k, warm=None):
     w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
     c = stack_constraints(cfg.state_set(), cfg.input_set(), cfg.terminal_set, N)
     nX = n * (N + 1)
-    H = np.zeros((d, d))
-    H[:nX, :nX] = w.Q_X
-    H[nX:, nX:] = w.R_U
-    F = np.zeros((c.F_X.shape[0] + c.F_U.shape[0], d))
-    F[:c.F_X.shape[0], :nX] = c.F_X
-    F[c.F_X.shape[0]:, nX:] = c.F_U
-    g = np.concatenate([c.g_X, c.g_U])
+    H, F, g = trajectory_blocks(w, c)
     p = NlpProblem(H=H, F=F if F.shape[0] else None, g=g if F.shape[0] else None,
                    residual=residual, jacobian=jacobian)
     if warm is not None and np.shape(warm) == (d,):

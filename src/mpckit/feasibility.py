@@ -5,7 +5,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .condense import build_prediction, stack_constraints
+from .condense import (build_prediction, condensed_inequalities,
+                       stack_constraints)
 from .model import LtiModel, lti_step, polytope_contains
 from .numerics import as_vector
 from .qp_solver import QpProblem, QpStatus, solve_qp
@@ -64,14 +65,8 @@ def is_state_feasible(model, cfg, x_k):
     c = stack_constraints(X_set, cfg.input_set(), cfg.terminal_set, cfg.N)
     nU = pm.m * pm.N
     # decision vector (U, s): minimize s (plus tiny regularization on U)
-    free = pm.A_X @ x_k
-    rows_x = c.F_X.shape[0]
-    rows_u = c.F_U.shape[0]
-    F = np.zeros((rows_x + rows_u, nU + 1))
-    F[:rows_x, :nU] = c.F_X @ pm.B_U
-    F[rows_x:, :nU] = c.F_U
-    F[:, nU] = -1.0
-    g = np.concatenate([c.g_X - c.F_X @ free, c.g_U])
+    F_U, g = condensed_inequalities(pm, c, x_k)
+    F = np.hstack([F_U, -np.ones((F_U.shape[0], 1))])
     H = np.zeros((nU + 1, nU + 1))
     H[:nU, :nU] = 1e-8 * np.eye(nU)
     H[nU, nU] = 1e-8

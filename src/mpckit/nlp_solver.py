@@ -2,14 +2,29 @@
 nonlinear equality constraints (the stacked dynamics residual)."""
 
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exceptions import ShapeError
 from .numerics import as_matrix, as_vector, finite_diff_jacobian
-from .qp_solver import (NlpStatus, QpProblem, QpStatus, SolverSettings,
-                        solve_qp)
+from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
+
+# Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
+# line-search backtracks, Armijo constant and the l1 penalty on elastic slack.
+SQP_MAX_ITER = 100
+SQP_TOL = 1e-6
+STEP_TOL = 1e-8
+LINE_SEARCH_MAX = 30
+ARMIJO = 1e-4
+ELASTIC_PENALTY = 1e4
+
+
+class NlpStatus(Enum):
+    OPTIMAL = "optimal"
+    MAX_ITERATIONS = "max_iterations"
+    LINE_SEARCH_FAILURE = "line_search_failure"
 
 
 @dataclass
@@ -121,7 +136,8 @@ def solve_nlp(p, z0, settings=None):
     """SQP with an l1 merit line search; subproblems go through solve_qp.
 
     Infeasible linearizations are retried with elastic slack on the
-    equality rows (flagged in the returned solution).
+    equality rows (flagged in the returned solution). ``settings`` apply to
+    every QP subproblem.
     """
     s = settings or SolverSettings()
     z = as_vector(z0, "z0").copy()
@@ -138,7 +154,7 @@ def solve_nlp(p, z0, settings=None):
     it = 0
     c = as_vector(p.residual(z))
     kkt = np.inf
-    for it in range(1, s.sqp_max_iter + 1):
+    for it in range(1, SQP_MAX_ITER + 1):
         if p.jacobian is not None:
             J = as_matrix(p.jacobian(z))
         else:
@@ -166,11 +182,11 @@ def solve_nlp(p, z0, settings=None):
         dderiv = float(grad @ step) - mu * c_norm1
         t = 1.0
         accepted = False
-        for _ in range(s.line_search_max):
+        for _ in range(LINE_SEARCH_MAX):
             z_try = z + t * step
             c_try = as_vector(p.residual(z_try))
             phi_try = _merit(p, z_try, float(np.abs(c_try).sum()), mu)
-            if phi_try <= phi0 + s.armijo * t * min(dderiv, 0.0):
+            if phi_try <= phi0 + ARMIJO * t * min(dderiv, 0.0):
                 accepted = True
                 break
             t *= 0.5
@@ -191,8 +207,8 @@ def solve_nlp(p, z0, settings=None):
             # reuse J from the accepted step (first-order accurate)
             stat = stat + J.T @ nu
         kkt = float(np.abs(stat).max())
-        if float(np.abs(t * step).max()) <= s.step_tol or \
-                (kkt <= s.sqp_tol and eq_violation <= s.sqp_tol):
+        if float(np.abs(t * step).max()) <= STEP_TOL or \
+                (kkt <= SQP_TOL and eq_violation <= SQP_TOL):
             status = NlpStatus.OPTIMAL
             break
 
@@ -219,7 +235,7 @@ def _solve_elastic(p, z, grad, slack, J, c, s):
     H[:d, :d] = p.H
     # tiny curvature keeps H PSD on the slack block
     H[d:, d:] = 1e-8 * np.eye(2 * e)
-    q = np.concatenate([grad, np.full(2 * e, s.elastic_penalty)])
+    q = np.concatenate([grad, np.full(2 * e, ELASTIC_PENALTY)])
     F = None
     g = None
     if n_in:

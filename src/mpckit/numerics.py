@@ -8,9 +8,6 @@ import numpy as np
 
 from .exceptions import ShapeError, SingularMatrixError
 
-# Relative pivot threshold below which a matrix is declared singular.
-SINGULAR_PIVOT_RTOL = 1e-12
-
 
 def as_matrix(M, name="matrix"):
     """Coerce to a 2-D float array, raising ShapeError on anything else."""
@@ -30,58 +27,9 @@ def as_vector(v, name="vector"):
     return a
 
 
-def mat_vec(M, v):
-    """Matrix-vector product M @ v with explicit shape checking."""
-    M = as_matrix(M)
-    v = as_vector(v)
-    if M.shape[1] != v.shape[0]:
-        raise ShapeError(f"cannot multiply {M.shape} matrix by length-{v.shape[0]} vector")
-    return M @ v
-
-
-def solve_linear(M, b):
-    """Solve M y = b by LU with partial pivoting.
-
-    Raises SingularMatrixError when a pivot falls below
-    SINGULAR_PIVOT_RTOL times the infinity norm of M.
-    """
-    M = as_matrix(M)
-    b = as_vector(b)
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ShapeError(f"matrix must be square, got {M.shape}")
-    if b.shape[0] != n:
-        raise ShapeError(f"right-hand side length {b.shape[0]} != {n}")
-
-    norm = np.abs(M).sum(axis=1).max()
-    if norm == 0.0:
-        raise SingularMatrixError("zero matrix")
-    threshold = SINGULAR_PIVOT_RTOL * norm
-
-    U = M.copy()
-    y = b.copy()
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(U[col:, col])))
-        if np.abs(U[pivot_row, col]) < threshold:
-            raise SingularMatrixError(f"matrix singular to working precision at column {col}")
-        if pivot_row != col:
-            U[[col, pivot_row]] = U[[pivot_row, col]]
-            y[[col, pivot_row]] = y[[pivot_row, col]]
-        factors = U[col + 1:, col] / U[col, col]
-        U[col + 1:, col:] -= np.outer(factors, U[col, col:])
-        y[col + 1:] -= factors * y[col]
-    # back substitution
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (y[row] - U[row, row + 1:] @ x[row + 1:]) / U[row, row]
-    return x
-
-
 def pseudo_inverse_apply(M, b):
-    """Least-squares solution of M y = b.
+    """Least-squares solution of M y = b (minimum norm if M is rank deficient).
 
-    Solves the normal equations M'M y = M'b; falls back to a QR/SVD
-    least-squares solve when M'M is singular to working precision.
     Raises SingularMatrixError for an all-zero M.
     """
     M = as_matrix(M)
@@ -90,10 +38,7 @@ def pseudo_inverse_apply(M, b):
         raise ShapeError(f"matrix has {M.shape[0]} rows but right-hand side has {b.shape[0]}")
     if not np.any(M):
         raise SingularMatrixError("zero matrix has no meaningful least-squares solution")
-    try:
-        return solve_linear(M.T @ M, M.T @ b)
-    except SingularMatrixError:
-        return np.linalg.lstsq(M, b, rcond=None)[0]
+    return np.linalg.lstsq(M, b, rcond=None)[0]
 
 
 def finite_diff_jacobian(f, z):

@@ -20,6 +20,15 @@ from scipy.linalg import lu_factor, lu_solve
 from .exceptions import ShapeError
 from .numerics import as_matrix, as_vector
 
+# Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
+# initial step size, primal regularization, relaxation, iterations between
+# step-size updates, and the tolerance of the infeasibility certificate.
+RHO = 0.1
+SIGMA = 1e-6
+ALPHA = 1.6
+RHO_UPDATE_INTERVAL = 50
+EPS_INFEASIBLE = 1e-8
+
 
 class QpStatus(Enum):
     OPTIMAL = "optimal"
@@ -27,32 +36,16 @@ class QpStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-class NlpStatus(Enum):
-    OPTIMAL = "optimal"
-    MAX_ITERATIONS = "max_iterations"
-    LINE_SEARCH_FAILURE = "line_search_failure"
-
-
 @dataclass
 class SolverSettings:
-    """Tunable tolerances for the QP (ADMM) and NLP (SQP) solvers."""
+    """Stopping tolerances and iteration cap of the QP (ADMM) solver.
+
+    solve_nlp passes the same settings on to each of its QP subproblems.
+    """
 
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iter: int = 20000
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    adaptive_rho_interval: int = 50
-    eps_infeasible: float = 1e-8
-    polish: bool = True
-    # SQP settings
-    sqp_max_iter: int = 100
-    sqp_tol: float = 1e-6
-    step_tol: float = 1e-8
-    line_search_max: int = 30
-    armijo: float = 1e-4
-    elastic_penalty: float = 1e4
 
 
 @dataclass
@@ -136,22 +129,23 @@ def _stack_constraints(p):
     blocks = [p.F, p.F_eq]
     lows = [np.full(p.F.shape[0], -np.inf), p.g_eq]
     highs = [p.g, p.g_eq]
-    bound_idx = []
     if p.lb is not None or p.ub is not None:
         lb = p.lb if p.lb is not None else np.full(d, -np.inf)
         ub = p.ub if p.ub is not None else np.full(d, np.inf)
-        bound_idx = [i for i in range(d) if np.isfinite(lb[i]) or np.isfinite(ub[i])]
-        if bound_idx:
-            E = np.zeros((len(bound_idx), d))
-            for r, i in enumerate(bound_idx):
-                E[r, i] = 1.0
-            blocks.append(E)
-            lows.append(lb[bound_idx])
-            highs.append(ub[bound_idx])
+        bound_idx = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
+        blocks.append(np.eye(d)[bound_idx])
+        lows.append(lb[bound_idx])
+        highs.append(ub[bound_idx])
     A = np.vstack(blocks)
     l = np.concatenate(lows)
     u = np.concatenate(highs)
     return A, l, u
+
+
+def _support(e, l, u):
+    """max e'z over the box l <= z <= u; inf when unbounded along e."""
+    bound = np.where(e > 0, u, np.where(e < 0, l, 0.0))
+    return float(bound @ e) if np.isfinite(bound).all() else np.inf
 
 
 def _violation(A, l, u, z_ax):
@@ -189,12 +183,12 @@ def solve_qp(p, warm=None, settings=None):
             x = w.copy()
     z = np.clip(A @ x, l, u) if m else np.zeros(0)
 
-    rho_base = s.rho
+    rho_base = RHO
 
     def factor(rb):
         rho = rb * rho_scale
         K = np.zeros((d + m, d + m))
-        K[:d, :d] = P + s.sigma * np.eye(d)
+        K[:d, :d] = P + SIGMA * np.eye(d)
         if m:
             K[:d, d:] = A.T
             K[d:, :d] = A
@@ -211,13 +205,13 @@ def solve_qp(p, warm=None, settings=None):
     for it in range(1, s.max_iter + 1):
         x_old = x
         z_old = z
-        rhs = np.concatenate([s.sigma * x - q, z - y / rho]) if m else (s.sigma * x - q)
+        rhs = np.concatenate([SIGMA * x - q, z - y / rho]) if m else (SIGMA * x - q)
         sol = lu_solve(kkt, rhs)
         x_t = sol[:d]
-        x = s.alpha * x_t + (1.0 - s.alpha) * x_old
+        x = ALPHA * x_t + (1.0 - ALPHA) * x_old
         if m:
             z_t = z_old + (sol[d:] - y) / rho
-            az = s.alpha * z_t + (1.0 - s.alpha) * z_old
+            az = ALPHA * z_t + (1.0 - ALPHA) * z_old
             z = np.clip(az + y / rho, l, u)
             y = y + rho * (az - z)
 
@@ -243,28 +237,15 @@ def solve_qp(p, warm=None, settings=None):
             dy_norm = float(np.abs(dy).max())
             if dy_norm > 1e-14:
                 e = dy / dy_norm
-                support = 0.0
-                valid = True
-                for i in range(m):
-                    if e[i] > 0:
-                        if np.isinf(u[i]):
-                            valid = False
-                            break
-                        support += u[i] * e[i]
-                    elif e[i] < 0:
-                        if np.isinf(l[i]):
-                            valid = False
-                            break
-                        support += l[i] * e[i]
-                if valid and float(np.abs(A.T @ e).max()) <= s.eps_infeasible \
-                        and support <= -s.eps_infeasible:
+                if _support(e, l, u) <= -EPS_INFEASIBLE \
+                        and float(np.abs(A.T @ e).max()) <= EPS_INFEASIBLE:
                     status = QpStatus.INFEASIBLE
                     break
         x_prev_chk = x.copy()
         y_prev_chk = y.copy()
 
         # residual-balancing step-size update
-        if s.adaptive_rho_interval and it % s.adaptive_rho_interval == 0:
+        if it % RHO_UPDATE_INTERVAL == 0:
             denom_p = max(float(np.abs(ax).max()) if m else 0.0,
                           float(np.abs(z).max()) if m else 0.0, 1e-10)
             denom_d = max(float(np.abs(px).max()),
@@ -277,17 +258,9 @@ def solve_qp(p, warm=None, settings=None):
                 kkt, rho = factor(rho_base)
 
     ax = A @ x if m else np.zeros(0)
-    if status is QpStatus.OPTIMAL and s.polish:
-        if m:
-            x, y = _polish(p, A, l, u, x, y, s)
-            ax = A @ x
-        else:
-            try:
-                xh = np.linalg.solve(P, -q)
-                if p.objective(xh) <= p.objective(x):
-                    x = xh
-            except np.linalg.LinAlgError:
-                pass
+    if status is QpStatus.OPTIMAL:
+        x, y = _polish(p, A, l, u, x, y)
+        ax = A @ x
 
     prim = _violation(A, l, u, ax)
     dual = float(np.abs(P @ x + q + (A.T @ y if m else 0.0)).max())
@@ -302,19 +275,21 @@ def solve_qp(p, warm=None, settings=None):
     )
 
 
-def _polish(p, A, l, u, x, y, s):
+def _polish(p, A, l, u, x, y):
     """Refine the ADMM solution by solving the KKT system on the active set."""
     m = A.shape[0]
     act_low = (y < -1e-9) | np.isclose(A @ x, l, atol=1e-7)
     act_high = (y > 1e-9) | np.isclose(A @ x, u, atol=1e-7)
     active = act_low | act_high
     if not np.any(active):
-        # unconstrained at the solution: Newton step on the objective
+        # unconstrained at the solution: Newton step on the objective, kept
+        # if it is no less feasible and no worse than the ADMM iterate
         try:
             xh = np.linalg.solve(2.0 * p.H + 1e-12 * np.eye(p.d), -p.q)
         except np.linalg.LinAlgError:
             return x, y
-        if _violation(A, l, u, A @ xh) <= max(_violation(A, l, u, A @ x), 1e-12):
+        if _violation(A, l, u, A @ xh) <= max(_violation(A, l, u, A @ x), 1e-12) \
+                and p.objective(xh) <= p.objective(x):
             return xh, y
         return x, y
     idx = np.flatnonzero(active)
@@ -333,7 +308,7 @@ def _polish(p, A, l, u, x, y, s):
     except Exception:
         return x, y
     sol = lu_solve(kkt, rhs)
-    # one round of iterative refinement against the unregularized system
+    # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
         res = rhs - np.concatenate([
             2.0 * p.H @ sol[:p.d] + A_act.T @ sol[p.d:],

@@ -177,11 +177,24 @@ class TestMain:
         assert code == EXIT_CONFIG
 
     def test_invalid_config(self, tmp_path, capsys):
+        lti = SMALL_CONFIG["model"]
+        bad = [
+            {"horizon": {"N": 0, "N_T": 5}},
+            {"model": {"kind": "lti", "B": lti["B"]}},
+            {"model": dict(lti, A=[[0.9, 0.2]])},
+            {"model": [lti]},
+            {"initial_state": [float("nan"), 5]},
+            {"constraints": dict(SMALL_CONFIG["constraints"],
+                                 terminal={"F": [[1, 0], [0, 1]]})},
+            {"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]],
+                         "Q_N": [[-10, 0], [0, 1]]}},
+        ]
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG,
-                                            horizon={"N": 0, "N_T": 5})))
-        code = main(["run", "--config", str(cfg_path)])
-        assert code == EXIT_CONFIG
+        for change in bad:
+            cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, **change)))
+            code = main(["run", "--config", str(cfg_path)])
+            assert code == EXIT_CONFIG, change
+            assert "config error" in capsys.readouterr().err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

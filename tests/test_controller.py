@@ -52,6 +52,10 @@ class TestMpcConfig:
     def test_indefinite_q_rejected(self):
         with pytest.raises(InvalidWeightError):
             MpcConfig(N=2, N_T=5, Q=[[-1.0]], R=[[1.0]])
+        with pytest.raises(InvalidWeightError):
+            MpcConfig(N=2, N_T=5, Q=[[1.0]], R=[[1.0]], Q_N=[[-10.0]])
+        # Q_N has the same tolerance as Q: tiny negative round-off is accepted
+        MpcConfig(N=2, N_T=5, Q=[[1.0]], R=[[1.0]], Q_N=[[-1e-11]])
 
     def test_unknown_formulation(self):
         with pytest.raises(ValueError):

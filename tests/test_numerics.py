@@ -1,54 +1,8 @@
 import numpy as np
 import pytest
 
-from mpckit import ShapeError, SingularMatrixError
-from mpckit.numerics import (finite_diff_jacobian, mat_vec,
-                             pseudo_inverse_apply, solve_linear)
-
-
-class TestMatVec:
-    def test_identity(self):
-        assert np.allclose(mat_vec(np.eye(2), [3, 2]), [3, 2])
-
-    def test_two_by_two(self):
-        out = mat_vec([[0.9, 0.2], [-0.4, 0.8]], [10, 5])
-        assert np.allclose(out, [10, 0])
-
-    def test_tall(self):
-        assert np.allclose(mat_vec([[0.1], [0.01]], [1]), [0.1, 0.01])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            mat_vec(np.eye(2), [1, 2, 3])
-
-
-class TestSolveLinear:
-    def test_identity(self):
-        assert np.allclose(solve_linear(np.eye(2), [4, 7]), [4, 7])
-
-    def test_diagonal(self):
-        assert np.allclose(solve_linear([[2, 0], [0, 4]], [2, 8]), [1, 2])
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear([[1, 1], [1, 1]], [1, 0])
-
-    def test_zero_matrix(self):
-        with pytest.raises(SingularMatrixError):
-            solve_linear([[0, 0], [0, 0]], [1, 0])
-
-    def test_not_square(self):
-        with pytest.raises(ShapeError):
-            solve_linear([[1, 0]], [1])
-
-    def test_random_roundtrip(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(1, 21))
-            M = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            y = solve_linear(M, b)
-            assert np.abs(M @ y - b).max() <= 1e-10 * max(1.0, np.abs(b).max())
+from mpckit import SingularMatrixError
+from mpckit.numerics import finite_diff_jacobian, pseudo_inverse_apply
 
 
 class TestPseudoInverseApply:

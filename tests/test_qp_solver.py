@@ -3,6 +3,7 @@ import pytest
 
 from mpckit import (QpProblem, QpStatus, ShapeError, SolverSettings,
                     kkt_residuals, solve_qp)
+from mpckit.qp_solver import _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
 
@@ -31,6 +32,13 @@ class TestSolveQp:
         assert sol.status is QpStatus.OPTIMAL
         assert np.abs(sol.z_star - [1, 1]).max() < 1e-6
         assert abs(sol.objective + 2) < 1e-8
+
+    def test_singular_unconstrained_polished_to_newton_point(self):
+        # H = diag(1, 0) is singular; polishing takes the regularized Newton
+        # point rather than stopping at the ADMM iterate
+        sol = solve_qp(QpProblem(H=np.diag([1.0, 0.0]), q=[1.0, 0.0]))
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.abs(sol.z_star - [-0.5, 0.0]).max() <= 1e-9
 
     def test_active_bound(self):
         sol = solve_qp(QpProblem(H=[[1.0]], F=[[-1.0]], g=[-1.0]))
@@ -98,6 +106,39 @@ class TestSolveQp:
         sol = solve_qp(p, settings=SolverSettings(max_iter=2))
         assert sol.status is QpStatus.MAX_ITERATIONS
         assert sol.z_star.shape == (p.d,)
+
+
+def test_certificate_support_matches_loop():
+    # the row-by-row loop the vectorized support function replaced
+    def support_loop(e, l, u):
+        total = 0.0
+        for ei, li, ui in zip(e, l, u):
+            if ei > 0:
+                if np.isinf(ui):
+                    return np.inf
+                total += ui * ei
+            elif ei < 0:
+                if np.isinf(li):
+                    return np.inf
+                total += li * ei
+        return total
+
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        m = int(rng.integers(1, 30))
+        l = rng.normal(size=m) - 1.0
+        u = l + rng.uniform(0.0, 2.0, size=m)
+        l[rng.random(m) < 0.2] = -np.inf
+        u[rng.random(m) < 0.2] = np.inf
+        e = rng.normal(size=m) * (rng.random(m) < 0.7)
+        e /= max(np.abs(e).max(), 1e-300)
+        want = support_loop(e, l, u)
+        got = _support(e, l, u)
+        if np.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-12 * max(1.0, np.abs(l[np.isfinite(l)]).sum()
+                                                  + np.abs(u[np.isfinite(u)]).sum())
 
 
 class TestKktResiduals:

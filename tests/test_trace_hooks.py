@@ -1,0 +1,35 @@
+"""The traced benchmark (bench/spans.py) patches mpckit module attributes by
+name; a module that stops importing one of them must fail here rather than
+in a traced benchmark run."""
+
+import argparse
+import json
+import os
+import sys
+
+from mpckit import cli, controller, feasibility, nlp_solver, qp_solver
+from test_cli import SMALL_CONFIG
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+from spans import Tracer  # noqa: E402
+
+MODS = argparse.Namespace(controller=controller, nlp_solver=nlp_solver,
+                          qp_solver=qp_solver, feasibility=feasibility, cli=cli)
+
+
+def test_tracer_installs_and_restores():
+    lmpc = cli.parse_config(json.dumps(SMALL_CONFIG))
+    nmpc = cli.parse_config(json.dumps(dict(SMALL_CONFIG, model=dict(
+        SMALL_CONFIG["model"], kind="lti-as-nonlinear"))))
+    before = {name: dict(vars(mod)) for name, mod in vars(MODS).items()}
+    with Tracer(MODS) as tracer:
+        cli.run_experiment(lmpc)
+        cli.run_experiment(nmpc)
+        feasibility.is_state_feasible(lmpc.model, lmpc.mpc, lmpc.initial_state)
+    names = {sp.name for sp in tracer.spans}
+    assert {"controller.lmpc_step", "controller.nmpc_step", "qp_solver.solve_qp",
+            "nlp_solver.solve_nlp", "condense.assemble", "condense.build",
+            "qp_solver.lu_factor"} <= names
+    for name, mod in vars(MODS).items():
+        for attr, value in before[name].items():
+            assert getattr(mod, attr) is value, f"{name}.{attr} not restored"
