@@ -56,6 +56,9 @@ class MpcConfig:
             raise InvalidHorizonError(f"control horizon must satisfy 1 <= N_C <= N, got {self.N_C}")
         if self.formulation not in (SPARSE, CONDENSED):
             raise ValueError(f"unknown formulation {self.formulation!r}")
+        for name, M in (("Q", self.Q), ("R", self.R)):
+            if M.shape[0] != M.shape[1]:
+                raise InvalidWeightError(f"{name} must be square, got {M.shape}")
         r_eigs = np.linalg.eigvalsh(0.5 * (self.R + self.R.T))
         if r_eigs.min() <= 0:
             raise InvalidWeightError("R must be positive definite")

@@ -75,7 +75,7 @@ def is_state_feasible(model, cfg, x_k):
     # slack below -1 is equally conclusive; the bound keeps the program bounded
     lb = np.full(nU + 1, -np.inf)
     lb[nU] = -1.0
-    sol = solve_qp(QpProblem(H=H, q=q, F=F, g=g, lb=lb))
+    sol = solve_qp(QpProblem(H=H, q=q, F=F, g=g, lb=lb), settings=cfg.settings)
     slack = float(sol.z_star[nU])
     feasible = sol.status is not QpStatus.INFEASIBLE and slack <= PHASE1_SLACK_TOL
     witness = sol.z_star[:nU].reshape(pm.N, pm.m) if feasible else None

@@ -6,8 +6,9 @@ Problem form, matching the rest of the toolkit (note: no 1/2 factor):
     subject to  F z <= g,  F_eq z = g_eq,  lb <= z <= ub
 
 Internally all constraints are stacked as interval rows l <= A z <= u
-(equalities get l = u) and the solver alternates one quasi-definite linear
-solve, factored once per problem, with an interval projection.
+(equalities get l = u) and the solver alternates one d x d linear solve with
+P + sigma I + A' diag(rho) A, factored once per step size (OSQP's reduced
+form of the KKT system), with an interval projection.
 """
 
 from dataclasses import dataclass, field
@@ -187,15 +188,9 @@ def solve_qp(p, warm=None, settings=None):
 
     def factor(rb):
         rho = rb * rho_scale
-        K = np.zeros((d + m, d + m))
-        K[:d, :d] = P + SIGMA * np.eye(d)
-        if m:
-            K[:d, d:] = A.T
-            K[d:, :d] = A
-            K[d:, d:] = -np.diag(1.0 / rho)
-        return lu_factor(K), rho
+        return lu_factor(P + SIGMA * np.eye(d) + (A.T * rho) @ A), rho
 
-    kkt, rho = factor(rho_base)
+    lu, rho = factor(rho_base)
 
     status = QpStatus.MAX_ITERATIONS
     it = 0
@@ -205,13 +200,10 @@ def solve_qp(p, warm=None, settings=None):
     for it in range(1, s.max_iter + 1):
         x_old = x
         z_old = z
-        rhs = np.concatenate([SIGMA * x - q, z - y / rho]) if m else (SIGMA * x - q)
-        sol = lu_solve(kkt, rhs)
-        x_t = sol[:d]
+        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x_old
         if m:
-            z_t = z_old + (sol[d:] - y) / rho
-            az = ALPHA * z_t + (1.0 - ALPHA) * z_old
+            az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z_old
             z = np.clip(az + y / rho, l, u)
             y = y + rho * (az - z)
 
@@ -255,7 +247,7 @@ def solve_qp(p, warm=None, settings=None):
             new_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
-                kkt, rho = factor(rho_base)
+                lu, rho = factor(rho_base)
 
     ax = A @ x if m else np.zeros(0)
     if status is QpStatus.OPTIMAL:

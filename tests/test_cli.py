@@ -178,23 +178,29 @@ class TestMain:
 
     def test_invalid_config(self, tmp_path, capsys):
         lti = SMALL_CONFIG["model"]
+        # each malformed config, with a fragment its error message must hold
         bad = [
-            {"horizon": {"N": 0, "N_T": 5}},
-            {"model": {"kind": "lti", "B": lti["B"]}},
-            {"model": dict(lti, A=[[0.9, 0.2]])},
-            {"model": [lti]},
-            {"initial_state": [float("nan"), 5]},
-            {"constraints": dict(SMALL_CONFIG["constraints"],
-                                 terminal={"F": [[1, 0], [0, 1]]})},
-            {"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]],
-                         "Q_N": [[-10, 0], [0, 1]]}},
+            ({"horizon": {"N": 0, "N_T": 5}}, ""),
+            ({"model": {"kind": "lti", "B": lti["B"]}}, ""),
+            ({"model": dict(lti, A=[[0.9, 0.2]])}, ""),
+            ({"model": [lti]}, ""),
+            ({"initial_state": [float("nan"), 5]}, ""),
+            ({"constraints": dict(SMALL_CONFIG["constraints"],
+                                  terminal={"F": [[1, 0], [0, 1]]})}, ""),
+            ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]],
+                          "Q_N": [[-10, 0], [0, 1]]}}, ""),
+            ({"weights": {"Q": [[1, 0]], "R": [[1]]}},
+             "Q must be square, got (1, 2)"),
+            ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1, 0]]}},
+             "R must be square, got (1, 2)"),
         ]
         cfg_path = tmp_path / "cfg.json"
-        for change in bad:
+        for change, message in bad:
             cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, **change)))
             code = main(["run", "--config", str(cfg_path)])
             assert code == EXIT_CONFIG, change
-            assert "config error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error" in err and message in err, err
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -57,6 +57,12 @@ class TestMpcConfig:
         # Q_N has the same tolerance as Q: tiny negative round-off is accepted
         MpcConfig(N=2, N_T=5, Q=[[1.0]], R=[[1.0]], Q_N=[[-1e-11]])
 
+    def test_non_square_weights_rejected(self):
+        with pytest.raises(InvalidWeightError, match=r"Q must be square, got \(1, 2\)"):
+            MpcConfig(N=2, N_T=5, Q=[[1.0, 0.0]], R=[[1.0]])
+        with pytest.raises(InvalidWeightError, match=r"R must be square, got \(1, 2\)"):
+            MpcConfig(N=2, N_T=5, Q=np.eye(2), R=[[1.0, 0.0]])
+
     def test_unknown_formulation(self):
         with pytest.raises(ValueError):
             MpcConfig(N=2, N_T=5, Q=[[1.0]], R=[[1.0]], formulation="dense")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from mpckit import (MpcConfig, Trajectory, is_control_sequence_feasible,
-                    is_state_feasible, lyapunov_monitor,
-                    persistent_feasibility_check, run_closed_loop)
+from mpckit import (MpcConfig, SolverSettings, Trajectory,
+                    is_control_sequence_feasible, is_state_feasible,
+                    lyapunov_monitor, persistent_feasibility_check,
+                    run_closed_loop)
+from mpckit import feasibility
 from mpckit.model import LtiModel, box_polytope
 
 
@@ -99,6 +101,21 @@ class TestStateFeasible:
         for _ in range(10):
             x = rng.uniform(-0.5, 0.5, size=2)
             assert is_state_feasible(lti_demo_model, cfg, x).feasible
+
+    def test_phase1_uses_solver_settings(self, lti_demo_model, lti_demo_sets,
+                                         monkeypatch):
+        iterations = []
+        solve_qp = feasibility.solve_qp
+
+        def recording_solve_qp(*args, **kwargs):
+            sol = solve_qp(*args, **kwargs)
+            iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(feasibility, "solve_qp", recording_solve_qp)
+        cfg = _demo_cfg(lti_demo_sets, settings=SolverSettings(max_iter=5))
+        is_state_feasible(lti_demo_model, cfg, [9.9, 9.9])
+        assert iterations and max(iterations) <= 5
 
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(19)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mpckit import (QpProblem, QpStatus, ShapeError, SolverSettings,
                     kkt_residuals, solve_qp)
+from mpckit import qp_solver
 from mpckit.qp_solver import _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
@@ -106,6 +109,63 @@ class TestSolveQp:
         sol = solve_qp(p, settings=SolverSettings(max_iter=2))
         assert sol.status is QpStatus.MAX_ITERATIONS
         assert sol.z_star.shape == (p.d,)
+
+
+def test_admm_factors_reduced_system(monkeypatch):
+    # 40 rows on 3 variables, none active at the optimum, so polishing
+    # factors nothing and every factorization is the ADMM step's
+    shapes = []
+    lu_factor = qp_solver.lu_factor
+
+    def recording_lu_factor(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return lu_factor(M, *args, **kwargs)
+
+    monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
+    rng = np.random.default_rng(15)
+    F = rng.normal(size=(40, 3))
+    g = np.abs(F).sum(axis=1) + 1.0   # every row holds with slack on |z| <= 1
+    sol = solve_qp(QpProblem(H=np.eye(3), q=[-1.0, 0.5, 0.0], F=F, g=g))
+    assert sol.status is QpStatus.OPTIMAL
+    assert np.abs(sol.z_star - [0.5, -0.25, 0.0]).max() < 1e-6
+    assert shapes and all(shape == (3, 3) for shape in shapes)
+
+
+# Entries are multiples of 1/8 in [-1, 1]: data on the scale of eps_abs
+# (say a row scaled by 6e-8) is accepted within that absolute tolerance
+# and so may differ from the exact oracle by design.
+_ENTRIES = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+@st.composite
+def _small_convex_qps(draw):
+    """Strictly convex QPs with 1-6 inequality and 0-(d-1) equality rows;
+    the right-hand sides are drawn freely, so some are infeasible."""
+    d = draw(st.integers(1, 4))
+    n_in = draw(st.integers(1, 6))
+    n_eq = draw(st.integers(0, d - 1))
+    M = draw(arrays(float, (d, d), elements=_ENTRIES))
+    H = M @ M.T + 0.1 * np.eye(d)
+    return QpProblem(
+        H=0.5 * (H + H.T),
+        q=draw(arrays(float, d, elements=_ENTRIES)),
+        F=draw(arrays(float, (n_in, d), elements=_ENTRIES)),
+        g=draw(arrays(float, n_in, elements=_ENTRIES)),
+        F_eq=draw(arrays(float, (n_eq, d), elements=_ENTRIES)) if n_eq else None,
+        g_eq=draw(arrays(float, n_eq, elements=_ENTRIES)) if n_eq else None,
+    )
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_small_convex_qps())
+def test_matches_oracle_on_random_qps(p):
+    sol = solve_qp(p)
+    z_oracle, obj_oracle = solve_oracle(p)
+    if z_oracle is None:
+        assert sol.status is not QpStatus.OPTIMAL
+    else:
+        assert sol.status is QpStatus.OPTIMAL
+        assert abs(sol.objective - obj_oracle) <= 1e-5
 
 
 def test_certificate_support_matches_loop():
