@@ -20,7 +20,8 @@ from .exceptions import ConfigError, InfeasibleStepError, MpcError
 from .feasibility import is_state_feasible
 from .model import (LtiModel, PendulumParams, Polytope, lti_as_nonlinear,
                     pendulum_model)
-from .qp_solver import SolverSettings
+from .nlp_solver import NlpStatus
+from .qp_solver import QpStatus, SolverSettings
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,6 +228,8 @@ def run_experiment(cfg, out_path=None):
         "max_constraint_violation": max(violation, 0.0),
         "total_cost": float(sum(traj.costs)),
         "total_iterations": int(sum(traj.iterations)),
+        "non_optimal_steps": sum(s not in (QpStatus.OPTIMAL, NlpStatus.OPTIMAL)
+                                 for s in traj.statuses),
         "wall_time_s": wall,
         "aborted_at": aborted_at,
         "trajectory": traj,
@@ -363,7 +366,8 @@ def demo_config(name):
 
 def _print_summary(summary, file=None):
     for key in ("name", "steps", "final_state", "max_constraint_violation",
-                "total_cost", "total_iterations", "wall_time_s", "aborted_at"):
+                "total_cost", "total_iterations", "non_optimal_steps",
+                "wall_time_s", "aborted_at"):
         print(f"{key}: {summary[key]}", file=file or sys.stdout)
 
 
@@ -406,8 +410,14 @@ def main(argv=None):
             report = is_state_feasible(cfg.model, cfg.mpc, x)
             print(f"feasible: {report.feasible}")
             print(f"phase1_slack: {report.phase1_slack}")
+            if report.status is not None:
+                print(f"phase1_status: {report.status.value}")
             if report.witness is not None:
                 print(f"witness: {report.witness.ravel().tolist()}")
+            if report.status is QpStatus.MAX_ITERATIONS:
+                print("solver failure: the phase-I solve stopped at the iteration cap, "
+                      "so the verdict is not conclusive", file=sys.stderr)
+                return EXIT_SOLVER
             return EXIT_OK
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -427,6 +437,10 @@ def main(argv=None):
             print("empty trajectory, no plot written", file=sys.stderr)
     if summary["aborted_at"] is not None:
         return EXIT_INFEASIBLE
+    if summary["non_optimal_steps"]:
+        print(f"solver failure: {summary['non_optimal_steps']} of {summary['steps']} "
+              "steps applied the input of a non-optimal solve", file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 

@@ -132,15 +132,42 @@ def trajectory_blocks(w, c):
     return H, F, g
 
 
-def condensed_inequalities(pm, c, x_k):
-    """Inequality rows F U <= g over the inputs, the states eliminated at x_k."""
-    F = np.vstack([c.F_X @ pm.B_U, c.F_U])
+def _condensed_rows(pm, c):
+    return np.vstack([c.F_X @ pm.B_U, c.F_U])
+
+
+def condensed_inequalities(pm, c, x_k, F=None):
+    """Inequality rows F U <= g over the inputs, the states eliminated at x_k.
+
+    Only g depends on x_k; a given F (from an earlier call) is reused.
+    """
+    if F is None:
+        F = _condensed_rows(pm, c)
     g = np.concatenate([c.g_X - c.F_X @ (pm.A_X @ x_k), c.g_U])
     return F, g
 
 
-def assemble_sparse_qp(pm, w, c, x_k):
-    """QP over z = (X, U) with the dynamics as equality rows [I, -B_U] z = A_X x_k."""
+def sparse_blocks(pm, w, c):
+    """The x_k-independent blocks (H, F, g, F_eq) of assemble_sparse_qp."""
+    H, F, g = trajectory_blocks(w, c)
+    F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U])
+    return H, F, g, F_eq
+
+
+def condensed_blocks(pm, w, c):
+    """The x_k-independent blocks (Q_X A_X, H, F) of assemble_condensed_qp."""
+    QA = w.Q_X @ pm.A_X
+    H = pm.B_U.T @ w.Q_X @ pm.B_U + w.R_U
+    H = 0.5 * (H + H.T)
+    return QA, H, _condensed_rows(pm, c)
+
+
+def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
+    """QP over z = (X, U) with the dynamics as equality rows [I, -B_U] z = A_X x_k.
+
+    ``blocks`` are sparse_blocks(pm, w, c), kept from an earlier call; only
+    the right-hand side g_eq is built from x_k.
+    """
     x_k = as_vector(x_k, "x_k")
     if x_k.shape[0] != pm.n:
         raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {pm.n}")
@@ -150,26 +177,27 @@ def assemble_sparse_qp(pm, w, c, x_k):
         raise ShapeError("weights inconsistent with prediction matrices")
     if c.F_X.shape[1] != nX or c.F_U.shape[1] != nU:
         raise ShapeError("constraints inconsistent with prediction matrices")
-    H, F, g = trajectory_blocks(w, c)
-    F_eq = np.hstack([np.eye(nX), -pm.B_U])
+    H, F, g, F_eq = blocks if blocks is not None else sparse_blocks(pm, w, c)
     g_eq = pm.A_X @ x_k
     return QpProblem(H=H, q=np.zeros(nX + nU), r=0.0, F=F, g=g, F_eq=F_eq, g_eq=g_eq)
 
 
-def assemble_condensed_qp(pm, w, c, x_k):
-    """QP over z = U only, with the states eliminated through the prediction."""
+def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
+    """QP over z = U only, with the states eliminated through the prediction.
+
+    ``blocks`` are condensed_blocks(pm, w, c), kept from an earlier call;
+    only q, r and g are built from x_k.
+    """
     x_k = as_vector(x_k, "x_k")
     if x_k.shape[0] != pm.n:
         raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {pm.n}")
     nX = pm.n * (pm.N + 1)
     if w.Q_X.shape[0] != nX or c.F_X.shape[1] != nX:
         raise ShapeError("weights/constraints inconsistent with prediction matrices")
-    QA = w.Q_X @ pm.A_X
-    H = pm.B_U.T @ w.Q_X @ pm.B_U + w.R_U
-    H = 0.5 * (H + H.T)
+    QA, H, F = blocks if blocks is not None else condensed_blocks(pm, w, c)
     q = 2.0 * pm.B_U.T @ (QA @ x_k)
     r = float(x_k @ (pm.A_X.T @ (QA @ x_k)))
-    F, g = condensed_inequalities(pm, c, x_k)
+    F, g = condensed_inequalities(pm, c, x_k, F)
     return QpProblem(H=H, q=q, r=r, F=F, g=g)
 
 

@@ -7,9 +7,9 @@ from typing import List, Optional
 import numpy as np
 
 from .condense import (assemble_condensed_qp, assemble_sparse_qp,
-                       build_prediction, build_weights,
-                       reduce_control_horizon, stack_constraints,
-                       trajectory_blocks)
+                       build_prediction, build_weights, condensed_blocks,
+                       reduce_control_horizon, sparse_blocks,
+                       stack_constraints, trajectory_blocks)
 from .exceptions import (InfeasibleStepError, InvalidHorizonError,
                          InvalidWeightError, ReferenceInfeasibleError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
@@ -17,7 +17,7 @@ from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
                     steady_state_input_nonlinear)
 from .nlp_solver import NlpProblem, build_feq, build_feq_jacobian, solve_nlp
 from .numerics import as_matrix, as_vector
-from .qp_solver import QpStatus, SolverSettings, solve_qp
+from .qp_solver import QpStatus, QpWorkspace, SolverSettings, solve_qp
 
 SPARSE = "sparse"
 CONDENSED = "condensed"
@@ -116,26 +116,41 @@ class Trajectory:
         return len(self.inputs)
 
 
-class _LmpcMatrices:
-    """Per-configuration matrices shared by every LMPC step."""
+class _Workspace:
+    """The x_k-independent parts of one closed loop's trajectory QP.
 
-    def __init__(self, model, cfg):
-        self.pm = build_prediction(model, cfg.N)
-        self.w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
-        self.c = stack_constraints(cfg.state_set(), cfg.input_set(),
-                                   cfg.terminal_set, cfg.N)
+    run_closed_loop creates one per loop and its first step fills it, not
+    the loop's set-up:
+    - LMPC: the prediction, weights and constraints, the form's constant
+      blocks (condensed_blocks or sparse_blocks) and the QP solver's
+      QpWorkspace (stacked rows, P and the factor at RHO);
+    - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U).
+    Later steps build only what x_k changes. A step called without one
+    builds everything afresh.
+    """
+
+    def __init__(self):
+        self.pm = self.w = self.c = self.blocks = None
+        self.qp = QpWorkspace()
 
 
-def lmpc_step(model, cfg, x_k, warm=None, _mats=None):
+def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     """One LMPC solve: returns the applied input and the full predicted sequences."""
     x_k = as_vector(x_k, "x_k")
-    mats = _mats if _mats is not None else _LmpcMatrices(model, cfg)
-    pm, w, c = mats.pm, mats.w, mats.c
+    ws = _ws if _ws is not None else _Workspace()
+    if ws.pm is None:
+        ws.pm = build_prediction(model, cfg.N)
+        ws.w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
+        ws.c = stack_constraints(cfg.state_set(), cfg.input_set(),
+                                 cfg.terminal_set, cfg.N)
+    pm, w, c = ws.pm, ws.w, ws.c
     n, m, N = pm.n, pm.m, pm.N
 
     if cfg.formulation == SPARSE:
-        qp = assemble_sparse_qp(pm, w, c, x_k)
-        sol = solve_qp(qp, warm=warm, settings=cfg.settings)
+        if ws.blocks is None:
+            ws.blocks = sparse_blocks(pm, w, c)
+        qp = assemble_sparse_qp(pm, w, c, x_k, ws.blocks)
+        sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
         if sol.status is QpStatus.INFEASIBLE:
             raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
         z = sol.z_star
@@ -143,9 +158,13 @@ def lmpc_step(model, cfg, x_k, warm=None, _mats=None):
         U = z[n * (N + 1):].reshape(N, m)
         J = sol.objective
     else:
-        qp = assemble_condensed_qp(pm, w, c, x_k)
+        if ws.blocks is None:
+            ws.blocks = condensed_blocks(pm, w, c)
+        qp = assemble_condensed_qp(pm, w, c, x_k, ws.blocks)
+        # with N_C < N the reduced H and F are new arrays at every step, so
+        # the solver's workspace is rebuilt each time
         qp_red = reduce_control_horizon(qp, N, cfg.N_C)
-        sol = solve_qp(qp_red, warm=warm, settings=cfg.settings)
+        sol = solve_qp(qp_red, warm=warm, settings=cfg.settings, workspace=ws.qp)
         if sol.status is QpStatus.INFEASIBLE:
             raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
         U_free = sol.z_star
@@ -159,16 +178,19 @@ def lmpc_step(model, cfg, x_k, warm=None, _mats=None):
                          solution=sol)
 
 
-def nmpc_step(model, cfg, x_k, warm=None):
+def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     """One NMPC solve via SQP on the trajectory decision vector."""
     x_k = as_vector(x_k, "x_k")
     n, m, N = model.n, model.m, cfg.N
     residual, d = build_feq(model, x_k, N)
     jacobian = build_feq_jacobian(model, x_k, N)
-    w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
-    c = stack_constraints(cfg.state_set(), cfg.input_set(), cfg.terminal_set, N)
+    ws = _ws if _ws is not None else _Workspace()
+    if ws.blocks is None:
+        w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
+        c = stack_constraints(cfg.state_set(), cfg.input_set(), cfg.terminal_set, N)
+        ws.blocks = trajectory_blocks(w, c)
+    H, F, g = ws.blocks
     nX = n * (N + 1)
-    H, F, g = trajectory_blocks(w, c)
     p = NlpProblem(H=H, F=F if F.shape[0] else None, g=g if F.shape[0] else None,
                    residual=residual, jacobian=jacobian)
     if warm is not None and np.shape(warm) == (d,):
@@ -235,8 +257,7 @@ def run_closed_loop(model, cfg, x_0):
         inner_cfg = cfg
         inner_model = model
 
-    mats = _LmpcMatrices(inner_model, inner_cfg) if is_lti else None
-
+    ws = _Workspace()
     traj = Trajectory()
     xe = x_0 - x_r if x_r is not None else x_0.copy()
     traj.states.append(xe + x_r if x_r is not None else xe.copy())
@@ -244,9 +265,9 @@ def run_closed_loop(model, cfg, x_0):
     for k in range(cfg.N_T):
         try:
             if is_lti:
-                step = lmpc_step(inner_model, inner_cfg, xe, warm=warm, _mats=mats)
+                step = lmpc_step(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
             else:
-                step = nmpc_step(inner_model, inner_cfg, xe, warm=warm)
+                step = nmpc_step(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
         except InfeasibleStepError as err:
             state = xe + x_r if x_r is not None else xe
             raise InfeasibleStepError(

@@ -21,6 +21,9 @@ class FeasibilityReport:
     feasible: bool
     phase1_slack: float
     witness: Optional[np.ndarray] = None   # (N, m) input sequence
+    # phase-I solver status; None when x_k lies outside X_set and no solve ran.
+    # At MAX_ITERATIONS the verdict rests on an unconverged slack.
+    status: Optional[QpStatus] = None
 
 
 @dataclass
@@ -80,7 +83,7 @@ def is_state_feasible(model, cfg, x_k):
     feasible = sol.status is not QpStatus.INFEASIBLE and slack <= PHASE1_SLACK_TOL
     witness = sol.z_star[:nU].reshape(pm.N, pm.m) if feasible else None
     return FeasibilityReport(feasible=feasible, phase1_slack=max(slack, 0.0),
-                             witness=witness)
+                             witness=witness, status=sol.status)
 
 
 def persistent_feasibility_check(traj, model, cfg):

@@ -8,7 +8,9 @@ Problem form, matching the rest of the toolkit (note: no 1/2 factor):
 Internally all constraints are stacked as interval rows l <= A z <= u
 (equalities get l = u) and the solver alternates one d x d linear solve with
 P + sigma I + A' diag(rho) A, factored once per step size (OSQP's reduced
-form of the KKT system), with an interval projection.
+form of the KKT system), with an interval projection. A QpWorkspace keeps
+the stacked rows and the factor at the initial step size across solves
+that share H, F and F_eq, as the steps of a closed loop do.
 """
 
 from dataclasses import dataclass, field
@@ -120,27 +122,76 @@ class QpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    # Multipliers for the stacked rows [F; F_eq; active bounds], in that order.
+    # Multipliers for the stacked rows [F; F_eq; bound rows], in that order:
+    # one bound row per index of z with a finite lb or ub.
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-def _stack_constraints(p):
-    """Stack F/F_eq/bounds into interval rows l <= A z <= u."""
+def _bounds(p):
+    """lb and ub with a missing side infinite, and the indices of z with a
+    finite bound. Each such index gets one bound row, in increasing order,
+    after the F and F_eq rows."""
     d = p.d
-    blocks = [p.F, p.F_eq]
+    lb = p.lb if p.lb is not None else np.full(d, -np.inf)
+    ub = p.ub if p.ub is not None else np.full(d, np.inf)
+    return lb, ub, np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
+
+
+def _row_bounds(p):
+    """Intervals l <= A z <= u of the stacked rows [F; F_eq; bound rows], and
+    the bound rows' indices into z."""
     lows = [np.full(p.F.shape[0], -np.inf), p.g_eq]
     highs = [p.g, p.g_eq]
+    bound_idx = np.zeros(0, dtype=int)
     if p.lb is not None or p.ub is not None:
-        lb = p.lb if p.lb is not None else np.full(d, -np.inf)
-        ub = p.ub if p.ub is not None else np.full(d, np.inf)
-        bound_idx = np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
-        blocks.append(np.eye(d)[bound_idx])
+        lb, ub, bound_idx = _bounds(p)
         lows.append(lb[bound_idx])
         highs.append(ub[bound_idx])
-    A = np.vstack(blocks)
-    l = np.concatenate(lows)
-    u = np.concatenate(highs)
-    return A, l, u
+    return np.concatenate(lows), np.concatenate(highs), bound_idx
+
+
+def _same_block(a, b):
+    """The very same array, or two empty arrays of one shape."""
+    return a is b or (a.size == 0 and a.shape == b.shape)
+
+
+def _factor(P, A, rho):
+    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A."""
+    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A)
+
+
+class QpWorkspace:
+    """The parts of a solve that q, g, g_eq and the bound values leave alone:
+    the stacked rows A, the per-row step-size scale (equality rows get 1e3),
+    P = 2H and the factor of the reduced matrix at rho = RHO.
+
+    solve_qp fills it on first use. It reuses it while H, F and F_eq are the
+    very arrays it was built from and the bound and equality rows fall on the
+    same indices; any other problem gets a fresh build. Factors at an adapted
+    rho are made per solve, and every solve starts again from RHO, so a
+    reused workspace gives the same iterates as a fresh one.
+    """
+
+    def __init__(self):
+        self.H = self.F = self.F_eq = None
+
+    def fits(self, p, bound_idx, eq_rows):
+        return (self.H is p.H and _same_block(self.F, p.F)
+                and _same_block(self.F_eq, p.F_eq)
+                and np.array_equal(self.bound_idx, bound_idx)
+                and np.array_equal(self.eq_rows, eq_rows))
+
+    def build(self, p, bound_idx, eq_rows):
+        self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
+        self.bound_idx, self.eq_rows = bound_idx, eq_rows
+        rows = [p.F, p.F_eq]
+        if bound_idx.size:
+            rows.append(np.eye(p.d)[bound_idx])
+        self.A = np.vstack(rows)
+        self.P = 2.0 * p.H
+        self.rho_scale = np.where(eq_rows, 1e3, 1.0)
+        self.rho = RHO * self.rho_scale
+        self.lu = _factor(self.P, self.A, self.rho)
 
 
 def _support(e, l, u):
@@ -155,21 +206,25 @@ def _violation(A, l, u, z_ax):
     return float(np.maximum(np.maximum(z_ax - u, l - z_ax), 0.0).max())
 
 
-def solve_qp(p, warm=None, settings=None):
+def solve_qp(p, warm=None, settings=None, workspace=None):
     """Solve the QP by ADMM; returns a QpSolution.
 
     ``warm`` may be a primal vector or a previous QpSolution (primal and
-    dual warm start). Identical inputs produce bit-identical iterates.
+    dual warm start). ``workspace`` is a QpWorkspace kept between solves of
+    problems that share H, F and F_eq (a closed loop's steps); without one
+    the solve builds its own. Identical inputs produce bit-identical
+    iterates, with or without a workspace.
     """
     s = settings or SolverSettings()
     d = p.d
-    A, l, u = _stack_constraints(p)
-    m = A.shape[0]
-    P = 2.0 * p.H
-    q = p.q
-
+    l, u, bound_idx = _row_bounds(p)
     eq_rows = np.isfinite(l) & np.isfinite(u) & (u - l < 1e-12)
-    rho_scale = np.where(eq_rows, 1e3, 1.0)
+    ws = workspace if workspace is not None else QpWorkspace()
+    if not ws.fits(p, bound_idx, eq_rows):
+        ws.build(p, bound_idx, eq_rows)
+    A, P, rho_scale = ws.A, ws.P, ws.rho_scale
+    m = A.shape[0]
+    q = p.q
 
     x = np.zeros(d)
     y = np.zeros(m)
@@ -185,12 +240,7 @@ def solve_qp(p, warm=None, settings=None):
     z = np.clip(A @ x, l, u) if m else np.zeros(0)
 
     rho_base = RHO
-
-    def factor(rb):
-        rho = rb * rho_scale
-        return lu_factor(P + SIGMA * np.eye(d) + (A.T * rho) @ A), rho
-
-    lu, rho = factor(rho_base)
+    lu, rho = ws.lu, ws.rho
 
     status = QpStatus.MAX_ITERATIONS
     it = 0
@@ -247,7 +297,8 @@ def solve_qp(p, warm=None, settings=None):
             new_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
-                lu, rho = factor(rho_base)
+                rho = rho_base * rho_scale
+                lu = _factor(P, A, rho)
 
     ax = A @ x if m else np.zeros(0)
     if status is QpStatus.OPTIMAL:
@@ -325,21 +376,32 @@ def _polish(p, A, l, u, x, y):
 def kkt_residuals(p, z, duals):
     """Infinity norms of stationarity, primal violation and complementarity.
 
-    ``duals`` holds multipliers for the F rows followed by the F_eq rows.
+    ``duals`` holds the multipliers of solve_qp's stacked rows: the F rows,
+    then the F_eq rows, then optionally one bound row per index of z with a
+    finite lb or ub, in increasing index order (as in QpSolution.duals). A
+    bound multiplier is positive on an upper bound and negative on a lower
+    one; given, the bound multipliers enter stationarity and
+    complementarity. Multipliers for the F and F_eq rows alone are accepted
+    and leave the bound rows out of both.
     """
     z = as_vector(z, "z")
     duals = as_vector(duals, "duals") if np.size(duals) else np.zeros(0)
     n_in = p.F.shape[0]
     n_eq = p.F_eq.shape[0]
-    if z.shape[0] != p.d or duals.shape[0] < n_in + n_eq:
+    lb, ub, bound_idx = _bounds(p)
+    n_rows = n_in + n_eq
+    if z.shape[0] != p.d or duals.shape[0] not in (n_rows, n_rows + bound_idx.size):
         raise ShapeError("z/duals dimensions do not match the problem")
     lam = duals[:n_in]
-    nu = duals[n_in:n_in + n_eq]
+    nu = duals[n_in:n_rows]
+    mu = duals[n_rows:]
     grad = 2.0 * p.H @ z + p.q
     if n_in:
         grad = grad + p.F.T @ lam
     if n_eq:
         grad = grad + p.F_eq.T @ nu
+    if mu.size:
+        grad[bound_idx] += mu
     stationarity = float(np.abs(grad).max())
     viol = 0.0
     comp = 0.0
@@ -349,8 +411,12 @@ def kkt_residuals(p, z, duals):
         comp = float(np.abs(lam * slack).max())
     if n_eq:
         viol = max(viol, float(np.abs(p.F_eq @ z - p.g_eq).max()))
-    if p.lb is not None:
-        viol = max(viol, float(np.maximum(p.lb - z, 0.0).max()))
-    if p.ub is not None:
-        viol = max(viol, float(np.maximum(z - p.ub, 0.0).max()))
+    if mu.size:
+        zb = z[bound_idx]
+        upper, lower = mu > 0, mu < 0
+        comp_b = np.zeros(mu.size)
+        comp_b[upper] = mu[upper] * (ub[bound_idx][upper] - zb[upper])
+        comp_b[lower] = mu[lower] * (lb[bound_idx][lower] - zb[lower])
+        comp = max(comp, float(np.abs(comp_b).max()))
+    viol = max(viol, float(np.maximum(lb - z, 0.0).max()), float(np.maximum(z - ub, 0.0).max()))
     return stationarity, viol, comp

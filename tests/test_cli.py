@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpckit.cli import (DEMOS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
-                        demo_config, emit_plot, main, parse_config, read_csv,
+                        EXIT_SOLVER, demo_config, emit_plot, main, parse_config, read_csv,
                         run_experiment, write_csv)
 from mpckit.controller import Trajectory, run_closed_loop
 from mpckit.exceptions import ConfigError
@@ -217,6 +217,40 @@ class TestMain:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "feasible: True" in out
+
+    def test_check_feasibility_at_iteration_cap(self, tmp_path, capsys):
+        # the demo system; with the default cap (-9.9, -8.1) is infeasible
+        doc = dict(DEMOS["lmpc-stabilize"], solver={"max_iter": 5})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["check-feasibility", "--config", str(cfg_path),
+                     "--state=-9.9,-8.1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "feasible: True" in out and "phase1_status: max_iterations" in out
+        assert "solver failure" in err
+        cfg_path.write_text(json.dumps(dict(doc, solver={})))
+        code = main(["check-feasibility", "--config", str(cfg_path),
+                     "--state=-9.9,-8.1"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "feasible: False" in out and "phase1_status: optimal" in out
+
+    def test_non_optimal_steps_exit_code(self, tmp_path, capsys):
+        doc = dict(DEMOS["lmpc-stabilize"], horizon={"N": 5, "N_T": 5},
+                   solver={"max_iter": 5})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "non_optimal_steps: 5" in out
+        assert "solver failure: 5 of 5 steps" in err
+
+    @pytest.mark.parametrize("name", sorted(DEMOS))
+    def test_demos_all_optimal(self, name, capsys):
+        assert main(["demo", name]) == EXIT_OK
+        assert "non_optimal_steps: 0" in capsys.readouterr().out
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,9 @@ from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     InvalidWeightError, MpcConfig, ReferenceInfeasibleError,
                     SolverSettings, lmpc_step, lti_as_nonlinear, nmpc_step,
                     run_closed_loop, tracking_transform)
+from mpckit import cli, controller, qp_solver
+from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
+                             stack_constraints)
 from mpckit.model import LtiModel, Polytope, box_polytope, lti_step
 
 
@@ -242,3 +245,51 @@ class TestRunClosedLoop:
         assert err.value.trajectory is not None
         assert len(err.value.trajectory.inputs) == 0
         assert np.allclose(err.value.state, [20, 0])
+
+
+class TestLoopWorkspace:
+    """run_closed_loop builds each loop's QP once and reuses it per step."""
+
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"formulation": "sparse"},
+        {"N_C": 2},
+        {"reference": [3, 2]},
+        {"reference": [3, 2], "formulation": "sparse"},
+    ])
+    def test_matches_fresh_steps(self, lti_demo_model, lti_demo_sets, monkeypatch, kw):
+        cfg = _demo_cfg(lti_demo_sets, N_T=20, **kw)
+        kept = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        step = controller.lmpc_step
+
+        def fresh_step(model, cfg, x_k, warm=None, _ws=None):
+            return step(model, cfg, x_k, warm=warm)
+
+        monkeypatch.setattr(controller, "lmpc_step", fresh_step)
+        fresh = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        assert np.array_equal(np.array(kept.states), np.array(fresh.states))
+        assert np.array_equal(np.array(kept.inputs), np.array(fresh.inputs))
+        assert kept.costs == fresh.costs
+        assert kept.statuses == fresh.statuses
+        assert kept.iterations == fresh.iterations
+
+    def test_factor_at_initial_rho_once_per_loop(self, monkeypatch):
+        exp = cli.demo_config("lmpc-stabilize")
+        factored = []
+
+        def recording_lu_factor(M, *args, **kwargs):
+            factored.append(np.array(M))
+            return lu_factor(M, *args, **kwargs)
+
+        lu_factor = qp_solver.lu_factor
+        monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
+        traj = run_closed_loop(exp.model, exp.mpc, exp.initial_state)
+        cfg = exp.mpc
+        pm = build_prediction(exp.model, cfg.N)
+        c = stack_constraints(cfg.state_set(), cfg.input_set(), None, cfg.N)
+        _, H, F = condensed_blocks(pm, build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N), c)
+        at_rho = 2.0 * H + qp_solver.SIGMA * np.eye(H.shape[0]) \
+            + qp_solver.RHO * F.T @ F
+        assert len(traj) == 50
+        assert sum(np.allclose(M, at_rho, rtol=1e-12, atol=0.0)
+                   for M in factored if M.shape == at_rho.shape) == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpckit import (MpcConfig, SolverSettings, Trajectory,
+from mpckit import (MpcConfig, QpStatus, SolverSettings, Trajectory,
                     is_control_sequence_feasible, is_state_feasible,
                     lyapunov_monitor, persistent_feasibility_check,
                     run_closed_loop)
@@ -116,6 +116,20 @@ class TestStateFeasible:
         cfg = _demo_cfg(lti_demo_sets, settings=SolverSettings(max_iter=5))
         is_state_feasible(lti_demo_model, cfg, [9.9, 9.9])
         assert iterations and max(iterations) <= 5
+
+    def test_phase1_status_reported(self, lti_demo_model, lti_demo_sets):
+        # a 5-iteration cap leaves the slack unconverged at a state that is
+        # infeasible (slack 0.39) when the solve runs to optimality
+        x = [-9.9, -8.1]
+        capped = is_state_feasible(
+            lti_demo_model, _demo_cfg(lti_demo_sets, settings=SolverSettings(max_iter=5)), x)
+        assert capped.status is QpStatus.MAX_ITERATIONS
+        assert capped.feasible  # the verdict rule itself is unchanged
+        full = is_state_feasible(lti_demo_model, _demo_cfg(lti_demo_sets), x)
+        assert full.status is QpStatus.OPTIMAL
+        assert not full.feasible and full.phase1_slack == pytest.approx(0.3909, abs=1e-3)
+        outside = is_state_feasible(lti_demo_model, _demo_cfg(lti_demo_sets), [11.0, 0.0])
+        assert outside.status is None and not outside.feasible
 
     def test_monotone_in_horizon(self):
         rng = np.random.default_rng(19)

@@ -201,6 +201,45 @@ def test_certificate_support_matches_loop():
                                                   + np.abs(u[np.isfinite(u)]).sum())
 
 
+class TestWorkspace:
+    def _same(self, a, b):
+        return (np.array_equal(a.z_star, b.z_star) and np.array_equal(a.duals, b.duals)
+                and a.iterations == b.iterations and a.status is b.status)
+
+    def test_reuse_and_rebuild(self, monkeypatch):
+        factors = []
+        lu_factor = qp_solver.lu_factor
+
+        def counting_lu_factor(M, *args, **kwargs):
+            factors.append(M.shape)
+            return lu_factor(M, *args, **kwargs)
+
+        monkeypatch.setattr(qp_solver, "lu_factor", counting_lu_factor)
+        H = np.array([[2.0, 0.5], [0.5, 1.0]])
+        F = np.array([[1.0, 1.0], [-1.0, 0.0]])
+        ws = qp_solver.QpWorkspace()
+        first = QpProblem(H=H, q=[-4.0, -2.0], F=F, g=[1.0, 0.5])
+        assert self._same(solve_qp(first, workspace=ws), solve_qp(first))
+        # same H and F arrays, new q and g: the workspace is reused
+        moved = QpProblem(H=H, q=[1.0, -3.0], F=F, g=[0.5, 0.2])
+        factors.clear()
+        kept = solve_qp(moved, workspace=ws)
+        reused = len(factors)
+        assert self._same(kept, solve_qp(moved))
+        assert len(factors) == 2 * reused + 1
+        # equal values in other arrays, or other values, get a fresh build
+        for p in (QpProblem(H=H.copy(), q=[1.0, -3.0], F=F, g=[0.5, 0.2]),
+                  QpProblem(H=H, q=[1.0, -3.0], F=2.0 * F, g=[0.5, 0.2]),
+                  QpProblem(H=H, q=[1.0, -3.0], F=F, g=[0.5, 0.2], F_eq=[[1.0, -1.0]],
+                            g_eq=[0.0]),
+                  QpProblem(H=H, q=[1.0, -3.0], F=F, g=[0.5, 0.2], ub=[np.inf, 0.1])):
+            factors.clear()
+            got = solve_qp(p, workspace=ws)
+            built = len(factors)
+            assert ws.H is p.H and ws.F is p.F and ws.F_eq is p.F_eq
+            assert self._same(got, solve_qp(p))
+            assert built == len(factors) - built
+
 class TestKktResiduals:
     def test_unconstrained_optimum(self):
         p = QpProblem(H=np.eye(2), q=[-2, -2])
@@ -217,6 +256,19 @@ class TestKktResiduals:
         stat, prim, comp = kkt_residuals(p, np.array([1.0, 1.0]),
                                          np.array([-2.0]))
         assert stat <= 1e-9 and prim <= 1e-9
+
+    def test_bound_multipliers(self):
+        p = QpProblem(H=np.eye(2), q=[-4, 0], ub=[1, 1])
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.allclose(sol.z_star, [1, 0]) and np.allclose(sol.duals, [2, 0])
+        stat, prim, comp = kkt_residuals(p, sol.z_star, sol.duals)
+        assert stat <= 1e-9 and prim <= 1e-9 and comp <= 1e-9
+        # a multiplier on an upper bound that is not active breaks complementarity
+        stat, _, comp = kkt_residuals(p, np.array([0.5, 0.0]), np.array([3.0, 0.0]))
+        assert stat == pytest.approx(0.0) and comp == pytest.approx(1.5)
+        with pytest.raises(ShapeError):
+            kkt_residuals(p, sol.z_star, np.array([2.0]))
 
     def test_dimension_check(self):
         p = QpProblem(H=np.eye(2), F=[[1, 0]], g=[1])
