@@ -9,8 +9,9 @@ from .condense import (PredictionMatrices, StackedConstraints, StackedWeights,
 from .controller import (MpcConfig, MpcStepResult, Trajectory, lmpc_step,
                          nmpc_step, run_closed_loop, tracking_transform)
 from .exceptions import (ConfigError, InfeasibleStepError, InvalidHorizonError,
-                         InvalidWeightError, MpcError, ReferenceInfeasibleError,
-                         ShapeError, SingularMatrixError, SteadyStateError)
+                         InvalidWeightError, MpcError, NonFiniteError,
+                         ReferenceInfeasibleError, ShapeError,
+                         SingularMatrixError, SteadyStateError)
 from .feasibility import (FeasibilityReport, LyapunovReport,
                           is_control_sequence_feasible, is_state_feasible,
                           lyapunov_monitor, persistent_feasibility_check)

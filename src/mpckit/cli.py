@@ -8,6 +8,7 @@ reals printed with 17 significant digits, LF line endings.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -37,11 +38,18 @@ class ExperimentConfig:
     name: str = "experiment"
 
 
-def _matrix(obj, key):
+def _finite_array(obj, key):
     try:
-        M = np.asarray(obj, dtype=float)
+        a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a numeric array")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{key} must be finite (no NaN or infinity)")
+    return a
+
+
+def _matrix(obj, key):
+    M = _finite_array(obj, key)
     if M.ndim == 0:
         M = M.reshape(1, 1)
     if M.ndim != 2:
@@ -50,14 +58,18 @@ def _matrix(obj, key):
 
 
 def _vector(obj, key):
-    try:
-        v = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a numeric array")
+    v = _finite_array(obj, key)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1:
         raise ConfigError(f"{key} must be a flat array (vector)")
+    return v
+
+
+def _number(obj, key):
+    v = float(obj)
+    if not math.isfinite(v):
+        raise ConfigError(f"{key} must be finite (no NaN or infinity)")
     return v
 
 
@@ -83,7 +95,7 @@ def parse_config(text):
         raise
     except KeyError as exc:
         raise ConfigError(f"missing required key {exc.args[0]!r}")
-    except (MpcError, ValueError, TypeError, AttributeError) as exc:
+    except (MpcError, ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigError(f"invalid configuration: {exc}")
 
 
@@ -95,8 +107,6 @@ def _experiment(doc):
         x0 = _vector(doc["initial_state"], "initial_state")
     except KeyError as exc:
         raise ConfigError(f"missing required section {exc.args[0]!r}")
-    if not np.isfinite(x0).all():
-        raise ConfigError("initial_state must be finite")
     if not isinstance(model_sec, dict):
         raise ConfigError("model must be an object")
 
@@ -105,11 +115,11 @@ def _experiment(doc):
         model = LtiModel(_matrix(model_sec["A"], "A"), _matrix(model_sec["B"], "B"))
     elif kind == "pendulum":
         params = PendulumParams(
-            M=float(model_sec.get("M", 1.0)),
-            B_fric=float(model_sec.get("B_fric", 1.0)),
-            l=float(model_sec.get("l", 1.0)),
-            g_grav=float(model_sec.get("g_grav", 9.8)),
-            T=float(model_sec.get("T", 0.1)))
+            M=_number(model_sec.get("M", 1.0), "M"),
+            B_fric=_number(model_sec.get("B_fric", 1.0), "B_fric"),
+            l=_number(model_sec.get("l", 1.0), "l"),
+            g_grav=_number(model_sec.get("g_grav", 9.8), "g_grav"),
+            T=_number(model_sec.get("T", 0.1), "T"))
         model = pendulum_model(params)
     elif kind == "lti-as-nonlinear":
         model = lti_as_nonlinear(
@@ -129,7 +139,7 @@ def _experiment(doc):
     settings = SolverSettings()
     for key in ("eps_abs", "eps_rel"):
         if key in solver:
-            setattr(settings, key, float(solver[key]))
+            setattr(settings, key, _number(solver[key], key))
     if "max_iter" in solver:
         settings.max_iter = int(solver["max_iter"])
 

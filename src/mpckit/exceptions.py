@@ -9,6 +9,10 @@ class ShapeError(MpcError, ValueError):
     """Incompatible matrix/vector dimensions."""
 
 
+class NonFiniteError(MpcError, ValueError):
+    """NaN or infinite entry where the solver needs finite numbers."""
+
+
 class SingularMatrixError(MpcError):
     """Matrix singular to working precision (or zero where rank is required)."""
 

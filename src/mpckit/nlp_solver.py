@@ -207,8 +207,8 @@ def solve_nlp(p, z0, settings=None):
             # reuse J from the accepted step (first-order accurate)
             stat = stat + J.T @ nu
         kkt = float(np.abs(stat).max())
-        if float(np.abs(t * step).max()) <= STEP_TOL or \
-                (kkt <= SQP_TOL and eq_violation <= SQP_TOL):
+        if eq_violation <= SQP_TOL and \
+                (float(np.abs(t * step).max()) <= STEP_TOL or kkt <= SQP_TOL):
             status = NlpStatus.OPTIMAL
             break
 

@@ -20,16 +20,18 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .exceptions import ShapeError
+from .exceptions import NonFiniteError, ShapeError
 from .numerics import as_matrix, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
+# termination checks (residuals, certificate, step-size update) and between
 # step-size updates, and the tolerance of the infeasibility certificate.
 RHO = 0.1
 SIGMA = 1e-6
 ALPHA = 1.6
-RHO_UPDATE_INTERVAL = 50
+CHECK_EVERY = 5
+RHO_UPDATE_INTERVAL = 10 * CHECK_EVERY
 EPS_INFEASIBLE = 1e-8
 
 
@@ -213,7 +215,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     dual warm start). ``workspace`` is a QpWorkspace kept between solves of
     problems that share H, F and F_eq (a closed loop's steps); without one
     the solve builds its own. Identical inputs produce bit-identical
-    iterates, with or without a workspace.
+    iterates, with or without a workspace. Termination is tested every
+    CHECK_EVERY iterations and at max_iter, so a solve stops at a multiple
+    of CHECK_EVERY or at max_iter. Raises NonFiniteError when q, the warm
+    start or the start rows clip(A z0, l, u) hold a NaN or an infinity.
     """
     s = settings or SolverSettings()
     d = p.d
@@ -237,25 +242,30 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         w = as_vector(warm, "warm")
         if w.shape[0] == d:
             x = w.copy()
+    if not (np.isfinite(q).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteError("NaN or infinity in q or in the warm start")
     z = np.clip(A @ x, l, u) if m else np.zeros(0)
+    if not np.isfinite(z).all():
+        raise NonFiniteError("NaN or infinity in the start rows clip(A z0, l, u)")
 
     rho_base = RHO
     lu, rho = ws.lu, ws.rho
+    q_norm = float(np.abs(q).max()) if q.size else 0.0
 
     status = QpStatus.MAX_ITERATIONS
     it = 0
-    x_prev_chk = x.copy()
-    y_prev_chk = y.copy()
+    y_prev = y
     r_prim = r_dual = np.inf
     for it in range(1, s.max_iter + 1):
-        x_old = x
-        z_old = z
-        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y))
-        x = ALPHA * x_t + (1.0 - ALPHA) * x_old
+        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y), check_finite=False)
+        x = ALPHA * x_t + (1.0 - ALPHA) * x
         if m:
-            az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z_old
+            az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
             z = np.clip(az + y / rho, l, u)
+            y_prev = y
             y = y + rho * (az - z)
+        if it % CHECK_EVERY and it != s.max_iter:
+            continue
 
         # convergence check
         ax = A @ x if m else np.zeros(0)
@@ -267,15 +277,14 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             float(np.abs(ax).max()) if m else 0.0,
             float(np.abs(z).max()) if m else 0.0)
         eps_dual = s.eps_abs + s.eps_rel * max(
-            float(np.abs(px).max()), float(np.abs(q).max()) if q.size else 0.0,
-            float(np.abs(aty).max()))
+            float(np.abs(px).max()), q_norm, float(np.abs(aty).max()))
         if r_prim <= eps_prim and r_dual <= eps_dual:
             status = QpStatus.OPTIMAL
             break
 
-        # primal infeasibility certificate
+        # primal infeasibility certificate from the last dual step
         if m:
-            dy = y - y_prev_chk
+            dy = y - y_prev
             dy_norm = float(np.abs(dy).max())
             if dy_norm > 1e-14:
                 e = dy / dy_norm
@@ -283,15 +292,12 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                         and float(np.abs(A.T @ e).max()) <= EPS_INFEASIBLE:
                     status = QpStatus.INFEASIBLE
                     break
-        x_prev_chk = x.copy()
-        y_prev_chk = y.copy()
 
         # residual-balancing step-size update
         if it % RHO_UPDATE_INTERVAL == 0:
             denom_p = max(float(np.abs(ax).max()) if m else 0.0,
                           float(np.abs(z).max()) if m else 0.0, 1e-10)
-            denom_d = max(float(np.abs(px).max()),
-                          float(np.abs(q).max()) if q.size else 0.0,
+            denom_d = max(float(np.abs(px).max()), q_norm,
                           float(np.abs(aty).max()), 1e-10)
             ratio = np.sqrt((r_prim / denom_p) / max(r_dual / denom_d, 1e-16))
             new_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
@@ -350,13 +356,13 @@ def _polish(p, A, l, u, x, y):
         kkt = lu_factor(K)
     except Exception:
         return x, y
-    sol = lu_solve(kkt, rhs)
+    sol = lu_solve(kkt, rhs, check_finite=False)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
         res = rhs - np.concatenate([
             2.0 * p.H @ sol[:p.d] + A_act.T @ sol[p.d:],
             A_act @ sol[:p.d]])
-        sol = sol + lu_solve(kkt, res)
+        sol = sol + lu_solve(kkt, res, check_finite=False)
     xh = sol[:p.d]
     yh = np.zeros(m)
     yh[idx] = sol[p.d:]

@@ -193,6 +193,13 @@ class TestMain:
              "Q must be square, got (1, 2)"),
             ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1, 0]]}},
              "R must be square, got (1, 2)"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"],
+                                  g_x=[10, float("nan"), 10, 10])}, "g_x must be finite"),
+            ({"model": dict(lti, A=[[0.9, float("nan")], [-0.4, 0.8]])}, "A must be finite"),
+            ({"weights": {"Q": [[1, 0], [0, float("inf")]], "R": [[1]]}}, "Q must be finite"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], M=float("nan"))}, "M must be finite"),
+            ({"solver": {"eps_abs": float("nan")}}, "eps_abs must be finite"),
+            ({"horizon": {"N": 3, "N_T": float("inf")}}, ""),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:

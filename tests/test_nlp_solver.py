@@ -4,6 +4,7 @@ import pytest
 from mpckit import (NlpProblem, NlpStatus, QpProblem, ShapeError,
                     build_feq, build_feq_jacobian, solve_nlp, solve_qp)
 from mpckit.model import NonlinearModel, PendulumParams, pendulum_model, pendulum_step
+from mpckit.nlp_solver import SQP_TOL
 from mpckit.numerics import finite_diff_jacobian
 
 
@@ -134,6 +135,15 @@ class TestSolveNlp:
                          residual=lambda z: np.array([z[0] - 5.0]))
         sol = solve_nlp(nlp, np.zeros(1))
         assert sol.elastic_used
+
+    def test_small_step_not_optimal_while_equalities_violated(self):
+        # the steep residual 1e18 z^3 makes steps below STEP_TOL long before
+        # the residual falls below SQP_TOL
+        nlp = NlpProblem(H=[[1.0]], residual=lambda z: np.array([1e18 * z[0] ** 3]),
+                         jacobian=lambda z: np.array([[3e18 * z[0] ** 2]]))
+        sol = solve_nlp(nlp, np.array([1e-7]))
+        assert sol.status is NlpStatus.OPTIMAL
+        assert sol.eq_violation <= SQP_TOL
 
     def test_missing_residual_rejected(self):
         with pytest.raises(ShapeError):

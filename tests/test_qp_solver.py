@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mpckit import (QpProblem, QpStatus, ShapeError, SolverSettings,
-                    kkt_residuals, solve_qp)
+from mpckit import (MpcError, NonFiniteError, QpProblem, QpStatus, ShapeError,
+                    SolverSettings, kkt_residuals, solve_qp)
 from mpckit import qp_solver
 from mpckit.qp_solver import _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
@@ -109,6 +109,51 @@ class TestSolveQp:
         sol = solve_qp(p, settings=SolverSettings(max_iter=2))
         assert sol.status is QpStatus.MAX_ITERATIONS
         assert sol.z_star.shape == (p.d,)
+
+    def test_non_finite_inputs_rejected(self):
+        p = QpProblem(H=np.eye(2), q=[1.0, np.nan], F=[[1.0, 0.0]], g=[1.0])
+        bad = [(p, None),
+               (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[np.nan]), None),
+               (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[1.0]), [0.0, np.inf])]
+        for problem, warm in bad:
+            with pytest.raises(NonFiniteError) as info:
+                solve_qp(problem, warm=warm)
+            assert isinstance(info.value, MpcError) and isinstance(info.value, ValueError)
+
+
+class TestCheckInterval:
+    # needs 102 iterations with a check at every iteration (105 by default)
+    P = random_strictly_convex_qp(np.random.default_rng(39))
+
+    @pytest.mark.parametrize("max_iter", [5, 10, 50, 55, 100])
+    def test_same_iterates_as_checking_every_iteration(self, monkeypatch, max_iter):
+        cap = SolverSettings(max_iter=max_iter)
+        default = solve_qp(self.P, settings=cap)
+        monkeypatch.setattr(qp_solver, "CHECK_EVERY", 1)
+        every = solve_qp(self.P, settings=cap)
+        assert default.status is every.status is QpStatus.MAX_ITERATIONS
+        assert default.iterations == every.iterations == max_iter
+        assert np.array_equal(default.z_star, every.z_star)
+        assert np.array_equal(default.duals, every.duals)
+
+    def test_iterations_fall_on_checks(self):
+        rng = np.random.default_rng(16)
+        infeasible = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
+        problems = [random_strictly_convex_qp(rng) for _ in range(20)] + [infeasible]
+        for max_iter in (7, 20000):
+            for p in problems:
+                sol = solve_qp(p, settings=SolverSettings(max_iter=max_iter))
+                assert (sol.iterations % qp_solver.CHECK_EVERY == 0
+                        or sol.iterations == max_iter), (max_iter, sol.iterations)
+
+    def test_check_at_iteration_cap(self, monkeypatch):
+        # a warm restart converges within 3 iterations, below CHECK_EVERY,
+        # and the check at max_iter = 3 reports it
+        cold = solve_qp(self.P)
+        sol = solve_qp(self.P, warm=cold, settings=SolverSettings(max_iter=3))
+        assert sol.status is QpStatus.OPTIMAL and sol.iterations == 3
+        monkeypatch.setattr(qp_solver, "CHECK_EVERY", 1)
+        assert solve_qp(self.P, warm=cold).iterations <= 3
 
 
 def test_admm_factors_reduced_system(monkeypatch):
