@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .condense import (PredictionMatrices, StackedConstraints, StackedWeights,
                        assemble_condensed_qp, assemble_sparse_qp,
-                       build_prediction, build_weights, reduce_control_horizon,
-                       stack_constraints)
+                       build_prediction, build_weights, stack_constraints)
 from .controller import (MpcConfig, MpcStepResult, Trajectory, lmpc_step,
                          nmpc_step, run_closed_loop, tracking_transform)
 from .exceptions import (ConfigError, InfeasibleStepError, InvalidHorizonError,

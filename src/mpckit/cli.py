@@ -73,6 +73,19 @@ def _number(obj, key):
     return v
 
 
+def _integer(obj, key):
+    # bool is an int subclass, and JSON true is not a count
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ConfigError(f"{key} must be an integer, got {obj!r}")
+    return obj
+
+
+def _boolean(obj, key):
+    if not isinstance(obj, bool):
+        raise ConfigError(f"{key} must be true or false, got {obj!r}")
+    return obj
+
+
 def _polytope(section, fkey, gkey, what):
     if fkey not in section and gkey not in section:
         return None
@@ -141,15 +154,15 @@ def _experiment(doc):
         if key in solver:
             setattr(settings, key, _number(solver[key], key))
     if "max_iter" in solver:
-        settings.max_iter = int(solver["max_iter"])
+        settings.max_iter = _integer(solver["max_iter"], "solver.max_iter")
 
     reference = doc.get("reference")
     x_r = _vector(reference["x_r"], "x_r") if reference else None
 
     mpc = MpcConfig(
-        N=int(horizon["N"]),
-        N_T=int(horizon["N_T"]),
-        N_C=int(horizon["N_C"]) if "N_C" in horizon else None,
+        N=_integer(horizon["N"], "horizon.N"),
+        N_T=_integer(horizon["N_T"], "horizon.N_T"),
+        N_C=_integer(horizon["N_C"], "horizon.N_C") if "N_C" in horizon else None,
         Q=_matrix(weights["Q"], "Q"),
         R=_matrix(weights["R"], "R"),
         Q_N=_matrix(weights["Q_N"], "Q_N") if "Q_N" in weights else None,
@@ -159,7 +172,7 @@ def _experiment(doc):
         formulation=solver.get("formulation", "condensed"),
         reference=x_r,
         settings=settings,
-        warm_start=bool(solver.get("warm_start", True)),
+        warm_start=_boolean(solver.get("warm_start", True), "solver.warm_start"),
     )
 
     n = mpc.n
@@ -413,10 +426,12 @@ def main(argv=None):
         else:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
-            x = np.array([float(v) for v in args.state.split(",")])
             if not isinstance(cfg.model, LtiModel):
                 print("check-feasibility supports LTI models only", file=sys.stderr)
                 return EXIT_CONFIG
+            x = _vector(args.state.split(","), "--state")
+            if x.shape[0] != cfg.mpc.n:
+                raise ConfigError(f"--state has dimension {x.shape[0]}, model has {cfg.mpc.n}")
             report = is_state_feasible(cfg.model, cfg.mpc, x)
             print(f"feasible: {report.feasible}")
             print(f"phase1_slack: {report.phase1_slack}")

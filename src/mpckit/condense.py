@@ -154,12 +154,18 @@ def sparse_blocks(pm, w, c):
     return H, F, g, F_eq
 
 
-def condensed_blocks(pm, w, c):
-    """The x_k-independent blocks (Q_X A_X, H, F) of assemble_condensed_qp."""
+def condensed_blocks(pm, w, c, N_C):
+    """The x_k-independent blocks (Q_X A_X, H, F) of assemble_condensed_qp.
+
+    Inputs after the control horizon N_C are fixed to zero, so H and F keep
+    the first m N_C inputs only. F keeps every row: a row left all zero is
+    inert while its g is >= 0 and certifies infeasibility when it is not.
+    """
     QA = w.Q_X @ pm.A_X
     H = pm.B_U.T @ w.Q_X @ pm.B_U + w.R_U
     H = 0.5 * (H + H.T)
-    return QA, H, _condensed_rows(pm, c)
+    keep = pm.m * N_C
+    return QA, H[:keep, :keep], _condensed_rows(pm, c)[:, :keep]
 
 
 def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
@@ -183,10 +189,11 @@ def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
 
 
 def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
-    """QP over z = U only, with the states eliminated through the prediction.
+    """QP over the inputs U only, with the states eliminated through the prediction.
 
-    ``blocks`` are condensed_blocks(pm, w, c), kept from an earlier call;
-    only q, r and g are built from x_k.
+    ``blocks`` are condensed_blocks(pm, w, c, N_C), kept from an earlier
+    call, and z is the first m N_C inputs; without them N_C = N. Only q, r
+    and g are built from x_k.
     """
     x_k = as_vector(x_k, "x_k")
     if x_k.shape[0] != pm.n:
@@ -194,29 +201,9 @@ def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
     nX = pm.n * (pm.N + 1)
     if w.Q_X.shape[0] != nX or c.F_X.shape[1] != nX:
         raise ShapeError("weights/constraints inconsistent with prediction matrices")
-    QA, H, F = blocks if blocks is not None else condensed_blocks(pm, w, c)
-    q = 2.0 * pm.B_U.T @ (QA @ x_k)
+    QA, H, F = blocks if blocks is not None else condensed_blocks(pm, w, c, pm.N)
+    q = (2.0 * pm.B_U.T @ (QA @ x_k))[:H.shape[0]]
     r = float(x_k @ (pm.A_X.T @ (QA @ x_k)))
     F, g = condensed_inequalities(pm, c, x_k, F)
     return QpProblem(H=H, q=q, r=r, F=F, g=g)
 
-
-def reduce_control_horizon(qp, N, N_C):
-    """Restrict a condensed QP to the first N_C input blocks (tail fixed to zero)."""
-    if N_C < 1 or N_C > N:
-        raise InvalidHorizonError(f"control horizon must satisfy 1 <= N_C <= N, got {N_C}")
-    if N_C == N:
-        return qp
-    d = qp.d
-    if d % N != 0:
-        raise ShapeError(f"decision dimension {d} is not a multiple of N={N}")
-    keep = (d // N) * N_C
-    H = qp.H[:keep, :keep]
-    q = qp.q[:keep]
-    F = qp.F[:, :keep]
-    g = qp.g
-    if F.shape[0]:
-        vacuous = (np.abs(F).max(axis=1) == 0.0) & (g >= 0.0)
-        F = F[~vacuous]
-        g = g[~vacuous]
-    return QpProblem(H=H, q=q, r=qp.r, F=F, g=g)

@@ -8,8 +8,7 @@ import numpy as np
 
 from .condense import (assemble_condensed_qp, assemble_sparse_qp,
                        build_prediction, build_weights, condensed_blocks,
-                       reduce_control_horizon, sparse_blocks,
-                       stack_constraints, trajectory_blocks)
+                       sparse_blocks, stack_constraints, trajectory_blocks)
 from .exceptions import (InfeasibleStepError, InvalidHorizonError,
                          InvalidWeightError, ReferenceInfeasibleError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
@@ -122,8 +121,9 @@ class _Workspace:
     run_closed_loop creates one per loop and its first step fills it, not
     the loop's set-up:
     - LMPC: the prediction, weights and constraints, the form's constant
-      blocks (condensed_blocks or sparse_blocks) and the QP solver's
-      QpWorkspace (stacked rows, P and the factor at RHO);
+      blocks (condensed_blocks over the control horizon N_C, or
+      sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P and
+      the factor at RHO);
     - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U).
     Later steps build only what x_k changes. A step called without one
     builds everything afresh.
@@ -159,17 +159,13 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
         J = sol.objective
     else:
         if ws.blocks is None:
-            ws.blocks = condensed_blocks(pm, w, c)
+            ws.blocks = condensed_blocks(pm, w, c, cfg.N_C)
         qp = assemble_condensed_qp(pm, w, c, x_k, ws.blocks)
-        # with N_C < N the reduced H and F are new arrays at every step, so
-        # the solver's workspace is rebuilt each time
-        qp_red = reduce_control_horizon(qp, N, cfg.N_C)
-        sol = solve_qp(qp_red, warm=warm, settings=cfg.settings, workspace=ws.qp)
+        sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
         if sol.status is QpStatus.INFEASIBLE:
             raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
-        U_free = sol.z_star
         U = np.zeros(m * N)
-        U[:U_free.shape[0]] = U_free
+        U[:qp.d] = sol.z_star
         X = (pm.A_X @ x_k + pm.B_U @ U).reshape(N + 1, n)
         U = U.reshape(N, m)
         J = sol.objective  # includes the carried constant r_k

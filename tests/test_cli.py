@@ -200,6 +200,11 @@ class TestMain:
             ({"model": dict(DEMOS["nmpc-stabilize"]["model"], M=float("nan"))}, "M must be finite"),
             ({"solver": {"eps_abs": float("nan")}}, "eps_abs must be finite"),
             ({"horizon": {"N": 3, "N_T": float("inf")}}, ""),
+            ({"horizon": {"N": 2.7, "N_T": 5}}, "horizon.N must be an integer"),
+            ({"horizon": {"N": 1, "N_T": True}}, "horizon.N_T must be an integer"),
+            ({"horizon": {"N": 3, "N_T": 5, "N_C": "2"}}, "horizon.N_C must be an integer"),
+            ({"solver": {"max_iter": 100.9}}, "solver.max_iter must be an integer"),
+            ({"solver": {"warm_start": "false"}}, "solver.warm_start must be true or false"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:
@@ -224,6 +229,18 @@ class TestMain:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "feasible: True" in out
+
+    def test_check_feasibility_malformed_state(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        for state, message in (("1,abc", "--state must be a numeric array"),
+                               ("1,2,3", "--state has dimension 3, model has 2"),
+                               ("1,nan", "--state must be finite")):
+            code = main(["check-feasibility", "--config", str(cfg_path),
+                         "--state", state])
+            out, err = capsys.readouterr()
+            assert code == EXIT_CONFIG, state
+            assert out == "" and f"config error: {message}" in err, err
 
     def test_check_feasibility_at_iteration_cap(self, tmp_path, capsys):
         # the demo system; with the default cap (-9.9, -8.1) is infeasible

@@ -4,8 +4,8 @@ import pytest
 from mpckit import (InvalidHorizonError, InvalidWeightError, QpProblem,
                     ShapeError, solve_qp)
 from mpckit.condense import (assemble_condensed_qp, assemble_sparse_qp,
-                             build_prediction, build_weights,
-                             reduce_control_horizon, stack_constraints)
+                             build_prediction, build_weights, condensed_blocks,
+                             stack_constraints)
 from mpckit.model import (LtiModel, Polytope, box_polytope, empty_polytope,
                           lti_step)
 
@@ -187,31 +187,19 @@ class TestAssembleCondensedQp:
             assert ok_sparse == ok_cond
 
 
-class TestReduceControlHorizon:
-    def test_no_reduction(self):
-        _, pm, w, c, x = _scalar_setup(N=3)
-        qp = assemble_condensed_qp(pm, w, c, x)
-        assert reduce_control_horizon(qp, 3, 3) is qp
-
+class TestControlHorizon:
     def test_decision_length(self, lti_demo_model, lti_demo_sets):
         X_set, U_set = lti_demo_sets
         pm = build_prediction(lti_demo_model, 5)
         w = build_weights(np.eye(2), [[1.0]], np.eye(2), 5)
         c = stack_constraints(X_set, U_set, None, 5)
-        qp = assemble_condensed_qp(pm, w, c, [1.0, 1.0])
-        red = reduce_control_horizon(qp, 5, 2)
-        assert red.d == 2
-
-    def test_invalid_horizon(self):
-        _, pm, w, c, x = _scalar_setup(N=3)
-        qp = assemble_condensed_qp(pm, w, c, x)
-        with pytest.raises(InvalidHorizonError):
-            reduce_control_horizon(qp, 3, 0)
-        with pytest.raises(InvalidHorizonError):
-            reduce_control_horizon(qp, 3, 4)
+        qp = assemble_condensed_qp(pm, w, c, [1.0, 1.0], condensed_blocks(pm, w, c, 2))
+        assert qp.d == 2
+        # every row is kept, those of the zero tail included
+        assert qp.F.shape[0] == c.F_X.shape[0] + c.F_U.shape[0]
 
     def test_matches_zero_tail_optimum(self):
-        # terminal-only weighting: reduced problem equals optimizing over
+        # terminal-only weighting: the N_C = 2 problem equals optimizing over
         # (u0, u1) with the remaining inputs pinned to zero
         model = LtiModel([[1.0]], [[1.0]])
         N = 4
@@ -219,7 +207,7 @@ class TestReduceControlHorizon:
         w = build_weights([[0.0]], [[0.1]], [[1.0]], N)
         c = stack_constraints(empty_polytope(1), empty_polytope(1), None, N)
         qp = assemble_condensed_qp(pm, w, c, [3.0])
-        red = reduce_control_horizon(qp, N, 2)
+        red = assemble_condensed_qp(pm, w, c, [3.0], condensed_blocks(pm, w, c, 2))
         sol = solve_qp(red)
 
         def zero_tail_cost(u0, u1):
@@ -232,13 +220,3 @@ class TestReduceControlHorizon:
             for u0 in np.linspace(-3, 1, 161)
             for u1 in np.linspace(-3, 1, 161))
         assert sol.objective <= best + 1e-6
-
-    def test_vacuous_rows_dropped(self, lti_demo_model, lti_demo_sets):
-        X_set, U_set = lti_demo_sets
-        pm = build_prediction(lti_demo_model, 5)
-        w = build_weights(np.eye(2), [[1.0]], np.eye(2), 5)
-        c = stack_constraints(X_set, U_set, None, 5)
-        qp = assemble_condensed_qp(pm, w, c, [1.0, 1.0])
-        red = reduce_control_horizon(qp, 5, 2)
-        if red.F.shape[0]:
-            assert np.all(np.abs(red.F).max(axis=1) > 0)

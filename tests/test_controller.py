@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,8 +43,9 @@ class TestMpcConfig:
             MpcConfig(N=6, N_T=5, Q=[[1.0]], R=[[1.0]])
 
     def test_control_horizon_bounds(self):
-        with pytest.raises(InvalidHorizonError):
-            MpcConfig(N=3, N_T=5, N_C=4, Q=[[1.0]], R=[[1.0]])
+        for N_C in (0, 4):
+            with pytest.raises(InvalidHorizonError):
+                MpcConfig(N=3, N_T=5, N_C=N_C, Q=[[1.0]], R=[[1.0]])
 
     def test_r_must_be_positive_definite(self):
         with pytest.raises(InvalidWeightError):
@@ -117,6 +120,15 @@ class TestLmpcStep:
         cfg = _demo_cfg(lti_demo_sets, N_C=2)
         step = lmpc_step(lti_demo_model, cfg, [5.0, 2.0])
         assert np.abs(step.U_star[2:]).max() == 0.0
+
+    def test_control_horizon_zero_tail_outside_input_set(self, lti_demo_model,
+                                                          lti_demo_sets):
+        # 0.5 <= u <= 1 excludes the zero inputs after N_C: their rows are all
+        # zero with g < 0, and they must certify infeasibility
+        U_set = Polytope([[1.0], [-1.0]], [1.0, -0.5])
+        cfg = _demo_cfg(lti_demo_sets, N_C=2, U_set=U_set)
+        with pytest.raises(InfeasibleStepError):
+            lmpc_step(lti_demo_model, cfg, [5.0, 2.0])
 
 
 class TestNmpcStep:
@@ -273,8 +285,10 @@ class TestLoopWorkspace:
         assert kept.statuses == fresh.statuses
         assert kept.iterations == fresh.iterations
 
-    def test_factor_at_initial_rho_once_per_loop(self, monkeypatch):
+    @pytest.mark.parametrize("N_C", [None, 2], ids=["N_C=N", "N_C=2"])
+    def test_factor_at_initial_rho_once_per_loop(self, monkeypatch, N_C):
         exp = cli.demo_config("lmpc-stabilize")
+        cfg = replace(exp.mpc, N_C=N_C)
         factored = []
 
         def recording_lu_factor(M, *args, **kwargs):
@@ -283,11 +297,11 @@ class TestLoopWorkspace:
 
         lu_factor = qp_solver.lu_factor
         monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
-        traj = run_closed_loop(exp.model, exp.mpc, exp.initial_state)
-        cfg = exp.mpc
+        traj = run_closed_loop(exp.model, cfg, exp.initial_state)
         pm = build_prediction(exp.model, cfg.N)
+        w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
         c = stack_constraints(cfg.state_set(), cfg.input_set(), None, cfg.N)
-        _, H, F = condensed_blocks(pm, build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N), c)
+        _, H, F = condensed_blocks(pm, w, c, cfg.N_C)
         at_rho = 2.0 * H + qp_solver.SIGMA * np.eye(H.shape[0]) \
             + qp_solver.RHO * F.T @ F
         assert len(traj) == 50
