@@ -12,6 +12,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,13 @@ def _finite_array(obj, key):
     try:
         a = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a numeric array")
+        raise ConfigError(f"{key} must hold JSON numbers only")
+    # numpy alone would also read "0.9" and true as numbers
+    leaves = [obj]
+    for _ in range(a.ndim):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise ConfigError(f"{key} must hold JSON numbers only")
     if not np.isfinite(a).all():
         raise ConfigError(f"{key} must be finite (no NaN or infinity)")
     return a
@@ -67,10 +74,18 @@ def _vector(obj, key):
 
 
 def _number(obj, key):
-    v = float(obj)
-    if not math.isfinite(v):
+    # float() alone would also take "0.1" and true
+    if type(obj) not in (int, float):
+        raise ConfigError(f"{key} must be a JSON number, got {obj!r}")
+    if not math.isfinite(obj):
         raise ConfigError(f"{key} must be finite (no NaN or infinity)")
-    return v
+    return float(obj)
+
+
+def _object(obj, key):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be an object")
+    return obj
 
 
 def _integer(obj, key):
@@ -114,14 +129,12 @@ def parse_config(text):
 
 def _experiment(doc):
     try:
-        model_sec = doc["model"]
-        horizon = doc["horizon"]
-        weights = doc["weights"]
+        model_sec = _object(doc["model"], "model")
+        horizon = _object(doc["horizon"], "horizon")
+        weights = _object(doc["weights"], "weights")
         x0 = _vector(doc["initial_state"], "initial_state")
     except KeyError as exc:
         raise ConfigError(f"missing required section {exc.args[0]!r}")
-    if not isinstance(model_sec, dict):
-        raise ConfigError("model must be an object")
 
     kind = model_sec.get("kind")
     if kind == "lti":
@@ -140,15 +153,15 @@ def _experiment(doc):
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
 
-    constraints = doc.get("constraints", {})
+    constraints = _object(doc.get("constraints", {}), "constraints")
     X_set = _polytope(constraints, "F_x", "g_x", "state")
     U_set = _polytope(constraints, "F_u", "g_u", "input")
     terminal = None
     if "terminal" in constraints:
-        t = constraints["terminal"]
+        t = _object(constraints["terminal"], "constraints.terminal")
         terminal = Polytope(_matrix(t["F"], "terminal.F"), _vector(t["g"], "terminal.g"))
 
-    solver = doc.get("solver", {})
+    solver = _object(doc.get("solver", {}), "solver")
     settings = SolverSettings()
     for key in ("eps_abs", "eps_rel"):
         if key in solver:
@@ -157,7 +170,9 @@ def _experiment(doc):
         settings.max_iter = _integer(solver["max_iter"], "solver.max_iter")
 
     reference = doc.get("reference")
-    x_r = _vector(reference["x_r"], "x_r") if reference else None
+    x_r = None
+    if reference is not None:
+        x_r = _vector(_object(reference, "reference")["x_r"], "x_r")
 
     mpc = MpcConfig(
         N=_integer(horizon["N"], "horizon.N"),
@@ -429,7 +444,11 @@ def main(argv=None):
             if not isinstance(cfg.model, LtiModel):
                 print("check-feasibility supports LTI models only", file=sys.stderr)
                 return EXIT_CONFIG
-            x = _vector(args.state.split(","), "--state")
+            try:
+                state = [float(v) for v in args.state.split(",")]
+            except ValueError:
+                raise ConfigError("--state must be a numeric array")
+            x = _vector(state, "--state")
             if x.shape[0] != cfg.mpc.n:
                 raise ConfigError(f"--state has dimension {x.shape[0]}, model has {cfg.mpc.n}")
             report = is_state_feasible(cfg.model, cfg.mpc, x)

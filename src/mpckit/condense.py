@@ -147,11 +147,16 @@ def condensed_inequalities(pm, c, x_k, F=None):
     return F, g
 
 
-def sparse_blocks(pm, w, c):
-    """The x_k-independent blocks (H, F, g, F_eq) of assemble_sparse_qp."""
+def sparse_blocks(pm, w, c, N_C):
+    """The x_k-independent blocks (H, F, g, F_eq) of assemble_sparse_qp.
+
+    As in condensed_blocks, inputs after the control horizon N_C are fixed
+    to zero: z = (X, first m N_C inputs), and F keeps every row.
+    """
     H, F, g = trajectory_blocks(w, c)
     F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U])
-    return H, F, g, F_eq
+    keep = pm.n * (pm.N + 1) + pm.m * N_C
+    return H[:keep, :keep], F[:, :keep], g, F_eq[:, :keep]
 
 
 def condensed_blocks(pm, w, c, N_C):
@@ -171,8 +176,9 @@ def condensed_blocks(pm, w, c, N_C):
 def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
     """QP over z = (X, U) with the dynamics as equality rows [I, -B_U] z = A_X x_k.
 
-    ``blocks`` are sparse_blocks(pm, w, c), kept from an earlier call; only
-    the right-hand side g_eq is built from x_k.
+    ``blocks`` are sparse_blocks(pm, w, c, N_C), kept from an earlier call,
+    and z ends in the first m N_C inputs; without them N_C = N. Only the
+    right-hand side g_eq is built from x_k.
     """
     x_k = as_vector(x_k, "x_k")
     if x_k.shape[0] != pm.n:
@@ -183,9 +189,8 @@ def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
         raise ShapeError("weights inconsistent with prediction matrices")
     if c.F_X.shape[1] != nX or c.F_U.shape[1] != nU:
         raise ShapeError("constraints inconsistent with prediction matrices")
-    H, F, g, F_eq = blocks if blocks is not None else sparse_blocks(pm, w, c)
-    g_eq = pm.A_X @ x_k
-    return QpProblem(H=H, q=np.zeros(nX + nU), r=0.0, F=F, g=g, F_eq=F_eq, g_eq=g_eq)
+    H, F, g, F_eq = blocks if blocks is not None else sparse_blocks(pm, w, c, pm.N)
+    return QpProblem(H=H, q=np.zeros(H.shape[0]), F=F, g=g, F_eq=F_eq, g_eq=pm.A_X @ x_k)
 
 
 def assemble_condensed_qp(pm, w, c, x_k, blocks=None):

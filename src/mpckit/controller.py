@@ -121,7 +121,7 @@ class _Workspace:
     run_closed_loop creates one per loop and its first step fills it, not
     the loop's set-up:
     - LMPC: the prediction, weights and constraints, the form's constant
-      blocks (condensed_blocks over the control horizon N_C, or
+      blocks over the control horizon N_C (condensed_blocks or
       sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P and
       the factor at RHO);
     - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U).
@@ -145,31 +145,22 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
                                  cfg.terminal_set, cfg.N)
     pm, w, c = ws.pm, ws.w, ws.c
     n, m, N = pm.n, pm.m, pm.N
+    nX = n * (N + 1)
 
-    if cfg.formulation == SPARSE:
-        if ws.blocks is None:
-            ws.blocks = sparse_blocks(pm, w, c)
-        qp = assemble_sparse_qp(pm, w, c, x_k, ws.blocks)
-        sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
-        if sol.status is QpStatus.INFEASIBLE:
-            raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
-        z = sol.z_star
-        X = z[:n * (N + 1)].reshape(N + 1, n)
-        U = z[n * (N + 1):].reshape(N, m)
-        J = sol.objective
-    else:
-        if ws.blocks is None:
-            ws.blocks = condensed_blocks(pm, w, c, cfg.N_C)
-        qp = assemble_condensed_qp(pm, w, c, x_k, ws.blocks)
-        sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
-        if sol.status is QpStatus.INFEASIBLE:
-            raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
-        U = np.zeros(m * N)
-        U[:qp.d] = sol.z_star
-        X = (pm.A_X @ x_k + pm.B_U @ U).reshape(N + 1, n)
-        U = U.reshape(N, m)
-        J = sol.objective  # includes the carried constant r_k
-    return MpcStepResult(u_k=U[0].copy(), U_star=U, X_star=X, J_star=J,
+    sparse = cfg.formulation == SPARSE
+    if ws.blocks is None:
+        ws.blocks = (sparse_blocks if sparse else condensed_blocks)(pm, w, c, cfg.N_C)
+    qp = (assemble_sparse_qp if sparse else assemble_condensed_qp)(pm, w, c, x_k, ws.blocks)
+    sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
+    if sol.status is QpStatus.INFEASIBLE:
+        raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
+    # the inputs after the control horizon N_C are zero
+    U = np.zeros(m * N)
+    U[:m * cfg.N_C] = sol.z_star[nX:] if sparse else sol.z_star
+    X = sol.z_star[:nX] if sparse else pm.A_X @ x_k + pm.B_U @ U
+    # the condensed objective includes the carried constant r_k
+    return MpcStepResult(u_k=U[:m].copy(), U_star=U.reshape(N, m),
+                         X_star=X.reshape(N + 1, n), J_star=sol.objective,
                          solver_status=sol.status, iterations=sol.iterations,
                          solution=sol)
 
@@ -187,8 +178,7 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
         ws.blocks = trajectory_blocks(w, c)
     H, F, g = ws.blocks
     nX = n * (N + 1)
-    p = NlpProblem(H=H, F=F if F.shape[0] else None, g=g if F.shape[0] else None,
-                   residual=residual, jacobian=jacobian)
+    p = NlpProblem(H=H, F=F, g=g, residual=residual, jacobian=jacobian)
     if warm is not None and np.shape(warm) == (d,):
         z0 = np.asarray(warm, dtype=float)
     else:
@@ -289,11 +279,9 @@ def run_closed_loop(model, cfg, x_0):
 
 def _next_warm(step, cfg, model, is_lti):
     """Shift the step-k solution one block forward as the k+1 initial guess."""
-    n, m, N = (model.n, model.m, cfg.N)
-    X_s = np.vstack([step.X_star[1:], step.X_star[-1]])
-    U_s = np.vstack([step.U_star[1:], np.zeros((1, m))])
-    if is_lti:
-        if cfg.formulation == SPARSE:
-            return np.concatenate([X_s.ravel(), U_s.ravel()])
-        return U_s.ravel()[:m * cfg.N_C]
-    return np.concatenate([X_s.ravel(), U_s.ravel()])
+    X_s = np.vstack([step.X_star[1:], step.X_star[-1]]).ravel()
+    U_s = np.vstack([step.U_star[1:], np.zeros((1, model.m))]).ravel()
+    if not is_lti:
+        return np.concatenate([X_s, U_s])
+    U_s = U_s[:model.m * cfg.N_C]
+    return np.concatenate([X_s, U_s]) if cfg.formulation == SPARSE else U_s

@@ -59,29 +59,32 @@ def is_control_sequence_feasible(model, cfg, x_k, U, tol=FEASIBILITY_TOL):
 
 def is_state_feasible(model, cfg, x_k):
     """Phase-I slack program deciding whether some input sequence keeps the
-    N-step prediction inside the constraint sets. LTI models only."""
+    N-step prediction inside the constraint sets. The inputs after the
+    control horizon N_C are fixed to zero, as in lmpc_step, and the witness
+    holds them as zeros. LTI models only."""
     x_k = as_vector(x_k, "x_k")
     X_set = cfg.state_set()
     if not polytope_contains(X_set, x_k, FEASIBILITY_TOL):
         return FeasibilityReport(feasible=False, phase1_slack=np.inf, witness=None)
     pm = build_prediction(model, cfg.N)
     c = stack_constraints(X_set, cfg.input_set(), cfg.terminal_set, cfg.N)
-    nU = pm.m * pm.N
+    nU = pm.m * cfg.N_C
     # decision vector (U, s): minimize s (plus tiny regularization on U)
+    # subject to F U - s <= g; the last row, -s <= 1, keeps the program
+    # bounded, since a slack below -1 is equally conclusive
     F_U, g = condensed_inequalities(pm, c, x_k)
-    F = np.hstack([F_U, -np.ones((F_U.shape[0], 1))])
-    H = np.zeros((nU + 1, nU + 1))
-    H[:nU, :nU] = 1e-8 * np.eye(nU)
-    H[nU, nU] = 1e-8
+    F = np.block([[F_U[:, :nU], -np.ones((F_U.shape[0], 1))],
+                  [np.zeros((1, nU)), -np.ones((1, 1))]])
     q = np.zeros(nU + 1)
     q[nU] = 1.0
-    # slack below -1 is equally conclusive; the bound keeps the program bounded
-    lb = np.full(nU + 1, -np.inf)
-    lb[nU] = -1.0
-    sol = solve_qp(QpProblem(H=H, q=q, F=F, g=g, lb=lb), settings=cfg.settings)
+    sol = solve_qp(QpProblem(H=1e-8 * np.eye(nU + 1), q=q, F=F, g=np.append(g, 1.0)),
+                   settings=cfg.settings)
     slack = float(sol.z_star[nU])
     feasible = sol.status is not QpStatus.INFEASIBLE and slack <= PHASE1_SLACK_TOL
-    witness = sol.z_star[:nU].reshape(pm.N, pm.m) if feasible else None
+    witness = None
+    if feasible:
+        witness = np.zeros((pm.N, pm.m))
+        witness.flat[:nU] = sol.z_star[:nU]
     return FeasibilityReport(feasible=feasible, phase1_slack=max(slack, 0.0),
                              witness=witness, status=sol.status)
 

@@ -8,7 +8,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ShapeError
-from .numerics import as_matrix, as_vector, finite_diff_jacobian
+from .numerics import as_matrix, as_rows, as_vector, finite_diff_jacobian
 from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -46,12 +46,7 @@ class NlpProblem:
             raise ShapeError("H must be symmetric")
         self.H = H
         self.q = np.zeros(d) if self.q is None else as_vector(self.q, "q")
-        if self.F is None:
-            self.F = np.zeros((0, d))
-            self.g = np.zeros(0)
-        else:
-            self.F = as_matrix(self.F, "F")
-            self.g = as_vector(self.g, "g")
+        self.F, self.g = as_rows(self.F, self.g, d, "F")
         if self.residual is None:
             raise ShapeError("an equality residual map is required")
 
@@ -159,23 +154,23 @@ def solve_nlp(p, z0, settings=None):
             J = as_matrix(p.jacobian(z))
         else:
             J = finite_diff_jacobian(p.residual, z)
-        e = J.shape[0]
 
         grad = 2.0 * p.H @ z + p.q
-        slack = p.g - p.F @ z if n_in else np.zeros(0)
+        slack = p.g - p.F @ z
         # subproblem in the step: min s'Hs + (2Hz+q)'s  s.t. Fs <= g-Fz, Js = -c
-        sub = QpProblem(H=p.H, q=grad,
-                        F=p.F if n_in else None, g=slack if n_in else None,
-                        F_eq=J, g_eq=-c)
+        sub = QpProblem(H=p.H, q=grad, F=p.F, g=slack, F_eq=J, g_eq=-c)
         sol = solve_qp(sub, warm=qp_warm, settings=s)
         if sol.status is QpStatus.INFEASIBLE:
             elastic_used = True
             sol = _solve_elastic(p, z, grad, slack, J, c, s)
         step = sol.z_star[:d]
-        nu = sol.duals[n_in:n_in + e] if sol.duals.shape[0] >= n_in + e else np.zeros(e)
+        # the multipliers of p.F lead and those of J close the duals, in the
+        # elastic subproblem too
+        lam = sol.duals[:n_in]
+        nu = sol.duals[sol.duals.shape[0] - J.shape[0]:]
         qp_warm = sol if sol.z_star.shape[0] == d else None
 
-        mu = max(10.0, 2.0 * float(np.abs(nu).max()) if e else 10.0, mu)
+        mu = max(10.0, 2.0 * float(np.abs(nu).max(initial=0.0)), mu)
         c_norm1 = float(np.abs(c).sum())
         phi0 = _merit(p, z, c_norm1, mu)
         # directional derivative of the merit function along the step
@@ -197,22 +192,16 @@ def solve_nlp(p, z0, settings=None):
         z = z_try
         c = c_try
 
-        eq_violation = float(np.abs(c).max()) if c.size else 0.0
-        lam = sol.duals[:n_in] if sol.duals.shape[0] >= n_in else np.zeros(n_in)
-        stat = 2.0 * p.H @ z + p.q
-        if n_in:
-            stat = stat + p.F.T @ lam
-        if e:
-            # recompute Jacobian-transposed term at the new point lazily:
-            # reuse J from the accepted step (first-order accurate)
-            stat = stat + J.T @ nu
-        kkt = float(np.abs(stat).max())
+        eq_violation = float(np.abs(c).max(initial=0.0))
+        # J is the accepted step's, not re-evaluated at the new point
+        # (first-order accurate)
+        kkt = float(np.abs(2.0 * p.H @ z + p.q + p.F.T @ lam + J.T @ nu).max())
         if eq_violation <= SQP_TOL and \
                 (float(np.abs(t * step).max()) <= STEP_TOL or kkt <= SQP_TOL):
             status = NlpStatus.OPTIMAL
             break
 
-    eq_violation = float(np.abs(c).max()) if c.size else 0.0
+    eq_violation = float(np.abs(c).max(initial=0.0))
     return NlpSolution(
         z_star=z,
         objective=p.objective(z),
@@ -226,22 +215,20 @@ def solve_nlp(p, z0, settings=None):
 
 
 def _solve_elastic(p, z, grad, slack, J, c, s):
-    """Relaxed subproblem: J step + c = e_plus - e_minus, penalized l1 slack."""
-    d = p.d
-    e = J.shape[0]
-    n_in = p.F.shape[0]
-    dim = d + 2 * e
-    H = np.zeros((dim, dim))
+    """Relaxed subproblem: J step + c = e_plus - e_minus, penalized l1 slack.
+
+    The slack bounds e_plus, e_minus >= 0 are F rows after p.F's, so the
+    F_eq multipliers are the last J.shape[0] duals, as in the plain
+    subproblem.
+    """
+    d, e = p.d, J.shape[0]
+    H = np.zeros((d + 2 * e, d + 2 * e))
     H[:d, :d] = p.H
     # tiny curvature keeps H PSD on the slack block
     H[d:, d:] = 1e-8 * np.eye(2 * e)
     q = np.concatenate([grad, np.full(2 * e, ELASTIC_PENALTY)])
-    F = None
-    g = None
-    if n_in:
-        F = np.hstack([p.F, np.zeros((n_in, 2 * e))])
-        g = slack
+    F = np.block([[p.F, np.zeros((p.F.shape[0], 2 * e))],
+                  [np.zeros((2 * e, d)), -np.eye(2 * e)]])
+    g = np.concatenate([slack, np.zeros(2 * e)])
     F_eq = np.hstack([J, -np.eye(e), np.eye(e)])
-    lb = np.concatenate([np.full(d, -np.inf), np.zeros(2 * e)])
-    sub = QpProblem(H=H, q=q, F=F, g=g, F_eq=F_eq, g_eq=-c, lb=lb)
-    return solve_qp(sub, settings=s)
+    return solve_qp(QpProblem(H=H, q=q, F=F, g=g, F_eq=F_eq, g_eq=-c), settings=s)

@@ -27,6 +27,17 @@ def as_vector(v, name="vector"):
     return a
 
 
+def as_rows(F, g, d, name="F"):
+    """Coerce a row block F z <= g (or F z = g) on d variables to a (k, d)
+    matrix and a length-k vector; a missing or empty F is a block of no rows."""
+    F = as_matrix(F, name) if F is not None and np.size(F) else np.zeros((0, d))
+    g = as_vector(g, name) if g is not None else np.zeros(0)
+    if F.shape[1] != d or F.shape[0] != g.shape[0]:
+        raise ShapeError(f"{name} has shape {F.shape} with {g.shape[0]} right-hand sides "
+                         f"on {d} variables")
+    return F, g
+
+
 def pseudo_inverse_apply(M, b):
     """Least-squares solution of M y = b (minimum norm if M is rank deficient).
 

@@ -3,10 +3,11 @@
 Problem form, matching the rest of the toolkit (note: no 1/2 factor):
 
     minimize    z' H z + q' z + r
-    subject to  F z <= g,  F_eq z = g_eq,  lb <= z <= ub
+    subject to  F z <= g,  F_eq z = g_eq
 
-Internally all constraints are stacked as interval rows l <= A z <= u
-(equalities get l = u) and the solver alternates one d x d linear solve with
+A bound on z is a row of F like any other. Internally the rows are stacked
+as intervals l <= A z <= u, A = [F; F_eq] (equalities get l = u), and the
+solver alternates one d x d linear solve with
 P + sigma I + A' diag(rho) A, factored once per step size (OSQP's reduced
 form of the KKT system), with an interval projection. A QpWorkspace keeps
 the stacked rows and the factor at the initial step size across solves
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .exceptions import NonFiniteError, ShapeError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
@@ -64,8 +65,6 @@ class QpProblem:
     g: Optional[np.ndarray] = None
     F_eq: Optional[np.ndarray] = None
     g_eq: Optional[np.ndarray] = None
-    lb: Optional[np.ndarray] = None
-    ub: Optional[np.ndarray] = None
 
     def __post_init__(self):
         H = as_matrix(self.H, "H")
@@ -78,35 +77,8 @@ class QpProblem:
         self.q = np.zeros(d) if self.q is None else as_vector(self.q, "q")
         if self.q.shape[0] != d:
             raise ShapeError(f"q has length {self.q.shape[0]}, expected {d}")
-
-        if self.F is None:
-            self.F = np.zeros((0, d))
-            self.g = np.zeros(0)
-        else:
-            self.F = as_matrix(self.F, "F") if np.size(self.F) else np.zeros((0, d))
-            self.g = as_vector(self.g, "g") if self.g is not None else np.zeros(0)
-        if self.F.shape[1] != d or self.F.shape[0] != self.g.shape[0]:
-            raise ShapeError("inequality block dimensions inconsistent")
-
-        if self.F_eq is None:
-            self.F_eq = np.zeros((0, d))
-            self.g_eq = np.zeros(0)
-        else:
-            self.F_eq = as_matrix(self.F_eq, "F_eq") if np.size(self.F_eq) else np.zeros((0, d))
-            self.g_eq = as_vector(self.g_eq, "g_eq") if self.g_eq is not None else np.zeros(0)
-        if self.F_eq.shape[1] != d or self.F_eq.shape[0] != self.g_eq.shape[0]:
-            raise ShapeError("equality block dimensions inconsistent")
-
-        if self.lb is not None:
-            self.lb = as_vector(self.lb, "lb")
-            if self.lb.shape[0] != d:
-                raise ShapeError("lb has wrong length")
-        if self.ub is not None:
-            self.ub = as_vector(self.ub, "ub")
-            if self.ub.shape[0] != d:
-                raise ShapeError("ub has wrong length")
-        if self.lb is not None and self.ub is not None and np.any(self.lb > self.ub):
-            raise ShapeError("lb must be elementwise <= ub")
+        self.F, self.g = as_rows(self.F, self.g, d, "F")
+        self.F_eq, self.g_eq = as_rows(self.F_eq, self.g_eq, d, "F_eq")
 
     @property
     def d(self):
@@ -124,32 +96,8 @@ class QpSolution:
     iterations: int
     primal_residual: float
     dual_residual: float
-    # Multipliers for the stacked rows [F; F_eq; bound rows], in that order:
-    # one bound row per index of z with a finite lb or ub.
+    # Multipliers for the stacked rows [F; F_eq], in that order.
     duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-def _bounds(p):
-    """lb and ub with a missing side infinite, and the indices of z with a
-    finite bound. Each such index gets one bound row, in increasing order,
-    after the F and F_eq rows."""
-    d = p.d
-    lb = p.lb if p.lb is not None else np.full(d, -np.inf)
-    ub = p.ub if p.ub is not None else np.full(d, np.inf)
-    return lb, ub, np.flatnonzero(np.isfinite(lb) | np.isfinite(ub))
-
-
-def _row_bounds(p):
-    """Intervals l <= A z <= u of the stacked rows [F; F_eq; bound rows], and
-    the bound rows' indices into z."""
-    lows = [np.full(p.F.shape[0], -np.inf), p.g_eq]
-    highs = [p.g, p.g_eq]
-    bound_idx = np.zeros(0, dtype=int)
-    if p.lb is not None or p.ub is not None:
-        lb, ub, bound_idx = _bounds(p)
-        lows.append(lb[bound_idx])
-        highs.append(ub[bound_idx])
-    return np.concatenate(lows), np.concatenate(highs), bound_idx
 
 
 def _same_block(a, b):
@@ -163,35 +111,29 @@ def _factor(P, A, rho):
 
 
 class QpWorkspace:
-    """The parts of a solve that q, g, g_eq and the bound values leave alone:
-    the stacked rows A, the per-row step-size scale (equality rows get 1e3),
+    """The parts of a solve that q, g and g_eq leave alone: the stacked rows
+    A = [F; F_eq], the per-row step-size scale (the F_eq rows get 1e3),
     P = 2H and the factor of the reduced matrix at rho = RHO.
 
     solve_qp fills it on first use. It reuses it while H, F and F_eq are the
-    very arrays it was built from and the bound and equality rows fall on the
-    same indices; any other problem gets a fresh build. Factors at an adapted
-    rho are made per solve, and every solve starts again from RHO, so a
-    reused workspace gives the same iterates as a fresh one.
+    very arrays it was built from; any other problem gets a fresh build.
+    Factors at an adapted rho are made per solve, and every solve starts
+    again from RHO, so a reused workspace gives the same iterates as a fresh
+    one.
     """
 
     def __init__(self):
         self.H = self.F = self.F_eq = None
 
-    def fits(self, p, bound_idx, eq_rows):
+    def fits(self, p):
         return (self.H is p.H and _same_block(self.F, p.F)
-                and _same_block(self.F_eq, p.F_eq)
-                and np.array_equal(self.bound_idx, bound_idx)
-                and np.array_equal(self.eq_rows, eq_rows))
+                and _same_block(self.F_eq, p.F_eq))
 
-    def build(self, p, bound_idx, eq_rows):
+    def build(self, p):
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
-        self.bound_idx, self.eq_rows = bound_idx, eq_rows
-        rows = [p.F, p.F_eq]
-        if bound_idx.size:
-            rows.append(np.eye(p.d)[bound_idx])
-        self.A = np.vstack(rows)
+        self.A = np.vstack([p.F, p.F_eq])
         self.P = 2.0 * p.H
-        self.rho_scale = np.where(eq_rows, 1e3, 1.0)
+        self.rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
         self.rho = RHO * self.rho_scale
         self.lu = _factor(self.P, self.A, self.rho)
 
@@ -202,10 +144,8 @@ def _support(e, l, u):
     return float(bound @ e) if np.isfinite(bound).all() else np.inf
 
 
-def _violation(A, l, u, z_ax):
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.maximum(np.maximum(z_ax - u, l - z_ax), 0.0).max())
+def _violation(l, u, z_ax):
+    return float(np.maximum(z_ax - u, l - z_ax).max(initial=0.0))
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
@@ -222,11 +162,11 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     """
     s = settings or SolverSettings()
     d = p.d
-    l, u, bound_idx = _row_bounds(p)
-    eq_rows = np.isfinite(l) & np.isfinite(u) & (u - l < 1e-12)
+    l = np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq])
+    u = np.concatenate([p.g, p.g_eq])
     ws = workspace if workspace is not None else QpWorkspace()
-    if not ws.fits(p, bound_idx, eq_rows):
-        ws.build(p, bound_idx, eq_rows)
+    if not ws.fits(p):
+        ws.build(p)
     A, P, rho_scale = ws.A, ws.P, ws.rho_scale
     m = A.shape[0]
     q = p.q
@@ -244,13 +184,13 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             x = w.copy()
     if not (np.isfinite(q).all() and np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("NaN or infinity in q or in the warm start")
-    z = np.clip(A @ x, l, u) if m else np.zeros(0)
+    z = np.clip(A @ x, l, u)
     if not np.isfinite(z).all():
         raise NonFiniteError("NaN or infinity in the start rows clip(A z0, l, u)")
 
     rho_base = RHO
     lu, rho = ws.lu, ws.rho
-    q_norm = float(np.abs(q).max()) if q.size else 0.0
+    q_norm = float(np.abs(q).max(initial=0.0))
 
     status = QpStatus.MAX_ITERATIONS
     it = 0
@@ -259,23 +199,22 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y), check_finite=False)
         x = ALPHA * x_t + (1.0 - ALPHA) * x
-        if m:
-            az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
-            z = np.clip(az + y / rho, l, u)
-            y_prev = y
-            y = y + rho * (az - z)
+        az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
+        z = np.clip(az + y / rho, l, u)
+        y_prev = y
+        y = y + rho * (az - z)
         if it % CHECK_EVERY and it != s.max_iter:
             continue
 
         # convergence check
-        ax = A @ x if m else np.zeros(0)
+        ax = A @ x
         px = P @ x
-        aty = A.T @ y if m else np.zeros(d)
-        r_prim = float(np.abs(ax - z).max()) if m else 0.0
+        aty = A.T @ y
+        r_prim = float(np.abs(ax - z).max(initial=0.0))
         r_dual = float(np.abs(px + q + aty).max())
-        eps_prim = s.eps_abs + s.eps_rel * max(
-            float(np.abs(ax).max()) if m else 0.0,
-            float(np.abs(z).max()) if m else 0.0)
+        ax_norm = float(np.abs(ax).max(initial=0.0))
+        z_norm = float(np.abs(z).max(initial=0.0))
+        eps_prim = s.eps_abs + s.eps_rel * max(ax_norm, z_norm)
         eps_dual = s.eps_abs + s.eps_rel * max(
             float(np.abs(px).max()), q_norm, float(np.abs(aty).max()))
         if r_prim <= eps_prim and r_dual <= eps_dual:
@@ -283,20 +222,18 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             break
 
         # primal infeasibility certificate from the last dual step
-        if m:
-            dy = y - y_prev
-            dy_norm = float(np.abs(dy).max())
-            if dy_norm > 1e-14:
-                e = dy / dy_norm
-                if _support(e, l, u) <= -EPS_INFEASIBLE \
-                        and float(np.abs(A.T @ e).max()) <= EPS_INFEASIBLE:
-                    status = QpStatus.INFEASIBLE
-                    break
+        dy = y - y_prev
+        dy_norm = float(np.abs(dy).max(initial=0.0))
+        if dy_norm > 1e-14:
+            e = dy / dy_norm
+            if _support(e, l, u) <= -EPS_INFEASIBLE \
+                    and float(np.abs(A.T @ e).max()) <= EPS_INFEASIBLE:
+                status = QpStatus.INFEASIBLE
+                break
 
         # residual-balancing step-size update
         if it % RHO_UPDATE_INTERVAL == 0:
-            denom_p = max(float(np.abs(ax).max()) if m else 0.0,
-                          float(np.abs(z).max()) if m else 0.0, 1e-10)
+            denom_p = max(ax_norm, z_norm, 1e-10)
             denom_d = max(float(np.abs(px).max()), q_norm,
                           float(np.abs(aty).max()), 1e-10)
             ratio = np.sqrt((r_prim / denom_p) / max(r_dual / denom_d, 1e-16))
@@ -306,13 +243,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 rho = rho_base * rho_scale
                 lu = _factor(P, A, rho)
 
-    ax = A @ x if m else np.zeros(0)
     if status is QpStatus.OPTIMAL:
         x, y = _polish(p, A, l, u, x, y)
-        ax = A @ x
-
-    prim = _violation(A, l, u, ax)
-    dual = float(np.abs(P @ x + q + (A.T @ y if m else 0.0)).max())
+    prim = _violation(l, u, A @ x)
+    dual = float(np.abs(P @ x + q + A.T @ y).max())
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -337,7 +271,7 @@ def _polish(p, A, l, u, x, y):
             xh = np.linalg.solve(2.0 * p.H + 1e-12 * np.eye(p.d), -p.q)
         except np.linalg.LinAlgError:
             return x, y
-        if _violation(A, l, u, A @ xh) <= max(_violation(A, l, u, A @ x), 1e-12) \
+        if _violation(l, u, A @ xh) <= max(_violation(l, u, A @ x), 1e-12) \
                 and p.objective(xh) <= p.objective(x):
             return xh, y
         return x, y
@@ -370,9 +304,9 @@ def _polish(p, A, l, u, x, y):
     low_only = act_low[idx] & ~act_high[idx]
     high_only = act_high[idx] & ~act_low[idx]
     ok_signs = np.all(sol[p.d:][low_only] <= 1e-7) and np.all(sol[p.d:][high_only] >= -1e-7)
-    prim_new = _violation(A, l, u, A @ xh)
+    prim_new = _violation(l, u, A @ xh)
     dual_new = float(np.abs(2.0 * p.H @ xh + p.q + A.T @ yh).max())
-    prim_old = _violation(A, l, u, A @ x)
+    prim_old = _violation(l, u, A @ x)
     dual_old = float(np.abs(2.0 * p.H @ x + p.q + A.T @ y).max())
     if ok_signs and max(prim_new, dual_new) <= max(prim_old, dual_old) + 1e-12:
         return xh, yh
@@ -382,47 +316,18 @@ def _polish(p, A, l, u, x, y):
 def kkt_residuals(p, z, duals):
     """Infinity norms of stationarity, primal violation and complementarity.
 
-    ``duals`` holds the multipliers of solve_qp's stacked rows: the F rows,
-    then the F_eq rows, then optionally one bound row per index of z with a
-    finite lb or ub, in increasing index order (as in QpSolution.duals). A
-    bound multiplier is positive on an upper bound and negative on a lower
-    one; given, the bound multipliers enter stationarity and
-    complementarity. Multipliers for the F and F_eq rows alone are accepted
-    and leave the bound rows out of both.
+    ``duals`` holds the multipliers of the F rows, then of the F_eq rows, as
+    in QpSolution.duals.
     """
     z = as_vector(z, "z")
-    duals = as_vector(duals, "duals") if np.size(duals) else np.zeros(0)
+    duals = as_vector(duals, "duals")
     n_in = p.F.shape[0]
-    n_eq = p.F_eq.shape[0]
-    lb, ub, bound_idx = _bounds(p)
-    n_rows = n_in + n_eq
-    if z.shape[0] != p.d or duals.shape[0] not in (n_rows, n_rows + bound_idx.size):
+    if z.shape[0] != p.d or duals.shape[0] != n_in + p.F_eq.shape[0]:
         raise ShapeError("z/duals dimensions do not match the problem")
-    lam = duals[:n_in]
-    nu = duals[n_in:n_rows]
-    mu = duals[n_rows:]
-    grad = 2.0 * p.H @ z + p.q
-    if n_in:
-        grad = grad + p.F.T @ lam
-    if n_eq:
-        grad = grad + p.F_eq.T @ nu
-    if mu.size:
-        grad[bound_idx] += mu
-    stationarity = float(np.abs(grad).max())
-    viol = 0.0
-    comp = 0.0
-    if n_in:
-        slack = p.F @ z - p.g
-        viol = max(viol, float(np.maximum(slack, 0.0).max()))
-        comp = float(np.abs(lam * slack).max())
-    if n_eq:
-        viol = max(viol, float(np.abs(p.F_eq @ z - p.g_eq).max()))
-    if mu.size:
-        zb = z[bound_idx]
-        upper, lower = mu > 0, mu < 0
-        comp_b = np.zeros(mu.size)
-        comp_b[upper] = mu[upper] * (ub[bound_idx][upper] - zb[upper])
-        comp_b[lower] = mu[lower] * (lb[bound_idx][lower] - zb[lower])
-        comp = max(comp, float(np.abs(comp_b).max()))
-    viol = max(viol, float(np.maximum(lb - z, 0.0).max()), float(np.maximum(z - ub, 0.0).max()))
+    lam, nu = duals[:n_in], duals[n_in:]
+    stationarity = float(np.abs(2.0 * p.H @ z + p.q + p.F.T @ lam + p.F_eq.T @ nu).max())
+    slack = p.F @ z - p.g
+    viol = max(float(slack.max(initial=0.0)),
+               float(np.abs(p.F_eq @ z - p.g_eq).max(initial=0.0)))
+    comp = float(np.abs(lam * slack).max(initial=0.0))
     return stationarity, viol, comp

@@ -205,6 +205,19 @@ class TestMain:
             ({"horizon": {"N": 3, "N_T": 5, "N_C": "2"}}, "horizon.N_C must be an integer"),
             ({"solver": {"max_iter": 100.9}}, "solver.max_iter must be an integer"),
             ({"solver": {"warm_start": "false"}}, "solver.warm_start must be true or false"),
+            ({"solver": {"eps_abs": "0.001"}}, "eps_abs must be a JSON number"),
+            ({"solver": {"eps_rel": True}}, "eps_rel must be a JSON number"),
+            ({"model": dict(lti, A=[["0.9", "0.2"], ["-0.4", "0.8"]])}, "A must hold JSON numbers only"),
+            ({"initial_state": ["10", "5"]}, "initial_state must hold JSON numbers only"),
+            ({"weights": {"Q": [[True, 0], [0, True]], "R": [[1]]}}, "Q must hold JSON numbers only"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], T="0.1")}, "T must be a JSON number"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], T=[0.1])}, "T must be a JSON number"),
+            ({"reference": [3, 2]}, "reference must be an object"),
+            ({"reference": {}}, "x_r"),
+            ({"constraints": []}, "constraints must be an object"),
+            ({"solver": "sparse"}, "solver must be an object"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"], terminal=[[1, 0]])},
+             "constraints.terminal must be an object"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:
@@ -229,6 +242,17 @@ class TestMain:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "feasible: True" in out
+
+    def test_check_feasibility_control_horizon(self, tmp_path, capsys):
+        # with N_C = 2 the zero inputs after the control horizon break u >= 0.5
+        doc = dict(DEMOS["lmpc-stabilize"], horizon={"N": 5, "N_T": 50, "N_C": 2},
+                   constraints=dict(DEMOS["lmpc-stabilize"]["constraints"], g_u=[1, -0.5]))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["check-feasibility", "--config", str(cfg_path), "--state", "5,2"])
+        assert code == EXIT_OK
+        assert "feasible: False" in capsys.readouterr().out
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_INFEASIBLE
 
     def test_check_feasibility_malformed_state(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -111,6 +111,19 @@ class TestLmpcStep:
             u_s = lmpc_step(lti_demo_model, sparse, x).u_k
             assert np.abs(u_c - u_s).max() < 1e-5
 
+    @pytest.mark.parametrize("N_C", [1, 2, 3])
+    def test_sparse_matches_condensed_control_horizon(self, lti_demo_model,
+                                                      lti_demo_sets, N_C):
+        tight = SolverSettings(eps_abs=1e-8, eps_rel=1e-8)
+        cond = lmpc_step(lti_demo_model, _demo_cfg(lti_demo_sets, N_C=N_C, settings=tight),
+                         [5.0, 2.0])
+        sparse = lmpc_step(lti_demo_model, _demo_cfg(lti_demo_sets, N_C=N_C, settings=tight,
+                                                     formulation="sparse"), [5.0, 2.0])
+        assert np.abs(sparse.U_star[N_C:]).max() == 0.0
+        assert np.abs(sparse.U_star - cond.U_star).max() < 1e-5
+        assert np.abs(sparse.X_star - cond.X_star).max() < 1e-5
+        assert abs(sparse.J_star - cond.J_star) < 1e-5 * abs(cond.J_star)
+
     def test_infeasible_state_raises(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)
         with pytest.raises(InfeasibleStepError):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mpckit import (MpcConfig, QpStatus, SolverSettings, Trajectory,
-                    is_control_sequence_feasible, is_state_feasible,
-                    lyapunov_monitor, persistent_feasibility_check,
+from mpckit import (InfeasibleStepError, MpcConfig, QpStatus, SolverSettings,
+                    Trajectory, is_control_sequence_feasible, is_state_feasible,
+                    lmpc_step, lyapunov_monitor, persistent_feasibility_check,
                     run_closed_loop)
 from mpckit import feasibility
-from mpckit.model import LtiModel, box_polytope
+from mpckit.model import LtiModel, Polytope, box_polytope
 
 
 def _demo_cfg(lti_demo_sets, **kw):
@@ -84,6 +84,18 @@ class TestStateFeasible:
         report = is_state_feasible(lti_demo_model, cfg, [10.5, 0])
         assert not report.feasible
         assert report.witness is None
+
+    def test_control_horizon(self, lti_demo_model, lti_demo_sets):
+        # with N_C = 2 the inputs u_2..u_4 are zero; 0.5 <= u <= 1 excludes
+        # them, and lmpc_step finds the state infeasible too
+        cfg = _demo_cfg(lti_demo_sets, N_C=2, U_set=Polytope([[1.0], [-1.0]], [1.0, -0.5]))
+        assert not is_state_feasible(lti_demo_model, cfg, [5.0, 2.0]).feasible
+        with pytest.raises(InfeasibleStepError):
+            lmpc_step(lti_demo_model, cfg, [5.0, 2.0])
+        report = is_state_feasible(lti_demo_model, _demo_cfg(lti_demo_sets, N_C=2),
+                                   [5.0, 2.0])
+        assert report.feasible and report.witness.shape == (5, 1)
+        assert np.abs(report.witness[2:]).max() == 0.0
 
     def test_witness_consistency(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)

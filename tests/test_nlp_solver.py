@@ -136,6 +136,26 @@ class TestSolveNlp:
         sol = solve_nlp(nlp, np.zeros(1))
         assert sol.elastic_used
 
+    def test_elastic_penalty_from_equality_multipliers(self):
+        # the first subproblem is infeasible; the merit penalty comes from
+        # the multipliers of the linearized equalities, not of the elastic
+        # slack rows, which would give a first merit of 280000
+        nlp = NlpProblem(H=np.eye(2), F=[[1.0, 1.0], [-1.0, 0.0]], g=[1.0, 0.0],
+                         residual=lambda z: np.array([z[0] ** 2 + z[1] - 4.0,
+                                                      z[0] - z[1] - 3.0]))
+        sol = solve_nlp(nlp, np.zeros(2))
+        assert sol.elastic_used
+        assert sol.merit_history[0] == pytest.approx((140000.0000014, 20005.0000002),
+                                                     rel=1e-12)
+
+    def test_empty_inequality_block(self):
+        residual = lambda z: np.array([z[0] * z[1] - 1.0])
+        none = solve_nlp(NlpProblem(H=np.eye(2), residual=residual), np.array([2.0, 0.4]))
+        empty = solve_nlp(NlpProblem(H=np.eye(2), F=np.zeros((0, 2)), g=np.zeros(0),
+                                     residual=residual), np.array([2.0, 0.4]))
+        assert empty.status is NlpStatus.OPTIMAL
+        assert np.array_equal(empty.z_star, none.z_star)
+
     def test_small_step_not_optimal_while_equalities_violated(self):
         # the steep residual 1e18 z^3 makes steps below STEP_TOL long before
         # the residual falls below SQP_TOL

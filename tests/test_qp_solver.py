@@ -19,10 +19,6 @@ class TestProblemValidation:
         with pytest.raises(ShapeError):
             QpProblem(H=np.eye(2), F=[[1, 0]], g=[1, 2])
 
-    def test_crossed_bounds(self):
-        with pytest.raises(ShapeError):
-            QpProblem(H=np.eye(2), lb=[1, 1], ub=[0, 2])
-
     def test_objective_convention(self):
         p = QpProblem(H=[[2.0]], q=[3.0], r=1.0)
         # z'Hz + q'z + r, with no 1/2 factor
@@ -57,7 +53,9 @@ class TestSolveQp:
         assert sol.status is QpStatus.INFEASIBLE
 
     def test_box_bounds(self):
-        sol = solve_qp(QpProblem(H=np.eye(2), q=[-4, -4], lb=[0, 0], ub=[1, 1]))
+        # 0 <= z <= 1 as the rows z <= 1 and -z <= 0
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        sol = solve_qp(QpProblem(H=np.eye(2), q=[-4, -4], F=box, g=[1, 1, 0, 0]))
         assert np.abs(sol.z_star - [1, 1]).max() < 1e-6
 
     def test_feasibility_at_optimal(self):
@@ -276,8 +274,7 @@ class TestWorkspace:
         for p in (QpProblem(H=H.copy(), q=[1.0, -3.0], F=F, g=[0.5, 0.2]),
                   QpProblem(H=H, q=[1.0, -3.0], F=2.0 * F, g=[0.5, 0.2]),
                   QpProblem(H=H, q=[1.0, -3.0], F=F, g=[0.5, 0.2], F_eq=[[1.0, -1.0]],
-                            g_eq=[0.0]),
-                  QpProblem(H=H, q=[1.0, -3.0], F=F, g=[0.5, 0.2], ub=[np.inf, 0.1])):
+                            g_eq=[0.0])):
             factors.clear()
             got = solve_qp(p, workspace=ws)
             built = len(factors)
@@ -303,13 +300,14 @@ class TestKktResiduals:
         assert stat <= 1e-9 and prim <= 1e-9
 
     def test_bound_multipliers(self):
-        p = QpProblem(H=np.eye(2), q=[-4, 0], ub=[1, 1])
+        # the upper bounds z <= 1 are F rows
+        p = QpProblem(H=np.eye(2), q=[-4, 0], F=np.eye(2), g=[1, 1])
         sol = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.allclose(sol.z_star, [1, 0]) and np.allclose(sol.duals, [2, 0])
         stat, prim, comp = kkt_residuals(p, sol.z_star, sol.duals)
         assert stat <= 1e-9 and prim <= 1e-9 and comp <= 1e-9
-        # a multiplier on an upper bound that is not active breaks complementarity
+        # a multiplier on a bound row that is not active breaks complementarity
         stat, _, comp = kkt_residuals(p, np.array([0.5, 0.0]), np.array([3.0, 0.0]))
         assert stat == pytest.approx(0.0) and comp == pytest.approx(1.5)
         with pytest.raises(ShapeError):
