@@ -252,18 +252,16 @@ def run_experiment(cfg, out_path=None):
     wall = time.perf_counter() - t0
     if out_path:
         write_csv(traj, n, m, out_path)
-    X = np.array(traj.states)
-    violation = 0.0
-    if cfg.mpc.X_set is not None and X.size:
-        violation = max(violation, float((cfg.mpc.X_set.F @ X.T - cfg.mpc.X_set.g[:, None]).max()))
-    if cfg.mpc.U_set is not None and traj.inputs:
-        U = np.array(traj.inputs)
-        violation = max(violation, float((cfg.mpc.U_set.F @ U.T - cfg.mpc.U_set.g[:, None]).max()))
+    X = np.array(traj.states).reshape(-1, n)
+    U = np.array(traj.inputs).reshape(-1, m)
+    # no set, no rows or no steps is no violation
+    violation = max(float((P.F @ V.T - P.g[:, None]).max(initial=0.0))
+                    for P, V in ((cfg.mpc.state_set(), X), (cfg.mpc.input_set(), U)))
     return {
         "name": cfg.name,
         "steps": len(traj.inputs),
         "final_state": traj.states[-1].tolist() if traj.states else None,
-        "max_constraint_violation": max(violation, 0.0),
+        "max_constraint_violation": violation,
         "total_cost": float(sum(traj.costs)),
         "total_iterations": int(sum(traj.iterations)),
         "non_optimal_steps": sum(s not in (QpStatus.OPTIMAL, NlpStatus.OPTIMAL)
@@ -288,7 +286,7 @@ def emit_plot(traj, out_path, X_set=None, U_set=None):
     margin = 50
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
-    def bounds_of(P, dim):
+    def bounds_of(P):
         # axis-aligned rows +/- e_i yield horizontal bound lines
         out = []
         if P is None:
@@ -326,8 +324,8 @@ def emit_plot(traj, out_path, X_set=None, U_set=None):
     body = ['<svg xmlns="http://www.w3.org/2000/svg" '
             f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
             f'<rect width="{width}" height="{height}" fill="white"/>']
-    body += panel(X, 30, "states", bounds_of(X_set, X.shape[1]))
-    body += panel(U, 30 + panel_h + 50, "inputs", bounds_of(U_set, U.shape[1]))
+    body += panel(X, 30, "states", bounds_of(X_set))
+    body += panel(U, 30 + panel_h + 50, "inputs", bounds_of(U_set))
     body.append("</svg>")
     try:
         with open(out_path, "w") as fh:

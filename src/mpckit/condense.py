@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizonError, InvalidWeightError, ShapeError
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_vector, block_diag
 from .qp_solver import QpProblem
 
 SYMMETRY_TOL = 1e-10
@@ -45,20 +45,17 @@ def build_prediction(model, N):
     if N < 1:
         raise InvalidHorizonError(f"prediction horizon must be >= 1, got {N}")
     n, m = model.n, model.m
-    A_X = np.zeros((n * (N + 1), n))
-    B_U = np.zeros((n * (N + 1), m * N))
-    power = np.eye(n)
-    A_X[0:n] = power
     # powers[i] = A^i
-    powers = [power]
-    for i in range(1, N + 1):
-        power = model.A @ power
-        powers.append(power)
-        A_X[i * n:(i + 1) * n] = power
-    for i in range(1, N + 1):
-        for j in range(i):
-            B_U[i * n:(i + 1) * n, j * m:(j + 1) * m] = powers[i - j - 1] @ model.B
-    return PredictionMatrices(A_X=A_X, B_U=B_U, N=N, n=n, m=m)
+    powers = [np.eye(n)]
+    for _ in range(N):
+        powers.append(model.A @ powers[-1])
+    # block (i, j) of B_U is A^(i-j-1) B: column block j holds the first N - j
+    # products from block row j + 1 down
+    AB = np.vstack([P @ model.B for P in powers[:N]])
+    B_U = np.zeros((n * (N + 1), m * N))
+    for j in range(N):
+        B_U[(j + 1) * n:, j * m:(j + 1) * m] = AB[:(N - j) * n]
+    return PredictionMatrices(A_X=np.vstack(powers), B_U=B_U, N=N, n=n, m=m)
 
 
 def _check_symmetric(M, name):
@@ -79,57 +76,31 @@ def build_weights(Q, R, Q_N, N):
     Q_N = _check_symmetric(Q_N, "Q_N")
     if Q_N.shape != Q.shape:
         raise InvalidWeightError(f"Q_N shape {Q_N.shape} != Q shape {Q.shape}")
-    n = Q.shape[0]
-    m = R.shape[0]
-    Q_X = np.zeros((n * (N + 1), n * (N + 1)))
-    for i in range(N):
-        Q_X[i * n:(i + 1) * n, i * n:(i + 1) * n] = Q
-    Q_X[N * n:, N * n:] = Q_N
-    R_U = np.zeros((m * N, m * N))
-    for i in range(N):
-        R_U[i * m:(i + 1) * m, i * m:(i + 1) * m] = R
-    return StackedWeights(Q_X=Q_X, R_U=R_U)
+    return StackedWeights(Q_X=block_diag(*[Q] * N, Q_N), R_U=block_diag(*[R] * N))
 
 
 def stack_constraints(X_set, U_set, terminal, N):
     """Replicate the polytopes blockwise; the last state block may be terminal."""
     if N < 1:
         raise InvalidHorizonError(f"horizon must be >= 1, got {N}")
-    n = X_set.dim
-    m = U_set.dim
-    if terminal is not None and terminal.dim != n:
-        raise ShapeError(f"terminal set dimension {terminal.dim} != state dimension {n}")
+    if terminal is not None and terminal.dim != X_set.dim:
+        raise ShapeError(f"terminal set dimension {terminal.dim} != state dimension {X_set.dim}")
     last = terminal if terminal is not None else X_set
-    px = X_set.rows
-    pl = last.rows
-    F_X = np.zeros((px * N + pl, n * (N + 1)))
-    g_X = np.zeros(px * N + pl)
-    for i in range(N):
-        F_X[i * px:(i + 1) * px, i * n:(i + 1) * n] = X_set.F
-        g_X[i * px:(i + 1) * px] = X_set.g
-    F_X[px * N:, N * n:] = last.F
-    g_X[px * N:] = last.g
-    pu = U_set.rows
-    F_U = np.zeros((pu * N, m * N))
-    g_U = np.zeros(pu * N)
-    for i in range(N):
-        F_U[i * pu:(i + 1) * pu, i * m:(i + 1) * m] = U_set.F
-        g_U[i * pu:(i + 1) * pu] = U_set.g
-    return StackedConstraints(F_X=F_X, g_X=g_X, F_U=F_U, g_U=g_U)
+    return StackedConstraints(F_X=block_diag(*[X_set.F] * N, last.F),
+                              g_X=np.concatenate([np.tile(X_set.g, N), last.g]),
+                              F_U=block_diag(*[U_set.F] * N),
+                              g_U=np.tile(U_set.g, N))
 
 
-def trajectory_blocks(w, c):
-    """Cost H and inequality rows F z <= g over the trajectory z = (X, U)."""
-    nX = w.Q_X.shape[0]
-    d = nX + w.R_U.shape[0]
-    H = np.zeros((d, d))
-    H[:nX, :nX] = w.Q_X
-    H[nX:, nX:] = w.R_U
-    F = np.zeros((c.F_X.shape[0] + c.F_U.shape[0], d))
-    F[:c.F_X.shape[0], :nX] = c.F_X
-    F[c.F_X.shape[0]:, nX:] = c.F_U
-    g = np.concatenate([c.g_X, c.g_U])
-    return H, F, g
+def trajectory_blocks(w, c, n_u=None):
+    """Cost H and inequality rows F z <= g over the trajectory z = (X, U).
+
+    With n_u, U is the first n_u inputs (the control horizon); F keeps
+    every row.
+    """
+    H = block_diag(w.Q_X, w.R_U[:n_u, :n_u])
+    F = block_diag(c.F_X, c.F_U[:, :n_u])
+    return H, F, np.concatenate([c.g_X, c.g_U])
 
 
 def _condensed_rows(pm, c):
@@ -153,10 +124,9 @@ def sparse_blocks(pm, w, c, N_C):
     As in condensed_blocks, inputs after the control horizon N_C are fixed
     to zero: z = (X, first m N_C inputs), and F keeps every row.
     """
-    H, F, g = trajectory_blocks(w, c)
-    F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U])
-    keep = pm.n * (pm.N + 1) + pm.m * N_C
-    return H[:keep, :keep], F[:, :keep], g, F_eq[:, :keep]
+    n_u = pm.m * N_C
+    H, F, g = trajectory_blocks(w, c, n_u)
+    return H, F, g, np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]])
 
 
 def condensed_blocks(pm, w, c, N_C):

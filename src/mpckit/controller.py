@@ -124,7 +124,8 @@ class _Workspace:
       blocks over the control horizon N_C (condensed_blocks or
       sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P and
       the factor at RHO);
-    - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U).
+    - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U), U the
+      first m N_C inputs.
     Later steps build only what x_k changes. A step called without one
     builds everything afresh.
     """
@@ -169,25 +170,28 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     """One NMPC solve via SQP on the trajectory decision vector."""
     x_k = as_vector(x_k, "x_k")
     n, m, N = model.n, model.m, cfg.N
-    residual, d = build_feq(model, x_k, N)
-    jacobian = build_feq_jacobian(model, x_k, N)
+    residual, d = build_feq(model, x_k, N, cfg.N_C)
+    jacobian = build_feq_jacobian(model, x_k, N, cfg.N_C)
     ws = _ws if _ws is not None else _Workspace()
     if ws.blocks is None:
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
         c = stack_constraints(cfg.state_set(), cfg.input_set(), cfg.terminal_set, N)
-        ws.blocks = trajectory_blocks(w, c)
+        ws.blocks = trajectory_blocks(w, c, m * cfg.N_C)
     H, F, g = ws.blocks
     nX = n * (N + 1)
     p = NlpProblem(H=H, F=F, g=g, residual=residual, jacobian=jacobian)
     if warm is not None and np.shape(warm) == (d,):
         z0 = np.asarray(warm, dtype=float)
     else:
-        z0 = np.concatenate([np.tile(x_k, N + 1), np.zeros(m * N)])
+        z0 = np.concatenate([np.tile(x_k, N + 1), np.zeros(d - nX)])
     sol = solve_nlp(p, z0, settings=cfg.settings)
     z = sol.z_star
     X = z[:nX].reshape(N + 1, n)
-    U = z[nX:].reshape(N, m)
-    return MpcStepResult(u_k=U[0].copy(), U_star=U, X_star=X, J_star=sol.objective,
+    # the inputs after the control horizon N_C are zero
+    U = np.zeros(m * N)
+    U[:m * cfg.N_C] = z[nX:]
+    return MpcStepResult(u_k=U[:m].copy(), U_star=U.reshape(N, m), X_star=X,
+                         J_star=sol.objective,
                          solver_status=sol.status, iterations=sol.iterations,
                          solution=sol)
 
@@ -280,8 +284,7 @@ def run_closed_loop(model, cfg, x_0):
 def _next_warm(step, cfg, model, is_lti):
     """Shift the step-k solution one block forward as the k+1 initial guess."""
     X_s = np.vstack([step.X_star[1:], step.X_star[-1]]).ravel()
-    U_s = np.vstack([step.U_star[1:], np.zeros((1, model.m))]).ravel()
-    if not is_lti:
-        return np.concatenate([X_s, U_s])
-    U_s = U_s[:model.m * cfg.N_C]
-    return np.concatenate([X_s, U_s]) if cfg.formulation == SPARSE else U_s
+    U_s = np.vstack([step.U_star[1:], np.zeros((1, model.m))]).ravel()[:model.m * cfg.N_C]
+    if is_lti and cfg.formulation == CONDENSED:
+        return U_s
+    return np.concatenate([X_s, U_s])

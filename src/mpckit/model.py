@@ -106,10 +106,8 @@ def empty_polytope(dim):
     return Polytope(np.zeros((0, dim)), np.zeros(0))
 
 
-def box_polytope(bound, dim=None):
+def box_polytope(bound, dim=1):
     """|v_i| <= bound elementwise (scalar bound), as a Polytope."""
-    if dim is None:
-        dim = 1
     F = np.vstack([np.eye(dim), -np.eye(dim)])
     g = np.full(2 * dim, float(bound))
     return Polytope(F, g)
@@ -176,8 +174,6 @@ def polytope_contains(P, v, tol=DEFAULT_CONTAIN_TOL):
     v = as_vector(v, "v")
     if v.shape[0] != P.dim:
         raise ShapeError(f"point has dimension {v.shape[0]}, polytope has {P.dim}")
-    if P.rows == 0:
-        return True
     return bool(np.all(P.F @ v <= P.g + tol))
 
 

@@ -8,7 +8,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import ShapeError
-from .numerics import as_matrix, as_rows, as_vector, finite_diff_jacobian
+from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
+                       finite_diff_jacobian)
 from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -40,13 +41,8 @@ class NlpProblem:
     jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        H = as_matrix(self.H, "H")
-        d = H.shape[0]
-        if np.abs(H - H.T).max() > 1e-10:
-            raise ShapeError("H must be symmetric")
-        self.H = H
-        self.q = np.zeros(d) if self.q is None else as_vector(self.q, "q")
-        self.F, self.g = as_rows(self.F, self.g, d, "F")
+        self.H, self.q = as_cost(self.H, self.q)
+        self.F, self.g = as_rows(self.F, self.g, self.d, "F")
         if self.residual is None:
             raise ShapeError("an equality residual map is required")
 
@@ -71,10 +67,11 @@ class NlpSolution:
     merit_history: list = None
 
 
-def build_feq(model, x_k, N):
+def build_feq(model, x_k, N, N_C=None):
     """Stacked dynamics residual for the trajectory decision vector.
 
-    z is ordered as all N+1 state blocks followed by all N input blocks.
+    z is ordered as all N+1 state blocks followed by the first N_C input
+    blocks (default N); the inputs after the control horizon are zero.
     Returns (residual map, decision dimension). The residual's first block
     pins the initial state; block i+1 is x_{i+1} - f(x_i, u_i).
     """
@@ -82,15 +79,16 @@ def build_feq(model, x_k, N):
     n, m = model.n, model.m
     if x_k.shape[0] != n:
         raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {n}")
-    d = n * (N + 1) + m * N
+    nX = n * (N + 1)
+    d = nX + m * (N if N_C is None else N_C)
 
     def residual(z):
         z = as_vector(z, "z")
         if z.shape[0] != d:
             raise ShapeError(f"decision vector has length {z.shape[0]}, expected {d}")
-        X = z[:n * (N + 1)].reshape(N + 1, n)
-        U = z[n * (N + 1):].reshape(N, m)
-        out = np.empty(n * (N + 1))
+        X = z[:nX].reshape(N + 1, n)
+        U = _inputs(z[nX:], N, m)
+        out = np.empty(nX)
         out[:n] = X[0] - x_k
         for i in range(N):
             out[(i + 1) * n:(i + 2) * n] = X[i + 1] - as_vector(model.step(X[i], U[i]))
@@ -99,28 +97,37 @@ def build_feq(model, x_k, N):
     return residual, d
 
 
-def build_feq_jacobian(model, x_k, N):
+def build_feq_jacobian(model, x_k, N, N_C=None):
     """Analytic Jacobian of build_feq's residual; needs model.jac_x/jac_u."""
     if model.jac_x is None or model.jac_u is None:
         return None
     n, m = model.n, model.m
-    d = n * (N + 1) + m * N
+    nX = n * (N + 1)
+    d = nX + m * (N if N_C is None else N_C)
 
     def jacobian(z):
         z = as_vector(z, "z")
-        X = z[:n * (N + 1)].reshape(N + 1, n)
-        U = z[n * (N + 1):].reshape(N, m)
-        J = np.zeros((n * (N + 1), d))
+        X = z[:nX].reshape(N + 1, n)
+        U = _inputs(z[nX:], N, m)
+        J = np.zeros((nX, nX + m * N))
         J[:n, :n] = np.eye(n)
         for i in range(N):
             r0 = (i + 1) * n
             J[r0:r0 + n, r0:r0 + n] = np.eye(n)
             J[r0:r0 + n, i * n:(i + 1) * n] = -as_matrix(model.jac_x(X[i], U[i]))
-            c0 = n * (N + 1) + i * m
+            c0 = nX + i * m
             J[r0:r0 + n, c0:c0 + m] = -as_matrix(model.jac_u(X[i], U[i]))
-        return J
+        # the zero inputs after the control horizon are not decisions
+        return J[:, :d]
 
     return jacobian
+
+
+def _inputs(U, N, m):
+    """The (N, m) input sequence of the first len(U) / m inputs, zero after."""
+    out = np.zeros(N * m)
+    out[:U.shape[0]] = U
+    return out.reshape(N, m)
 
 
 def _merit(p, z, c_norm1, mu):
@@ -221,14 +228,11 @@ def _solve_elastic(p, z, grad, slack, J, c, s):
     F_eq multipliers are the last J.shape[0] duals, as in the plain
     subproblem.
     """
-    d, e = p.d, J.shape[0]
-    H = np.zeros((d + 2 * e, d + 2 * e))
-    H[:d, :d] = p.H
+    e = J.shape[0]
     # tiny curvature keeps H PSD on the slack block
-    H[d:, d:] = 1e-8 * np.eye(2 * e)
+    H = block_diag(p.H, 1e-8 * np.eye(2 * e))
     q = np.concatenate([grad, np.full(2 * e, ELASTIC_PENALTY)])
-    F = np.block([[p.F, np.zeros((p.F.shape[0], 2 * e))],
-                  [np.zeros((2 * e, d)), -np.eye(2 * e)]])
+    F = block_diag(p.F, -np.eye(2 * e))
     g = np.concatenate([slack, np.zeros(2 * e)])
     F_eq = np.hstack([J, -np.eye(e), np.eye(e)])
     return solve_qp(QpProblem(H=H, q=q, F=F, g=g, F_eq=F_eq, g_eq=-c), settings=s)

@@ -27,6 +27,21 @@ def as_vector(v, name="vector"):
     return a
 
 
+def as_cost(H, q):
+    """Coerce the cost z'Hz + q'z: H square and symmetric (to 1e-10), q of
+    matching length (zeros if None)."""
+    H = as_matrix(H, "H")
+    d = H.shape[0]
+    if H.shape[1] != d:
+        raise ShapeError(f"H must be square, got {H.shape}")
+    if np.abs(H - H.T).max() > 1e-10:
+        raise ShapeError("H must be symmetric (asymmetry > 1e-10)")
+    q = np.zeros(d) if q is None else as_vector(q, "q")
+    if q.shape[0] != d:
+        raise ShapeError(f"q has length {q.shape[0]}, expected {d}")
+    return H, q
+
+
 def as_rows(F, g, d, name="F"):
     """Coerce a row block F z <= g (or F z = g) on d variables to a (k, d)
     matrix and a length-k vector; a missing or empty F is a block of no rows."""
@@ -36,6 +51,22 @@ def as_rows(F, g, d, name="F"):
         raise ShapeError(f"{name} has shape {F.shape} with {g.shape[0]} right-hand sides "
                          f"on {d} variables")
     return F, g
+
+
+def block_diag(*blocks):
+    """The 2-D blocks on the diagonal of one zero matrix; a block may have no
+    rows or no columns.
+
+    Same result as scipy.linalg.block_diag, which costs several times more
+    for the few small blocks of a horizon stack.
+    """
+    out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
+    i = j = 0
+    for B in blocks:
+        out[i:i + B.shape[0], j:j + B.shape[1]] = B
+        i += B.shape[0]
+        j += B.shape[1]
+    return out
 
 
 def pseudo_inverse_apply(M, b):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .exceptions import NonFiniteError, ShapeError
-from .numerics import as_matrix, as_rows, as_vector
+from .numerics import as_cost, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
@@ -67,18 +67,9 @@ class QpProblem:
     g_eq: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        H = as_matrix(self.H, "H")
-        d = H.shape[0]
-        if H.shape[1] != d:
-            raise ShapeError(f"H must be square, got {H.shape}")
-        if np.abs(H - H.T).max() > 1e-10:
-            raise ShapeError("H must be symmetric (asymmetry > 1e-10)")
-        self.H = H
-        self.q = np.zeros(d) if self.q is None else as_vector(self.q, "q")
-        if self.q.shape[0] != d:
-            raise ShapeError(f"q has length {self.q.shape[0]}, expected {d}")
-        self.F, self.g = as_rows(self.F, self.g, d, "F")
-        self.F_eq, self.g_eq = as_rows(self.F_eq, self.g_eq, d, "F_eq")
+        self.H, self.q = as_cost(self.H, self.q)
+        self.F, self.g = as_rows(self.F, self.g, self.d, "F")
+        self.F_eq, self.g_eq = as_rows(self.F_eq, self.g_eq, self.d, "F_eq")
 
     @property
     def d(self):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mpckit.cli import (DEMOS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
                         run_experiment, write_csv)
 from mpckit.controller import Trajectory, run_closed_loop
 from mpckit.exceptions import ConfigError
-from mpckit.model import LtiModel
+from mpckit.model import LtiModel, empty_polytope
 
 SMALL_CONFIG = {
     "name": "small",
@@ -121,6 +122,15 @@ class TestRunExperiment:
         assert summary["aborted_at"] == 0
         assert summary["steps"] == 0
         assert out.exists()  # partial CSV still written
+
+
+    @pytest.mark.parametrize("field, dim", [("X_set", 2), ("U_set", 1)])
+    def test_empty_constraint_set(self, field, dim):
+        cfg = parse_config(json.dumps(SMALL_CONFIG))
+        cfg = replace(cfg, mpc=replace(cfg.mpc, **{field: empty_polytope(dim)}))
+        summary = run_experiment(cfg)
+        assert summary["steps"] == 5
+        assert summary["max_constraint_violation"] <= 1e-6
 
 
 class TestEmitPlot:

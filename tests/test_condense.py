@@ -41,6 +41,21 @@ class TestBuildPrediction:
         with pytest.raises(InvalidHorizonError):
             build_prediction(lti_demo_model, 0)
 
+    def test_forced_blocks_are_powers_times_B(self):
+        # block (i, j) of B_U is A^(i-j-1) B, bit for bit, and zero for j >= i
+        rng = np.random.default_rng(9)
+        n, m, N = 3, 2, 6
+        model = LtiModel(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+        pm = build_prediction(model, N)
+        for i in range(N + 1):
+            for j in range(N):
+                block = pm.B_U[i * n:(i + 1) * n, j * m:(j + 1) * m]
+                if j < i:
+                    k = i - j - 1
+                    assert np.array_equal(block, pm.A_X[k * n:(k + 1) * n] @ model.B)
+                else:
+                    assert not block.any()
+
     def test_prediction_consistency_random(self):
         rng = np.random.default_rng(5)
         for _ in range(50):

@@ -166,6 +166,36 @@ class TestNmpcStep:
         u_nl = nmpc_step(lti_as_nonlinear(lti_demo_model), cfg, [4.0, -2.0]).u_k
         assert np.abs(u_lin - u_nl).max() < 1e-5
 
+    @pytest.mark.parametrize("N_C", [1, 2, 3])
+    def test_control_horizon_matches_lmpc(self, lti_demo_model, lti_demo_sets, N_C):
+        # at N_C = 2 both give U = (-1, -1, 0, 0, 0); an SQP that moves all N
+        # inputs gives (-1, -1, -0.947, -0.404, -0.069)
+        tight = SolverSettings(eps_abs=1e-8, eps_rel=1e-8)
+        cfg = _demo_cfg(lti_demo_sets, N_C=N_C, settings=tight)
+        lin = lmpc_step(lti_demo_model, cfg, [5.0, 2.0])
+        nl = nmpc_step(lti_as_nonlinear(lti_demo_model), cfg, [5.0, 2.0])
+        assert np.abs(nl.U_star[N_C:]).max() == 0.0
+        assert np.abs(nl.U_star - lin.U_star).max() < 1e-5
+        assert np.abs(nl.X_star - lin.X_star).max() < 1e-5
+
+    def test_control_horizon_closed_loop(self, lti_demo_model, lti_demo_sets, monkeypatch):
+        # the shifted warm start keeps the N_C-input decision vector, so every
+        # step after the first starts from it
+        cfg = _demo_cfg(lti_demo_sets, N_C=2, N_T=5)
+        warms = []
+        nmpc_step = controller.nmpc_step
+
+        def recorded(*args, warm=None, **kw):
+            warms.append(None if warm is None else warm.shape)
+            return nmpc_step(*args, warm=warm, **kw)
+
+        monkeypatch.setattr(controller, "nmpc_step", recorded)
+        lin = run_closed_loop(lti_demo_model, cfg, [5.0, 2.0])
+        nl = run_closed_loop(lti_as_nonlinear(lti_demo_model), cfg, [5.0, 2.0])
+        # z = (6 states of 2, 2 inputs of 1)
+        assert warms == [None] + [(14,)] * 4
+        assert np.abs(np.array(nl.inputs) - np.array(lin.inputs)).max() < 1e-5
+
 
 class TestTrackingTransform:
     def test_demo_reference(self, lti_demo_model, lti_demo_sets):

@@ -51,6 +51,20 @@ class TestBuildFeq:
         z = rng.normal(size=d)
         assert np.abs(jacobian(z) - finite_diff_jacobian(residual, z)).max() < 1e-6
 
+    def test_control_horizon(self, pendulum):
+        # z ends in the first N_C inputs; the later ones are zero
+        x_k = np.array([0.3, -0.2])
+        z = _rollout_z(pendulum, x_k, [0.4, -0.1, 0.0, 0.0])
+        d_full, d = 2 * 5 + 4, 2 * 5 + 2
+        residual, dim = build_feq(pendulum, x_k, 4, N_C=2)
+        full, _ = build_feq(pendulum, x_k, 4)
+        assert dim == d
+        assert np.array_equal(residual(z[:d]), full(z))
+        J = build_feq_jacobian(pendulum, x_k, 4, N_C=2)(z[:d])
+        J_full = build_feq_jacobian(pendulum, x_k, 4)(z)
+        assert J_full.shape == (10, d_full)
+        assert np.array_equal(J, J_full[:, :d])
+
     def test_no_jacobian_without_model_derivatives(self):
         p = PendulumParams()
         model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
@@ -164,6 +178,16 @@ class TestSolveNlp:
         sol = solve_nlp(nlp, np.array([1e-7]))
         assert sol.status is NlpStatus.OPTIMAL
         assert sol.eq_violation <= SQP_TOL
+
+    @pytest.mark.parametrize("H, q", [(np.eye(2), [1.0, 2.0, 3.0]),
+                                      ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], None)],
+                             ids=["q_length", "H_not_square"])
+    def test_cost_shape_rejected(self, H, q):
+        # both problem classes check their cost the same way
+        with pytest.raises(ShapeError):
+            QpProblem(H=H, q=q)
+        with pytest.raises(ShapeError):
+            NlpProblem(H=H, q=q, residual=lambda z: z)
 
     def test_missing_residual_rejected(self):
         with pytest.raises(ShapeError):

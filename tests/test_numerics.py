@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpckit import SingularMatrixError
-from mpckit.numerics import finite_diff_jacobian, pseudo_inverse_apply
+from mpckit.numerics import block_diag, finite_diff_jacobian, pseudo_inverse_apply
+
+
+class TestBlockDiag:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            # sizes from 0: blocks with no rows or no columns included
+            blocks = [rng.normal(size=tuple(rng.integers(0, 4, size=2)))
+                      for _ in range(int(rng.integers(1, 6)))]
+            assert np.array_equal(block_diag(*blocks), scipy.linalg.block_diag(*blocks))
+
+    def test_empty_row_block(self):
+        out = block_diag(np.zeros((0, 3)), -np.eye(2))
+        assert np.array_equal(out, scipy.linalg.block_diag(np.zeros((0, 3)), -np.eye(2)))
+        assert out.shape == (2, 5)
 
 
 class TestPseudoInverseApply:
