@@ -165,21 +165,32 @@ def _experiment(doc):
     settings = SolverSettings()
     for key in ("eps_abs", "eps_rel"):
         if key in solver:
-            setattr(settings, key, _number(solver[key], key))
+            value = _number(solver[key], key)
+            if value < 0:
+                raise ConfigError(f"solver.{key} must be >= 0, got {value}")
+            setattr(settings, key, value)
     if "max_iter" in solver:
         settings.max_iter = _integer(solver["max_iter"], "solver.max_iter")
+        if settings.max_iter < 1:
+            raise ConfigError(f"solver.max_iter must be >= 1, got {settings.max_iter}")
 
     reference = doc.get("reference")
     x_r = None
     if reference is not None:
         x_r = _vector(_object(reference, "reference")["x_r"], "x_r")
 
+    Q, R = _matrix(weights["Q"], "Q"), _matrix(weights["R"], "R")
+    # a Q or R that is not square is MpcConfig's to reject
+    for key, M, dim, what in (("Q", Q, model.n, "states"), ("R", R, model.m, "inputs")):
+        if M.shape[0] == M.shape[1] and M.shape[0] != dim:
+            raise ConfigError(f"{key} is {M.shape[0]}x{M.shape[1]}, but the model has {dim} {what}")
+
     mpc = MpcConfig(
         N=_integer(horizon["N"], "horizon.N"),
         N_T=_integer(horizon["N_T"], "horizon.N_T"),
         N_C=_integer(horizon["N_C"], "horizon.N_C") if "N_C" in horizon else None,
-        Q=_matrix(weights["Q"], "Q"),
-        R=_matrix(weights["R"], "R"),
+        Q=Q,
+        R=R,
         Q_N=_matrix(weights["Q_N"], "Q_N") if "Q_N" in weights else None,
         X_set=X_set,
         U_set=U_set,
@@ -254,9 +265,9 @@ def run_experiment(cfg, out_path=None):
         write_csv(traj, n, m, out_path)
     X = np.array(traj.states).reshape(-1, n)
     U = np.array(traj.inputs).reshape(-1, m)
-    # no set, no rows or no steps is no violation
+    # no rows or no steps is no violation
     violation = max(float((P.F @ V.T - P.g[:, None]).max(initial=0.0))
-                    for P, V in ((cfg.mpc.state_set(), X), (cfg.mpc.input_set(), U)))
+                    for P, V in ((cfg.mpc.X_set, X), (cfg.mpc.U_set, U)))
     return {
         "name": cfg.name,
         "steps": len(traj.inputs),

@@ -5,10 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InvalidHorizonError, InvalidWeightError, ShapeError
-from .numerics import as_matrix, as_vector, block_diag
+from .numerics import as_symmetric, as_vector, block_diag
 from .qp_solver import QpProblem
-
-SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,22 +56,13 @@ def build_prediction(model, N):
     return PredictionMatrices(A_X=np.vstack(powers), B_U=B_U, N=N, n=n, m=m)
 
 
-def _check_symmetric(M, name):
-    M = as_matrix(M, name)
-    if M.shape[0] != M.shape[1]:
-        raise InvalidWeightError(f"{name} must be square, got {M.shape}")
-    if np.abs(M - M.T).max() > SYMMETRY_TOL:
-        raise InvalidWeightError(f"{name} is not symmetric (asymmetry > {SYMMETRY_TOL})")
-    return M
-
-
 def build_weights(Q, R, Q_N, N):
     """Block-diagonal stacking of the stage and terminal weights."""
     if N < 1:
         raise InvalidHorizonError(f"horizon must be >= 1, got {N}")
-    Q = _check_symmetric(Q, "Q")
-    R = _check_symmetric(R, "R")
-    Q_N = _check_symmetric(Q_N, "Q_N")
+    Q = as_symmetric(Q, "Q")
+    R = as_symmetric(R, "R")
+    Q_N = as_symmetric(Q_N, "Q_N")
     if Q_N.shape != Q.shape:
         raise InvalidWeightError(f"Q_N shape {Q_N.shape} != Q shape {Q.shape}")
     return StackedWeights(Q_X=block_diag(*[Q] * N, Q_N), R_U=block_diag(*[R] * N))

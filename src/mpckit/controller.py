@@ -10,12 +10,12 @@ from .condense import (assemble_condensed_qp, assemble_sparse_qp,
                        build_prediction, build_weights, condensed_blocks,
                        sparse_blocks, stack_constraints, trajectory_blocks)
 from .exceptions import (InfeasibleStepError, InvalidHorizonError,
-                         InvalidWeightError, ReferenceInfeasibleError)
+                         InvalidWeightError, ReferenceInfeasibleError, ShapeError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
-                    lti_step, polytope_contains, steady_state_input_lti,
+                    polytope_contains, steady_state_input_lti,
                     steady_state_input_nonlinear)
 from .nlp_solver import NlpProblem, build_feq, build_feq_jacobian, solve_nlp
-from .numerics import as_matrix, as_vector
+from .numerics import as_symmetric, as_vector, pad_inputs
 from .qp_solver import QpStatus, QpWorkspace, SolverSettings, solve_qp
 
 SPARSE = "sparse"
@@ -41,8 +41,6 @@ class MpcConfig:
     warm_start: bool = True
 
     def __post_init__(self):
-        self.Q = as_matrix(self.Q, "Q")
-        self.R = as_matrix(self.R, "R")
         if self.N_C is None:
             self.N_C = self.N
         if self.N < 1:
@@ -55,13 +53,11 @@ class MpcConfig:
             raise InvalidHorizonError(f"control horizon must satisfy 1 <= N_C <= N, got {self.N_C}")
         if self.formulation not in (SPARSE, CONDENSED):
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        for name, M in (("Q", self.Q), ("R", self.R)):
-            if M.shape[0] != M.shape[1]:
-                raise InvalidWeightError(f"{name} must be square, got {M.shape}")
-        r_eigs = np.linalg.eigvalsh(0.5 * (self.R + self.R.T))
-        if r_eigs.min() <= 0:
+        self.Q = as_symmetric(self.Q, "Q")
+        self.R = as_symmetric(self.R, "R")
+        if np.linalg.eigvalsh(self.R).min() <= 0:
             raise InvalidWeightError("R must be positive definite")
-        q_eigs = np.linalg.eigvalsh(0.5 * (self.Q + self.Q.T))
+        q_eigs = np.linalg.eigvalsh(self.Q)
         if q_eigs.min() < -1e-10:
             raise InvalidWeightError("Q must be positive semidefinite")
         if q_eigs.min() <= 1e-12:
@@ -69,13 +65,26 @@ class MpcConfig:
         if self.Q_N is None:
             self.Q_N = self.Q.copy()
         else:
-            self.Q_N = as_matrix(self.Q_N, "Q_N")
+            self.Q_N = as_symmetric(self.Q_N, "Q_N")
             if self.Q_N.shape != self.Q.shape:
                 raise InvalidWeightError(f"Q_N shape {self.Q_N.shape} != Q shape {self.Q.shape}")
-            if np.linalg.eigvalsh(0.5 * (self.Q_N + self.Q_N.T)).min() < -1e-10:
+            if np.linalg.eigvalsh(self.Q_N).min() < -1e-10:
                 raise InvalidWeightError("Q_N must be positive semidefinite")
+        # no set is the set of no rows
+        if self.X_set is None:
+            self.X_set = empty_polytope(self.n)
+        if self.U_set is None:
+            self.U_set = empty_polytope(self.m)
+        for name, P, dim in (("X_set (F_x)", self.X_set, self.n),
+                             ("U_set (F_u)", self.U_set, self.m),
+                             ("terminal_set (F)", self.terminal_set, self.n)):
+            if P is not None and P.dim != dim:
+                raise ShapeError(f"{name} has {P.dim} columns, expected {dim}")
         if self.reference is not None:
             self.reference = as_vector(self.reference, "reference")
+            if self.reference.shape[0] != self.n:
+                raise ShapeError(f"reference (x_r) has length {self.reference.shape[0]}, "
+                                 f"expected {self.n}")
 
     @property
     def n(self):
@@ -84,12 +93,6 @@ class MpcConfig:
     @property
     def m(self):
         return self.R.shape[0]
-
-    def state_set(self):
-        return self.X_set if self.X_set is not None else empty_polytope(self.n)
-
-    def input_set(self):
-        return self.U_set if self.U_set is not None else empty_polytope(self.m)
 
 
 @dataclass
@@ -142,11 +145,9 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     if ws.pm is None:
         ws.pm = build_prediction(model, cfg.N)
         ws.w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
-        ws.c = stack_constraints(cfg.state_set(), cfg.input_set(),
-                                 cfg.terminal_set, cfg.N)
+        ws.c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
     pm, w, c = ws.pm, ws.w, ws.c
-    n, m, N = pm.n, pm.m, pm.N
-    nX = n * (N + 1)
+    nX = pm.n * (pm.N + 1)
 
     sparse = cfg.formulation == SPARSE
     if ws.blocks is None:
@@ -155,15 +156,10 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
     if sol.status is QpStatus.INFEASIBLE:
         raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
-    # the inputs after the control horizon N_C are zero
-    U = np.zeros(m * N)
-    U[:m * cfg.N_C] = sol.z_star[nX:] if sparse else sol.z_star
-    X = sol.z_star[:nX] if sparse else pm.A_X @ x_k + pm.B_U @ U
+    U = pad_inputs(sol.z_star[nX:] if sparse else sol.z_star, pm.N, pm.m)
+    X = sol.z_star[:nX] if sparse else pm.A_X @ x_k + pm.B_U @ U.ravel()
     # the condensed objective includes the carried constant r_k
-    return MpcStepResult(u_k=U[:m].copy(), U_star=U.reshape(N, m),
-                         X_star=X.reshape(N + 1, n), J_star=sol.objective,
-                         solver_status=sol.status, iterations=sol.iterations,
-                         solution=sol)
+    return _step_result(U, X.reshape(pm.N + 1, pm.n), sol)
 
 
 def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
@@ -175,7 +171,7 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     ws = _ws if _ws is not None else _Workspace()
     if ws.blocks is None:
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
-        c = stack_constraints(cfg.state_set(), cfg.input_set(), cfg.terminal_set, N)
+        c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, N)
         ws.blocks = trajectory_blocks(w, c, m * cfg.N_C)
     H, F, g = ws.blocks
     nX = n * (N + 1)
@@ -185,13 +181,14 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     else:
         z0 = np.concatenate([np.tile(x_k, N + 1), np.zeros(d - nX)])
     sol = solve_nlp(p, z0, settings=cfg.settings)
-    z = sol.z_star
-    X = z[:nX].reshape(N + 1, n)
-    # the inputs after the control horizon N_C are zero
-    U = np.zeros(m * N)
-    U[:m * cfg.N_C] = z[nX:]
-    return MpcStepResult(u_k=U[:m].copy(), U_star=U.reshape(N, m), X_star=X,
-                         J_star=sol.objective,
+    return _step_result(pad_inputs(sol.z_star[nX:], N, m),
+                        sol.z_star[:nX].reshape(N + 1, n), sol)
+
+
+def _step_result(U, X, sol):
+    """The step of a QP or NLP solution with inputs U (N, m), the inputs after
+    the control horizon zero, and states X (N+1, n)."""
+    return MpcStepResult(u_k=U[0].copy(), U_star=U, X_star=X, J_star=sol.objective,
                          solver_status=sol.status, iterations=sol.iterations,
                          solution=sol)
 
@@ -199,16 +196,17 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
 def tracking_transform(cfg, model, x_r):
     """Steady input and constraint sets shifted into error coordinates.
 
-    Returns (u_r, shifted X_set, shifted U_set, error-dynamics model or None).
+    Returns (u_r, shifted X_set, shifted U_set, error-dynamics model). An
+    LtiModel is its own error model: x - x_r steps by A and B when
+    x_r = A x_r + B u_r.
     """
     x_r = as_vector(x_r, "x_r")
-    X_set = cfg.state_set()
-    U_set = cfg.input_set()
-    if X_set.rows and not polytope_contains(X_set, x_r):
+    X_set, U_set = cfg.X_set, cfg.U_set
+    if not polytope_contains(X_set, x_r):
         raise ReferenceInfeasibleError("reference state lies outside the state constraint set")
     if isinstance(model, LtiModel):
         u_r = steady_state_input_lti(model, x_r)
-        err_model = None
+        err_model = model
     else:
         u_r = steady_state_input_nonlinear(model, x_r)
         err_model = NonlinearModel(
@@ -217,67 +215,57 @@ def tracking_transform(cfg, model, x_r):
             jac_x=(lambda xe, ue: model.jac_x(xe + x_r, ue + u_r)) if model.jac_x else None,
             jac_u=(lambda xe, ue: model.jac_u(xe + x_r, ue + u_r)) if model.jac_u else None,
         )
-    if U_set.rows and not polytope_contains(U_set, u_r):
+    if not polytope_contains(U_set, u_r):
         raise ReferenceInfeasibleError(
             "steady-state input for the reference violates the input constraints")
-    X_shift = Polytope(X_set.F, X_set.g - X_set.F @ x_r) if X_set.rows else X_set
-    U_shift = Polytope(U_set.F, U_set.g - U_set.F @ u_r) if U_set.rows else U_set
-    return u_r, X_shift, U_shift, err_model
+    return (u_r, Polytope(X_set.F, X_set.g - X_set.F @ x_r),
+            Polytope(U_set.F, U_set.g - U_set.F @ u_r), err_model)
 
 
 def run_closed_loop(model, cfg, x_0):
     """Simulate the receding-horizon loop for N_T steps.
 
-    An infeasible step raises InfeasibleStepError carrying the partial
-    trajectory and the failing state.
+    The loop runs in error coordinates x - x_r, u - u_r; without a reference
+    x_r and u_r are zero. An infeasible step raises InfeasibleStepError
+    carrying the partial trajectory and the failing state.
     """
     x_0 = as_vector(x_0, "x_0")
+    if (model.n, model.m, x_0.shape[0]) != (cfg.n, cfg.m, cfg.n):
+        raise ShapeError(f"model (n = {model.n}, m = {model.m}) or x_0 (length "
+                         f"{x_0.shape[0]}) does not match Q and R (n = {cfg.n}, m = {cfg.m})")
     is_lti = isinstance(model, LtiModel)
+    solve = lmpc_step if is_lti else nmpc_step
 
-    x_r = cfg.reference
-    u_r = None
-    if x_r is not None:
-        u_r, X_shift, U_shift, err_model = tracking_transform(cfg, model, x_r)
-        inner_cfg = replace(cfg, X_set=X_shift, U_set=U_shift, reference=None)
+    # adding -0.0 leaves every float as it is, signed zeros included
+    x_r, u_r = np.full(cfg.n, -0.0), np.full(cfg.m, -0.0)
+    inner_cfg, inner_model = cfg, model
+    if cfg.reference is not None:
+        x_r = cfg.reference
         # The plant is the same model the controller predicts with: in
         # tracking mode that is the error-coordinate model, so the loop
         # simulates in error coordinates and translates back for the record.
-        inner_model = model if is_lti else err_model
-    else:
-        inner_cfg = cfg
-        inner_model = model
+        u_r, X_shift, U_shift, inner_model = tracking_transform(cfg, model, x_r)
+        inner_cfg = replace(cfg, X_set=X_shift, U_set=U_shift, reference=None)
 
     ws = _Workspace()
     traj = Trajectory()
-    xe = x_0 - x_r if x_r is not None else x_0.copy()
-    traj.states.append(xe + x_r if x_r is not None else xe.copy())
+    xe = x_0 - x_r
+    traj.states.append(xe + x_r)
     warm = None
     for k in range(cfg.N_T):
         try:
-            if is_lti:
-                step = lmpc_step(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
-            else:
-                step = nmpc_step(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
+            step = solve(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
         except InfeasibleStepError as err:
-            state = xe + x_r if x_r is not None else xe
             raise InfeasibleStepError(
                 f"closed loop infeasible at step {k}",
-                state=state.copy(), step=k, trajectory=traj) from err
-        if is_lti:
-            xe = lti_step(inner_model, xe, step.u_k)
-        else:
-            xe = as_vector(inner_model.step(xe, step.u_k))
-        u = step.u_k + u_r if u_r is not None else step.u_k
-        x = xe + x_r if x_r is not None else xe
-        traj.states.append(x.copy())
-        traj.inputs.append(np.asarray(u, dtype=float).copy())
+                state=xe + x_r, step=k, trajectory=traj) from err
+        xe = as_vector(inner_model.step(xe, step.u_k))
+        traj.states.append(xe + x_r)
+        traj.inputs.append(step.u_k + u_r)
         traj.costs.append(step.J_star)
         traj.statuses.append(step.solver_status)
         traj.iterations.append(step.iterations)
-        if cfg.warm_start:
-            warm = _next_warm(step, inner_cfg, inner_model, is_lti)
-        else:
-            warm = None
+        warm = _next_warm(step, inner_cfg, inner_model, is_lti) if cfg.warm_start else None
     return traj
 
 

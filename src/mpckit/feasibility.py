@@ -7,8 +7,8 @@ import numpy as np
 
 from .condense import (build_prediction, condensed_inequalities,
                        stack_constraints)
-from .model import LtiModel, lti_step, polytope_contains
-from .numerics import as_vector
+from .model import polytope_contains
+from .numerics import as_vector, pad_inputs
 from .qp_solver import QpProblem, QpStatus, solve_qp
 
 FEASIBILITY_TOL = 1e-8
@@ -38,20 +38,15 @@ def is_control_sequence_feasible(model, cfg, x_k, U, tol=FEASIBILITY_TOL):
     their sets (terminal state checked against the terminal set if given)."""
     x_k = as_vector(x_k, "x_k")
     U = np.asarray(U, dtype=float).reshape(cfg.N, -1)
-    X_set = cfg.state_set()
-    U_set = cfg.input_set()
     x = x_k.copy()
-    if not polytope_contains(X_set, x, tol):
+    if not polytope_contains(cfg.X_set, x, tol):
         return False
     for i in range(cfg.N):
-        if not polytope_contains(U_set, U[i], tol):
+        if not polytope_contains(cfg.U_set, U[i], tol):
             return False
-        if isinstance(model, LtiModel):
-            x = lti_step(model, x, U[i])
-        else:
-            x = as_vector(model.step(x, U[i]))
+        x = as_vector(model.step(x, U[i]))
         last = i == cfg.N - 1
-        target = cfg.terminal_set if (last and cfg.terminal_set is not None) else X_set
+        target = cfg.terminal_set if (last and cfg.terminal_set is not None) else cfg.X_set
         if not polytope_contains(target, x, tol):
             return False
     return True
@@ -63,11 +58,10 @@ def is_state_feasible(model, cfg, x_k):
     control horizon N_C are fixed to zero, as in lmpc_step, and the witness
     holds them as zeros. LTI models only."""
     x_k = as_vector(x_k, "x_k")
-    X_set = cfg.state_set()
-    if not polytope_contains(X_set, x_k, FEASIBILITY_TOL):
+    if not polytope_contains(cfg.X_set, x_k, FEASIBILITY_TOL):
         return FeasibilityReport(feasible=False, phase1_slack=np.inf, witness=None)
     pm = build_prediction(model, cfg.N)
-    c = stack_constraints(X_set, cfg.input_set(), cfg.terminal_set, cfg.N)
+    c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
     nU = pm.m * cfg.N_C
     # decision vector (U, s): minimize s (plus tiny regularization on U)
     # subject to F U - s <= g; the last row, -s <= 1, keeps the program
@@ -81,10 +75,7 @@ def is_state_feasible(model, cfg, x_k):
                    settings=cfg.settings)
     slack = float(sol.z_star[nU])
     feasible = sol.status is not QpStatus.INFEASIBLE and slack <= PHASE1_SLACK_TOL
-    witness = None
-    if feasible:
-        witness = np.zeros((pm.N, pm.m))
-        witness.flat[:nU] = sol.z_star[:nU]
+    witness = pad_inputs(sol.z_star[:nU], pm.N, pm.m) if feasible else None
     return FeasibilityReport(feasible=feasible, phase1_slack=max(slack, 0.0),
                              witness=witness, status=sol.status)
 

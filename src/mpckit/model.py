@@ -14,7 +14,7 @@ DEFAULT_CONTAIN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LtiModel:
-    """x_{k+1} = A x_k + B u_k."""
+    """x_{k+1} = A x_k + B u_k, with the step and Jacobians of a NonlinearModel."""
 
     A: np.ndarray
     B: np.ndarray
@@ -36,6 +36,15 @@ class LtiModel:
     @property
     def m(self):
         return self.B.shape[1]
+
+    def step(self, x, u):
+        return lti_step(self, x, u)
+
+    def jac_x(self, x, u):
+        return self.A.copy()
+
+    def jac_u(self, x, u):
+        return self.B.copy()
 
 
 @dataclass(frozen=True)
@@ -161,12 +170,7 @@ def pendulum_model(p=None):
 
 def lti_as_nonlinear(model):
     """Wrap an LtiModel in the NonlinearModel interface."""
-    return NonlinearModel(
-        n=model.n, m=model.m,
-        step=lambda x, u: lti_step(model, x, u),
-        jac_x=lambda x, u: model.A.copy(),
-        jac_u=lambda x, u: model.B.copy(),
-    )
+    return NonlinearModel(model.n, model.m, model.step, model.jac_x, model.jac_u)
 
 
 def polytope_contains(P, v, tol=DEFAULT_CONTAIN_TOL):

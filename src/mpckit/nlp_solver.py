@@ -9,7 +9,7 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
-                       finite_diff_jacobian)
+                       finite_diff_jacobian, pad_inputs)
 from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -87,7 +87,7 @@ def build_feq(model, x_k, N, N_C=None):
         if z.shape[0] != d:
             raise ShapeError(f"decision vector has length {z.shape[0]}, expected {d}")
         X = z[:nX].reshape(N + 1, n)
-        U = _inputs(z[nX:], N, m)
+        U = pad_inputs(z[nX:], N, m)
         out = np.empty(nX)
         out[:n] = X[0] - x_k
         for i in range(N):
@@ -108,7 +108,7 @@ def build_feq_jacobian(model, x_k, N, N_C=None):
     def jacobian(z):
         z = as_vector(z, "z")
         X = z[:nX].reshape(N + 1, n)
-        U = _inputs(z[nX:], N, m)
+        U = pad_inputs(z[nX:], N, m)
         J = np.zeros((nX, nX + m * N))
         J[:n, :n] = np.eye(n)
         for i in range(N):
@@ -121,13 +121,6 @@ def build_feq_jacobian(model, x_k, N, N_C=None):
         return J[:, :d]
 
     return jacobian
-
-
-def _inputs(U, N, m):
-    """The (N, m) input sequence of the first len(U) / m inputs, zero after."""
-    out = np.zeros(N * m)
-    out[:U.shape[0]] = U
-    return out.reshape(N, m)
 
 
 def _merit(p, z, c_norm1, mu):

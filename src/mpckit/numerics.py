@@ -6,7 +6,9 @@ ndarrays. Everything here is a pure function of its inputs.
 
 import numpy as np
 
-from .exceptions import ShapeError, SingularMatrixError
+from .exceptions import InvalidWeightError, ShapeError, SingularMatrixError
+
+SYMMETRY_TOL = 1e-10
 
 
 def as_matrix(M, name="matrix"):
@@ -27,15 +29,26 @@ def as_vector(v, name="vector"):
     return a
 
 
+def as_symmetric(M, name):
+    """Coerce a weight matrix, raising InvalidWeightError unless it is square
+    and symmetric to SYMMETRY_TOL."""
+    M = as_matrix(M, name)
+    if M.shape[0] != M.shape[1]:
+        raise InvalidWeightError(f"{name} must be square, got {M.shape}")
+    if np.abs(M - M.T).max() > SYMMETRY_TOL:
+        raise InvalidWeightError(f"{name} is not symmetric (asymmetry > {SYMMETRY_TOL})")
+    return M
+
+
 def as_cost(H, q):
-    """Coerce the cost z'Hz + q'z: H square and symmetric (to 1e-10), q of
-    matching length (zeros if None)."""
+    """Coerce the cost z'Hz + q'z: H square and symmetric (to SYMMETRY_TOL), q
+    of matching length (zeros if None)."""
     H = as_matrix(H, "H")
     d = H.shape[0]
     if H.shape[1] != d:
         raise ShapeError(f"H must be square, got {H.shape}")
-    if np.abs(H - H.T).max() > 1e-10:
-        raise ShapeError("H must be symmetric (asymmetry > 1e-10)")
+    if np.abs(H - H.T).max() > SYMMETRY_TOL:
+        raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
     q = np.zeros(d) if q is None else as_vector(q, "q")
     if q.shape[0] != d:
         raise ShapeError(f"q has length {q.shape[0]}, expected {d}")
@@ -67,6 +80,14 @@ def block_diag(*blocks):
         i += B.shape[0]
         j += B.shape[1]
     return out
+
+
+def pad_inputs(U, N, m):
+    """The (N, m) input sequence that starts with the inputs in U and is zero
+    after them, as the inputs after a control horizon are."""
+    out = np.zeros(N * m)
+    out[:U.shape[0]] = U
+    return out.reshape(N, m)
 
 
 def pseudo_inverse_apply(M, b):

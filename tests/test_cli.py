@@ -228,6 +228,31 @@ class TestMain:
             ({"solver": "sparse"}, "solver must be an object"),
             ({"constraints": dict(SMALL_CONFIG["constraints"], terminal=[[1, 0]])},
              "constraints.terminal must be an object"),
+            ({"weights": {"Q": [[1, 0.5], [0, 1]], "R": [[1]]}}, "Q is not symmetric"),
+            ({"model": dict(lti, B=[[0.1, 0], [0.01, 0.1]]), "constraints": {},
+              "weights": {"Q": [[1, 0], [0, 1]], "R": [[1, 0.5], [0, 1]]}},
+             "R is not symmetric"),
+            ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]], "Q_N": [[1, 0.5], [0, 1]]}},
+             "Q_N is not symmetric"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"],
+                                  F_x=[[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])},
+             "X_set (F_x) has 3 columns, expected 2"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"], F_u=[[1, 0], [-1, 0]])},
+             "U_set (F_u) has 2 columns, expected 1"),
+            ({"model": dict(lti, B=[[0.1, 0], [0.01, 0.1]])},
+             "R is 1x1, but the model has 2 inputs"),
+            ({"weights": {"Q": np.eye(3).tolist(), "R": [[1]]}, "initial_state": [10, 5, 0]},
+             "Q is 3x3, but the model has 2 states"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"],
+                                  terminal={"F": [[1, 0, 0]], "g": [1]})},
+             "terminal_set (F) has 3 columns, expected 2"),
+            ({"reference": {"x_r": [3, 2, 1]}}, "reference (x_r) has length 3, expected 2"),
+            ({"model": DEMOS["nmpc-stabilize"]["model"], "initial_state": [2, 1, 0],
+              "weights": {"Q": np.eye(3).tolist(), "R": [[1]]}},
+             "Q is 3x3, but the model has 2 states"),
+            ({"solver": {"eps_abs": -1}}, "solver.eps_abs must be >= 0"),
+            ({"solver": {"eps_rel": -1e-6}}, "solver.eps_rel must be >= 0"),
+            ({"solver": {"max_iter": 0}}, "solver.max_iter must be >= 1"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:

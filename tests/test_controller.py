@@ -5,7 +5,7 @@ import pytest
 
 from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     InvalidWeightError, MpcConfig, ReferenceInfeasibleError,
-                    SolverSettings, lmpc_step, lti_as_nonlinear, nmpc_step,
+                    ShapeError, SolverSettings, lmpc_step, lti_as_nonlinear, nmpc_step,
                     run_closed_loop, tracking_transform)
 from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
@@ -203,7 +203,7 @@ class TestTrackingTransform:
         u_r, X_shift, U_shift, err_model = tracking_transform(
             cfg, lti_demo_model, [3, 2])
         assert abs(u_r[0] - 0.59) < 5e-3
-        assert err_model is None
+        assert err_model is lti_demo_model
         assert np.allclose(U_shift.g, [1 - u_r[0], 1 + u_r[0]])
         assert np.allclose(X_shift.g, [7, 8, 13, 12])
 
@@ -246,6 +246,17 @@ class TestRunClosedLoop:
         traj = run_closed_loop(model, cfg, [1.0])
         states = np.array(traj.states).ravel()
         assert np.abs(states - [1, 0.5, 0.25, 0.125]).max() < 1e-6
+
+    @pytest.mark.parametrize("model, x_0", [
+        (LtiModel(np.eye(2), np.eye(2)), [0.0, 0.0]),
+        (LtiModel([[1.0]], [[1.0]]), [0.0]),
+        (lti_as_nonlinear(LtiModel(np.eye(2), np.eye(2))), [0.0, 0.0]),
+        (LtiModel([[0.9, 0.2], [-0.4, 0.8]], [[0.1], [0.01]]), [1.0]),
+    ], ids=["m=2", "n=1", "nonlinear m=2", "x_0 of length 1"])
+    def test_dimension_mismatch(self, model, x_0, lti_demo_sets):
+        # Q and R size the controller for n = 2, m = 1
+        with pytest.raises(ShapeError, match=r"does not match Q and R \(n = 2, m = 1\)"):
+            run_closed_loop(model, _demo_cfg(lti_demo_sets, N_T=5), x_0)
 
     def test_origin_stays_at_origin(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)
@@ -343,7 +354,7 @@ class TestLoopWorkspace:
         traj = run_closed_loop(exp.model, cfg, exp.initial_state)
         pm = build_prediction(exp.model, cfg.N)
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
-        c = stack_constraints(cfg.state_set(), cfg.input_set(), None, cfg.N)
+        c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
         _, H, F = condensed_blocks(pm, w, c, cfg.N_C)
         at_rho = 2.0 * H + qp_solver.SIGMA * np.eye(H.shape[0]) \
             + qp_solver.RHO * F.T @ F

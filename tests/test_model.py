@@ -46,6 +46,19 @@ class TestTypes:
         assert polytope_contains(E, [100, 0, -5])
 
 
+class TestLtiModel:
+    def test_nonlinear_interface(self, lti_demo_model):
+        rng = np.random.default_rng(0)
+        wrapped = lti_as_nonlinear(lti_demo_model)
+        for _ in range(20):
+            x, u = rng.normal(size=2), rng.normal(size=1)
+            expected = lti_step(lti_demo_model, x, u)
+            assert np.array_equal(lti_demo_model.step(x, u), expected)
+            assert np.array_equal(wrapped.step(x, u), expected)
+            assert np.array_equal(lti_demo_model.jac_x(x, u), lti_demo_model.A)
+            assert np.array_equal(lti_demo_model.jac_u(x, u), lti_demo_model.B)
+
+
 class TestLtiStep:
     def test_demo_free_response(self, lti_demo_model):
         assert np.allclose(lti_step(lti_demo_model, [10, 5], [0]), [10, 0])

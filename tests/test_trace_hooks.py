@@ -33,3 +33,19 @@ def test_tracer_installs_and_restores():
     for name, mod in vars(MODS).items():
         for attr, value in before[name].items():
             assert getattr(mod, attr) is value, f"{name}.{attr} not restored"
+
+
+def test_tracking_records_steady_state():
+    """tracking_transform must reach the steady-state solvers through
+    controller's names, or the benchmark's model.steady_state_ms reads 0."""
+    lti = cli.parse_config(json.dumps(dict(SMALL_CONFIG, reference={"x_r": [3, 2]})))
+    pendulum = cli.parse_config(json.dumps(dict(cli.DEMOS["nmpc-track"],
+                                                horizon={"N": 3, "N_T": 3})))
+    with Tracer(MODS) as tracer:
+        pendulum.model = tracer.wrap_model(pendulum.model)
+        for exp in (lti, pendulum):
+            tracer.episode += 1
+            cli.run_experiment(exp)
+    steady = [sp.episode for sp in tracer.spans if sp.name == "model.steady_state"]
+    assert steady == [0, 1]
+    assert any(sp.leaf_calls("model.step") for sp in tracer.spans if sp.episode == 1)
