@@ -19,9 +19,9 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
-from .exceptions import NonFiniteError, ShapeError
+from .exceptions import NonFiniteError, ShapeError, SingularMatrixError
 from .numerics import as_cost, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
@@ -34,6 +34,11 @@ ALPHA = 1.6
 CHECK_EVERY = 5
 RHO_UPDATE_INTERVAL = 10 * CHECK_EVERY
 EPS_INFEASIBLE = 1e-8
+
+# LAPACK's double-precision LU routines, looked up once: scipy.linalg's
+# lu_factor/lu_solve look them up again, behind a batching wrapper, on every
+# call, which costs several times the solve itself at the sizes of an MPC step.
+_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
 
 
 class QpStatus(Enum):
@@ -96,9 +101,40 @@ def _same_block(a, b):
     return a is b or (a.size == 0 and a.shape == b.shape)
 
 
+def lu_factor(M):
+    """LU factor (lu, piv) of the square matrix M by LAPACK getrf, as
+    scipy.linalg.lu_factor gives it.
+
+    Raises NonFiniteError when M holds a NaN or an infinity, and
+    SingularMatrixError when a pivot is exactly zero.
+    """
+    if not np.isfinite(M).all():
+        raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
+    lu, piv, info = _getrf(M)
+    if info > 0:
+        raise SingularMatrixError(f"LU pivot {info} is exactly zero")
+    return lu, piv
+
+
+def lu_solve(lu_piv, b):
+    """x with M x = b from lu_factor(M) = (lu, piv), by LAPACK getrs."""
+    return _getrs(*lu_piv, b)[0]
+
+
 def _factor(P, A, rho):
-    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A."""
-    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A)
+    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A.
+
+    P + SIGMA I is definite for a positive semidefinite H = P / 2, so a zero
+    pivot means H is not. A NaN or an infinity in H, F or F_eq reaches
+    lu_factor, which rejects it, without numpy's warnings on the way.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        M = P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A
+    try:
+        return lu_factor(M)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"{exc} in the reduced matrix P + sigma I + A' diag(rho) A: "
+                                  "H is not positive semidefinite") from exc
 
 
 class QpWorkspace:
@@ -148,8 +184,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     the solve builds its own. Identical inputs produce bit-identical
     iterates, with or without a workspace. Termination is tested every
     CHECK_EVERY iterations and at max_iter, so a solve stops at a multiple
-    of CHECK_EVERY or at max_iter. Raises NonFiniteError when q, the warm
-    start or the start rows clip(A z0, l, u) hold a NaN or an infinity.
+    of CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
+    q, the warm start or the start rows clip(A z0, l, u) hold a NaN or an
+    infinity, and SingularMatrixError when the reduced matrix has an exactly
+    zero LU pivot (H is not positive semidefinite).
     """
     s = settings or SolverSettings()
     d = p.d
@@ -188,7 +226,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     y_prev = y
     r_prim = r_dual = np.inf
     for it in range(1, s.max_iter + 1):
-        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y), check_finite=False)
+        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
         az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
         z = np.clip(az + y / rho, l, u)
@@ -279,15 +317,15 @@ def _polish(p, A, l, u, x, y):
     rhs = np.concatenate([-p.q, b_act])
     try:
         kkt = lu_factor(K)
-    except Exception:
+    except SingularMatrixError:
         return x, y
-    sol = lu_solve(kkt, rhs, check_finite=False)
+    sol = lu_solve(kkt, rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
         res = rhs - np.concatenate([
             2.0 * p.H @ sol[:p.d] + A_act.T @ sol[p.d:],
             A_act @ sol[:p.d]])
-        sol = sol + lu_solve(kkt, res, check_finite=False)
+        sol = sol + lu_solve(kkt, res)
     xh = sol[:p.d]
     yh = np.zeros(m)
     yh[idx] = sol[p.d:]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpckit import (MpcError, NonFiniteError, QpProblem, QpStatus, ShapeError,
-                    SolverSettings, kkt_residuals, solve_qp)
+                    SingularMatrixError, SolverSettings, kkt_residuals, solve_qp)
 from mpckit import qp_solver
 from mpckit.qp_solver import _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
@@ -112,11 +113,64 @@ class TestSolveQp:
         p = QpProblem(H=np.eye(2), q=[1.0, np.nan], F=[[1.0, 0.0]], g=[1.0])
         bad = [(p, None),
                (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[np.nan]), None),
-               (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[1.0]), [0.0, np.inf])]
+               (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[1.0]), [0.0, np.inf]),
+               # a NaN passes the symmetry test of H; the factor rejects it
+               (QpProblem(H=[[1.0, 0.0], [0.0, np.nan]]), None),
+               (QpProblem(H=np.eye(2), F=[[np.inf, 0.0]], g=[1.0]), None),
+               (QpProblem(H=np.eye(2), F_eq=[[1.0, -np.inf]], g_eq=[0.0]), None)]
         for problem, warm in bad:
             with pytest.raises(NonFiniteError) as info:
                 solve_qp(problem, warm=warm)
             assert isinstance(info.value, MpcError) and isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("problem", [
+        QpProblem(H=-5e-7 * np.eye(2), q=[1.0, 1.0]),
+        # the row on z_2 leaves the reduced matrix's first pivot at zero
+        QpProblem(H=np.diag([-5e-7, 1.0]), q=[1.0, 1.0], F=[[0.0, 1.0]], g=[1.0]),
+    ])
+    def test_singular_reduced_matrix_rejected(self, problem):
+        # P + sigma I is exactly zero along z_1: the solve stops at the
+        # factor, not after max_iter iterations on NaN
+        with pytest.raises(SingularMatrixError, match="not positive semidefinite"):
+            solve_qp(problem)
+
+    def test_singular_polish_system_keeps_admm_iterate(self, monkeypatch):
+        box = np.vstack([np.eye(2), -np.eye(2)])
+        p = QpProblem(H=np.eye(2), q=[-4.0, -1.0], F=box, g=[1.0, 1.0, 0.0, 0.0])
+        polished = solve_qp(p)
+        lu_factor = qp_solver.lu_factor
+
+        def singular_kkt(M):
+            if M.shape[0] != p.d:     # the (d + n_active)-row polish KKT matrix
+                raise SingularMatrixError("singular")
+            return lu_factor(M)
+
+        monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
+        sol = solve_qp(p)
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, A, l, u, x, y: (x, y))
+        unpolished = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert np.array_equal(sol.z_star, unpolished.z_star)
+        assert np.array_equal(sol.duals, unpolished.duals)
+        assert not np.array_equal(sol.z_star, polished.z_star)
+
+
+class TestLuWrappers:
+    def test_match_scipy(self):
+        rng = np.random.default_rng(17)
+        sizes = [int(k) for k in rng.integers(1, 81, size=50)] + [332]
+        for d in sizes:
+            M = rng.normal(size=(d, d))
+            b = rng.normal(size=d)
+            lu, piv = qp_solver.lu_factor(M)
+            ref = scipy.linalg.lu_factor(M)
+            assert np.array_equal(lu, ref[0]) and np.array_equal(piv, ref[1])
+            assert np.array_equal(qp_solver.lu_solve((lu, piv), b),
+                                  scipy.linalg.lu_solve(ref, b, check_finite=False))
+
+    def test_zero_pivot(self):
+        with pytest.raises(SingularMatrixError):
+            qp_solver.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestCheckInterval:
