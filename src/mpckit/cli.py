@@ -82,9 +82,13 @@ def _number(obj, key):
     return float(obj)
 
 
-def _object(obj, key):
+def _object(obj, key, known=None):
+    """obj as a config section; with ``known``, any other key in it is an error."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{key} must be an object")
+    unknown = [k for k in obj if known is not None and k not in known]
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {key}")
     return obj
 
 
@@ -110,7 +114,10 @@ def _polytope(section, fkey, gkey, what):
 
 
 def parse_config(text):
-    """Parse and validate a JSON experiment document into an ExperimentConfig."""
+    """Parse and validate a JSON experiment document into an ExperimentConfig.
+
+    A key that its section does not read raises ConfigError.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -128,18 +135,19 @@ def parse_config(text):
 
 
 def _experiment(doc):
+    _object(doc, "config", ("name", "model", "horizon", "weights", "constraints", "solver",
+                            "reference", "initial_state"))
     try:
         model_sec = _object(doc["model"], "model")
-        horizon = _object(doc["horizon"], "horizon")
-        weights = _object(doc["weights"], "weights")
+        horizon = _object(doc["horizon"], "horizon", ("N", "N_T", "N_C"))
+        weights = _object(doc["weights"], "weights", ("Q", "R", "Q_N"))
         x0 = _vector(doc["initial_state"], "initial_state")
     except KeyError as exc:
         raise ConfigError(f"missing required section {exc.args[0]!r}")
 
     kind = model_sec.get("kind")
-    if kind == "lti":
-        model = LtiModel(_matrix(model_sec["A"], "A"), _matrix(model_sec["B"], "B"))
-    elif kind == "pendulum":
+    if kind == "pendulum":
+        _object(model_sec, "model", ("kind", "M", "B_fric", "l", "g_grav", "T"))
         params = PendulumParams(
             M=_number(model_sec.get("M", 1.0), "M"),
             B_fric=_number(model_sec.get("B_fric", 1.0), "B_fric"),
@@ -147,21 +155,25 @@ def _experiment(doc):
             g_grav=_number(model_sec.get("g_grav", 9.8), "g_grav"),
             T=_number(model_sec.get("T", 0.1), "T"))
         model = pendulum_model(params)
-    elif kind == "lti-as-nonlinear":
-        model = lti_as_nonlinear(
-            LtiModel(_matrix(model_sec["A"], "A"), _matrix(model_sec["B"], "B")))
+    elif kind in ("lti", "lti-as-nonlinear"):
+        _object(model_sec, "model", ("kind", "A", "B"))
+        model = LtiModel(_matrix(model_sec["A"], "A"), _matrix(model_sec["B"], "B"))
+        if kind == "lti-as-nonlinear":
+            model = lti_as_nonlinear(model)
     else:
         raise ConfigError(f"unknown model kind {kind!r}")
 
-    constraints = _object(doc.get("constraints", {}), "constraints")
+    constraints = _object(doc.get("constraints", {}), "constraints",
+                          ("F_x", "g_x", "F_u", "g_u", "terminal"))
     X_set = _polytope(constraints, "F_x", "g_x", "state")
     U_set = _polytope(constraints, "F_u", "g_u", "input")
     terminal = None
     if "terminal" in constraints:
-        t = _object(constraints["terminal"], "constraints.terminal")
+        t = _object(constraints["terminal"], "constraints.terminal", ("F", "g"))
         terminal = Polytope(_matrix(t["F"], "terminal.F"), _vector(t["g"], "terminal.g"))
 
-    solver = _object(doc.get("solver", {}), "solver")
+    solver = _object(doc.get("solver", {}), "solver",
+                     ("formulation", "eps_abs", "eps_rel", "max_iter", "warm_start"))
     settings = SolverSettings()
     for key in ("eps_abs", "eps_rel"):
         if key in solver:
@@ -177,7 +189,7 @@ def _experiment(doc):
     reference = doc.get("reference")
     x_r = None
     if reference is not None:
-        x_r = _vector(_object(reference, "reference")["x_r"], "x_r")
+        x_r = _vector(_object(reference, "reference", ("x_r",))["x_r"], "x_r")
 
     Q, R = _matrix(weights["Q"], "Q"), _matrix(weights["R"], "R")
     # a Q or R that is not square is MpcConfig's to reject

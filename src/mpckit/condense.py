@@ -92,19 +92,16 @@ def trajectory_blocks(w, c, n_u=None):
     return H, F, np.concatenate([c.g_X, c.g_U])
 
 
-def _condensed_rows(pm, c):
-    return np.vstack([c.F_X @ pm.B_U, c.F_U])
+def condensed_rows(pm, c, N_C):
+    """Inequality rows F U <= g0 - G x_k over the first m N_C inputs, the
+    states eliminated through the prediction.
 
-
-def condensed_inequalities(pm, c, x_k, F=None):
-    """Inequality rows F U <= g over the inputs, the states eliminated at x_k.
-
-    Only g depends on x_k; a given F (from an earlier call) is reused.
+    F keeps every row: a row left all zero is inert while its right-hand
+    side is >= 0 and certifies infeasibility when it is not.
     """
-    if F is None:
-        F = _condensed_rows(pm, c)
-    g = np.concatenate([c.g_X - c.F_X @ (pm.A_X @ x_k), c.g_U])
-    return F, g
+    F = np.vstack([c.F_X @ pm.B_U, c.F_U])[:, :pm.m * N_C]
+    G = np.vstack([c.F_X @ pm.A_X, np.zeros((c.F_U.shape[0], pm.n))])
+    return F, np.concatenate([c.g_X, c.g_U]), G
 
 
 def sparse_blocks(pm, w, c, N_C):
@@ -119,17 +116,18 @@ def sparse_blocks(pm, w, c, N_C):
 
 
 def condensed_blocks(pm, w, c, N_C):
-    """The x_k-independent blocks (Q_X A_X, H, F) of assemble_condensed_qp.
+    """The x_k-independent blocks (H, G_q, G_r, F, g0, G) of assemble_condensed_qp.
 
-    Inputs after the control horizon N_C are fixed to zero, so H and F keep
-    the first m N_C inputs only. F keeps every row: a row left all zero is
-    inert while its g is >= 0 and certifies infeasibility when it is not.
+    The QP at x_k is U'HU + (G_q x_k)'U + x_k'G_r x_k subject to
+    F U <= g0 - G x_k (condensed_rows). Inputs after the control horizon
+    N_C are fixed to zero, so H, G_q and F keep the first m N_C inputs only.
     """
     QA = w.Q_X @ pm.A_X
     H = pm.B_U.T @ w.Q_X @ pm.B_U + w.R_U
     H = 0.5 * (H + H.T)
     keep = pm.m * N_C
-    return QA, H[:keep, :keep], _condensed_rows(pm, c)[:, :keep]
+    return (H[:keep, :keep], 2.0 * (pm.B_U.T @ QA)[:keep], pm.A_X.T @ QA,
+            *condensed_rows(pm, c, N_C))
 
 
 def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
@@ -156,8 +154,8 @@ def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
     """QP over the inputs U only, with the states eliminated through the prediction.
 
     ``blocks`` are condensed_blocks(pm, w, c, N_C), kept from an earlier
-    call, and z is the first m N_C inputs; without them N_C = N. Only q, r
-    and g are built from x_k.
+    call, and z is the first m N_C inputs; without them N_C = N. x_k enters
+    only through the three gain products for q, r and g.
     """
     x_k = as_vector(x_k, "x_k")
     if x_k.shape[0] != pm.n:
@@ -165,9 +163,6 @@ def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
     nX = pm.n * (pm.N + 1)
     if w.Q_X.shape[0] != nX or c.F_X.shape[1] != nX:
         raise ShapeError("weights/constraints inconsistent with prediction matrices")
-    QA, H, F = blocks if blocks is not None else condensed_blocks(pm, w, c, pm.N)
-    q = (2.0 * pm.B_U.T @ (QA @ x_k))[:H.shape[0]]
-    r = float(x_k @ (pm.A_X.T @ (QA @ x_k)))
-    F, g = condensed_inequalities(pm, c, x_k, F)
-    return QpProblem(H=H, q=q, r=r, F=F, g=g)
-
+    H, G_q, G_r, F, g0, G = blocks if blocks is not None \
+        else condensed_blocks(pm, w, c, pm.N)
+    return QpProblem(H=H, q=G_q @ x_k, r=float(x_k @ G_r @ x_k), F=F, g=g0 - G @ x_k)

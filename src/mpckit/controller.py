@@ -103,7 +103,7 @@ class MpcStepResult:
     J_star: float
     solver_status: object
     iterations: int
-    solution: object = None  # raw solver output, used for warm starting
+    solution: object = None  # raw solver output: status, duals and residuals
 
 
 @dataclass
@@ -176,11 +176,10 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     H, F, g = ws.blocks
     nX = n * (N + 1)
     p = NlpProblem(H=H, F=F, g=g, residual=residual, jacobian=jacobian)
-    if warm is not None and np.shape(warm) == (d,):
-        z0 = np.asarray(warm, dtype=float)
-    else:
-        z0 = np.concatenate([np.tile(x_k, N + 1), np.zeros(d - nX)])
-    sol = solve_nlp(p, z0, settings=cfg.settings)
+    if warm is None:
+        warm = np.concatenate([np.tile(x_k, N + 1), np.zeros(d - nX)])
+    # solve_nlp raises ShapeError on a warm start of the wrong length
+    sol = solve_nlp(p, warm, settings=cfg.settings)
     return _step_result(pad_inputs(sol.z_star[nX:], N, m),
                         sol.z_star[:nX].reshape(N + 1, n), sol)
 

@@ -5,8 +5,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .condense import (build_prediction, condensed_inequalities,
-                       stack_constraints)
+from .condense import build_prediction, condensed_rows, stack_constraints
 from .model import polytope_contains
 from .numerics import as_vector, pad_inputs
 from .qp_solver import QpProblem, QpStatus, solve_qp
@@ -62,17 +61,17 @@ def is_state_feasible(model, cfg, x_k):
         return FeasibilityReport(feasible=False, phase1_slack=np.inf, witness=None)
     pm = build_prediction(model, cfg.N)
     c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
-    nU = pm.m * cfg.N_C
     # decision vector (U, s): minimize s (plus tiny regularization on U)
-    # subject to F U - s <= g; the last row, -s <= 1, keeps the program
+    # subject to F U - s <= g0 - G x_k; the last row, -s <= 1, keeps the program
     # bounded, since a slack below -1 is equally conclusive
-    F_U, g = condensed_inequalities(pm, c, x_k)
-    F = np.block([[F_U[:, :nU], -np.ones((F_U.shape[0], 1))],
+    F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
+    nU = F_U.shape[1]
+    F = np.block([[F_U, -np.ones((F_U.shape[0], 1))],
                   [np.zeros((1, nU)), -np.ones((1, 1))]])
     q = np.zeros(nU + 1)
     q[nU] = 1.0
-    sol = solve_qp(QpProblem(H=1e-8 * np.eye(nU + 1), q=q, F=F, g=np.append(g, 1.0)),
-                   settings=cfg.settings)
+    sol = solve_qp(QpProblem(H=1e-8 * np.eye(nU + 1), q=q, F=F,
+                             g=np.append(g0 - G @ x_k, 1.0)), settings=cfg.settings)
     slack = float(sol.z_star[nU])
     feasible = sol.status is not QpStatus.INFEASIBLE and slack <= PHASE1_SLACK_TOL
     witness = pad_inputs(sol.z_star[:nU], pm.N, pm.m) if feasible else None

@@ -10,6 +10,11 @@ from .exceptions import ShapeError, SteadyStateError
 from .numerics import as_matrix, as_vector, finite_diff_jacobian, pseudo_inverse_apply
 
 DEFAULT_CONTAIN_TOL = 1e-8
+# Damped Gauss-Newton for the nonlinear steady-state input, started at u = 0:
+# residual 2-norm to reach, iterations, and step halvings per line search.
+STEADY_TOL = 1e-8
+STEADY_MAX_ITER = 100
+STEADY_MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -190,23 +195,22 @@ def steady_state_input_lti(model, x_r):
     return pseudo_inverse_apply(model.B, rhs)
 
 
-def steady_state_input_nonlinear(model, x_r, u_guess=None,
-                                 tol=1e-8, max_iter=100, max_halvings=20):
-    """Steady input u_r with f(x_r, u_r) = x_r, by damped Gauss-Newton.
+def steady_state_input_nonlinear(model, x_r):
+    """Steady input u_r with f(x_r, u_r) = x_r, by damped Gauss-Newton from u = 0.
 
-    Succeeds when the 2-norm residual drops to ``tol``; otherwise raises
+    Succeeds when the 2-norm residual drops to STEADY_TOL; otherwise raises
     SteadyStateError carrying the final residual.
     """
     x_r = as_vector(x_r, "x_r")
-    u = np.zeros(model.m) if u_guess is None else as_vector(u_guess, "u_guess").copy()
+    u = np.zeros(model.m)
 
     def residual(uu):
         return as_vector(model.step(x_r, uu)) - x_r
 
     r = residual(u)
     rnorm = np.linalg.norm(r)
-    for _ in range(max_iter):
-        if rnorm <= tol:
+    for _ in range(STEADY_MAX_ITER):
+        if rnorm <= STEADY_TOL:
             return u
         if model.jac_u is not None:
             J = as_matrix(model.jac_u(x_r, u), "jac_u")
@@ -217,7 +221,7 @@ def steady_state_input_nonlinear(model, x_r, u_guess=None,
         except Exception as exc:
             raise SteadyStateError(f"Gauss-Newton step failed: {exc}", residual=rnorm)
         step = 1.0
-        for _ in range(max_halvings):
+        for _ in range(STEADY_MAX_HALVINGS):
             r_new = residual(u + step * du)
             if np.linalg.norm(r_new) < rnorm:
                 break
@@ -227,8 +231,8 @@ def steady_state_input_nonlinear(model, x_r, u_guess=None,
         u = u + step * du
         r = r_new
         rnorm = np.linalg.norm(r)
-    if rnorm <= tol:
+    if rnorm <= STEADY_TOL:
         return u
     raise SteadyStateError(
-        f"no steady-state input within {max_iter} iterations (residual {rnorm:.3e})",
+        f"no steady-state input within {STEADY_MAX_ITER} iterations (residual {rnorm:.3e})",
         residual=rnorm)

@@ -38,7 +38,8 @@ EPS_INFEASIBLE = 1e-8
 # LAPACK's double-precision LU routines, looked up once: scipy.linalg's
 # lu_factor/lu_solve look them up again, behind a batching wrapper, on every
 # call, which costs several times the solve itself at the sizes of an MPC step.
-_getrf, _getrs = get_lapack_funcs(("getrf", "getrs"), (np.empty(0),))
+# Cholesky (potrf) tests P + SIGMA I for definiteness once per workspace.
+_getrf, _getrs, _potrf = get_lapack_funcs(("getrf", "getrs", "potrf"), (np.empty(0),))
 
 
 class QpStatus(Enum):
@@ -125,8 +126,9 @@ def _factor(P, A, rho):
     """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A.
 
     P + SIGMA I is definite for a positive semidefinite H = P / 2, so a zero
-    pivot means H is not. A NaN or an infinity in H, F or F_eq reaches
-    lu_factor, which rejects it, without numpy's warnings on the way.
+    pivot means H is not; QpWorkspace.build also tests P + SIGMA I itself.
+    A NaN or an infinity in H, F or F_eq reaches lu_factor, which rejects
+    it, without numpy's warnings on the way.
     """
     with np.errstate(invalid="ignore", over="ignore"):
         M = P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A
@@ -146,7 +148,9 @@ class QpWorkspace:
     very arrays it was built from; any other problem gets a fresh build.
     Factors at an adapted rho are made per solve, and every solve starts
     again from RHO, so a reused workspace gives the same iterates as a fresh
-    one.
+    one. A build raises SingularMatrixError when P + SIGMA I has no Cholesky
+    factor: the rows can make the reduced matrix regular for an H that is
+    not positive semidefinite, and ADMM would then diverge.
     """
 
     def __init__(self):
@@ -163,6 +167,9 @@ class QpWorkspace:
         self.rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
         self.rho = RHO * self.rho_scale
         self.lu = _factor(self.P, self.A, self.rho)
+        if _potrf(self.P + SIGMA * np.eye(p.d))[1] > 0:
+            raise SingularMatrixError("P + sigma I has no Cholesky factor: "
+                                      "H is not positive semidefinite")
 
 
 def _support(e, l, u):
@@ -181,13 +188,15 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     ``warm`` may be a primal vector or a previous QpSolution (primal and
     dual warm start). ``workspace`` is a QpWorkspace kept between solves of
     problems that share H, F and F_eq (a closed loop's steps); without one
-    the solve builds its own. Identical inputs produce bit-identical
-    iterates, with or without a workspace. Termination is tested every
-    CHECK_EVERY iterations and at max_iter, so a solve stops at a multiple
-    of CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
+    the solve builds its own. A warm start of the wrong length raises
+    ShapeError. Identical inputs produce bit-identical iterates, with or
+    without a workspace. Termination is tested every CHECK_EVERY
+    iterations and at max_iter, so a solve stops at a multiple of
+    CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
     q, the warm start or the start rows clip(A z0, l, u) hold a NaN or an
-    infinity, and SingularMatrixError when the reduced matrix has an exactly
-    zero LU pivot (H is not positive semidefinite).
+    infinity, and SingularMatrixError when H is not positive semidefinite
+    (P + SIGMA I has no Cholesky factor, or the reduced matrix an exactly
+    zero LU pivot).
     """
     s = settings or SolverSettings()
     d = p.d
@@ -203,14 +212,12 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     x = np.zeros(d)
     y = np.zeros(m)
     if isinstance(warm, QpSolution):
-        if warm.z_star.shape[0] == d:
-            x = warm.z_star.copy()
-        if warm.duals.shape[0] == m:
-            y = warm.duals.copy()
+        x, y = warm.z_star.copy(), warm.duals.copy()
     elif warm is not None:
-        w = as_vector(warm, "warm")
-        if w.shape[0] == d:
-            x = w.copy()
+        x = as_vector(warm, "warm").copy()
+    if (x.shape[0], y.shape[0]) != (d, m):
+        raise ShapeError(f"warm start has {x.shape[0]} primal and {y.shape[0]} dual entries, "
+                         f"expected {d} and {m}")
     if not (np.isfinite(q).all() and np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("NaN or infinity in q or in the warm start")
     z = np.clip(A @ x, l, u)

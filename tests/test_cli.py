@@ -253,6 +253,23 @@ class TestMain:
             ({"solver": {"eps_abs": -1}}, "solver.eps_abs must be >= 0"),
             ({"solver": {"eps_rel": -1e-6}}, "solver.eps_rel must be >= 0"),
             ({"solver": {"max_iter": 0}}, "solver.max_iter must be >= 1"),
+            # a key no section reads is a config error, not silently dropped
+            ({"constraint": SMALL_CONFIG["constraints"]}, "unknown key 'constraint' in config"),
+            ({"solver": {"max_iters": 5}}, "unknown key 'max_iters' in solver"),
+            ({"solver": {"formulaton": "sparse"}}, "unknown key 'formulaton' in solver"),
+            ({"horizon": {"N": 3, "N_T": 5, "N_c": 2}}, "unknown key 'N_c' in horizon"),
+            ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]], "QN": [[2, 0], [0, 2]]}},
+             "unknown key 'QN' in weights"),
+            ({"model": dict(lti, T=0.1)}, "unknown key 'T' in model"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], A=lti["A"]),
+              "initial_state": [0.5, 0]}, "unknown key 'A' in model"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"], g_X=[10, 10, 10, 10])},
+             "unknown key 'g_X' in constraints"),
+            ({"constraints": dict(SMALL_CONFIG["constraints"],
+                                  terminal={"F": SMALL_CONFIG["constraints"]["F_x"],
+                                            "g": SMALL_CONFIG["constraints"]["g_x"], "G": [1]})},
+             "unknown key 'G' in constraints.terminal"),
+            ({"reference": {"x_r": [3, 2], "u_r": [0]}}, "unknown key 'u_r' in reference"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:

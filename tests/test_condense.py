@@ -5,7 +5,7 @@ from mpckit import (InvalidHorizonError, InvalidWeightError, QpProblem,
                     ShapeError, solve_qp)
 from mpckit.condense import (assemble_condensed_qp, assemble_sparse_qp,
                              build_prediction, build_weights, condensed_blocks,
-                             stack_constraints)
+                             condensed_rows, stack_constraints)
 from mpckit.model import (LtiModel, Polytope, box_polytope, empty_polytope,
                           lti_step)
 
@@ -200,6 +200,38 @@ class TestAssembleCondensedQp:
             ok_sparse = bool(np.all(sparse.F @ z <= sparse.g + 1e-10))
             ok_cond = bool(np.all(cond.F @ U <= cond.g + 1e-10))
             assert ok_sparse == ok_cond
+
+
+class TestParametricForm:
+    @staticmethod
+    def _close(a, b):
+        return np.abs(a - b).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(b).max(initial=0.0))
+
+    def test_matches_direct_substitution(self):
+        # q, r and g from the gains equal the states substituted at x_k
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            n, m, N = (int(v) for v in rng.integers(1, [5, 4, 7]))
+            N_C = int(rng.integers(1, N + 1))
+            model = LtiModel(0.6 * rng.standard_normal((n, n)), rng.standard_normal((n, m)))
+            M = rng.standard_normal((n, n))
+            pm = build_prediction(model, N)
+            w = build_weights(M @ M.T, np.eye(m) + 0.1 * np.diag(rng.random(m)),
+                              2.0 * M @ M.T, N)
+            X_set = Polytope(rng.standard_normal((3, n)), rng.uniform(1.0, 2.0, 3))
+            terminal = box_polytope(0.5, n) if trial % 2 else None
+            c = stack_constraints(X_set, box_polytope(1.0, m), terminal, N)
+            x = rng.standard_normal(n)
+            qp = assemble_condensed_qp(pm, w, c, x, condensed_blocks(pm, w, c, N_C))
+            k = m * N_C
+            X_free = pm.A_X @ x
+            assert qp.d == k
+            assert self._close(qp.q, (2.0 * pm.B_U.T @ (w.Q_X @ X_free))[:k])
+            assert self._close(np.array([qp.r]), np.array([X_free @ w.Q_X @ X_free]))
+            assert self._close(qp.g, np.concatenate([c.g_X - c.F_X @ X_free, c.g_U]))
+            assert np.array_equal(qp.F, np.vstack([c.F_X @ pm.B_U, c.F_U])[:, :k])
+            F, g0, G = condensed_rows(pm, c, N_C)
+            assert np.array_equal(qp.F, F) and np.array_equal(qp.g, g0 - G @ x)
 
 
 class TestControlHorizon:

@@ -197,6 +197,16 @@ class TestNmpcStep:
         assert np.abs(np.array(nl.inputs) - np.array(lin.inputs)).max() < 1e-5
 
 
+    def test_wrong_length_warm_start_rejected(self, lti_demo_model, lti_demo_sets):
+        # z = (4 states of 2, 3 inputs of 1) has 11 entries
+        cfg = _demo_cfg(lti_demo_sets, N=3)
+        with pytest.raises(ShapeError, match="length 10, expected 11"):
+            nmpc_step(lti_as_nonlinear(lti_demo_model), cfg, [4.0, -2.0], warm=np.zeros(10))
+        with pytest.raises(ShapeError, match="3 primal and 28 dual entries, expected 4 and 28"):
+            lmpc_step(lti_demo_model, _demo_cfg(lti_demo_sets, N=4), [4.0, -2.0],
+                      warm=np.zeros(3))
+
+
 class TestTrackingTransform:
     def test_demo_reference(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)
@@ -355,7 +365,7 @@ class TestLoopWorkspace:
         pm = build_prediction(exp.model, cfg.N)
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
         c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
-        _, H, F = condensed_blocks(pm, w, c, cfg.N_C)
+        H, _, _, F, _, _ = condensed_blocks(pm, w, c, cfg.N_C)
         at_rho = 2.0 * H + qp_solver.SIGMA * np.eye(H.shape[0]) \
             + qp_solver.RHO * F.T @ F
         assert len(traj) == 50

@@ -6,6 +6,7 @@ from mpckit import (InfeasibleStepError, MpcConfig, QpStatus, SolverSettings,
                     lmpc_step, lyapunov_monitor, persistent_feasibility_check,
                     run_closed_loop)
 from mpckit import feasibility
+from mpckit.condense import build_prediction, condensed_rows, stack_constraints
 from mpckit.model import LtiModel, Polytope, box_polytope
 
 
@@ -128,6 +129,27 @@ class TestStateFeasible:
         cfg = _demo_cfg(lti_demo_sets, settings=SolverSettings(max_iter=5))
         is_state_feasible(lti_demo_model, cfg, [9.9, 9.9])
         assert iterations and max(iterations) <= 5
+
+    def test_phase1_rows_are_condensed_rows(self, lti_demo_model, lti_demo_sets,
+                                            monkeypatch):
+        problems = []
+        solve_qp = feasibility.solve_qp
+
+        def recording_solve_qp(p, **kwargs):
+            problems.append(p)
+            return solve_qp(p, **kwargs)
+
+        monkeypatch.setattr(feasibility, "solve_qp", recording_solve_qp)
+        cfg = _demo_cfg(lti_demo_sets, N_C=2)
+        x = np.array([5.0, 2.0])
+        is_state_feasible(lti_demo_model, cfg, x)
+        pm = build_prediction(lti_demo_model, cfg.N)
+        c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
+        F, g0, G = condensed_rows(pm, c, cfg.N_C)
+        (p,) = problems
+        # (U, s) with F U - s <= g0 - G x_k, then the row -s <= 1
+        assert np.array_equal(p.F[:-1, :-1], F) and np.all(p.F[:, -1] == -1.0)
+        assert np.array_equal(p.g[:-1], g0 - G @ x) and p.g[-1] == 1.0
 
     def test_phase1_status_reported(self, lti_demo_model, lti_demo_sets):
         # a 5-iteration cap leaves the slack unconverged at a state that is

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mpckit import (MpcError, NonFiniteError, QpProblem, QpStatus, ShapeError,
+from mpckit import (MpcError, NonFiniteError, QpProblem, QpSolution, QpStatus, ShapeError,
                     SingularMatrixError, SolverSettings, kkt_residuals, solve_qp)
 from mpckit import qp_solver
 from mpckit.qp_solver import _support
@@ -133,6 +133,25 @@ class TestSolveQp:
         # factor, not after max_iter iterations on NaN
         with pytest.raises(SingularMatrixError, match="not positive semidefinite"):
             solve_qp(problem)
+
+    def test_nonconvex_h_with_regular_reduced_matrix_rejected(self):
+        # the rows add rho to both pivots, so the LU factor exists; ADMM used
+        # to diverge along z_1 and end at max_iter with z = [nan, nan]
+        p = QpProblem(H=np.diag([-5e-7, 1.0]), q=[1.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
+        with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
+            solve_qp(p)
+
+    def test_wrong_length_warm_start_rejected(self):
+        p = QpProblem(H=np.eye(2), q=[1.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
+        sol = solve_qp(p)
+        other = solve_qp(QpProblem(H=np.eye(3), F=np.eye(3), g=np.ones(3)))
+        short_duals = QpSolution(z_star=sol.z_star, objective=0.0, status=QpStatus.OPTIMAL,
+                                 iterations=0, primal_residual=0.0, dual_residual=0.0)
+        for warm, lengths in (([0.0, 0.0, 0.0], "3 primal and 2 dual"),
+                              (other, "3 primal and 3 dual"),
+                              (short_duals, "2 primal and 0 dual")):
+            with pytest.raises(ShapeError, match=f"{lengths} entries, expected 2 and 2"):
+                solve_qp(p, warm=warm)
 
     def test_singular_polish_system_keeps_admm_iterate(self, monkeypatch):
         box = np.vstack([np.eye(2), -np.eye(2)])
