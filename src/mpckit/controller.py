@@ -94,6 +94,12 @@ class MpcConfig:
     def m(self):
         return self.R.shape[0]
 
+    def check_sizes(self, model, x):
+        """Raise ShapeError unless the model's n and m and the state x match Q and R."""
+        if (model.n, model.m, x.shape[0]) != (self.n, self.m, self.n):
+            raise ShapeError(f"model (n = {model.n}, m = {model.m}) or state (length "
+                             f"{x.shape[0]}) does not match Q and R (n = {self.n}, m = {self.m})")
+
 
 @dataclass
 class MpcStepResult:
@@ -141,6 +147,7 @@ class _Workspace:
 def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     """One LMPC solve: returns the applied input and the full predicted sequences."""
     x_k = as_vector(x_k, "x_k")
+    cfg.check_sizes(model, x_k)
     ws = _ws if _ws is not None else _Workspace()
     if ws.pm is None:
         ws.pm = build_prediction(model, cfg.N)
@@ -165,6 +172,7 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
 def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     """One NMPC solve via SQP on the trajectory decision vector."""
     x_k = as_vector(x_k, "x_k")
+    cfg.check_sizes(model, x_k)
     n, m, N = model.n, model.m, cfg.N
     residual, d = build_feq(model, x_k, N, cfg.N_C)
     jacobian = build_feq_jacobian(model, x_k, N, cfg.N_C)
@@ -229,9 +237,7 @@ def run_closed_loop(model, cfg, x_0):
     carrying the partial trajectory and the failing state.
     """
     x_0 = as_vector(x_0, "x_0")
-    if (model.n, model.m, x_0.shape[0]) != (cfg.n, cfg.m, cfg.n):
-        raise ShapeError(f"model (n = {model.n}, m = {model.m}) or x_0 (length "
-                         f"{x_0.shape[0]}) does not match Q and R (n = {cfg.n}, m = {cfg.m})")
+    cfg.check_sizes(model, x_0)
     is_lti = isinstance(model, LtiModel)
     solve = lmpc_step if is_lti else nmpc_step
 

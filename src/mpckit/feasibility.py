@@ -57,6 +57,7 @@ def is_state_feasible(model, cfg, x_k):
     control horizon N_C are fixed to zero, as in lmpc_step, and the witness
     holds them as zeros. LTI models only."""
     x_k = as_vector(x_k, "x_k")
+    cfg.check_sizes(model, x_k)
     if not polytope_contains(cfg.X_set, x_k, FEASIBILITY_TOL):
         return FeasibilityReport(feasible=False, phase1_slack=np.inf, witness=None)
     pm = build_prediction(model, cfg.N)

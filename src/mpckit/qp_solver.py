@@ -125,18 +125,11 @@ def lu_solve(lu_piv, b):
 def _factor(P, A, rho):
     """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A.
 
-    P + SIGMA I is definite for a positive semidefinite H = P / 2, so a zero
-    pivot means H is not; QpWorkspace.build also tests P + SIGMA I itself.
-    A NaN or an infinity in H, F or F_eq reaches lu_factor, which rejects
-    it, without numpy's warnings on the way.
+    QpWorkspace.build has tested H, F and F_eq for finiteness and P + SIGMA I
+    for definiteness, so the matrix is regular; a finite F whose product
+    overflows still reaches lu_factor, which rejects the infinity.
     """
-    with np.errstate(invalid="ignore", over="ignore"):
-        M = P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A
-    try:
-        return lu_factor(M)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"{exc} in the reduced matrix P + sigma I + A' diag(rho) A: "
-                                  "H is not positive semidefinite") from exc
+    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A)
 
 
 class QpWorkspace:
@@ -148,9 +141,11 @@ class QpWorkspace:
     very arrays it was built from; any other problem gets a fresh build.
     Factors at an adapted rho are made per solve, and every solve starts
     again from RHO, so a reused workspace gives the same iterates as a fresh
-    one. A build raises SingularMatrixError when P + SIGMA I has no Cholesky
-    factor: the rows can make the reduced matrix regular for an H that is
-    not positive semidefinite, and ADMM would then diverge.
+    one. A build checks its input once, before its first factor: NaN or
+    infinity in H, F or F_eq raises NonFiniteError, and a P + SIGMA I with
+    no Cholesky factor raises SingularMatrixError, since the rows can make
+    the reduced matrix regular for an H that is not positive semidefinite,
+    and ADMM would then diverge.
     """
 
     def __init__(self):
@@ -161,15 +156,18 @@ class QpWorkspace:
                 and _same_block(self.F_eq, p.F_eq))
 
     def build(self, p):
-        self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
-        self.A = np.vstack([p.F, p.F_eq])
-        self.P = 2.0 * p.H
-        self.rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        self.rho = RHO * self.rho_scale
-        self.lu = _factor(self.P, self.A, self.rho)
-        if _potrf(self.P + SIGMA * np.eye(p.d))[1] > 0:
+        A = np.vstack([p.F, p.F_eq])
+        if not (np.isfinite(p.H).all() and np.isfinite(A).all()):
+            raise NonFiniteError("NaN or infinity in H, F or F_eq")
+        P = 2.0 * p.H
+        if _potrf(P + SIGMA * np.eye(p.d))[1] > 0:
             raise SingularMatrixError("P + sigma I has no Cholesky factor: "
                                       "H is not positive semidefinite")
+        rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
+        lu = _factor(P, A, RHO * rho_scale)
+        # set last, so that a build that raises leaves nothing to reuse
+        self.A, self.P, self.rho_scale, self.rho, self.lu = A, P, rho_scale, RHO * rho_scale, lu
+        self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
 
 def _support(e, l, u):
@@ -178,8 +176,11 @@ def _support(e, l, u):
     return float(bound @ e) if np.isfinite(bound).all() else np.inf
 
 
-def _violation(l, u, z_ax):
-    return float(np.maximum(z_ax - u, l - z_ax).max(initial=0.0))
+def _residuals(P, q, A, l, u, x, y):
+    """Primal violation of l <= A x <= u and stationarity |P x + q + A'y|."""
+    ax = A @ x
+    return (float(np.maximum(ax - u, l - ax).max(initial=0.0)),
+            float(np.abs(P @ x + q + A.T @ y).max()))
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
@@ -194,9 +195,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     iterations and at max_iter, so a solve stops at a multiple of
     CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
     q, the warm start or the start rows clip(A z0, l, u) hold a NaN or an
-    infinity, and SingularMatrixError when H is not positive semidefinite
-    (P + SIGMA I has no Cholesky factor, or the reduced matrix an exactly
-    zero LU pivot).
+    infinity, and SingularMatrixError when H is not positive semidefinite;
+    the workspace build tests H, F and F_eq (QpWorkspace). The reported
+    residuals are the primal violation and the stationarity of the
+    returned (z_star, duals).
     """
     s = settings or SolverSettings()
     d = p.d
@@ -230,8 +232,6 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
     status = QpStatus.MAX_ITERATIONS
     it = 0
-    y_prev = y
-    r_prim = r_dual = np.inf
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
@@ -248,12 +248,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         aty = A.T @ y
         r_prim = float(np.abs(ax - z).max(initial=0.0))
         r_dual = float(np.abs(px + q + aty).max())
-        ax_norm = float(np.abs(ax).max(initial=0.0))
-        z_norm = float(np.abs(z).max(initial=0.0))
-        eps_prim = s.eps_abs + s.eps_rel * max(ax_norm, z_norm)
-        eps_dual = s.eps_abs + s.eps_rel * max(
-            float(np.abs(px).max()), q_norm, float(np.abs(aty).max()))
-        if r_prim <= eps_prim and r_dual <= eps_dual:
+        scale_prim = max(float(np.abs(ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
+        scale_dual = max(float(np.abs(px).max()), q_norm, float(np.abs(aty).max()))
+        if r_prim <= s.eps_abs + s.eps_rel * scale_prim \
+                and r_dual <= s.eps_abs + s.eps_rel * scale_dual:
             status = QpStatus.OPTIMAL
             break
 
@@ -269,10 +267,8 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
         # residual-balancing step-size update
         if it % RHO_UPDATE_INTERVAL == 0:
-            denom_p = max(ax_norm, z_norm, 1e-10)
-            denom_d = max(float(np.abs(px).max()), q_norm,
-                          float(np.abs(aty).max()), 1e-10)
-            ratio = np.sqrt((r_prim / denom_p) / max(r_dual / denom_d, 1e-16))
+            ratio = np.sqrt((r_prim / max(scale_prim, 1e-10))
+                            / max(r_dual / max(scale_dual, 1e-10), 1e-16))
             new_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
@@ -281,8 +277,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
     if status is QpStatus.OPTIMAL:
         x, y = _polish(p, A, l, u, x, y)
-    prim = _violation(l, u, A @ x)
-    dual = float(np.abs(P @ x + q + A.T @ y).max())
+    prim, dual = _residuals(P, q, A, l, u, x, y)
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -296,18 +291,19 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
 def _polish(p, A, l, u, x, y):
     """Refine the ADMM solution by solving the KKT system on the active set."""
-    m = A.shape[0]
-    act_low = (y < -1e-9) | np.isclose(A @ x, l, atol=1e-7)
-    act_high = (y > 1e-9) | np.isclose(A @ x, u, atol=1e-7)
+    d, P, ax = p.d, 2.0 * p.H, A @ x
+    act_low = (y < -1e-9) | np.isclose(ax, l, atol=1e-7)
+    act_high = (y > 1e-9) | np.isclose(ax, u, atol=1e-7)
     active = act_low | act_high
+    old = _residuals(P, p.q, A, l, u, x, y)
     if not np.any(active):
         # unconstrained at the solution: Newton step on the objective, kept
         # if it is no less feasible and no worse than the ADMM iterate
         try:
-            xh = np.linalg.solve(2.0 * p.H + 1e-12 * np.eye(p.d), -p.q)
+            xh = np.linalg.solve(P + 1e-12 * np.eye(d), -p.q)
         except np.linalg.LinAlgError:
             return x, y
-        if _violation(l, u, A @ xh) <= max(_violation(l, u, A @ x), 1e-12) \
+        if _residuals(P, p.q, A, l, u, xh, y)[0] <= max(old[0], 1e-12) \
                 and p.objective(xh) <= p.objective(x):
             return xh, y
         return x, y
@@ -316,11 +312,7 @@ def _polish(p, A, l, u, x, y):
     b_act = np.where(act_high[idx], u[idx], l[idx])
     na = len(idx)
     delta = 1e-9
-    K = np.zeros((p.d + na, p.d + na))
-    K[:p.d, :p.d] = 2.0 * p.H + delta * np.eye(p.d)
-    K[:p.d, p.d:] = A_act.T
-    K[p.d:, :p.d] = A_act
-    K[p.d:, p.d:] = -delta * np.eye(na)
+    K = np.block([[P + delta * np.eye(d), A_act.T], [A_act, -delta * np.eye(na)]])
     rhs = np.concatenate([-p.q, b_act])
     try:
         kkt = lu_factor(K)
@@ -329,22 +321,16 @@ def _polish(p, A, l, u, x, y):
     sol = lu_solve(kkt, rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
-        res = rhs - np.concatenate([
-            2.0 * p.H @ sol[:p.d] + A_act.T @ sol[p.d:],
-            A_act @ sol[:p.d]])
+        res = rhs - np.concatenate([P @ sol[:d] + A_act.T @ sol[d:], A_act @ sol[:d]])
         sol = sol + lu_solve(kkt, res)
-    xh = sol[:p.d]
-    yh = np.zeros(m)
-    yh[idx] = sol[p.d:]
+    xh = sol[:d]
+    yh = np.zeros(A.shape[0])
+    yh[idx] = sol[d:]
     # inequality multipliers must point the right way; clamp tiny sign noise
     low_only = act_low[idx] & ~act_high[idx]
     high_only = act_high[idx] & ~act_low[idx]
-    ok_signs = np.all(sol[p.d:][low_only] <= 1e-7) and np.all(sol[p.d:][high_only] >= -1e-7)
-    prim_new = _violation(l, u, A @ xh)
-    dual_new = float(np.abs(2.0 * p.H @ xh + p.q + A.T @ yh).max())
-    prim_old = _violation(l, u, A @ x)
-    dual_old = float(np.abs(2.0 * p.H @ x + p.q + A.T @ y).max())
-    if ok_signs and max(prim_new, dual_new) <= max(prim_old, dual_old) + 1e-12:
+    ok_signs = np.all(sol[d:][low_only] <= 1e-7) and np.all(sol[d:][high_only] >= -1e-7)
+    if ok_signs and max(_residuals(P, p.q, A, l, u, xh, yh)) <= max(old) + 1e-12:
         return xh, yh
     return x, y
 

@@ -5,8 +5,8 @@ import pytest
 
 from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     InvalidWeightError, MpcConfig, ReferenceInfeasibleError,
-                    ShapeError, SolverSettings, lmpc_step, lti_as_nonlinear, nmpc_step,
-                    run_closed_loop, tracking_transform)
+                    ShapeError, SolverSettings, is_state_feasible, lmpc_step, lti_as_nonlinear,
+                    nmpc_step, run_closed_loop, tracking_transform)
 from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
@@ -257,16 +257,22 @@ class TestRunClosedLoop:
         states = np.array(traj.states).ravel()
         assert np.abs(states - [1, 0.5, 0.25, 0.125]).max() < 1e-6
 
-    @pytest.mark.parametrize("model, x_0", [
-        (LtiModel(np.eye(2), np.eye(2)), [0.0, 0.0]),
-        (LtiModel([[1.0]], [[1.0]]), [0.0]),
-        (lti_as_nonlinear(LtiModel(np.eye(2), np.eye(2))), [0.0, 0.0]),
-        (LtiModel([[0.9, 0.2], [-0.4, 0.8]], [[0.1], [0.01]]), [1.0]),
-    ], ids=["m=2", "n=1", "nonlinear m=2", "x_0 of length 1"])
-    def test_dimension_mismatch(self, model, x_0, lti_demo_sets):
+    # every entry point that takes a model and a state checks both against
+    # Q and R; the run_closed_loop cases keep their original ids
+    @pytest.mark.parametrize("entry, model, x_0", [
+        pytest.param(entry, model, x_0,
+                     id=case if entry is run_closed_loop else f"{entry.__name__} {case}")
+        for entry in (run_closed_loop, lmpc_step, nmpc_step, is_state_feasible)
+        for case, model, x_0 in (
+            ("m=2", LtiModel(np.eye(2), np.eye(2)), [0.0, 0.0]),
+            ("n=1", LtiModel([[1.0]], [[1.0]]), [0.0]),
+            ("nonlinear m=2", lti_as_nonlinear(LtiModel(np.eye(2), np.eye(2))), [0.0, 0.0]),
+            ("x_0 of length 1", LtiModel([[0.9, 0.2], [-0.4, 0.8]], [[0.1], [0.01]]), [1.0]),
+        )])
+    def test_dimension_mismatch(self, entry, model, x_0, lti_demo_sets):
         # Q and R size the controller for n = 2, m = 1
         with pytest.raises(ShapeError, match=r"does not match Q and R \(n = 2, m = 1\)"):
-            run_closed_loop(model, _demo_cfg(lti_demo_sets, N_T=5), x_0)
+            entry(model, _demo_cfg(lti_demo_sets, N_T=5), x_0)
 
     def test_origin_stays_at_origin(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)

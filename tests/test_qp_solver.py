@@ -114,7 +114,7 @@ class TestSolveQp:
         bad = [(p, None),
                (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[np.nan]), None),
                (QpProblem(H=np.eye(2), F=[[1.0, 0.0]], g=[1.0]), [0.0, np.inf]),
-               # a NaN passes the symmetry test of H; the factor rejects it
+               # a NaN passes the symmetry test of H; the workspace build rejects it
                (QpProblem(H=[[1.0, 0.0], [0.0, np.nan]]), None),
                (QpProblem(H=np.eye(2), F=[[np.inf, 0.0]], g=[1.0]), None),
                (QpProblem(H=np.eye(2), F_eq=[[1.0, -np.inf]], g_eq=[0.0]), None)]
@@ -122,6 +122,12 @@ class TestSolveQp:
             with pytest.raises(NonFiniteError) as info:
                 solve_qp(problem, warm=warm)
             assert isinstance(info.value, MpcError) and isinstance(info.value, ValueError)
+
+    def test_overflowing_reduced_matrix_rejected(self):
+        # finite rows whose product F'F overflows: numpy warns of the
+        # overflow, and lu_factor rejects the infinity it produced
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            solve_qp(QpProblem(H=np.eye(2), F=[[1e200, 0.0]], g=[1.0]))
 
     @pytest.mark.parametrize("problem", [
         QpProblem(H=-5e-7 * np.eye(2), q=[1.0, 1.0]),
@@ -282,6 +288,46 @@ def test_matches_oracle_on_random_qps(p):
     else:
         assert sol.status is QpStatus.OPTIMAL
         assert abs(sol.objective - obj_oracle) <= 1e-5
+        # the solver's own report agrees with the evaluator the benchmark uses
+        stationarity, violation, _ = kkt_residuals(p, sol.z_star, sol.duals)
+        scale = max(1.0, float(np.abs(2.0 * p.H @ sol.z_star).max()),
+                    float(np.abs(p.q).max()), float(np.abs(sol.duals).max(initial=0.0)))
+        assert abs(sol.primal_residual - violation) <= 1e-12 * scale
+        assert abs(sol.dual_residual - stationarity) <= 1e-12 * scale
+
+
+class TestOpenDefects:
+    """Wrong answers the solver still gives. Each test states the right
+    answer and is a strict xfail, so the fix that makes it pass must also
+    remove its marker."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the residual-balancing rho update cycles between two "
+                              "values and the solve never converges")
+    def test_rho_limit_cycle(self):
+        p = QpProblem(H=[[0.9125, 0.03125], [0.03125, 1.25625]], q=[0.5, 0.125],
+                      F=[[0.625, 0.875], [0.625, 0.125], [0.25, -0.125], [0.125, 0.125]],
+                      g=[-0.375, -0.875, -0.375, -0.375], F_eq=[[0.25, 0.625]], g_eq=[0.125])
+        _, obj_oracle = solve_oracle(p)
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.OPTIMAL
+        assert abs(sol.objective - obj_oracle) <= 1e-5
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="absolute tolerances on unscaled rows ignore a row whose "
+                              "coefficients are near eps_abs")
+    def test_unscaled_row(self):
+        # the exact optimum is 0 at the origin; the absolute test accepts (-5, -5)
+        sol = solve_qp(QpProblem(H=0.1 * np.eye(2), q=[1.0, 1.0], F_eq=[[6e-8, 6e-8]],
+                                 g_eq=[0.0]))
+        assert sol.status is not QpStatus.OPTIMAL or abs(sol.objective) <= 1e-6
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="no unboundedness certificate: an unbounded QP runs to max_iter")
+    def test_unbounded(self):
+        # z <= 1 and minimize z: unbounded below
+        sol = solve_qp(QpProblem(H=[[0.0]], q=[1.0], F=[[1.0]], g=[1.0]))
+        assert sol.iterations < SolverSettings().max_iter
 
 
 def test_certificate_support_matches_loop():
@@ -354,6 +400,15 @@ class TestWorkspace:
             assert ws.H is p.H and ws.F is p.F and ws.F_eq is p.F_eq
             assert self._same(got, solve_qp(p))
             assert built == len(factors) - built
+
+    def test_failed_build_is_not_reused(self):
+        # a build that raises must not leave the workspace fitting the problem
+        ws = qp_solver.QpWorkspace()
+        p = QpProblem(H=np.diag([-5e-7, 1.0]), q=[1.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
+                solve_qp(p, workspace=ws)
+
 
 class TestKktResiduals:
     def test_unconstrained_optimum(self):
