@@ -9,7 +9,8 @@ import numpy as np
 
 from .exceptions import ShapeError
 from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
-                       finite_diff_jacobian, pad_inputs)
+                       finite_diff_jacobian, grouped_finite_diff_jacobian,
+                       pad_inputs)
 from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -98,12 +99,24 @@ def build_feq(model, x_k, N, N_C=None):
 
 
 def build_feq_jacobian(model, x_k, N, N_C=None):
-    """Analytic Jacobian of build_feq's residual; needs model.jac_x/jac_u."""
-    if model.jac_x is None or model.jac_u is None:
-        return None
+    """Jacobian of build_feq's residual: from model.jac_x/jac_u when the model
+    has both, else finite_diff_jacobian's forward differences, bit for bit,
+    from 2n + m + 1 residuals instead of d + 1."""
     n, m = model.n, model.m
     nX = n * (N + 1)
     d = nX + m * (N if N_C is None else N_C)
+
+    if model.jac_x is None or model.jac_u is None:
+        residual, _ = build_feq(model, x_k, N, N_C)
+        # row block b is x_b - f(x_{b-1}, u_{b-1}): x_i moves blocks i and
+        # i + 1, so the x_i[j] of even i can share a residual and those of odd
+        # i another; u_i moves block i + 1 only, so all u_i[j] share one
+        b = np.arange(nX)[:, None] // n
+        gap = b - np.arange(nX) // n
+        pattern = np.hstack([(gap == 0) | (gap == 1), b - np.arange(d - nX) // m == 1])
+        groups = [np.arange(i * n + j, nX, 2 * n) for j in range(n) for i in (0, 1)] + \
+                 [np.arange(nX + j, d, m) for j in range(m)]
+        return lambda z: grouped_finite_diff_jacobian(residual, z, pattern, groups)
 
     def jacobian(z):
         z = as_vector(z, "z")

@@ -10,7 +10,8 @@ from mpckit import (InfeasibleStepError, InvalidHorizonError,
 from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
-from mpckit.model import LtiModel, Polytope, box_polytope, lti_step
+from mpckit.model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
+                          box_polytope, lti_step, pendulum_step)
 
 
 def _scalar_cfg(**kw):
@@ -196,6 +197,27 @@ class TestNmpcStep:
         assert warms == [None] + [(14,)] * 4
         assert np.abs(np.array(nl.inputs) - np.array(lin.inputs)).max() < 1e-5
 
+    @pytest.mark.parametrize("kw", [
+        {},
+        {"reference": [0.3, 0.0], "U_set": Polytope([[1.0], [-1.0]], [5.0, 0.0])},
+        {"N_C": 4},
+    ], ids=["stabilize", "track", "N_C=4"])
+    def test_derivative_free_matches_column_differences(self, pendulum_sets, monkeypatch, kw):
+        # the grouped Jacobian of a model without jac_x/jac_u gives the loop of
+        # solve_nlp's column-by-column finite_diff_jacobian, bit for bit
+        X_set, U_set = pendulum_sets
+        args = dict(N=10, N_T=10, Q=np.eye(2), R=[[1.0]], X_set=X_set, U_set=U_set)
+        args.update(kw)
+        cfg = MpcConfig(**args)
+        p = PendulumParams()
+        model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
+        grouped = run_closed_loop(model, cfg, [0.6, -0.4])
+        monkeypatch.setattr(controller, "build_feq_jacobian", lambda *args: None)
+        columns = run_closed_loop(model, cfg, [0.6, -0.4])
+        assert np.array_equal(np.array(grouped.states), np.array(columns.states))
+        assert np.array_equal(np.array(grouped.inputs), np.array(columns.inputs))
+        assert grouped.statuses == columns.statuses
+        assert grouped.iterations == columns.iterations
 
     def test_wrong_length_warm_start_rejected(self, lti_demo_model, lti_demo_sets):
         # z = (4 states of 2, 3 inputs of 1) has 11 entries

@@ -3,7 +3,7 @@ import pytest
 
 from mpckit import (NlpProblem, NlpStatus, QpProblem, ShapeError,
                     build_feq, build_feq_jacobian, solve_nlp, solve_qp)
-from mpckit.model import NonlinearModel, PendulumParams, pendulum_model, pendulum_step
+from mpckit.model import LtiModel, NonlinearModel, PendulumParams, pendulum_model, pendulum_step
 from mpckit.nlp_solver import SQP_TOL
 from mpckit.numerics import finite_diff_jacobian
 
@@ -14,6 +14,17 @@ def _rollout_z(model, x_k, U):
     for u in U:
         X.append(np.asarray(model.step(X[-1], np.atleast_1d(u)), dtype=float))
     return np.concatenate([np.concatenate(X), np.ravel(U)])
+
+
+def _step_only(kind):
+    """The forward-Euler pendulum or an n = 3, m = 2 LTI system, as a model
+    with a step function and no Jacobians."""
+    if kind == "pendulum":
+        p = PendulumParams()
+        return NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
+    lti = LtiModel([[0.9, 0.2, 0.0], [-0.4, 0.8, 0.1], [0.0, 0.3, 1.1]],
+                   [[0.1, 0.0], [0.01, 0.2], [0.0, 0.5]])
+    return NonlinearModel(n=3, m=2, step=lti.step)
 
 
 class TestBuildFeq:
@@ -65,10 +76,48 @@ class TestBuildFeq:
         assert J_full.shape == (10, d_full)
         assert np.array_equal(J, J_full[:, :d])
 
-    def test_no_jacobian_without_model_derivatives(self):
-        p = PendulumParams()
-        model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
-        assert build_feq_jacobian(model, [0, 0], 2) is None
+    @pytest.mark.parametrize("N, N_C", [(1, 1), (2, 1), (3, 2), (10, 10), (10, 4)])
+    @pytest.mark.parametrize("kind", ["pendulum", "lti"])
+    def test_derivative_free_jacobian_matches_finite_differences(self, kind, N, N_C):
+        # the grouped differences are finite_diff_jacobian's, bit for bit
+        model = _step_only(kind)
+        rng = np.random.default_rng(17)
+        x_k = rng.uniform(-2.0, 2.0, model.n)
+        residual, d = build_feq(model, x_k, N, N_C)
+        # |z_c| below 1 in every third entry and above 1 elsewhere, so that
+        # h = sqrt(eps) max(1, |z_c|) differs between columns
+        scale = np.where(np.arange(d) % 3 == 0, 0.5, 4.0)
+        z = rng.choice([-1.0, 1.0], d) * scale * rng.uniform(0.5, 1.0, d)
+        J = build_feq_jacobian(model, x_k, N, N_C)(z)
+        J_ref = finite_diff_jacobian(residual, z)
+        assert np.array_equal(J, J_ref)
+        assert J.tobytes() == J_ref.tobytes()
+
+    @pytest.mark.parametrize("N, N_C", [(2, 2), (10, 10), (10, 4)])
+    @pytest.mark.parametrize("kind", ["pendulum", "lti"])
+    def test_derivative_free_jacobian_step_count(self, kind, N, N_C):
+        # one residual at z and one per column group: (2n + m + 1) N steps,
+        # where one residual per column costs (d + 1) N
+        plant = _step_only(kind)
+        steps = []
+
+        def step(x, u):
+            steps.append(1)
+            return plant.step(x, u)
+
+        model = NonlinearModel(plant.n, plant.m, step=step)
+        x_k = np.full(model.n, 0.5)
+        residual, d = build_feq(model, x_k, N, N_C)
+        jacobian = build_feq_jacobian(model, x_k, N, N_C)
+        z = np.linspace(-2.0, 2.0, d)
+        steps.clear()
+        jacobian(z)
+        assert len(steps) == (2 * model.n + model.m + 1) * N
+        if (kind, N) == ("pendulum", 10):
+            assert len(steps) == 60
+        steps.clear()
+        finite_diff_jacobian(residual, z)
+        assert len(steps) == (d + 1) * N
 
 
 class TestSolveNlp:

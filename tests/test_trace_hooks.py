@@ -3,6 +3,7 @@ name; a module that stops importing one of them must fail here rather than
 in a traced benchmark run."""
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,3 +50,19 @@ def test_tracking_records_steady_state():
     steady = [sp.episode for sp in tracer.spans if sp.name == "model.steady_state"]
     assert steady == [0, 1]
     assert any(sp.leaf_calls("model.step") for sp in tracer.spans if sp.episode == 1)
+
+
+def test_derivative_free_jacobian_is_traced():
+    """A model without jac_x/jac_u gets its Jacobian from build_feq_jacobian,
+    so the benchmark's nlp_solver.jacobian_ms holds the finite differences."""
+    exp = cli.parse_config(json.dumps(dict(cli.DEMOS["nmpc-stabilize"],
+                                           horizon={"N": 4, "N_T": 4})))
+    exp.model = dataclasses.replace(exp.model, jac_x=None, jac_u=None)
+    with Tracer(MODS) as tracer:
+        exp.model = tracer.wrap_model(exp.model)
+        cli.run_experiment(exp)
+    names = [sp.name for sp in tracer.spans]
+    assert "nlp_solver.jacobian" in names
+    assert "numerics.finite_diff_jacobian" not in names
+    assert all(sp.leaf_calls("model.step") for sp in tracer.spans
+               if sp.name == "nlp_solver.jacobian")
