@@ -6,7 +6,8 @@ from typing import List, Optional
 import numpy as np
 
 from .condense import build_prediction, condensed_rows, stack_constraints
-from .model import polytope_contains
+from .exceptions import ShapeError
+from .model import LtiModel, polytope_contains
 from .numerics import as_vector, pad_inputs
 from .qp_solver import QpProblem, QpStatus, solve_qp
 
@@ -36,7 +37,11 @@ def is_control_sequence_feasible(model, cfg, x_k, U, tol=FEASIBILITY_TOL):
     """Roll out U from x_k; true iff all inputs and predicted states stay in
     their sets (terminal state checked against the terminal set if given)."""
     x_k = as_vector(x_k, "x_k")
-    U = np.asarray(U, dtype=float).reshape(cfg.N, -1)
+    cfg.check_sizes(model, x_k)
+    U = np.asarray(U, dtype=float)
+    if U.size != cfg.N * cfg.m:
+        raise ShapeError(f"U has {U.size} entries, expected N m = {cfg.N * cfg.m}")
+    U = U.reshape(cfg.N, cfg.m)
     x = x_k.copy()
     if not polytope_contains(cfg.X_set, x, tol):
         return False
@@ -58,6 +63,8 @@ def is_state_feasible(model, cfg, x_k):
     holds them as zeros. LTI models only."""
     x_k = as_vector(x_k, "x_k")
     cfg.check_sizes(model, x_k)
+    if not isinstance(model, LtiModel):
+        raise TypeError(f"phase-I feasibility needs an LtiModel, got {type(model).__name__}")
     if not polytope_contains(cfg.X_set, x_k, FEASIBILITY_TOL):
         return FeasibilityReport(feasible=False, phase1_slack=np.inf, witness=None)
     pm = build_prediction(model, cfg.N)

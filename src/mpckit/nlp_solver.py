@@ -7,10 +7,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import numerics
 from .exceptions import ShapeError
 from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
-                       finite_diff_jacobian, grouped_finite_diff_jacobian,
-                       pad_inputs)
+                       finite_diff_jacobian, pad_inputs)
 from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -99,24 +99,21 @@ def build_feq(model, x_k, N, N_C=None):
 
 
 def build_feq_jacobian(model, x_k, N, N_C=None):
-    """Jacobian of build_feq's residual: from model.jac_x/jac_u when the model
-    has both, else finite_diff_jacobian's forward differences, bit for bit,
-    from 2n + m + 1 residuals instead of d + 1."""
+    """Jacobian of build_feq's residual. Stage i's blocks df/dx and df/du at
+    (x_i, u_i) come from model.jac_x/jac_u when the model has both, else from
+    numerics.finite_diff_jacobian of one model.step: N (n + m + 1) steps."""
     n, m = model.n, model.m
     nX = n * (N + 1)
     d = nX + m * (N if N_C is None else N_C)
+    analytic = model.jac_x is not None and model.jac_u is not None
 
-    if model.jac_x is None or model.jac_u is None:
-        residual, _ = build_feq(model, x_k, N, N_C)
-        # row block b is x_b - f(x_{b-1}, u_{b-1}): x_i moves blocks i and
-        # i + 1, so the x_i[j] of even i can share a residual and those of odd
-        # i another; u_i moves block i + 1 only, so all u_i[j] share one
-        b = np.arange(nX)[:, None] // n
-        gap = b - np.arange(nX) // n
-        pattern = np.hstack([(gap == 0) | (gap == 1), b - np.arange(d - nX) // m == 1])
-        groups = [np.arange(i * n + j, nX, 2 * n) for j in range(n) for i in (0, 1)] + \
-                 [np.arange(nX + j, d, m) for j in range(m)]
-        return lambda z: grouped_finite_diff_jacobian(residual, z, pattern, groups)
+    def stage(x, u):
+        if analytic:
+            return as_matrix(model.jac_x(x, u)), as_matrix(model.jac_u(x, u))
+        # through the module, not this module's finite_diff_jacobian name
+        D = numerics.finite_diff_jacobian(lambda v: model.step(v[:n], v[n:]),
+                                          np.concatenate([x, u]))
+        return D[:, :n], D[:, n:]
 
     def jacobian(z):
         z = as_vector(z, "z")
@@ -126,10 +123,11 @@ def build_feq_jacobian(model, x_k, N, N_C=None):
         J[:n, :n] = np.eye(n)
         for i in range(N):
             r0 = (i + 1) * n
+            A, B = stage(X[i], U[i])
             J[r0:r0 + n, r0:r0 + n] = np.eye(n)
-            J[r0:r0 + n, i * n:(i + 1) * n] = -as_matrix(model.jac_x(X[i], U[i]))
+            J[r0:r0 + n, i * n:(i + 1) * n] = -A
             c0 = nX + i * m
-            J[r0:r0 + n, c0:c0 + m] = -as_matrix(model.jac_u(X[i], U[i]))
+            J[r0:r0 + n, c0:c0 + m] = -B
         # the zero inputs after the control horizon are not decisions
         return J[:, :d]
 

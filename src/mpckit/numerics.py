@@ -104,44 +104,16 @@ def pseudo_inverse_apply(M, b):
     return np.linalg.lstsq(M, b, rcond=None)[0]
 
 
-def _fd_steps(z):
-    """Forward-difference steps h_i = sqrt(machine epsilon) * max(1, |z_i|)."""
-    return np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
-
-
 def finite_diff_jacobian(f, z):
     """Forward-difference Jacobian of f at z: column i is
     (f(z + h_i e_i) - f(z)) / h_i, h_i = sqrt(machine epsilon) * max(1, |z_i|)."""
     z = as_vector(z)
     f0 = as_vector(f(z), "f(z)")
-    h = _fd_steps(z)
+    sqrt_eps = np.sqrt(np.finfo(float).eps)
     J = np.empty((f0.shape[0], z.shape[0]))
     for i in range(z.shape[0]):
+        h = sqrt_eps * max(1.0, abs(z[i]))
         zp = z.copy()
-        zp[i] += h[i]
-        J[:, i] = (as_vector(f(zp), "f(z+h)") - f0) / h[i]
-    return J
-
-
-def grouped_finite_diff_jacobian(f, z, pattern, groups):
-    """finite_diff_jacobian(f, z) from one evaluation of f per column group
-    (Curtis, Powell and Reid, IMA J. Appl. Math. 1974).
-
-    ``pattern`` has the Jacobian's shape and is nonzero wherever an entry
-    may be; ``groups`` are index arrays that partition the columns so that
-    no two columns of a group have a nonzero in the same row. The columns of
-    a group are moved together, each by its own h_c, and each pattern entry
-    is (f(z + h) - f(z))[r] / h_c. For a pure f that is finite_diff_jacobian's
-    entry bit for bit, and the entries outside the pattern are zero in both.
-    """
-    z = as_vector(z)
-    f0 = as_vector(f(z), "f(z)")
-    h = _fd_steps(z)
-    J = np.zeros(pattern.shape)
-    for cols in groups:
-        zp = z.copy()
-        zp[cols] += h[cols]
-        rows, at = np.nonzero(pattern[:, cols])
-        c = cols[at]
-        J[rows, c] = (as_vector(f(zp), "f(z+h)")[rows] - f0[rows]) / h[c]
+        zp[i] += h
+        J[:, i] = (as_vector(f(zp), "f(z+h)") - f0) / h
     return J

@@ -11,7 +11,8 @@ from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
 from mpckit.model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
-                          box_polytope, lti_step, pendulum_step)
+                          box_polytope, lti_step, pendulum_model, pendulum_step)
+from mpckit.numerics import finite_diff_jacobian
 
 
 def _scalar_cfg(**kw):
@@ -203,21 +204,36 @@ class TestNmpcStep:
         {"N_C": 4},
     ], ids=["stabilize", "track", "N_C=4"])
     def test_derivative_free_matches_column_differences(self, pendulum_sets, monkeypatch, kw):
-        # the grouped Jacobian of a model without jac_x/jac_u gives the loop of
-        # solve_nlp's column-by-column finite_diff_jacobian, bit for bit
+        # a model without jac_x/jac_u gives the loop of the same model whose
+        # jac_x/jac_u are the finite differences of its step, bit for bit,
+        # and the analytic pendulum's statuses and iterations
         X_set, U_set = pendulum_sets
         args = dict(N=10, N_T=10, Q=np.eye(2), R=[[1.0]], X_set=X_set, U_set=U_set)
         args.update(kw)
         cfg = MpcConfig(**args)
         p = PendulumParams()
         model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
-        grouped = run_closed_loop(model, cfg, [0.6, -0.4])
-        monkeypatch.setattr(controller, "build_feq_jacobian", lambda *args: None)
-        columns = run_closed_loop(model, cfg, [0.6, -0.4])
-        assert np.array_equal(np.array(grouped.states), np.array(columns.states))
-        assert np.array_equal(np.array(grouped.inputs), np.array(columns.inputs))
-        assert grouped.statuses == columns.statuses
-        assert grouped.iterations == columns.iterations
+        free = run_closed_loop(model, cfg, [0.6, -0.4])
+        analytic = run_closed_loop(pendulum_model(p), cfg, [0.6, -0.4])
+
+        def with_differences(build):
+            # the model here is the loop's inner one, in error coordinates
+            # when tracking
+            def build_explicit(inner, *args):
+                def D(x, u):
+                    return finite_diff_jacobian(lambda v: inner.step(v[:2], v[2:]),
+                                                np.concatenate([x, u]))
+                return build(replace(inner, jac_x=lambda x, u: D(x, u)[:, :2],
+                                     jac_u=lambda x, u: D(x, u)[:, 2:]), *args)
+            return build_explicit
+
+        monkeypatch.setattr(controller, "build_feq_jacobian",
+                            with_differences(controller.build_feq_jacobian))
+        explicit = run_closed_loop(model, cfg, [0.6, -0.4])
+        assert np.array_equal(np.array(free.states), np.array(explicit.states))
+        assert np.array_equal(np.array(free.inputs), np.array(explicit.inputs))
+        assert free.statuses == explicit.statuses == analytic.statuses
+        assert free.iterations == explicit.iterations == analytic.iterations
 
     def test_wrong_length_warm_start_rejected(self, lti_demo_model, lti_demo_sets):
         # z = (4 states of 2, 3 inputs of 1) has 11 entries

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mpckit import (InfeasibleStepError, MpcConfig, QpStatus, SolverSettings,
-                    Trajectory, is_control_sequence_feasible, is_state_feasible,
+from mpckit import (InfeasibleStepError, MpcConfig, QpStatus, ShapeError,
+                    SolverSettings, Trajectory, is_control_sequence_feasible, is_state_feasible,
                     lmpc_step, lyapunov_monitor, persistent_feasibility_check,
                     run_closed_loop)
 from mpckit import feasibility
@@ -56,8 +56,27 @@ class TestControlSequenceFeasible:
         assert not is_control_sequence_feasible(lti_demo_model, cfg, [5, 0],
                                                 np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("shape", [(4, 1), (6,), (5, 2)])
+    def test_wrong_sequence_size(self, lti_demo_model, lti_demo_sets, shape):
+        with pytest.raises(ShapeError, match=r"U has \d+ entries, expected N m = 5"):
+            is_control_sequence_feasible(lti_demo_model, _demo_cfg(lti_demo_sets),
+                                         [0, 0], np.zeros(shape))
+
+    @pytest.mark.parametrize("model, x_k", [
+        (LtiModel(np.eye(2), np.eye(2)), [0.0, 0.0]),
+        (LtiModel([[0.9, 0.2], [-0.4, 0.8]], [[0.1], [0.01]]), [0.0]),
+    ], ids=["m=2", "x_k of length 1"])
+    def test_dimension_mismatch(self, lti_demo_sets, model, x_k):
+        with pytest.raises(ShapeError, match=r"does not match Q and R \(n = 2, m = 1\)"):
+            is_control_sequence_feasible(model, _demo_cfg(lti_demo_sets), x_k,
+                                         np.zeros((5, 1)))
+
 
 class TestStateFeasible:
+    def test_nonlinear_model_rejected(self, pendulum, lti_demo_sets):
+        with pytest.raises(TypeError, match="needs an LtiModel, got NonlinearModel"):
+            is_state_feasible(pendulum, _demo_cfg(lti_demo_sets), [0.0, 0.0])
+
     def test_interior_state(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)
         report = is_state_feasible(lti_demo_model, cfg, [0, 0])
@@ -198,6 +217,12 @@ class TestPersistentFeasibility:
         cfg = _demo_cfg(lti_demo_sets)
         traj = Trajectory(states=[np.array([1.0, 1.0])])
         assert len(persistent_feasibility_check(traj, lti_demo_model, cfg)) == 1
+
+
+    def test_nonlinear_model_rejected(self, pendulum, lti_demo_sets):
+        traj = Trajectory(states=[np.zeros(2)])
+        with pytest.raises(TypeError, match="needs an LtiModel, got NonlinearModel"):
+            persistent_feasibility_check(traj, pendulum, _demo_cfg(lti_demo_sets))
 
 
 class TestLyapunovMonitor:

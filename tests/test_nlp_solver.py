@@ -79,25 +79,43 @@ class TestBuildFeq:
     @pytest.mark.parametrize("N, N_C", [(1, 1), (2, 1), (3, 2), (10, 10), (10, 4)])
     @pytest.mark.parametrize("kind", ["pendulum", "lti"])
     def test_derivative_free_jacobian_matches_finite_differences(self, kind, N, N_C):
-        # the grouped differences are finite_diff_jacobian's, bit for bit
+        # stage i's blocks are -finite_diff_jacobian of model.step at
+        # (x_i, u_i), bit for bit; the identity blocks are exact
         model = _step_only(kind)
+        n, m = model.n, model.m
         rng = np.random.default_rng(17)
-        x_k = rng.uniform(-2.0, 2.0, model.n)
-        residual, d = build_feq(model, x_k, N, N_C)
+        x_k = rng.uniform(-2.0, 2.0, n)
+        _, d = build_feq(model, x_k, N, N_C)
         # |z_c| below 1 in every third entry and above 1 elsewhere, so that
         # h = sqrt(eps) max(1, |z_c|) differs between columns
         scale = np.where(np.arange(d) % 3 == 0, 0.5, 4.0)
         z = rng.choice([-1.0, 1.0], d) * scale * rng.uniform(0.5, 1.0, d)
         J = build_feq_jacobian(model, x_k, N, N_C)(z)
-        J_ref = finite_diff_jacobian(residual, z)
-        assert np.array_equal(J, J_ref)
-        assert J.tobytes() == J_ref.tobytes()
+        nX = n * (N + 1)
+        assert J.shape == (nX, d)
+        X = z[:nX].reshape(N + 1, n)
+        U = np.zeros((N, m))
+        U[:N_C] = z[nX:].reshape(N_C, m)
+        rest = J.copy()
+        rest[:n, :n] = 0.0
+        assert J[:n, :n].tobytes() == np.eye(n).tobytes()
+        for i in range(N):
+            rows = slice((i + 1) * n, (i + 2) * n)
+            D = finite_diff_jacobian(lambda v: model.step(v[:n], v[n:]),
+                                     np.concatenate([X[i], U[i]]))
+            blocks = [(rows, np.eye(n)), (slice(i * n, (i + 1) * n), -D[:, :n])]
+            if i < N_C:
+                blocks.append((slice(nX + i * m, nX + (i + 1) * m), -D[:, n:]))
+            for cols, expect in blocks:
+                assert J[rows, cols].tobytes() == expect.tobytes()
+                rest[rows, cols] = 0.0
+        assert not rest.any()
 
     @pytest.mark.parametrize("N, N_C", [(2, 2), (10, 10), (10, 4)])
     @pytest.mark.parametrize("kind", ["pendulum", "lti"])
     def test_derivative_free_jacobian_step_count(self, kind, N, N_C):
-        # one residual at z and one per column group: (2n + m + 1) N steps,
-        # where one residual per column costs (d + 1) N
+        # one step at (x_i, u_i) and one per coordinate of (x_i, u_i):
+        # (n + m + 1) N steps, where one residual per column costs (d + 1) N
         plant = _step_only(kind)
         steps = []
 
@@ -112,9 +130,9 @@ class TestBuildFeq:
         z = np.linspace(-2.0, 2.0, d)
         steps.clear()
         jacobian(z)
-        assert len(steps) == (2 * model.n + model.m + 1) * N
+        assert len(steps) == (model.n + model.m + 1) * N
         if (kind, N) == ("pendulum", 10):
-            assert len(steps) == 60
+            assert len(steps) == 40
         steps.clear()
         finite_diff_jacobian(residual, z)
         assert len(steps) == (d + 1) * N
