@@ -476,12 +476,14 @@ def main(argv=None):
             print(f"feasible: {report.feasible}")
             print(f"phase1_slack: {report.phase1_slack}")
             if report.status is not None:
-                print(f"phase1_status: {report.status.value}")
+                print(f"phase1_status: {report.status}")
             if report.witness is not None:
                 print(f"witness: {report.witness.ravel().tolist()}")
-            if report.status is QpStatus.MAX_ITERATIONS:
-                print("solver failure: the phase-I solve stopped at the iteration cap, "
-                      "so the verdict is not conclusive", file=sys.stderr)
+            if report.certificate is not None:
+                print(f"certificate: {report.certificate.tolist()}")
+            if not report.conclusive:
+                print(f"solver failure: the phase-I verdict is not conclusive ({report.status})",
+                      file=sys.stderr)
                 return EXIT_SOLVER
             return EXIT_OK
     except (OSError, ConfigError) as exc:

@@ -101,16 +101,20 @@ def build_feq(model, x_k, N, N_C=None):
 def build_feq_jacobian(model, x_k, N, N_C=None):
     """Jacobian of build_feq's residual. Stage i's blocks df/dx and df/du at
     (x_i, u_i) come from model.jac_x/jac_u when the model has both, else from
-    numerics.finite_diff_jacobian of one model.step: N (n + m + 1) steps."""
+    numerics.finite_diff_jacobian of one model.step. The inputs after the
+    control horizon are not decisions, so a stage i >= N_C is differenced in
+    x only: N_C (n + m + 1) + (N - N_C)(n + 1) steps."""
     n, m = model.n, model.m
+    N_C = N if N_C is None else N_C
     nX = n * (N + 1)
-    d = nX + m * (N if N_C is None else N_C)
     analytic = model.jac_x is not None and model.jac_u is not None
 
-    def stage(x, u):
+    def stage(x, u, decided):
         if analytic:
             return as_matrix(model.jac_x(x, u)), as_matrix(model.jac_u(x, u))
         # through the module, not this module's finite_diff_jacobian name
+        if not decided:
+            return numerics.finite_diff_jacobian(lambda v: model.step(v, u), x), None
         D = numerics.finite_diff_jacobian(lambda v: model.step(v[:n], v[n:]),
                                           np.concatenate([x, u]))
         return D[:, :n], D[:, n:]
@@ -119,17 +123,17 @@ def build_feq_jacobian(model, x_k, N, N_C=None):
         z = as_vector(z, "z")
         X = z[:nX].reshape(N + 1, n)
         U = pad_inputs(z[nX:], N, m)
-        J = np.zeros((nX, nX + m * N))
+        J = np.zeros((nX, nX + m * N_C))
         J[:n, :n] = np.eye(n)
         for i in range(N):
             r0 = (i + 1) * n
-            A, B = stage(X[i], U[i])
+            A, B = stage(X[i], U[i], i < N_C)
             J[r0:r0 + n, r0:r0 + n] = np.eye(n)
             J[r0:r0 + n, i * n:(i + 1) * n] = -A
-            c0 = nX + i * m
-            J[r0:r0 + n, c0:c0 + m] = -B
-        # the zero inputs after the control horizon are not decisions
-        return J[:, :d]
+            if i < N_C:
+                c0 = nX + i * m
+                J[r0:r0 + n, c0:c0 + m] = -B
+        return J
 
     return jacobian
 

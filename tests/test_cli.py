@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from mpckit.cli import (DEMOS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
                         EXIT_SOLVER, demo_config, emit_plot, main, parse_config, read_csv,
@@ -318,23 +319,44 @@ class TestMain:
             assert code == EXIT_CONFIG, state
             assert out == "" and f"config error: {message}" in err, err
 
-    def test_check_feasibility_at_iteration_cap(self, tmp_path, capsys):
-        # the demo system; with the default cap (-9.9, -8.1) is infeasible
+    def test_check_feasibility_at_iteration_cap(self, tmp_path, capsys, monkeypatch):
+        # solver.max_iter does not govern the phase-I LP: (-9.9, -8.1) is
+        # infeasible, with a checked certificate
         doc = dict(DEMOS["lmpc-stabilize"], solver={"max_iter": 5})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        code = main(["check-feasibility", "--config", str(cfg_path),
-                     "--state=-9.9,-8.1"])
-        out, err = capsys.readouterr()
-        assert code == EXIT_SOLVER
-        assert "feasible: True" in out and "phase1_status: max_iterations" in out
-        assert "solver failure" in err
-        cfg_path.write_text(json.dumps(dict(doc, solver={})))
-        code = main(["check-feasibility", "--config", str(cfg_path),
-                     "--state=-9.9,-8.1"])
+        args = ["check-feasibility", "--config", str(cfg_path), "--state=-9.9,-8.1"]
+        code = main(args)
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "feasible: False" in out and "phase1_status: optimal" in out
+        assert "certificate: [" in out
+        # HiGHS stopped at its own iteration limit leaves the verdict open
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda cost, **kw: linprog(cost, options={"maxiter": 1}, **kw))
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "feasible: False" in out and "phase1_status: iteration_limit" in out
+        assert "solver failure: the phase-I verdict is not conclusive" in err
+
+    def test_check_feasibility_tampered_certificate(self, tmp_path, capsys, monkeypatch):
+        linprog = scipy.optimize.linprog
+
+        def tampered(cost, **kw):
+            res = linprog(cost, **kw)
+            res.ineqlin.marginals = -res.ineqlin.marginals
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "linprog", tampered)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(DEMOS["lmpc-stabilize"]))
+        code = main(["check-feasibility", "--config", str(cfg_path), "--state=8.5,-9.5"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_SOLVER
+        assert "feasible: False" in out and "phase1_status: certificate_rejected" in out
+        assert "certificate:" not in out and "not conclusive" in err
 
     def test_non_optimal_steps_exit_code(self, tmp_path, capsys):
         doc = dict(DEMOS["lmpc-stabilize"], horizon={"N": 5, "N_T": 5},

@@ -114,8 +114,10 @@ class TestBuildFeq:
     @pytest.mark.parametrize("N, N_C", [(2, 2), (10, 10), (10, 4)])
     @pytest.mark.parametrize("kind", ["pendulum", "lti"])
     def test_derivative_free_jacobian_step_count(self, kind, N, N_C):
-        # one step at (x_i, u_i) and one per coordinate of (x_i, u_i):
-        # (n + m + 1) N steps, where one residual per column costs (d + 1) N
+        # one step at (x_i, u_i) and one per coordinate of (x_i, u_i), or of
+        # x_i alone after the control horizon, where u_i is no decision:
+        # (n + m + 1) N_C + (n + 1)(N - N_C) steps, where one residual per
+        # column costs (d + 1) N
         plant = _step_only(kind)
         steps = []
 
@@ -130,9 +132,9 @@ class TestBuildFeq:
         z = np.linspace(-2.0, 2.0, d)
         steps.clear()
         jacobian(z)
-        assert len(steps) == (model.n + model.m + 1) * N
+        assert len(steps) == (model.n + model.m + 1) * N_C + (model.n + 1) * (N - N_C)
         if (kind, N) == ("pendulum", 10):
-            assert len(steps) == 40
+            assert len(steps) == {10: 40, 4: 34}[N_C]
         steps.clear()
         finite_diff_jacobian(residual, z)
         assert len(steps) == (d + 1) * N
