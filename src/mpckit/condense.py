@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .exceptions import InvalidHorizonError, InvalidWeightError, ShapeError
 from .numerics import as_symmetric, as_vector, block_diag
@@ -108,11 +109,14 @@ def sparse_blocks(pm, w, c, N_C):
     """The x_k-independent blocks (H, F, g, F_eq) of assemble_sparse_qp.
 
     As in condensed_blocks, inputs after the control horizon N_C are fixed
-    to zero: z = (X, first m N_C inputs), and F keeps every row.
+    to zero: z = (X, first m N_C inputs), and F keeps every row. F and F_eq
+    are scipy.sparse CSR arrays, so the QP solver works on their non-zeros;
+    H stays dense.
     """
     n_u = pm.m * N_C
     H, F, g = trajectory_blocks(w, c, n_u)
-    return H, F, g, np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]])
+    F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]])
+    return H, sparse.csr_array(F), g, sparse.csr_array(F_eq)
 
 
 def condensed_blocks(pm, w, c, N_C):

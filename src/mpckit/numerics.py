@@ -1,12 +1,14 @@
 """Dense linear-algebra and differentiation kernels.
 
 Matrices are 2-D float ndarrays in row-major order, vectors are 1-D float
-ndarrays. Everything here is a pure function of its inputs.
+ndarrays; a QP row block may also be a scipy.sparse CSR array (as_rows).
+Everything here is a pure function of its inputs.
 """
 
 import numpy as np
+from scipy import sparse
 
-from .exceptions import InvalidWeightError, ShapeError, SingularMatrixError
+from .exceptions import InvalidWeightError, NonFiniteError, ShapeError, SingularMatrixError
 
 SYMMETRY_TOL = 1e-10
 
@@ -57,8 +59,22 @@ def as_cost(H, q):
 
 def as_rows(F, g, d, name="F"):
     """Coerce a row block F z <= g (or F z = g) on d variables to a (k, d)
-    matrix and a length-k vector; a missing or empty F is a block of no rows."""
-    F = as_matrix(F, name) if F is not None and np.size(F) else np.zeros((0, d))
+    matrix and a length-k vector; a missing or empty F is a block of no rows.
+
+    A scipy.sparse F becomes a float CSR array, the very same object when it
+    is one already; NaN or infinity among its entries raises NonFiniteError.
+    """
+    if sparse.issparse(F):
+        if not (isinstance(F, sparse.csr_array) and F.dtype == float):
+            F = sparse.csr_array(F, dtype=float)
+        if F.ndim != 2:
+            raise ShapeError(f"{name} must be 2-D, got shape {F.shape}")
+        if not np.isfinite(F.data).all():
+            raise NonFiniteError(f"NaN or infinity in {name}")
+    elif F is not None and np.size(F):
+        F = as_matrix(F, name)
+    else:
+        F = np.zeros((0, d))
     g = as_vector(g, name) if g is not None else np.zeros(0)
     if F.shape[1] != d or F.shape[0] != g.shape[0]:
         raise ShapeError(f"{name} has shape {F.shape} with {g.shape[0]} right-hand sides "

@@ -12,6 +12,11 @@ P + sigma I + A' diag(rho) A, factored once per step size (OSQP's reduced
 form of the KKT system), with an interval projection. A QpWorkspace keeps
 the stacked rows and the factor at the initial step size across solves
 that share H, F and F_eq, as the steps of a closed loop do.
+
+F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
+them; A is then CSR too and every product with A or A' costs its non-zeros.
+The d x d reduced matrix and the polish KKT matrix are densified for the
+same LAPACK LU as the dense path.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +24,7 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 
 from .exceptions import NonFiniteError, ShapeError, SingularMatrixError
@@ -98,8 +104,13 @@ class QpSolution:
 
 
 def _same_block(a, b):
-    """The very same array, or two empty arrays of one shape."""
-    return a is b or (a.size == 0 and a.shape == b.shape)
+    """The very same array, or two blocks of no rows on one width."""
+    return a is b or (a.shape[0] == 0 and a.shape == b.shape)
+
+
+def _dense(M):
+    """M as a dense ndarray."""
+    return M.toarray() if sparse.issparse(M) else M
 
 
 def lu_factor(M):
@@ -122,30 +133,34 @@ def lu_solve(lu_piv, b):
     return _getrs(*lu_piv, b)[0]
 
 
-def _factor(P, A, rho):
-    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A.
+def _factor(P, A, At, rho):
+    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A; At is A'.
 
     QpWorkspace.build has tested H, F and F_eq for finiteness and P + SIGMA I
     for definiteness, so the matrix is regular; a finite F whose product
     overflows still reaches lu_factor, which rejects the infinity.
     """
-    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + (A.T * rho) @ A)
+    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + _dense((At * rho) @ A))
 
 
 class QpWorkspace:
     """The parts of a solve that q, g and g_eq leave alone: the stacked rows
-    A = [F; F_eq], the per-row step-size scale (the F_eq rows get 1e3),
-    P = 2H and the factor of the reduced matrix at rho = RHO.
+    A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
+    a sparse one), the per-row step-size scale (the F_eq rows get 1e3),
+    P = 2H, the factor of the reduced matrix at rho = RHO, and the last
+    polish KKT factor with the active rows it was made for (kkt).
 
     solve_qp fills it on first use. It reuses it while H, F and F_eq are the
     very arrays it was built from; any other problem gets a fresh build.
     Factors at an adapted rho are made per solve, and every solve starts
     again from RHO, so a reused workspace gives the same iterates as a fresh
-    one. A build checks its input once, before its first factor: NaN or
-    infinity in H, F or F_eq raises NonFiniteError, and a P + SIGMA I with
-    no Cholesky factor raises SingularMatrixError, since the rows can make
-    the reduced matrix regular for an H that is not positive semidefinite,
-    and ADMM would then diverge.
+    one; the polish KKT matrix depends only on P, A and the active rows, so
+    a kept factor gives the same bits as a new one, and a build drops it. A
+    build checks its input once, before its first factor: NaN or infinity in
+    H, F or F_eq raises NonFiniteError, and a P + SIGMA I with no Cholesky
+    factor raises SingularMatrixError, since the rows can make the reduced
+    matrix regular for an H that is not positive semidefinite, and ADMM
+    would then diverge.
     """
 
     def __init__(self):
@@ -156,17 +171,25 @@ class QpWorkspace:
                 and _same_block(self.F_eq, p.F_eq))
 
     def build(self, p):
-        A = np.vstack([p.F, p.F_eq])
-        if not (np.isfinite(p.H).all() and np.isfinite(A).all()):
+        rows_sparse = sparse.issparse(p.F) or sparse.issparse(p.F_eq)
+        if rows_sparse:
+            A = sparse.vstack([p.F, p.F_eq], format="csr")
+            At = A.T.tocsr()
+        else:
+            A = np.vstack([p.F, p.F_eq])
+            At = A.T
+        if not (np.isfinite(p.H).all() and np.isfinite(A.data if rows_sparse else A).all()):
             raise NonFiniteError("NaN or infinity in H, F or F_eq")
         P = 2.0 * p.H
         if _potrf(P + SIGMA * np.eye(p.d))[1] > 0:
             raise SingularMatrixError("P + sigma I has no Cholesky factor: "
                                       "H is not positive semidefinite")
         rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        lu = _factor(P, A, RHO * rho_scale)
+        lu = _factor(P, A, At, RHO * rho_scale)
         # set last, so that a build that raises leaves nothing to reuse
-        self.A, self.P, self.rho_scale, self.rho, self.lu = A, P, rho_scale, RHO * rho_scale, lu
+        self.A, self.At, self.P, self.rho_scale, self.rho, self.lu = \
+            A, At, P, rho_scale, RHO * rho_scale, lu
+        self.kkt = None
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
 
@@ -176,11 +199,12 @@ def _support(e, l, u):
     return float(bound @ e) if np.isfinite(bound).all() else np.inf
 
 
-def _residuals(P, q, A, l, u, x, y):
-    """Primal violation of l <= A x <= u and stationarity |P x + q + A'y|."""
-    ax = A @ x
+def _residuals(ws, q, l, u, x, y):
+    """Primal violation of l <= A x <= u and stationarity |P x + q + A'y|,
+    with A and P from the workspace ws."""
+    ax = ws.A @ x
     return (float(np.maximum(ax - u, l - ax).max(initial=0.0)),
-            float(np.abs(P @ x + q + A.T @ y).max()))
+            float(np.abs(ws.P @ x + q + ws.At @ y).max()))
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
@@ -207,7 +231,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     ws = workspace if workspace is not None else QpWorkspace()
     if not ws.fits(p):
         ws.build(p)
-    A, P, rho_scale = ws.A, ws.P, ws.rho_scale
+    A, At, P, rho_scale = ws.A, ws.At, ws.P, ws.rho_scale
     m = A.shape[0]
     q = p.q
 
@@ -233,7 +257,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     status = QpStatus.MAX_ITERATIONS
     it = 0
     for it in range(1, s.max_iter + 1):
-        x_t = lu_solve(lu, SIGMA * x - q + A.T @ (rho * z - y))
+        x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
         az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
         z = np.clip(az + y / rho, l, u)
@@ -245,7 +269,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         # convergence check
         ax = A @ x
         px = P @ x
-        aty = A.T @ y
+        aty = At @ y
         r_prim = float(np.abs(ax - z).max(initial=0.0))
         r_dual = float(np.abs(px + q + aty).max())
         scale_prim = max(float(np.abs(ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
@@ -261,7 +285,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         if dy_norm > 1e-14:
             e = dy / dy_norm
             if _support(e, l, u) <= -EPS_INFEASIBLE \
-                    and float(np.abs(A.T @ e).max()) <= EPS_INFEASIBLE:
+                    and float(np.abs(At @ e).max()) <= EPS_INFEASIBLE:
                 status = QpStatus.INFEASIBLE
                 break
 
@@ -273,11 +297,11 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
                 rho = rho_base * rho_scale
-                lu = _factor(P, A, rho)
+                lu = _factor(P, A, At, rho)
 
     if status is QpStatus.OPTIMAL:
-        x, y = _polish(p, A, l, u, x, y)
-    prim, dual = _residuals(P, q, A, l, u, x, y)
+        x, y = _polish(p, ws, l, u, x, y)
+    prim, dual = _residuals(ws, q, l, u, x, y)
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -289,13 +313,18 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     )
 
 
-def _polish(p, A, l, u, x, y):
-    """Refine the ADMM solution by solving the KKT system on the active set."""
-    d, P, ax = p.d, 2.0 * p.H, A @ x
+def _polish(p, ws, l, u, x, y):
+    """Refine the ADMM solution by solving the KKT system on the active set.
+
+    The KKT factor is kept in the workspace (ws.kkt) with its active rows,
+    and reused while a later solve polishes on the same rows.
+    """
+    d, P, A = p.d, ws.P, ws.A
+    ax = A @ x
     act_low = (y < -1e-9) | np.isclose(ax, l, atol=1e-7)
     act_high = (y > 1e-9) | np.isclose(ax, u, atol=1e-7)
     active = act_low | act_high
-    old = _residuals(P, p.q, A, l, u, x, y)
+    old = _residuals(ws, p.q, l, u, x, y)
     if not np.any(active):
         # unconstrained at the solution: Newton step on the objective, kept
         # if it is no less feasible and no worse than the ADMM iterate
@@ -303,21 +332,22 @@ def _polish(p, A, l, u, x, y):
             xh = np.linalg.solve(P + 1e-12 * np.eye(d), -p.q)
         except np.linalg.LinAlgError:
             return x, y
-        if _residuals(P, p.q, A, l, u, xh, y)[0] <= max(old[0], 1e-12) \
+        if _residuals(ws, p.q, l, u, xh, y)[0] <= max(old[0], 1e-12) \
                 and p.objective(xh) <= p.objective(x):
             return xh, y
         return x, y
     idx = np.flatnonzero(active)
-    A_act = A[idx]
+    if ws.kkt is None or not np.array_equal(ws.kkt[0], idx):
+        A_act = _dense(A[idx])
+        delta = 1e-9
+        K = np.block([[P + delta * np.eye(d), A_act.T], [A_act, -delta * np.eye(len(idx))]])
+        try:
+            ws.kkt = idx, A_act, lu_factor(K)
+        except SingularMatrixError:
+            return x, y
+    _, A_act, kkt = ws.kkt
     b_act = np.where(act_high[idx], u[idx], l[idx])
-    na = len(idx)
-    delta = 1e-9
-    K = np.block([[P + delta * np.eye(d), A_act.T], [A_act, -delta * np.eye(na)]])
     rhs = np.concatenate([-p.q, b_act])
-    try:
-        kkt = lu_factor(K)
-    except SingularMatrixError:
-        return x, y
     sol = lu_solve(kkt, rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
@@ -330,7 +360,7 @@ def _polish(p, A, l, u, x, y):
     low_only = act_low[idx] & ~act_high[idx]
     high_only = act_high[idx] & ~act_low[idx]
     ok_signs = np.all(sol[d:][low_only] <= 1e-7) and np.all(sol[d:][high_only] >= -1e-7)
-    if ok_signs and max(_residuals(P, p.q, A, l, u, xh, yh)) <= max(old) + 1e-12:
+    if ok_signs and max(_residuals(ws, p.q, l, u, xh, yh)) <= max(old) + 1e-12:
         return xh, yh
     return x, y
 

@@ -136,7 +136,7 @@ class TestAssembleSparseQp:
     def test_scalar_substitution(self):
         _, pm, w, c, x = _scalar_setup()
         qp = assemble_sparse_qp(pm, w, c, x)
-        assert np.allclose(qp.F_eq, [[1, 0, 0], [0, 1, -1]])
+        assert np.allclose(qp.F_eq.toarray(), [[1, 0, 0], [0, 1, -1]])
         assert np.allclose(qp.g_eq, [1, 1])
 
     def test_zero_state(self):

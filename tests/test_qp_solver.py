@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mpckit import (MpcError, NonFiniteError, QpProblem, QpSolution, QpStatus, ShapeError,
                     SingularMatrixError, SolverSettings, kkt_residuals, solve_qp)
 from mpckit import qp_solver
+from mpckit.condense import (assemble_sparse_qp, build_prediction, build_weights,
+                             sparse_blocks, stack_constraints)
 from mpckit.qp_solver import _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
@@ -172,7 +175,7 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
         sol = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, A, l, u, x, y: (x, y))
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, l, u, x, y: (x, y))
         unpolished = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.z_star, unpolished.z_star)
@@ -408,6 +411,138 @@ class TestWorkspace:
         for _ in range(2):
             with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
                 solve_qp(p, workspace=ws)
+
+
+def _sparse_rows(p):
+    """The QP p with F and F_eq as CSR arrays."""
+    return QpProblem(H=p.H, q=p.q, r=p.r, F=sparse.csr_array(p.F), g=p.g,
+                     F_eq=sparse.csr_array(p.F_eq), g_eq=p.g_eq)
+
+
+def _sparse_form_qp(lti_12_4, N=20):
+    """The sparse-form LMPC QP of the (12, 4) system at its initial state."""
+    model, X_set, U_set, x0 = lti_12_4
+    pm = build_prediction(model, N)
+    w = build_weights(np.eye(12), 0.1 * np.eye(4), np.eye(12), N)
+    c = stack_constraints(X_set, U_set, None, N)
+    return assemble_sparse_qp(pm, w, c, x0, sparse_blocks(pm, w, c, N))
+
+
+def _dense_rows(p):
+    return QpProblem(H=p.H, q=p.q, r=p.r, F=p.F.toarray(), g=p.g,
+                     F_eq=p.F_eq.toarray(), g_eq=p.g_eq)
+
+
+def _pairs(lti_12_4):
+    """(dense, CSR) row forms of the oracle's random QPs and of one
+    (12, 4, 20) sparse-form QP."""
+    rng = np.random.default_rng(31)
+    pairs = [(p, _sparse_rows(p)) for p in (random_strictly_convex_qp(rng) for _ in range(60))]
+    sf = _sparse_form_qp(lti_12_4)
+    return pairs + [(_dense_rows(sf), sf)]
+
+
+def _rel_close(a, b, rel):
+    """max|a - b| <= rel max|b|: equal entries when b is zero."""
+    return float(np.abs(a - b).max(initial=0.0)) <= rel * float(np.abs(b).max(initial=0.0))
+
+
+class TestSparseRows:
+    """F and F_eq as CSR arrays give the dense rows' answers, to rounding."""
+
+    def test_solutions_match_dense_rows(self, lti_12_4):
+        for dense, csr in _pairs(lti_12_4):
+            a, b = solve_qp(dense), solve_qp(csr)
+            assert b.status is a.status
+            assert _rel_close(b.z_star, a.z_star, 1e-9)
+            assert _rel_close(b.duals, a.duals, 1e-9)
+
+    def test_reduced_matrices_match_dense_rows(self, lti_12_4, monkeypatch):
+        reduced = []
+        monkeypatch.setattr(qp_solver, "lu_factor", lambda M: reduced.append(M) or (M, None))
+        for dense, csr in _pairs(lti_12_4):
+            for p in (dense, csr):
+                qp_solver.QpWorkspace().build(p)
+            assert reduced[-2].shape == (dense.d, dense.d)
+            assert _rel_close(reduced[-1], reduced[-2], 1e-12)
+
+    def test_csr_block_kept_as_is(self, lti_12_4):
+        p = _sparse_form_qp(lti_12_4, N=3)
+        assert isinstance(p.F, sparse.csr_array) and isinstance(p.F_eq, sparse.csr_array)
+        again = QpProblem(H=p.H, q=p.q, F=p.F, g=p.g, F_eq=p.F_eq, g_eq=p.g_eq)
+        assert again.F is p.F and again.F_eq is p.F_eq
+        ws = qp_solver.QpWorkspace()
+        ws.build(p)
+        assert ws.fits(again)
+        assert isinstance(ws.A, sparse.csr_array) and isinstance(ws.At, sparse.csr_array)
+        assert np.array_equal(ws.At.toarray(), ws.A.toarray().T)
+        # other sparse formats and dtypes become float CSR arrays
+        F = sparse.coo_matrix(np.array([[1, 0], [0, 2]], dtype=np.int32))
+        converted = QpProblem(H=np.eye(2), F=F, g=[1.0, 1.0]).F
+        assert isinstance(converted, sparse.csr_array) and converted.dtype == float
+        assert np.array_equal(converted.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+
+    def test_sparse_block_shape_checked(self):
+        with pytest.raises(ShapeError):
+            QpProblem(H=np.eye(2), F=sparse.csr_array(np.eye(3)), g=np.ones(3))
+        with pytest.raises(ShapeError):
+            QpProblem(H=np.eye(2), F_eq=sparse.csr_array(np.eye(2)), g_eq=np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sparse_rows_rejected(self, bad):
+        F = sparse.csr_array(np.array([[1.0, 0.0], [bad, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            solve_qp(QpProblem(H=np.eye(2), F=F, g=[1.0, 1.0]))
+        with pytest.raises(NonFiniteError):
+            solve_qp(QpProblem(H=np.eye(2), F_eq=F, g_eq=[1.0, 1.0]))
+
+    def test_kkt_residuals_match_dense_rows(self, lti_12_4):
+        rng = np.random.default_rng(5)
+        for dense, csr in _pairs(lti_12_4):
+            z = rng.normal(size=dense.d)
+            duals = rng.normal(size=dense.F.shape[0] + dense.F_eq.shape[0])
+            assert kkt_residuals(csr, z, duals) \
+                == pytest.approx(kkt_residuals(dense, z, duals), rel=1e-12, abs=0.0)
+
+
+class TestPolishFactor:
+    """The workspace keeps its last polish KKT factor, keyed by the active rows."""
+
+    def _box(self, scale):
+        # scaling the rows and bounds moves no optimum and no active row,
+        # but changes A and with it the polish KKT matrix
+        F = scale * np.vstack([np.eye(2), -np.eye(2)])
+        return QpProblem(H=np.eye(2), q=[-4.0, -1.0], F=F, g=scale * np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_rebuild_drops_kept_factor(self):
+        ws = qp_solver.QpWorkspace()
+        solve_qp(self._box(1.0), workspace=ws)
+        idx = ws.kkt[0]
+        other = self._box(2.0)
+        got = solve_qp(other, workspace=ws)
+        assert np.array_equal(ws.kkt[0], idx)
+        fresh = solve_qp(other)
+        assert np.array_equal(got.z_star, fresh.z_star)
+        assert np.array_equal(got.duals, fresh.duals)
+        assert got.iterations == fresh.iterations
+
+    def test_factor_that_raised_is_not_kept(self, monkeypatch):
+        p = self._box(1.0)
+        lu_factor = qp_solver.lu_factor
+
+        def singular_kkt(M):
+            if M.shape[0] != p.d:
+                raise SingularMatrixError("singular")
+            return lu_factor(M)
+
+        ws = qp_solver.QpWorkspace()
+        monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
+        solve_qp(p, workspace=ws)
+        assert ws.kkt is None
+        monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
+        got, fresh = solve_qp(p, workspace=ws), solve_qp(p)
+        assert np.array_equal(got.z_star, fresh.z_star)
+        assert np.array_equal(got.duals, fresh.duals)
 
 
 class TestKktResiduals:
