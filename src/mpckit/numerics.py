@@ -43,14 +43,14 @@ def as_symmetric(M, name):
 
 
 def as_cost(H, q):
-    """Coerce the cost z'Hz + q'z: H square and symmetric (to SYMMETRY_TOL), q
-    of matching length (zeros if None)."""
+    """Coerce the cost z'Hz + q'z: H square, q of matching length (zeros if
+    None). H's symmetry is tested once per solver workspace
+    (qp_solver.QpWorkspace.build), not here, since a closed loop passes the
+    same H at every step."""
     H = as_matrix(H, "H")
     d = H.shape[0]
     if H.shape[1] != d:
         raise ShapeError(f"H must be square, got {H.shape}")
-    if np.abs(H - H.T).max() > SYMMETRY_TOL:
-        raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
     q = np.zeros(d) if q is None else as_vector(q, "q")
     if q.shape[0] != d:
         raise ShapeError(f"q has length {q.shape[0]}, expected {d}")

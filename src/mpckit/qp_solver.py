@@ -28,7 +28,7 @@ from scipy import sparse
 from scipy.linalg import get_lapack_funcs
 
 from .exceptions import NonFiniteError, ShapeError, SingularMatrixError
-from .numerics import as_cost, as_rows, as_vector
+from .numerics import SYMMETRY_TOL, as_cost, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
@@ -157,7 +157,8 @@ class QpWorkspace:
     one; the polish KKT matrix depends only on P, A and the active rows, so
     a kept factor gives the same bits as a new one, and a build drops it. A
     build checks its input once, before its first factor: NaN or infinity in
-    H, F or F_eq raises NonFiniteError, and a P + SIGMA I with no Cholesky
+    H, F or F_eq raises NonFiniteError, an H that is not symmetric to
+    SYMMETRY_TOL raises ShapeError, and a P + SIGMA I with no Cholesky
     factor raises SingularMatrixError, since the rows can make the reduced
     matrix regular for an H that is not positive semidefinite, and ADMM
     would then diverge.
@@ -180,6 +181,8 @@ class QpWorkspace:
             At = A.T
         if not (np.isfinite(p.H).all() and np.isfinite(A.data if rows_sparse else A).all()):
             raise NonFiniteError("NaN or infinity in H, F or F_eq")
+        if np.abs(p.H - p.H.T).max() > SYMMETRY_TOL:
+            raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
         P = 2.0 * p.H
         if _potrf(P + SIGMA * np.eye(p.d))[1] > 0:
             raise SingularMatrixError("P + sigma I has no Cholesky factor: "
@@ -219,10 +222,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     iterations and at max_iter, so a solve stops at a multiple of
     CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
     q, the warm start or the start rows clip(A z0, l, u) hold a NaN or an
-    infinity, and SingularMatrixError when H is not positive semidefinite;
-    the workspace build tests H, F and F_eq (QpWorkspace). The reported
-    residuals are the primal violation and the stationarity of the
-    returned (z_star, duals).
+    infinity, ShapeError when H is not symmetric and SingularMatrixError
+    when it is not positive semidefinite; the workspace build tests H, F
+    and F_eq (QpWorkspace). The reported residuals are the primal violation
+    and the stationarity of the returned (z_star, duals).
     """
     s = settings or SolverSettings()
     d = p.d

@@ -15,9 +15,21 @@ from qp_oracle import random_strictly_convex_qp, solve_oracle
 
 
 class TestProblemValidation:
-    def test_asymmetric_h_rejected(self):
-        with pytest.raises(ShapeError):
-            QpProblem(H=[[1, 1e-3], [0, 1]])
+    def test_asymmetric_h_rejected(self, monkeypatch):
+        # by the workspace build, before its first factor
+        factored = []
+        monkeypatch.setattr(qp_solver, "lu_factor", factored.append)
+        with pytest.raises(ShapeError, match="symmetric"):
+            solve_qp(QpProblem(H=[[1, 1e-3], [0, 1]]))
+        assert factored == []
+
+    def test_asymmetric_h_rejected_with_reused_workspace(self):
+        ws = qp_solver.QpWorkspace()
+        F, g = np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
+        assert solve_qp(QpProblem(H=np.eye(2), F=F, g=g), workspace=ws).status \
+            is QpStatus.OPTIMAL
+        with pytest.raises(ShapeError, match="symmetric"):
+            solve_qp(QpProblem(H=[[1, 1e-3], [0, 1]], F=F, g=g), workspace=ws)
 
     def test_inconsistent_inequalities(self):
         with pytest.raises(ShapeError):
