@@ -234,8 +234,9 @@ def run_closed_loop(model, cfg, x_0):
     """Simulate the receding-horizon loop for N_T steps.
 
     The loop runs in error coordinates x - x_r, u - u_r; without a reference
-    x_r and u_r are zero. An infeasible step raises InfeasibleStepError
-    carrying the partial trajectory and the failing state.
+    x_r and u_r are zero. X_set, U_set and the terminal set are given in
+    original coordinates and shifted with them. An infeasible step raises
+    InfeasibleStepError carrying the partial trajectory and the failing state.
     """
     x_0 = as_vector(x_0, "x_0")
     cfg.check_sizes(model, x_0)
@@ -251,7 +252,10 @@ def run_closed_loop(model, cfg, x_0):
         # tracking mode that is the error-coordinate model, so the loop
         # simulates in error coordinates and translates back for the record.
         u_r, X_shift, U_shift, inner_model = tracking_transform(cfg, model, x_r)
-        inner_cfg = replace(cfg, X_set=X_shift, U_set=U_shift, reference=None)
+        T = cfg.terminal_set
+        T_shift = None if T is None else Polytope(T.F, T.g - T.F @ x_r)
+        inner_cfg = replace(cfg, X_set=X_shift, U_set=U_shift, terminal_set=T_shift,
+                            reference=None)
 
     ws = _Workspace()
     traj = Trajectory()

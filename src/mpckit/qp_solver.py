@@ -317,28 +317,22 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
 
 def _polish(p, ws, l, u, x, y):
-    """Refine the ADMM solution by solving the KKT system on the active set.
+    """Refine the ADMM solution by one KKT solve on its active rows.
 
-    The KKT factor is kept in the workspace (ws.kkt) with its active rows,
-    and reused while a later solve polishes on the same rows.
+    Every F_eq row is active; an F row is active when its multiplier exceeds
+    1e-9 or A x is within 1e-7 of its bound. F rows need no lower test:
+    their l is -inf, so ADMM keeps their multipliers nonnegative. The
+    regularized KKT system [P + dI, A_act'; A_act, -dI] with right-hand side
+    (-q, u_act), refined three times against the unregularized one, gives
+    the polished point. It is kept when its F-row multipliers are >= -1e-7
+    and its largest residual exceeds the ADMM iterate's by at most 1e-12.
+    An empty active set takes the same path. The KKT factor is kept in the
+    workspace (ws.kkt) with its active rows, and reused while a later solve
+    polishes on the same rows.
     """
-    d, P, A = p.d, ws.P, ws.A
-    ax = A @ x
-    act_low = (y < -1e-9) | np.isclose(ax, l, atol=1e-7)
-    act_high = (y > 1e-9) | np.isclose(ax, u, atol=1e-7)
-    active = act_low | act_high
-    old = _residuals(ws, p.q, l, u, x, y)
-    if not np.any(active):
-        # unconstrained at the solution: Newton step on the objective, kept
-        # if it is no less feasible and no worse than the ADMM iterate
-        try:
-            xh = np.linalg.solve(P + 1e-12 * np.eye(d), -p.q)
-        except np.linalg.LinAlgError:
-            return x, y
-        if _residuals(ws, p.q, l, u, xh, y)[0] <= max(old[0], 1e-12) \
-                and p.objective(xh) <= p.objective(x):
-            return xh, y
-        return x, y
+    d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
+    active = (y > 1e-9) | np.isclose(A @ x, u, atol=1e-7)
+    active[n_in:] = True
     idx = np.flatnonzero(active)
     if ws.kkt is None or not np.array_equal(ws.kkt[0], idx):
         A_act = _dense(A[idx])
@@ -349,8 +343,7 @@ def _polish(p, ws, l, u, x, y):
         except SingularMatrixError:
             return x, y
     _, A_act, kkt = ws.kkt
-    b_act = np.where(act_high[idx], u[idx], l[idx])
-    rhs = np.concatenate([-p.q, b_act])
+    rhs = np.concatenate([-p.q, u[idx]])
     sol = lu_solve(kkt, rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
@@ -359,11 +352,8 @@ def _polish(p, ws, l, u, x, y):
     xh = sol[:d]
     yh = np.zeros(A.shape[0])
     yh[idx] = sol[d:]
-    # inequality multipliers must point the right way; clamp tiny sign noise
-    low_only = act_low[idx] & ~act_high[idx]
-    high_only = act_high[idx] & ~act_low[idx]
-    ok_signs = np.all(sol[d:][low_only] <= 1e-7) and np.all(sol[d:][high_only] >= -1e-7)
-    if ok_signs and max(_residuals(ws, p.q, l, u, xh, yh)) <= max(old) + 1e-12:
+    if np.all(yh[:n_in] >= -1e-7) and max(_residuals(ws, p.q, l, u, xh, yh)) \
+            <= max(_residuals(ws, p.q, l, u, x, y)) + 1e-12:
         return xh, yh
     return x, y
 

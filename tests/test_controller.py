@@ -356,6 +356,19 @@ class TestRunClosedLoop:
         first_err = np.abs(X[0] - [3, 2]).max()
         assert final_err < 0.05 * first_err
 
+    def test_tracking_terminal_set_in_original_coordinates(self, lti_demo_model,
+                                                           lti_demo_sets):
+        # |x - x_r| <= 0.05 around the steady state x_r of u_r = 0.5: the loop
+        # reads the terminal set where phase-I does, in original coordinates
+        x_r = np.array([0.11, -0.195])
+        terminal = Polytope(np.vstack([np.eye(2), -np.eye(2)]),
+                            np.array([0.16, -0.145, -0.06, 0.245]))
+        cfg = _demo_cfg(lti_demo_sets, N=10, N_T=60, reference=x_r, terminal_set=terminal)
+        assert is_state_feasible(lti_demo_model, cfg, [1.0, 0.5]).feasible
+        traj = run_closed_loop(lti_demo_model, cfg, [1.0, 0.5])
+        assert len(traj) == 60
+        assert np.abs(traj.states[-1] - x_r).max() <= 1e-3
+
     def test_infeasible_start_aborts_with_partial(self, lti_demo_model,
                                                   lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)

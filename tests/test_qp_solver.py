@@ -49,8 +49,9 @@ class TestSolveQp:
         assert abs(sol.objective + 2) < 1e-8
 
     def test_singular_unconstrained_polished_to_newton_point(self):
-        # H = diag(1, 0) is singular; polishing takes the regularized Newton
-        # point rather than stopping at the ADMM iterate
+        # H = diag(1, 0) is singular; the KKT solve on the empty active set,
+        # refined against P itself, lands on the Newton point rather than
+        # stopping at the ADMM iterate
         sol = solve_qp(QpProblem(H=np.diag([1.0, 0.0]), q=[1.0, 0.0]))
         assert sol.status is QpStatus.OPTIMAL
         assert np.abs(sol.z_star - [-0.5, 0.0]).max() <= 1e-9
@@ -249,13 +250,14 @@ class TestCheckInterval:
 
 
 def test_admm_factors_reduced_system(monkeypatch):
-    # 40 rows on 3 variables, none active at the optimum, so polishing
-    # factors nothing and every factorization is the ADMM step's
-    shapes = []
+    # 40 rows on 3 variables, none active at the optimum: the ADMM step
+    # factors only the d x d reduced matrix, and polishing on the empty
+    # active set factors P + 1e-9 I once
+    factored = []
     lu_factor = qp_solver.lu_factor
 
     def recording_lu_factor(M, *args, **kwargs):
-        shapes.append(M.shape)
+        factored.append(M.copy())
         return lu_factor(M, *args, **kwargs)
 
     monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
@@ -265,7 +267,10 @@ def test_admm_factors_reduced_system(monkeypatch):
     sol = solve_qp(QpProblem(H=np.eye(3), q=[-1.0, 0.5, 0.0], F=F, g=g))
     assert sol.status is QpStatus.OPTIMAL
     assert np.abs(sol.z_star - [0.5, -0.25, 0.0]).max() < 1e-6
-    assert shapes and all(shape == (3, 3) for shape in shapes)
+    polish = 2.0 * np.eye(3) + 1e-9 * np.eye(3)
+    reduced = [M for M in factored if not np.array_equal(M, polish)]
+    assert reduced and all(M.shape == (3, 3) for M in reduced)
+    assert len(factored) - len(reduced) == 1
 
 
 # Entries are multiples of 1/8 in [-1, 1]: data on the scale of eps_abs
@@ -555,6 +560,64 @@ class TestPolishFactor:
         got, fresh = solve_qp(p, workspace=ws), solve_qp(p)
         assert np.array_equal(got.z_star, fresh.z_star)
         assert np.array_equal(got.duals, fresh.duals)
+
+
+def _polish(p, x, y):
+    """qp_solver._polish of the iterate (x, y) with a fresh workspace."""
+    ws = qp_solver.QpWorkspace()
+    ws.build(p)
+    l = np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq])
+    u = np.concatenate([p.g, p.g_eq])
+    return qp_solver._polish(p, ws, l, u, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+
+
+class TestPolishRule:
+    """One KKT solve on the active rows: every F_eq row, and the F rows with
+    a positive multiplier or at their bound."""
+
+    def test_equality_multiplier_takes_either_sign(self):
+        # the minimizer (0.5, -0.5) has multiplier 1; the iterate misses the
+        # row by 1e-6 with a multiplier of the other sign
+        p = QpProblem(H=np.eye(2), q=[-2.0, 0.0], F_eq=[[1.0, 1.0]], g_eq=[0.0])
+        x, y = _polish(p, [0.5, -0.5 + 1e-6], [-1e-3])
+        assert np.abs(x - [0.5, -0.5]).max() <= 1e-12
+        assert np.abs(y - [1.0]).max() <= 1e-12
+
+    def test_exact_minimizer_kept_when_its_objective_rounds_higher(self):
+        # search for an iterate 1e-9 from the minimizer of a QP whose bounds
+        # at +-100 are all inactive, with an objective that rounds lower
+        rng = np.random.default_rng(3)
+        box = np.vstack([np.eye(4), -np.eye(4)])
+        for _ in range(100):
+            M = rng.normal(size=(4, 4))
+            p = QpProblem(H=M @ M.T + np.eye(4), q=rng.normal(size=4), F=box, g=np.full(8, 100.0))
+            z = np.linalg.solve(2.0 * p.H, -p.q)
+            x = z + 1e-9 * rng.normal(size=4)
+            if p.objective(x) < p.objective(z):
+                break
+        else:
+            pytest.fail("no iterate whose objective rounds below the minimizer's")
+        xh, yh = _polish(p, x, np.zeros(8))
+        assert kkt_residuals(p, xh, yh)[0] <= 1e-12
+
+    def test_unconstrained_polish_factor_kept(self, monkeypatch):
+        # two solves on one workspace polish on the same (empty) active set
+        factored = []
+        lu_factor = qp_solver.lu_factor
+
+        def recording_lu_factor(M):
+            factored.append(M.copy())
+            return lu_factor(M)
+
+        monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
+        ws, H = qp_solver.QpWorkspace(), np.diag([1.0, 2.0])
+        for q in ([-2.0, 1.0], [1.0, 3.0]):
+            p = QpProblem(H=H, q=q)
+            sol = solve_qp(p, workspace=ws)
+            assert sol.status is QpStatus.OPTIMAL
+            assert kkt_residuals(p, sol.z_star, sol.duals)[0] <= 1e-12
+        polish = 2.0 * H + 1e-9 * np.eye(2)
+        assert sum(np.array_equal(M, polish) for M in factored) == 1
 
 
 class TestKktResiduals:
