@@ -15,8 +15,8 @@ that share H, F and F_eq, as the steps of a closed loop do.
 
 F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
-The d x d reduced matrix and the polish KKT matrix are densified for the
-same LAPACK LU as the dense path.
+The reduced matrix is densified for LAPACK's LU; polishing keeps one dense
+LU of its KKT system's equality block and borders it by the active F rows.
 """
 
 from dataclasses import dataclass, field
@@ -147,15 +147,15 @@ class QpWorkspace:
     """The parts of a solve that q, g and g_eq leave alone: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
     a sparse one), the per-row step-size scale (the F_eq rows get 1e3),
-    P = 2H, the factor of the reduced matrix at rho = RHO, and the last
-    polish KKT factor with the active rows it was made for (kkt).
+    P = 2H, the factor of the reduced matrix at rho = RHO and the polish
+    factors: K_eq's (keq) and the last active set's (kkt; see _polish).
 
     solve_qp fills it on first use. It reuses it while H, F and F_eq are the
     very arrays it was built from; any other problem gets a fresh build.
     Factors at an adapted rho are made per solve, and every solve starts
     again from RHO, so a reused workspace gives the same iterates as a fresh
-    one; the polish KKT matrix depends only on P, A and the active rows, so
-    a kept factor gives the same bits as a new one, and a build drops it. A
+    one; the polish factors depend only on P, A and the active rows, so
+    kept factors give the same bits as new ones, and a build drops them. A
     build checks its input once, before its first factor: NaN or infinity in
     H, F or F_eq raises NonFiniteError, an H that is not symmetric to
     SYMMETRY_TOL raises ShapeError, and a P + SIGMA I with no Cholesky
@@ -192,7 +192,7 @@ class QpWorkspace:
         # set last, so that a build that raises leaves nothing to reuse
         self.A, self.At, self.P, self.rho_scale, self.rho, self.lu = \
             A, At, P, rho_scale, RHO * rho_scale, lu
-        self.kkt = None
+        self.keq = self.kkt = None
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
 
@@ -303,8 +303,9 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 lu = _factor(P, A, At, rho)
 
     if status is QpStatus.OPTIMAL:
-        x, y = _polish(p, ws, l, u, x, y)
-    prim, dual = _residuals(ws, q, l, u, x, y)
+        x, y, (prim, dual) = _polish(p, ws, l, u, x, y)
+    else:
+        prim, dual = _residuals(ws, q, l, u, x, y)
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -320,42 +321,56 @@ def _polish(p, ws, l, u, x, y):
     """Refine the ADMM solution by one KKT solve on its active rows.
 
     Every F_eq row is active; an F row is active when its multiplier exceeds
-    1e-9 or A x is within 1e-7 of its bound. F rows need no lower test:
-    their l is -inf, so ADMM keeps their multipliers nonnegative. The
-    regularized KKT system [P + dI, A_act'; A_act, -dI] with right-hand side
-    (-q, u_act), refined three times against the unregularized one, gives
-    the polished point. It is kept when its F-row multipliers are >= -1e-7
-    and its largest residual exceeds the ADMM iterate's by at most 1e-12.
-    An empty active set takes the same path. The KKT factor is kept in the
-    workspace (ws.kkt) with its active rows, and reused while a later solve
-    polishes on the same rows.
+    1e-9 or A x is within 1e-7 of its bound (its l is -inf, so ADMM keeps
+    its multiplier nonnegative). The regularized KKT system [K_eq, B'; B, -dI],
+    K_eq = [P + dI, F_eq'; F_eq, -dI] and B the k active F rows, refined
+    three times against the unregularized one, gives the polished point,
+    kept when its F-row multipliers are >= -1e-7 and its largest residual
+    exceeds the ADMM iterate's by at most 1e-12; returns the point kept, its
+    multipliers and their residuals. Block elimination solves it: ws.keq
+    holds the LU of K_eq, ws.kkt the active rows, W = K_eq^-1 [B 0]' and the
+    LU of S = -dI - [B 0] W (none if k = 0). A factor that raises
+    SingularMatrixError keeps nothing and leaves the ADMM iterate.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
-    active = (y > 1e-9) | np.isclose(A @ x, u, atol=1e-7)
-    active[n_in:] = True
-    idx = np.flatnonzero(active)
-    if ws.kkt is None or not np.array_equal(ws.kkt[0], idx):
-        A_act = _dense(A[idx])
-        delta = 1e-9
-        K = np.block([[P + delta * np.eye(d), A_act.T], [A_act, -delta * np.eye(len(idx))]])
-        try:
-            ws.kkt = idx, A_act, lu_factor(K)
-        except SingularMatrixError:
-            return x, y
-    _, A_act, kkt = ws.kkt
-    rhs = np.concatenate([-p.q, u[idx]])
-    sol = lu_solve(kkt, rhs)
+    n0, delta = d + A.shape[0] - n_in, 1e-9
+    idx = np.flatnonzero(((y > 1e-9) | np.isclose(A @ x, u, atol=1e-7))[:n_in])
+    rows, k = np.concatenate([np.arange(n_in, A.shape[0]), idx]), len(idx)
+    keq, kkt = ws.keq, ws.kkt
+    try:
+        if keq is None:
+            K = np.diag(np.repeat([delta, -delta], [d, n0 - d]))
+            K[:d, :d] += P
+            K[d:, :d] = _dense(A[n_in:])
+            K[:d, d:] = K[d:, :d].T
+            keq = lu_factor(K)
+        if kkt is None or not np.array_equal(kkt[0], idx):
+            B = _dense(A[idx])
+            W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))])) if k else None
+            kkt = idx, A[rows], B, W, lu_factor(-delta * np.eye(k) - B @ W[:d]) if k else None
+    except SingularMatrixError:
+        return x, y, _residuals(ws, p.q, l, u, x, y)
+    ws.keq, ws.kkt = keq, kkt
+    _, A_act, B, W, s_lu = kkt
+
+    def solve(r):
+        t = lu_solve(keq, r[:n0])
+        w = lu_solve(s_lu, r[n0:] - B @ t[:d]) if k else None
+        return np.concatenate([t - W @ w, w]) if k else t
+
+    rhs = np.concatenate([-p.q, u[rows]])
+    sol = solve(rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
         res = rhs - np.concatenate([P @ sol[:d] + A_act.T @ sol[d:], A_act @ sol[:d]])
-        sol = sol + lu_solve(kkt, res)
+        sol = sol + solve(res)
     xh = sol[:d]
     yh = np.zeros(A.shape[0])
-    yh[idx] = sol[d:]
-    if np.all(yh[:n_in] >= -1e-7) and max(_residuals(ws, p.q, l, u, xh, yh)) \
-            <= max(_residuals(ws, p.q, l, u, x, y)) + 1e-12:
-        return xh, yh
-    return x, y
+    yh[rows] = sol[d:]
+    res_h, res = _residuals(ws, p.q, l, u, xh, yh), _residuals(ws, p.q, l, u, x, y)
+    if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res) + 1e-12:
+        return xh, yh, res_h
+    return x, y, res
 
 
 def kkt_residuals(p, z, duals):

@@ -430,15 +430,18 @@ class TestLoopWorkspace:
                    for M in factored if M.shape == at_rho.shape) == 1
 
     def test_sparse_loop_reuses_polish_factor(self, lti_12_4, monkeypatch):
-        # the kept polish factor gives the bits of a fresh one, with fewer factors
+        # the kept polish factors give the bits of fresh ones, with fewer
+        # factors: the loop factors K_eq = [P + dI, F_eq'; F_eq, -dI] once and
+        # borders it by a k x k factor per new active set of k input bounds;
+        # no polish matrix is larger than K_eq
         model, X_set, U_set, x0 = lti_12_4
         cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
                         U_set=U_set, formulation="sparse")
-        d = 12 * 21 + 4 * 20
+        d, n_eq = 12 * 21 + 4 * 20, 12 * 21
         step, lu_factor = controller.lmpc_step, qp_solver.lu_factor
         runs = []
         for fresh in (False, True):
-            sols, polish = [], []
+            sols, sizes = [], []
 
             def recording_step(model, cfg, x_k, warm=None, _ws=None):
                 out = step(model, cfg, x_k, warm=warm, _ws=None if fresh else _ws)
@@ -446,21 +449,25 @@ class TestLoopWorkspace:
                 return out
 
             def counting_lu_factor(M):
-                polish.append(M.shape[0] > d)
+                sizes.append(M.shape[0])
                 return lu_factor(M)
 
             monkeypatch.setattr(controller, "lmpc_step", recording_step)
             monkeypatch.setattr(qp_solver, "lu_factor", counting_lu_factor)
             run_closed_loop(model, cfg, x0)
-            runs.append((sols, sum(polish)))
-        (kept, kept_polish), (fresh, fresh_polish) = runs
+            runs.append((sols, sizes))
+        (kept, kept_sizes), (fresh, fresh_sizes) = runs
         assert len(kept) == len(fresh) == 20
         for a, b in zip(kept, fresh):
             assert np.array_equal(a.z_star, b.z_star)
             assert np.array_equal(a.duals, b.duals)
             assert a.iterations == b.iterations
-        assert fresh_polish == 20
-        assert 0 < kept_polish < fresh_polish
+        assert kept_sizes.count(d + n_eq) == 1
+        assert fresh_sizes.count(d + n_eq) == 20
+        assert max(kept_sizes + fresh_sizes) == d + n_eq
+        kept_polish, fresh_polish = (sum(n != d for n in sizes) for sizes in (kept_sizes, fresh_sizes))
+        assert any(n < d for n in kept_sizes)
+        assert kept_polish < fresh_polish
 
 
 class TestDualWarmStart:

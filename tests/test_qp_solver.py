@@ -10,7 +10,7 @@ from mpckit import (MpcError, NonFiniteError, QpProblem, QpSolution, QpStatus, S
 from mpckit import qp_solver
 from mpckit.condense import (assemble_sparse_qp, build_prediction, build_weights,
                              sparse_blocks, stack_constraints)
-from mpckit.qp_solver import _support
+from mpckit.qp_solver import _dense, _support
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
 
@@ -188,7 +188,8 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
         sol = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, l, u, x, y: (x, y))
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, l, u, x, y:
+                            (x, y, qp_solver._residuals(ws, p.q, l, u, x, y)))
         unpolished = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.z_star, unpolished.z_star)
@@ -408,7 +409,9 @@ class TestWorkspace:
         kept = solve_qp(moved, workspace=ws)
         reused = len(factors)
         assert self._same(kept, solve_qp(moved))
-        assert len(factors) == 2 * reused + 1
+        # a fresh solve makes the reused one's factors, plus the reduced
+        # matrix at RHO and the polish factor of K_eq = P + 1e-9 I
+        assert len(factors) == 2 * reused + 2
         # equal values in other arrays, or other values, get a fresh build
         for p in (QpProblem(H=H.copy(), q=[1.0, -3.0], F=F, g=[0.5, 0.2]),
                   QpProblem(H=H, q=[1.0, -3.0], F=2.0 * F, g=[0.5, 0.2]),
@@ -544,31 +547,38 @@ class TestPolishFactor:
         assert got.iterations == fresh.iterations
 
     def test_factor_that_raised_is_not_kept(self, monkeypatch):
+        # one active row: the polish factors K_eq = P + 1e-9 I, then the
+        # 1 x 1 S; a raise from either keeps neither
         p = self._box(1.0)
+        k_eq = 2.0 * p.H + 1e-9 * np.eye(2)
         lu_factor = qp_solver.lu_factor
+        for singular in ("K_eq", "S"):
+            def singular_kkt(M):
+                if np.array_equal(M, k_eq) if singular == "K_eq" else M.shape[0] < p.d:
+                    raise SingularMatrixError("singular")
+                return lu_factor(M)
 
-        def singular_kkt(M):
-            if M.shape[0] != p.d:
-                raise SingularMatrixError("singular")
-            return lu_factor(M)
+            ws = qp_solver.QpWorkspace()
+            monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
+            solve_qp(p, workspace=ws)
+            assert ws.keq is None and ws.kkt is None
+            monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
+            got, fresh = solve_qp(p, workspace=ws), solve_qp(p)
+            assert np.array_equal(got.z_star, fresh.z_star)
+            assert np.array_equal(got.duals, fresh.duals)
 
-        ws = qp_solver.QpWorkspace()
-        monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
-        solve_qp(p, workspace=ws)
-        assert ws.kkt is None
-        monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
-        got, fresh = solve_qp(p, workspace=ws), solve_qp(p)
-        assert np.array_equal(got.z_star, fresh.z_star)
-        assert np.array_equal(got.duals, fresh.duals)
+
+def _built(p):
+    """A workspace built for p, and solve_qp's row bounds l and u."""
+    ws = qp_solver.QpWorkspace()
+    ws.build(p)
+    return ws, np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq]), np.concatenate([p.g, p.g_eq])
 
 
 def _polish(p, x, y):
     """qp_solver._polish of the iterate (x, y) with a fresh workspace."""
-    ws = qp_solver.QpWorkspace()
-    ws.build(p)
-    l = np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq])
-    u = np.concatenate([p.g, p.g_eq])
-    return qp_solver._polish(p, ws, l, u, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return qp_solver._polish(p, *_built(p), np.asarray(x, dtype=float),
+                             np.asarray(y, dtype=float))[:2]
 
 
 class TestPolishRule:
@@ -618,6 +628,77 @@ class TestPolishRule:
             assert kkt_residuals(p, sol.z_star, sol.duals)[0] <= 1e-12
         polish = 2.0 * H + 1e-9 * np.eye(2)
         assert sum(np.array_equal(M, polish) for M in factored) == 1
+
+
+def _kkt_point_qp(rng, d, rank, n_eq, k, n_free):
+    """A QP with H of the given rank, n_eq equality rows, k F rows active
+    with positive multipliers and n_free F rows inactive, and its KKT point
+    (z, multipliers of [F; F_eq])."""
+    M = rng.normal(size=(d, rank))
+    F, F_eq, z = rng.normal(size=(k + n_free, d)), rng.normal(size=(n_eq, d)), rng.normal(size=d)
+    duals = np.concatenate([rng.uniform(0.5, 2.0, k), np.zeros(n_free), rng.normal(size=n_eq)])
+    g = F @ z + np.concatenate([np.zeros(k), rng.uniform(0.5, 2.0, n_free)])
+    H = M @ M.T
+    q = -(2.0 * H @ z + np.vstack([F, F_eq]).T @ duals)
+    return QpProblem(H=H, q=q, F=F, g=g, F_eq=F_eq, g_eq=F_eq @ z), z, duals
+
+
+class TestBorderedPolish:
+    """The polish solves its KKT system by block elimination on one factor
+    of the equality block K_eq and a k x k factor per active set."""
+
+    @pytest.mark.parametrize("rows", ["dense", "csr"])
+    @pytest.mark.parametrize("rank, n_eq, k", [(3, 3, 3), (4, 0, 4), (2, 5, 1)])
+    def test_matches_dense_kkt_solve(self, monkeypatch, rows, rank, n_eq, k):
+        # rank-deficient H; the iterate is 1e-9 from the KKT point, so the
+        # active rows are the k F rows and every F_eq row
+        rng = np.random.default_rng(20 + 10 * rank + n_eq)
+        lu_factor = qp_solver.lu_factor
+        for _ in range(10):
+            p, z, duals = _kkt_point_qp(rng, 8, rank, n_eq, k, 4)
+            if rows == "csr":
+                p = _sparse_rows(p)
+            ws, l, u = _built(p)
+            sizes = []
+            monkeypatch.setattr(qp_solver, "lu_factor",
+                                lambda M: sizes.append(M.shape[0]) or lu_factor(M))
+            y = duals + 1e-9 * rng.normal(size=duals.shape[0]) * (duals != 0)
+            xh, yh, _ = qp_solver._polish(p, ws, l, u, z + 1e-9 * rng.normal(size=8), y)
+            monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
+            assert sizes == [8 + n_eq, k]
+            act = np.r_[0:k, k + 4:k + 4 + n_eq]
+            A_act = np.vstack([_dense(p.F), _dense(p.F_eq)])[act]
+            K = np.block([[2.0 * p.H, A_act.T], [A_act, np.zeros((len(act), len(act)))]])
+            ref = np.linalg.solve(K, np.concatenate([-p.q, u[act]]))
+            assert np.abs(xh - ref[:8]).max() <= 1e-10
+            assert np.abs(yh[act] - ref[8:]).max() <= 1e-10
+            assert not yh[k:k + 4].any()
+
+    def test_reported_residuals_are_the_returned_points(self, monkeypatch):
+        # solve_qp reports the residuals that _polish computed for its accept
+        # test, with no third evaluation; they equal a fresh _residuals call
+        # on the returned point, whether the polished point is kept or the
+        # ADMM iterate is
+        def fresh(p, x, y):
+            ws, l, u = _built(p)
+            return qp_solver._residuals(ws, p.q, l, u, x, y)
+
+        p = random_strictly_convex_qp(np.random.default_rng(4))
+        residuals, calls = qp_solver._residuals, []
+        monkeypatch.setattr(qp_solver, "_residuals", lambda *a: calls.append(1) or residuals(*a))
+        polished = solve_qp(p)
+        monkeypatch.setattr(qp_solver, "_residuals", residuals)
+        assert polished.status is QpStatus.OPTIMAL and len(calls) == 2
+        assert polished.dual_residual <= 1e-12    # the polished point was kept
+        assert (polished.primal_residual, polished.dual_residual) \
+            == fresh(p, polished.z_star, polished.duals)
+        # min z^2 + 2z has its minimizer -1 inside z <= 0.5; polishing the
+        # iterate 0.5 on that row gives the multiplier -3, which fails the
+        # sign test
+        one = QpProblem(H=np.eye(1), q=[2.0], F=[[1.0]], g=[0.5])
+        x, y, res = qp_solver._polish(one, *_built(one), np.array([0.5]), np.array([0.0]))
+        assert np.array_equal(x, [0.5]) and np.array_equal(y, [0.0])
+        assert res == fresh(one, x, y)
 
 
 class TestKktResiduals:
