@@ -36,7 +36,7 @@ class MpcConfig:
     X_set: Optional[Polytope] = None
     U_set: Optional[Polytope] = None
     terminal_set: Optional[Polytope] = None
-    formulation: str = CONDENSED
+    formulation: str = CONDENSED    # LMPC's; NMPC always solves the trajectory form
     reference: Optional[np.ndarray] = None
     settings: SolverSettings = field(default_factory=SolverSettings)
     warm_start: bool = True

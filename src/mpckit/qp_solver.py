@@ -6,12 +6,12 @@ Problem form, matching the rest of the toolkit (note: no 1/2 factor):
     subject to  F z <= g,  F_eq z = g_eq
 
 A bound on z is a row of F like any other. Internally the rows are stacked
-as intervals l <= A z <= u, A = [F; F_eq] (equalities get l = u), and the
-solver alternates one d x d linear solve with
-P + sigma I + A' diag(rho) A, factored once per step size (OSQP's reduced
-form of the KKT system), with an interval projection. A QpWorkspace keeps
-the stacked rows and the factor at the initial step size across solves
-that share H, F and F_eq, as the steps of a closed loop do.
+as A = [F; F_eq], u = [g; g_eq], and the solver alternates one d x d linear
+solve with P + sigma I + A' diag(rho) A, factored once per step size (OSQP's
+reduced form of the KKT system), with a projection onto the rows: min(., g)
+on F, g_eq on F_eq. A QpWorkspace keeps the stacked rows and the factor at
+the initial step size across solves that share H, F and F_eq, as the steps
+of a closed loop do.
 
 F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
@@ -196,17 +196,11 @@ class QpWorkspace:
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
 
-def _support(e, l, u):
-    """max e'z over the box l <= z <= u; inf when unbounded along e."""
-    bound = np.where(e > 0, u, np.where(e < 0, l, 0.0))
-    return float(bound @ e) if np.isfinite(bound).all() else np.inf
-
-
-def _residuals(ws, q, l, u, x, y):
-    """Primal violation of l <= A x <= u and stationarity |P x + q + A'y|,
-    with A and P from the workspace ws."""
-    ax = ws.A @ x
-    return (float(np.maximum(ax - u, l - ax).max(initial=0.0)),
+def _residuals(ws, q, u, x, y):
+    """Primal violation of F x <= g, F_eq x = g_eq (u = [g; g_eq]) and
+    stationarity |P x + q + A'y|, with A and P from the workspace ws."""
+    r, n_in = ws.A @ x - u, ws.F.shape[0]
+    return (max(float(r[:n_in].max(initial=0.0)), float(np.abs(r[n_in:]).max(initial=0.0))),
             float(np.abs(ws.P @ x + q + ws.At @ y).max()))
 
 
@@ -221,15 +215,17 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     without a workspace. Termination is tested every CHECK_EVERY
     iterations and at max_iter, so a solve stops at a multiple of
     CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
-    q, the warm start or the start rows clip(A z0, l, u) hold a NaN or an
-    infinity, ShapeError when H is not symmetric and SingularMatrixError
+    q, the warm start or the start rows (min(F z0, g), g_eq) hold a NaN or
+    an infinity, ShapeError when H is not symmetric and SingularMatrixError
     when it is not positive semidefinite; the workspace build tests H, F
     and F_eq (QpWorkspace). The reported residuals are the primal violation
-    and the stationarity of the returned (z_star, duals).
+    and the stationarity of the returned (z_star, duals). INFEASIBLE needs
+    OSQP's certificate: the last dual step, its F rows projected onto >= 0
+    and scaled to max-norm 1, is an e with |A'e| <= EPS_INFEASIBLE and
+    u'e <= -EPS_INFEASIBLE.
     """
     s = settings or SolverSettings()
-    d = p.d
-    l = np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq])
+    d, n_in = p.d, p.F.shape[0]
     u = np.concatenate([p.g, p.g_eq])
     ws = workspace if workspace is not None else QpWorkspace()
     if not ws.fits(p):
@@ -249,9 +245,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                          f"expected {d} and {m}")
     if not (np.isfinite(q).all() and np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("NaN or infinity in q or in the warm start")
-    z = np.clip(A @ x, l, u)
+    z = np.minimum(A @ x, u)
+    z[n_in:] = p.g_eq
     if not np.isfinite(z).all():
-        raise NonFiniteError("NaN or infinity in the start rows clip(A z0, l, u)")
+        raise NonFiniteError("NaN or infinity in the start rows min(F z0, g), g_eq")
 
     rho_base = RHO
     lu, rho = ws.lu, ws.rho
@@ -263,7 +260,8 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
         az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
-        z = np.clip(az + y / rho, l, u)
+        z = np.minimum(az + y / rho, u)
+        z[n_in:] = p.g_eq
         y_prev = y
         y = y + rho * (az - z)
         if it % CHECK_EVERY and it != s.max_iter:
@@ -282,12 +280,13 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             status = QpStatus.OPTIMAL
             break
 
-        # primal infeasibility certificate from the last dual step
+        # certificate: the dual step on F projected onto >= 0; g may be inf where e = 0
         dy = y - y_prev
+        dy[:n_in] = np.maximum(dy[:n_in], 0.0)
         dy_norm = float(np.abs(dy).max(initial=0.0))
         if dy_norm > 1e-14:
             e = dy / dy_norm
-            if _support(e, l, u) <= -EPS_INFEASIBLE \
+            if float(np.where(e != 0, u, 0.0) @ e) <= -EPS_INFEASIBLE \
                     and float(np.abs(At @ e).max()) <= EPS_INFEASIBLE:
                 status = QpStatus.INFEASIBLE
                 break
@@ -296,16 +295,16 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         if it % RHO_UPDATE_INTERVAL == 0:
             ratio = np.sqrt((r_prim / max(scale_prim, 1e-10))
                             / max(r_dual / max(scale_dual, 1e-10), 1e-16))
-            new_base = float(np.clip(rho_base * ratio, 1e-6, 1e6))
+            new_base = float(min(max(rho_base * ratio, 1e-6), 1e6))
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
                 rho = rho_base * rho_scale
                 lu = _factor(P, A, At, rho)
 
     if status is QpStatus.OPTIMAL:
-        x, y, (prim, dual) = _polish(p, ws, l, u, x, y)
+        x, y, (prim, dual) = _polish(p, ws, u, x, y)
     else:
-        prim, dual = _residuals(ws, q, l, u, x, y)
+        prim, dual = _residuals(ws, q, u, x, y)
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -317,20 +316,20 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     )
 
 
-def _polish(p, ws, l, u, x, y):
+def _polish(p, ws, u, x, y):
     """Refine the ADMM solution by one KKT solve on its active rows.
 
     Every F_eq row is active; an F row is active when its multiplier exceeds
-    1e-9 or A x is within 1e-7 of its bound (its l is -inf, so ADMM keeps
-    its multiplier nonnegative). The regularized KKT system [K_eq, B'; B, -dI],
+    1e-9 or A x is within 1e-7 of its bound (the ADMM projection keeps its
+    multiplier nonnegative). The regularized KKT system [K_eq, B'; B, -dI],
     K_eq = [P + dI, F_eq'; F_eq, -dI] and B the k active F rows, refined
     three times against the unregularized one, gives the polished point,
     kept when its F-row multipliers are >= -1e-7 and its largest residual
     exceeds the ADMM iterate's by at most 1e-12; returns the point kept, its
     multipliers and their residuals. Block elimination solves it: ws.keq
-    holds the LU of K_eq, ws.kkt the active rows, W = K_eq^-1 [B 0]' and the
-    LU of S = -dI - [B 0] W (none if k = 0). A factor that raises
-    SingularMatrixError keeps nothing and leaves the ADMM iterate.
+    holds the LU of K_eq, ws.kkt the active rows and their transpose, B,
+    W = K_eq^-1 [B 0]' and the LU of S = -dI - [B 0] W (none if k = 0); a
+    SingularMatrixError from a factor keeps nothing and leaves the ADMM iterate.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
@@ -345,13 +344,14 @@ def _polish(p, ws, l, u, x, y):
             K[:d, d:] = K[d:, :d].T
             keq = lu_factor(K)
         if kkt is None or not np.array_equal(kkt[0], idx):
-            B = _dense(A[idx])
+            A_act, B = A[rows], _dense(A[idx])
             W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))])) if k else None
-            kkt = idx, A[rows], B, W, lu_factor(-delta * np.eye(k) - B @ W[:d]) if k else None
+            kkt = (idx, A_act, A_act.T, B, W,
+                   lu_factor(-delta * np.eye(k) - B @ W[:d]) if k else None)
     except SingularMatrixError:
-        return x, y, _residuals(ws, p.q, l, u, x, y)
+        return x, y, _residuals(ws, p.q, u, x, y)
     ws.keq, ws.kkt = keq, kkt
-    _, A_act, B, W, s_lu = kkt
+    _, A_act, A_act_t, B, W, s_lu = kkt
 
     def solve(r):
         t = lu_solve(keq, r[:n0])
@@ -362,12 +362,12 @@ def _polish(p, ws, l, u, x, y):
     sol = solve(rhs)
     # three rounds of iterative refinement against the unregularized system
     for _ in range(3):
-        res = rhs - np.concatenate([P @ sol[:d] + A_act.T @ sol[d:], A_act @ sol[:d]])
+        res = rhs - np.concatenate([P @ sol[:d] + A_act_t @ sol[d:], A_act @ sol[:d]])
         sol = sol + solve(res)
     xh = sol[:d]
     yh = np.zeros(A.shape[0])
     yh[rows] = sol[d:]
-    res_h, res = _residuals(ws, p.q, l, u, xh, yh), _residuals(ws, p.q, l, u, x, y)
+    res_h, res = _residuals(ws, p.q, u, xh, yh), _residuals(ws, p.q, u, x, y)
     if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res) + 1e-12:
         return xh, yh, res_h
     return x, y, res

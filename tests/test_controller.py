@@ -1,3 +1,6 @@
+import json
+import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +16,9 @@ from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
 from mpckit.model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
                           box_polytope, lti_step, pendulum_model, pendulum_step)
 from mpckit.numerics import finite_diff_jacobian
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import workloads  # noqa: E402
 
 
 def _scalar_cfg(**kw):
@@ -130,6 +136,24 @@ class TestLmpcStep:
         cfg = _demo_cfg(lti_demo_sets)
         with pytest.raises(InfeasibleStepError):
             lmpc_step(lti_demo_model, cfg, [20.0, 0.0])
+
+    @pytest.mark.parametrize("form, i", [("condensed", 0), ("condensed", 1),
+                                         ("sparse", 1), ("sparse", 2)])
+    def test_certified_infeasible_state_raises(self, tmp_path, form, i):
+        # a benchmark pool system at 3x its seed-1 initial state: phase-I
+        # certifies the state infeasible, and the step's QP must end
+        # infeasible too; the raw dual step has negative entries on F rows, so
+        # only its projection onto >= 0 there passes as a certificate
+        doc = workloads.lmpc_episode(1, i, form)["doc"]
+        doc["initial_state"] = np.clip(3.0 * np.array(doc["initial_state"]), -9.9, 9.9).tolist()
+        cfg = cli.parse_config(json.dumps(doc))
+        report = is_state_feasible(cfg.model, cfg.mpc, cfg.initial_state)
+        assert report.conclusive and not report.feasible and report.certificate is not None
+        with pytest.raises(InfeasibleStepError):
+            lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
 
     def test_control_horizon_zero_tail(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_C=2)

@@ -10,7 +10,7 @@ from mpckit import (MpcError, NonFiniteError, QpProblem, QpSolution, QpStatus, S
 from mpckit import qp_solver
 from mpckit.condense import (assemble_sparse_qp, build_prediction, build_weights,
                              sparse_blocks, stack_constraints)
-from mpckit.qp_solver import _dense, _support
+from mpckit.qp_solver import _dense
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
 
@@ -66,6 +66,13 @@ class TestSolveQp:
 
     def test_infeasible(self):
         p = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.INFEASIBLE
+
+    def test_infeasible_with_unbounded_row(self):
+        # the row z <= inf takes no multiplier, so the certificate is zero on
+        # it; u'e must skip that row rather than add inf * 0 = NaN
+        p = QpProblem(H=[[1.0]], F=[[1.0], [-1.0], [1.0]], g=[-1.0, -2.0, np.inf])
         sol = solve_qp(p)
         assert sol.status is QpStatus.INFEASIBLE
 
@@ -188,8 +195,8 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
         sol = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, l, u, x, y:
-                            (x, y, qp_solver._residuals(ws, p.q, l, u, x, y)))
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y:
+                            (x, y, qp_solver._residuals(ws, p.q, u, x, y)))
         unpolished = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.z_star, unpolished.z_star)
@@ -349,39 +356,6 @@ class TestOpenDefects:
         # z <= 1 and minimize z: unbounded below
         sol = solve_qp(QpProblem(H=[[0.0]], q=[1.0], F=[[1.0]], g=[1.0]))
         assert sol.iterations < SolverSettings().max_iter
-
-
-def test_certificate_support_matches_loop():
-    # the row-by-row loop the vectorized support function replaced
-    def support_loop(e, l, u):
-        total = 0.0
-        for ei, li, ui in zip(e, l, u):
-            if ei > 0:
-                if np.isinf(ui):
-                    return np.inf
-                total += ui * ei
-            elif ei < 0:
-                if np.isinf(li):
-                    return np.inf
-                total += li * ei
-        return total
-
-    rng = np.random.default_rng(14)
-    for _ in range(200):
-        m = int(rng.integers(1, 30))
-        l = rng.normal(size=m) - 1.0
-        u = l + rng.uniform(0.0, 2.0, size=m)
-        l[rng.random(m) < 0.2] = -np.inf
-        u[rng.random(m) < 0.2] = np.inf
-        e = rng.normal(size=m) * (rng.random(m) < 0.7)
-        e /= max(np.abs(e).max(), 1e-300)
-        want = support_loop(e, l, u)
-        got = _support(e, l, u)
-        if np.isinf(want):
-            assert got == want
-        else:
-            assert abs(got - want) <= 1e-12 * max(1.0, np.abs(l[np.isfinite(l)]).sum()
-                                                  + np.abs(u[np.isfinite(u)]).sum())
 
 
 class TestWorkspace:
@@ -569,10 +543,10 @@ class TestPolishFactor:
 
 
 def _built(p):
-    """A workspace built for p, and solve_qp's row bounds l and u."""
+    """A workspace built for p, and solve_qp's row bounds u = [g; g_eq]."""
     ws = qp_solver.QpWorkspace()
     ws.build(p)
-    return ws, np.concatenate([np.full(p.F.shape[0], -np.inf), p.g_eq]), np.concatenate([p.g, p.g_eq])
+    return ws, np.concatenate([p.g, p.g_eq])
 
 
 def _polish(p, x, y):
@@ -658,12 +632,12 @@ class TestBorderedPolish:
             p, z, duals = _kkt_point_qp(rng, 8, rank, n_eq, k, 4)
             if rows == "csr":
                 p = _sparse_rows(p)
-            ws, l, u = _built(p)
+            ws, u = _built(p)
             sizes = []
             monkeypatch.setattr(qp_solver, "lu_factor",
                                 lambda M: sizes.append(M.shape[0]) or lu_factor(M))
             y = duals + 1e-9 * rng.normal(size=duals.shape[0]) * (duals != 0)
-            xh, yh, _ = qp_solver._polish(p, ws, l, u, z + 1e-9 * rng.normal(size=8), y)
+            xh, yh, _ = qp_solver._polish(p, ws, u, z + 1e-9 * rng.normal(size=8), y)
             monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
             assert sizes == [8 + n_eq, k]
             act = np.r_[0:k, k + 4:k + 4 + n_eq]
@@ -680,8 +654,8 @@ class TestBorderedPolish:
         # on the returned point, whether the polished point is kept or the
         # ADMM iterate is
         def fresh(p, x, y):
-            ws, l, u = _built(p)
-            return qp_solver._residuals(ws, p.q, l, u, x, y)
+            ws, u = _built(p)
+            return qp_solver._residuals(ws, p.q, u, x, y)
 
         p = random_strictly_convex_qp(np.random.default_rng(4))
         residuals, calls = qp_solver._residuals, []
