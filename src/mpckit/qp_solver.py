@@ -196,11 +196,16 @@ class QpWorkspace:
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
 
+def _violation(r, n_in):
+    """Primal violation of F x <= g, F_eq x = g_eq from r = A x - u, the
+    first n_in rows those of F."""
+    return max(float(r[:n_in].max(initial=0.0)), float(np.abs(r[n_in:]).max(initial=0.0)))
+
+
 def _residuals(ws, q, u, x, y):
     """Primal violation of F x <= g, F_eq x = g_eq (u = [g; g_eq]) and
     stationarity |P x + q + A'y|, with A and P from the workspace ws."""
-    r, n_in = ws.A @ x - u, ws.F.shape[0]
-    return (max(float(r[:n_in].max(initial=0.0)), float(np.abs(r[n_in:]).max(initial=0.0))),
+    return (_violation(ws.A @ x - u, ws.F.shape[0]),
             float(np.abs(ws.P @ x + q + ws.At @ y).max()))
 
 
@@ -302,7 +307,8 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 lu = _factor(P, A, At, rho)
 
     if status is QpStatus.OPTIMAL:
-        x, y, (prim, dual) = _polish(p, ws, u, x, y)
+        # the check that stopped the loop has just made A x, P x and A'y
+        x, y, (prim, dual) = _polish(p, ws, u, x, y, ax, (_violation(ax - u, n_in), r_dual))
     else:
         prim, dual = _residuals(ws, q, u, x, y)
     return QpSolution(
@@ -316,8 +322,9 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     )
 
 
-def _polish(p, ws, u, x, y):
-    """Refine the ADMM solution by one KKT solve on its active rows.
+def _polish(p, ws, u, x, y, ax, res_admm):
+    """Refine the ADMM solution (x, y) by one KKT solve on its active rows;
+    ax is A x and res_admm the iterate's residuals, as _residuals gives them.
 
     Every F_eq row is active; an F row is active when its multiplier exceeds
     1e-9 or A x is within 1e-7 of its bound (the ADMM projection keeps its
@@ -333,7 +340,7 @@ def _polish(p, ws, u, x, y):
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
-    idx = np.flatnonzero(((y > 1e-9) | np.isclose(A @ x, u, atol=1e-7))[:n_in])
+    idx = np.flatnonzero(((y > 1e-9) | np.isclose(ax, u, atol=1e-7))[:n_in])
     rows, k = np.concatenate([np.arange(n_in, A.shape[0]), idx]), len(idx)
     keq, kkt = ws.keq, ws.kkt
     try:
@@ -349,7 +356,7 @@ def _polish(p, ws, u, x, y):
             kkt = (idx, A_act, A_act.T, B, W,
                    lu_factor(-delta * np.eye(k) - B @ W[:d]) if k else None)
     except SingularMatrixError:
-        return x, y, _residuals(ws, p.q, u, x, y)
+        return x, y, res_admm
     ws.keq, ws.kkt = keq, kkt
     _, A_act, A_act_t, B, W, s_lu = kkt
 
@@ -367,10 +374,10 @@ def _polish(p, ws, u, x, y):
     xh = sol[:d]
     yh = np.zeros(A.shape[0])
     yh[rows] = sol[d:]
-    res_h, res = _residuals(ws, p.q, u, xh, yh), _residuals(ws, p.q, u, x, y)
-    if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res) + 1e-12:
+    res_h = _residuals(ws, p.q, u, xh, yh)
+    if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res_admm) + 1e-12:
         return xh, yh, res_h
-    return x, y, res
+    return x, y, res_admm
 
 
 def kkt_residuals(p, z, duals):

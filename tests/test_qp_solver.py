@@ -195,8 +195,7 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
         sol = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y:
-                            (x, y, qp_solver._residuals(ws, p.q, u, x, y)))
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y, ax, res: (x, y, res))
         unpolished = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.z_star, unpolished.z_star)
@@ -549,10 +548,15 @@ def _built(p):
     return ws, np.concatenate([p.g, p.g_eq])
 
 
+def _polish_at(p, ws, u, x, y):
+    """qp_solver._polish of the iterate (x, y), given A x and its residuals
+    as the check that stops solve_qp's loop has them."""
+    return qp_solver._polish(p, ws, u, x, y, ws.A @ x, qp_solver._residuals(ws, p.q, u, x, y))
+
+
 def _polish(p, x, y):
     """qp_solver._polish of the iterate (x, y) with a fresh workspace."""
-    return qp_solver._polish(p, *_built(p), np.asarray(x, dtype=float),
-                             np.asarray(y, dtype=float))[:2]
+    return _polish_at(p, *_built(p), np.asarray(x, dtype=float), np.asarray(y, dtype=float))[:2]
 
 
 class TestPolishRule:
@@ -637,7 +641,7 @@ class TestBorderedPolish:
             monkeypatch.setattr(qp_solver, "lu_factor",
                                 lambda M: sizes.append(M.shape[0]) or lu_factor(M))
             y = duals + 1e-9 * rng.normal(size=duals.shape[0]) * (duals != 0)
-            xh, yh, _ = qp_solver._polish(p, ws, u, z + 1e-9 * rng.normal(size=8), y)
+            xh, yh, _ = _polish_at(p, ws, u, z + 1e-9 * rng.normal(size=8), y)
             monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
             assert sizes == [8 + n_eq, k]
             act = np.r_[0:k, k + 4:k + 4 + n_eq]
@@ -649,10 +653,11 @@ class TestBorderedPolish:
             assert not yh[k:k + 4].any()
 
     def test_reported_residuals_are_the_returned_points(self, monkeypatch):
-        # solve_qp reports the residuals that _polish computed for its accept
-        # test, with no third evaluation; they equal a fresh _residuals call
-        # on the returned point, whether the polished point is kept or the
-        # ADMM iterate is
+        # solve_qp reports the residuals that _polish compared in its accept
+        # test: the ADMM iterate's come from the check that stopped the loop,
+        # so only the polished point's are evaluated; they equal a fresh
+        # _residuals call on the returned point, whether the polished point
+        # is kept or the ADMM iterate is
         def fresh(p, x, y):
             ws, u = _built(p)
             return qp_solver._residuals(ws, p.q, u, x, y)
@@ -662,7 +667,7 @@ class TestBorderedPolish:
         monkeypatch.setattr(qp_solver, "_residuals", lambda *a: calls.append(1) or residuals(*a))
         polished = solve_qp(p)
         monkeypatch.setattr(qp_solver, "_residuals", residuals)
-        assert polished.status is QpStatus.OPTIMAL and len(calls) == 2
+        assert polished.status is QpStatus.OPTIMAL and len(calls) == 1
         assert polished.dual_residual <= 1e-12    # the polished point was kept
         assert (polished.primal_residual, polished.dual_residual) \
             == fresh(p, polished.z_star, polished.duals)
@@ -670,7 +675,7 @@ class TestBorderedPolish:
         # iterate 0.5 on that row gives the multiplier -3, which fails the
         # sign test
         one = QpProblem(H=np.eye(1), q=[2.0], F=[[1.0]], g=[0.5])
-        x, y, res = qp_solver._polish(one, *_built(one), np.array([0.5]), np.array([0.0]))
+        x, y, res = _polish_at(one, *_built(one), np.array([0.5]), np.array([0.0]))
         assert np.array_equal(x, [0.5]) and np.array_equal(y, [0.0])
         assert res == fresh(one, x, y)
 
