@@ -32,13 +32,18 @@ from .numerics import SYMMETRY_TOL, as_cost, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
-# termination checks (residuals, certificate, step-size update) and between
-# step-size updates, and the tolerance of the infeasibility certificate.
+# termination checks (residuals, certificate) and between step-size updates,
+# and the tolerance of the infeasibility certificate. The step size is
+# rebalanced at every second check: an MPC step's QP typically converges
+# within 50 iterations, and a sparser schedule leaves it at the initial RHO.
+# The update interval is fixed when the module loads, not read from
+# CHECK_EVERY at each check: checking termination at every iteration then
+# leaves the iterates unchanged.
 RHO = 0.1
 SIGMA = 1e-6
 ALPHA = 1.6
 CHECK_EVERY = 5
-RHO_UPDATE_INTERVAL = 10 * CHECK_EVERY
+RHO_UPDATE_INTERVAL = 2 * CHECK_EVERY
 EPS_INFEASIBLE = 1e-8
 
 # LAPACK's double-precision LU routines, looked up once: scipy.linalg's

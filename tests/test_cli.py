@@ -124,6 +124,11 @@ class TestRunExperiment:
         assert summary["steps"] == 0
         assert out.exists()  # partial CSV still written
 
+    def test_stabilize_demo_admm_iterations(self):
+        # the loop's ADMM iterations are 1,070 with a step-size update every
+        # 10 iterations and were 1,285 with one every 50
+        assert run_experiment(demo_config("lmpc-stabilize"))["total_iterations"] < 1285
+
 
     @pytest.mark.parametrize("field, dim", [("X_set", 2), ("U_set", 1)])
     def test_empty_constraint_set(self, field, dim):
