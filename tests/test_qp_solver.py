@@ -693,6 +693,16 @@ class TestBorderedPolish:
         x, y, res = _polish_at(one, *_built(one), np.array([0.5]), np.array([0.0]))
         assert np.array_equal(x, [0.5]) and np.array_equal(y, [0.0])
         assert res == fresh(one, x, y)
+        # an ADMM iterate kept unpolished reports the residuals of the check
+        # that stopped the loop: the same bits as _residuals, for dense and
+        # CSR rows
+        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y, ax, res: (x, y, res))
+        rng = np.random.default_rng(16)
+        for q in [random_strictly_convex_qp(rng) for _ in range(20)]:
+            for rows in (q, _sparse_rows(q)):
+                admm = solve_qp(rows)
+                assert (admm.primal_residual, admm.dual_residual) \
+                    == fresh(rows, admm.z_star, admm.duals)
 
 
 class TestKktResiduals:
