@@ -132,8 +132,8 @@ class _Workspace:
     the loop's set-up:
     - LMPC: the prediction, weights and constraints, the form's constant
       blocks over the control horizon N_C (condensed_blocks or
-      sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P and
-      the factor at RHO);
+      sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P, the
+      Gram matrix of the rows and the factor at RHO);
     - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U), U the
       first m N_C inputs.
     Later steps build only what x_k changes. A step called without one

@@ -7,16 +7,20 @@ Problem form, matching the rest of the toolkit (note: no 1/2 factor):
 
 A bound on z is a row of F like any other. Internally the rows are stacked
 as A = [F; F_eq], u = [g; g_eq], and the solver alternates one d x d linear
-solve with P + sigma I + A' diag(rho) A, factored once per step size (OSQP's
-reduced form of the KKT system), with a projection onto the rows: min(., g)
-on F, g_eq on F_eq. A QpWorkspace keeps the stacked rows and the factor at
-the initial step size across solves that share H, F and F_eq, as the steps
-of a closed loop do.
+solve with P + sigma I + A' diag(rho) A (OSQP's reduced form of the KKT
+system) with a projection onto the rows: min(., g) on F, g_eq on F_eq. The
+step size is rho = rho_base s, s a fixed per-row scale, so the reduced matrix
+is P + sigma I + rho_base G with the Gram matrix G = A' diag(s) A formed
+once; a change of rho_base costs one scaled add and one LU. A QpWorkspace
+keeps the stacked rows, P + sigma I, G and the factor at the initial step
+size across solves that share H, F and F_eq, as the steps of a closed loop
+do.
 
 F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
-The reduced matrix is densified for LAPACK's LU; polishing keeps one dense
-LU of its KKT system's equality block and borders it by the active F rows.
+G is densified once, for LAPACK's LU of the reduced matrix; polishing keeps
+one dense LU of its KKT system's equality block and borders it by the active
+F rows.
 """
 
 from dataclasses import dataclass, field
@@ -138,35 +142,40 @@ def lu_solve(lu_piv, b):
     return _getrs(*lu_piv, b)[0]
 
 
-def _factor(P, A, At, rho):
-    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho) A; At is A'.
+def _factor(ws, rho_base):
+    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho_base s) A,
+    s = ws.rho_scale, as rho_base ws.G + ws.P_sigma: no product with A.
 
     QpWorkspace.build has tested H, F and F_eq for finiteness and P + SIGMA I
-    for definiteness, so the matrix is regular; a finite F whose product
-    overflows still reaches lu_factor, which rejects the infinity.
+    for definiteness, so the matrix is regular; a G that overflows, or a
+    rho_base G that does, still reaches lu_factor, which rejects the infinity.
     """
-    return lu_factor(P + SIGMA * np.eye(P.shape[0]) + _dense((At * rho) @ A))
+    M = rho_base * ws.G
+    M += ws.P_sigma
+    return lu_factor(M)
 
 
 class QpWorkspace:
     """The parts of a solve that q, g and g_eq leave alone: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
-    a sparse one), the per-row step-size scale (the F_eq rows get 1e3),
-    P = 2H, the factor of the reduced matrix at rho = RHO and the polish
-    factors: K_eq's (keq) and the last active set's (kkt; see _polish).
+    a sparse one), the per-row step-size scale s (the F_eq rows get 1e3),
+    P = 2H, P_sigma = P + SIGMA I, the dense Gram matrix G = A' diag(s) A,
+    the factor of the reduced matrix at rho = RHO s and the polish factors:
+    K_eq's (keq) and the last active set's (kkt; see _polish).
 
     solve_qp fills it on first use. It reuses it while H, F and F_eq are the
     very arrays it was built from; any other problem gets a fresh build.
-    Factors at an adapted rho are made per solve, and every solve starts
-    again from RHO, so a reused workspace gives the same iterates as a fresh
-    one; the polish factors depend only on P, A and the active rows, so
-    kept factors give the same bits as new ones, and a build drops them. A
-    build checks its input once, before its first factor: NaN or infinity in
-    H, F or F_eq raises NonFiniteError, an H that is not symmetric to
-    SYMMETRY_TOL raises ShapeError, and a P + SIGMA I with no Cholesky
-    factor raises SingularMatrixError, since the rows can make the reduced
-    matrix regular for an H that is not positive semidefinite, and ADMM
-    would then diverge.
+    Factors at an adapted rho are made per solve from P_sigma and G (see
+    _factor), and every solve starts again from RHO, so a reused workspace
+    gives the same iterates as a fresh one; the polish factors depend only
+    on P, A and the active rows, so kept factors give the same bits as new
+    ones, and a build drops them. A build checks its input once, before its
+    first factor: NaN or infinity in H, F or F_eq raises NonFiniteError, an
+    H that is not symmetric to SYMMETRY_TOL raises ShapeError, and a
+    P + SIGMA I with no Cholesky factor raises SingularMatrixError, since
+    the rows can make the reduced matrix regular for an H that is not
+    positive semidefinite, and ADMM would then diverge; a G that overflows
+    makes the factor at RHO raise NonFiniteError.
     """
 
     def __init__(self):
@@ -189,14 +198,18 @@ class QpWorkspace:
         if np.abs(p.H - p.H.T).max() > SYMMETRY_TOL:
             raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
         P = 2.0 * p.H
-        if _potrf(P + SIGMA * np.eye(p.d))[1] > 0:
+        P_sigma = P + SIGMA * np.eye(p.d)
+        if _potrf(P_sigma)[1] > 0:
             raise SingularMatrixError("P + sigma I has no Cholesky factor: "
                                       "H is not positive semidefinite")
         rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        lu = _factor(P, A, At, RHO * rho_scale)
-        # set last, so that a build that raises leaves nothing to reuse
-        self.A, self.At, self.P, self.rho_scale, self.rho, self.lu = \
-            A, At, P, rho_scale, RHO * rho_scale, lu
+        # H, F and F_eq are cleared first and set last, so that a build whose
+        # factor at RHO raises leaves nothing to reuse
+        self.H = self.F = self.F_eq = None
+        self.A, self.At, self.P, self.P_sigma, self.rho_scale, self.rho = \
+            A, At, P, P_sigma, rho_scale, RHO * rho_scale
+        self.G = _dense((At * rho_scale) @ A)
+        self.lu = _factor(self, RHO)
         self.keq = self.kkt = None
         self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
 
@@ -309,7 +322,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
                 rho = rho_base * rho_scale
-                lu = _factor(P, A, At, rho)
+                lu = _factor(ws, rho_base)
 
     if status is QpStatus.OPTIMAL:
         # the check that stopped the loop has just made A x, P x and A'y

@@ -453,6 +453,29 @@ class TestLoopWorkspace:
         assert sum(np.allclose(M, at_rho, rtol=1e-12, atol=0.0)
                    for M in factored if M.shape == at_rho.shape) == 1
 
+    @pytest.mark.parametrize("form", ["condensed", "sparse"])
+    @pytest.mark.parametrize("N_C", [None, 5], ids=["N_C=N", "N_C=5"])
+    def test_gram_matrix_once_per_loop(self, lti_12_4, monkeypatch, form, N_C):
+        # the loop refactors the reduced matrix at adapted step sizes, all
+        # from the Gram matrix its first step formed
+        model, X_set, U_set, x0 = lti_12_4
+        cfg = MpcConfig(N=20, N_T=20, N_C=N_C, Q=np.eye(12), R=0.1 * np.eye(4),
+                        X_set=X_set, U_set=U_set, formulation=form)
+        step, factor = controller.lmpc_step, qp_solver._factor
+        grams, rho_bases = [], []
+
+        def recording_step(model, cfg, x_k, warm=None, _ws=None):
+            out = step(model, cfg, x_k, warm=warm, _ws=_ws)
+            grams.append(_ws.qp.G)
+            return out
+
+        monkeypatch.setattr(controller, "lmpc_step", recording_step)
+        monkeypatch.setattr(qp_solver, "_factor",
+                            lambda ws, rho_base: rho_bases.append(rho_base) or factor(ws, rho_base))
+        run_closed_loop(model, cfg, x0)
+        assert len(grams) == 20 and all(G is grams[0] for G in grams)
+        assert rho_bases[0] == qp_solver.RHO and len(rho_bases) > 1
+
     def test_sparse_loop_reuses_polish_factor(self, lti_12_4, monkeypatch):
         # the kept polish factors give the bits of fresh ones, with fewer
         # factors: the loop factors K_eq = [P + dI, F_eq'; F_eq, -dI] once and

@@ -419,6 +419,18 @@ class TestWorkspace:
         for _ in range(2):
             with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
                 solve_qp(p, workspace=ws)
+        assert not ws.fits(p)
+        # a Gram matrix F'F that overflows fails the factor at RHO, after the
+        # build has kept G; the problem solved before it still gets its own
+        # rows and factors, not the failed build's
+        ok = QpProblem(H=np.eye(2), q=[-4.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
+        solve_qp(ok, workspace=ws)
+        big = QpProblem(H=np.eye(2), F=[[1e200, 0.0]], g=[1.0])
+        for _ in range(2):
+            with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+                solve_qp(big, workspace=ws)
+        assert not ws.fits(big)
+        assert self._same(solve_qp(ok, workspace=ws), solve_qp(ok))
 
 
 def _sparse_rows(p):
@@ -473,6 +485,33 @@ class TestSparseRows:
                 qp_solver.QpWorkspace().build(p)
             assert reduced[-2].shape == (dense.d, dense.d)
             assert _rel_close(reduced[-1], reduced[-2], 1e-12)
+
+    def test_reduced_matrices_at_every_rho(self, lti_12_4, monkeypatch):
+        # RHO far from balance forces step-size updates; every reduced matrix
+        # factored, at the build and at each update, is P + sigma I +
+        # A' diag(rho) A formed explicitly from the dense rows
+        monkeypatch.setattr(qp_solver, "RHO", 1e-5)
+        rho_bases, factored = [], []
+        factor, lu_factor = qp_solver._factor, qp_solver.lu_factor
+        monkeypatch.setattr(qp_solver, "_factor",
+                            lambda ws, rho_base: rho_bases.append(rho_base) or factor(ws, rho_base))
+        monkeypatch.setattr(qp_solver, "lu_factor",
+                            lambda M: factored.append(M.copy()) or lu_factor(M))
+        settings = SolverSettings(eps_abs=1e-12, eps_rel=1e-12, max_iter=200)
+        for dense, csr in _pairs(lti_12_4)[::6]:
+            A = np.vstack([dense.F, dense.F_eq])
+            scale = np.repeat([1.0, 1e3], [dense.F.shape[0], dense.F_eq.shape[0]])
+            for p in (dense, csr):
+                rho_bases.clear()
+                factored.clear()
+                solve_qp(p, settings=settings)
+                # the polish factors, if any, come after the loop's
+                assert len(rho_bases) > 1 and len(factored) >= len(rho_bases)
+                assert rho_bases[0] == 1e-5
+                for rho_base, M in zip(rho_bases, factored):
+                    ref = 2.0 * p.H + qp_solver.SIGMA * np.eye(p.d) \
+                        + A.T @ (rho_base * scale[:, None] * A)
+                    assert _rel_close(M, ref, 1e-12)
 
     def test_csr_block_kept_as_is(self, lti_12_4):
         p = _sparse_form_qp(lti_12_4, N=3)
