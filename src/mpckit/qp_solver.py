@@ -12,15 +12,13 @@ system) with a projection onto the rows: min(., g) on F, g_eq on F_eq. The
 step size is rho = rho_base s, s a fixed per-row scale, so the reduced matrix
 is P + sigma I + rho_base G with the Gram matrix G = A' diag(s) A formed
 once; a change of rho_base costs one scaled add and one LU. A QpWorkspace
-keeps the stacked rows, P + sigma I, G and the factor at the initial step
-size across solves that share H, F and F_eq, as the steps of a closed loop
-do.
+keeps what depends on H, F and F_eq alone across the solves that share them,
+as the steps of a closed loop do.
 
 F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
-G is densified once, for LAPACK's LU of the reduced matrix; polishing keeps
-one dense LU of its KKT system's equality block and borders it by the active
-F rows.
+G is densified once, for LAPACK's LU of the reduced matrix; polishing borders
+one dense LU of its KKT system's equality block by the active F rows.
 """
 
 from dataclasses import dataclass, field
@@ -142,40 +140,38 @@ def lu_solve(lu_piv, b):
     return _getrs(*lu_piv, b)[0]
 
 
-def _factor(ws, rho_base):
-    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho_base s) A,
-    s = ws.rho_scale, as rho_base ws.G + ws.P_sigma: no product with A.
+def _factor(G, P_sigma, rho_base):
+    """LU factor of the reduced matrix P + SIGMA I + A' diag(rho_base s) A
+    as rho_base G + P_sigma, G = A' diag(s) A: no product with A.
 
-    QpWorkspace.build has tested H, F and F_eq for finiteness and P + SIGMA I
-    for definiteness, so the matrix is regular; a G that overflows, or a
-    rho_base G that does, still reaches lu_factor, which rejects the infinity.
+    QpWorkspace.build has tested H, F and F_eq for finiteness and P_sigma
+    for definiteness, so the matrix is regular; a rho_base G that overflows
+    still reaches lu_factor, which rejects it.
     """
-    M = rho_base * ws.G
-    M += ws.P_sigma
+    M = rho_base * G
+    M += P_sigma
     return lu_factor(M)
 
 
 class QpWorkspace:
-    """The parts of a solve that q, g and g_eq leave alone: the stacked rows
+    """What a solve takes from H, F and F_eq alone: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
     a sparse one), the per-row step-size scale s (the F_eq rows get 1e3),
     P = 2H, P_sigma = P + SIGMA I, the dense Gram matrix G = A' diag(s) A,
-    the factor of the reduced matrix at rho = RHO s and the polish factors:
-    K_eq's (keq) and the last active set's (kkt; see _polish).
+    the factor of the reduced matrix at rho = RHO s and, once a solve has
+    polished, keq: the LU of the polish system's equality block with the
+    F_eq rows and their transpose (see _polish).
 
-    solve_qp fills it on first use. It reuses it while H, F and F_eq are the
-    very arrays it was built from; any other problem gets a fresh build.
-    Factors at an adapted rho are made per solve from P_sigma and G (see
-    _factor), and every solve starts again from RHO, so a reused workspace
-    gives the same iterates as a fresh one; the polish factors depend only
-    on P, A and the active rows, so kept factors give the same bits as new
-    ones, and a build drops them. A build checks its input once, before its
-    first factor: NaN or infinity in H, F or F_eq raises NonFiniteError, an
-    H that is not symmetric to SYMMETRY_TOL raises ShapeError, and a
-    P + SIGMA I with no Cholesky factor raises SingularMatrixError, since
-    the rows can make the reduced matrix regular for an H that is not
-    positive semidefinite, and ADMM would then diverge; a G that overflows
-    makes the factor at RHO raise NonFiniteError.
+    solve_qp builds it on first use and reuses it while H, F and F_eq are
+    the very arrays it was built from. Nothing in it depends on a solve's
+    data or iterates, so a reused workspace gives the same bits as a fresh
+    one. A build checks its input before its first factor: NaN or infinity
+    in H, F or F_eq raises NonFiniteError, an H that is not symmetric to
+    SYMMETRY_TOL raises ShapeError, and a P + SIGMA I with no Cholesky
+    factor raises SingularMatrixError, since the rows can make the reduced
+    matrix regular for an H that is not positive semidefinite, and ADMM
+    would then diverge; a G that overflows makes the factor at RHO raise
+    NonFiniteError. A build that raises leaves the workspace as it was.
     """
 
     def __init__(self):
@@ -203,15 +199,11 @@ class QpWorkspace:
             raise SingularMatrixError("P + sigma I has no Cholesky factor: "
                                       "H is not positive semidefinite")
         rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        # H, F and F_eq are cleared first and set last, so that a build whose
-        # factor at RHO raises leaves nothing to reuse
-        self.H = self.F = self.F_eq = None
-        self.A, self.At, self.P, self.P_sigma, self.rho_scale, self.rho = \
-            A, At, P, P_sigma, rho_scale, RHO * rho_scale
-        self.G = _dense((At * rho_scale) @ A)
-        self.lu = _factor(self, RHO)
-        self.keq = self.kkt = None
-        self.H, self.F, self.F_eq = p.H, p.F, p.F_eq
+        G = _dense((At * rho_scale) @ A)
+        lu = _factor(G, P_sigma, RHO)
+        (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma, self.G,
+         self.rho_scale, self.rho, self.lu, self.keq) = \
+            p.H, p.F, p.F_eq, A, At, P, P_sigma, G, rho_scale, RHO * rho_scale, lu, None
 
 
 def _violation(r, n_in):
@@ -322,7 +314,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             if new_base > 5.0 * rho_base or new_base < rho_base / 5.0:
                 rho_base = new_base
                 rho = rho_base * rho_scale
-                lu = _factor(ws, rho_base)
+                lu = _factor(ws.G, ws.P_sigma, rho_base)
 
     if status is QpStatus.OPTIMAL:
         # the check that stopped the loop has just made A x, P x and A'y
@@ -351,37 +343,37 @@ def _polish(p, ws, u, x, y, ax, res_admm):
     three times against the unregularized one, gives the polished point,
     kept when its F-row multipliers are >= -1e-7 and its largest residual
     exceeds the ADMM iterate's by at most 1e-12; returns the point kept, its
-    multipliers and their residuals. Block elimination solves it: ws.keq
-    holds the LU of K_eq, ws.kkt the active rows and their transpose, B,
-    W = K_eq^-1 [B 0]' and the LU of S = -dI - [B 0] W (none if k = 0); a
-    SingularMatrixError from a factor keeps nothing and leaves the ADMM iterate.
+    multipliers and their residuals. Block elimination solves it with the
+    LU of K_eq, made at the first polish and kept in ws.keq, and for k > 0
+    W = K_eq^-1 [B 0]' and the LU of S = -dI - [B 0] W; a SingularMatrixError
+    from a factor leaves the ADMM iterate.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
     idx = np.flatnonzero(((y > 1e-9) | np.isclose(ax, u, atol=1e-7))[:n_in])
     rows, k = np.concatenate([np.arange(n_in, A.shape[0]), idx]), len(idx)
-    keq, kkt = ws.keq, ws.kkt
     try:
-        if keq is None:
+        if ws.keq is None:
+            A_eq = A[n_in:]
             K = np.diag(np.repeat([delta, -delta], [d, n0 - d]))
             K[:d, :d] += P
-            K[d:, :d] = _dense(A[n_in:])
+            K[d:, :d] = _dense(A_eq)
             K[:d, d:] = K[d:, :d].T
-            keq = lu_factor(K)
-        if kkt is None or not np.array_equal(kkt[0], idx):
+            ws.keq = lu_factor(K), A_eq, A_eq.T
+        keq, A_act, A_act_t = ws.keq
+        if k:
             A_act, B = A[rows], _dense(A[idx])
-            W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))])) if k else None
-            kkt = (idx, A_act, A_act.T, B, W,
-                   lu_factor(-delta * np.eye(k) - B @ W[:d]) if k else None)
+            A_act_t, W = A_act.T, lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
+            s_lu = lu_factor(-delta * np.eye(k) - B @ W[:d])
     except SingularMatrixError:
         return x, y, res_admm
-    ws.keq, ws.kkt = keq, kkt
-    _, A_act, A_act_t, B, W, s_lu = kkt
 
     def solve(r):
         t = lu_solve(keq, r[:n0])
-        w = lu_solve(s_lu, r[n0:] - B @ t[:d]) if k else None
-        return np.concatenate([t - W @ w, w]) if k else t
+        if not k:
+            return t
+        w = lu_solve(s_lu, r[n0:] - B @ t[:d])
+        return np.concatenate([t - W @ w, w])
 
     rhs = np.concatenate([-p.q, u[rows]])
     sol = solve(rhs)
@@ -402,7 +394,9 @@ def kkt_residuals(p, z, duals):
     """Infinity norms of stationarity, primal violation and complementarity.
 
     ``duals`` holds the multipliers of the F rows, then of the F_eq rows, as
-    in QpSolution.duals.
+    in QpSolution.duals. The complementarity skips the F rows whose
+    multiplier is zero, so a row with g = +inf adds nothing, and a nonzero
+    multiplier on one reads inf.
     """
     z = as_vector(z, "z")
     duals = as_vector(duals, "duals")
@@ -414,5 +408,6 @@ def kkt_residuals(p, z, duals):
     slack = p.F @ z - p.g
     viol = max(float(slack.max(initial=0.0)),
                float(np.abs(p.F_eq @ z - p.g_eq).max(initial=0.0)))
-    comp = float(np.abs(lam * slack).max(initial=0.0))
+    active = lam != 0
+    comp = float(np.abs(lam[active] * slack[active]).max(initial=0.0))
     return stationarity, viol, comp

@@ -349,6 +349,23 @@ class TestRunClosedLoop:
             nxt = lti_step(lti_demo_model, traj.states[k], traj.inputs[k])
             assert np.abs(nxt - traj.states[k + 1]).max() <= 1e-12
 
+    @pytest.mark.parametrize("demo, x_r, N_T", [
+        ("lmpc-stabilize", [0.11, -0.195], 20),    # the steady state of u_r = 0.5
+        ("nmpc-track", None, 20),
+    ])
+    def test_tracking_replays_through_plant(self, demo, x_r, N_T):
+        # a tracking loop toward a steady reference records the plant's
+        # trajectory: its inputs, applied by model.step from the initial
+        # state, give back its states
+        exp = cli.demo_config(demo)
+        cfg = replace(exp.mpc, N_T=N_T, reference=exp.mpc.reference if x_r is None else x_r)
+        traj = run_closed_loop(exp.model, cfg, exp.initial_state)
+        assert len(traj) == N_T and cfg.reference is not None
+        x = np.asarray(traj.states[0])
+        for u, recorded in zip(traj.inputs, traj.states[1:]):
+            x = exp.model.step(x, u)
+            assert np.abs(x - recorded).max() <= 1e-12
+
     def test_trajectory_lengths(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=10)
         traj = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
@@ -471,16 +488,17 @@ class TestLoopWorkspace:
 
         monkeypatch.setattr(controller, "lmpc_step", recording_step)
         monkeypatch.setattr(qp_solver, "_factor",
-                            lambda ws, rho_base: rho_bases.append(rho_base) or factor(ws, rho_base))
+                            lambda G, P_sigma, rho_base:
+                            rho_bases.append(rho_base) or factor(G, P_sigma, rho_base))
         run_closed_loop(model, cfg, x0)
         assert len(grams) == 20 and all(G is grams[0] for G in grams)
         assert rho_bases[0] == qp_solver.RHO and len(rho_bases) > 1
 
     def test_sparse_loop_reuses_polish_factor(self, lti_12_4, monkeypatch):
-        # the kept polish factors give the bits of fresh ones, with fewer
+        # the kept polish factor gives the bits of fresh ones, with fewer
         # factors: the loop factors K_eq = [P + dI, F_eq'; F_eq, -dI] once and
-        # borders it by a k x k factor per new active set of k input bounds;
-        # no polish matrix is larger than K_eq
+        # borders it by a k x k factor at each polish on k input bounds; no
+        # polish matrix is larger than K_eq
         model, X_set, U_set, x0 = lti_12_4
         cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
                         U_set=U_set, formulation="sparse")
@@ -515,6 +533,35 @@ class TestLoopWorkspace:
         kept_polish, fresh_polish = (sum(n != d for n in sizes) for sizes in (kept_sizes, fresh_sizes))
         assert any(n < d for n in kept_sizes)
         assert kept_polish < fresh_polish
+
+    @pytest.mark.parametrize("form", ["condensed", "sparse"])
+    def test_workspace_keeps_no_solve_history(self, monkeypatch, form):
+        # the lmpc-stabilize loop polishes on the same non-empty active set
+        # at several steps; its QP workspace holds only what the build sets
+        # and K_eq's record, and each step equals a fresh-workspace step
+        exp = cli.demo_config("lmpc-stabilize")
+        cfg = replace(exp.mpc, formulation=form)
+        step = controller.lmpc_step
+        fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "rho", "lu", "keq"}
+        active_sets = []
+
+        def checked_step(model, cfg, x_k, warm=None, _ws=None):
+            out = step(model, cfg, x_k, warm=warm, _ws=_ws)
+            fresh = step(model, cfg, x_k, warm=warm)
+            assert set(vars(_ws.qp)) == fields and len(_ws.qp.keq) == 3
+            for a, b in ((out.solution, fresh.solution), (out, fresh)):
+                for key, value in vars(a).items():
+                    if key != "solution":
+                        assert np.array_equal(value, getattr(b, key)), key
+            n_in = _ws.qp.F.shape[0]
+            active_sets.append(tuple(np.flatnonzero(out.solution.duals[:n_in])))
+            return out
+
+        monkeypatch.setattr(controller, "lmpc_step", checked_step)
+        traj = run_closed_loop(exp.model, cfg, exp.initial_state)
+        assert len(traj) == len(active_sets) == 50
+        repeated = [a for a in set(active_sets) if a and active_sets.count(a) > 1]
+        assert repeated
 
 
 class TestDualWarmStart:

@@ -420,16 +420,16 @@ class TestWorkspace:
             with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
                 solve_qp(p, workspace=ws)
         assert not ws.fits(p)
-        # a Gram matrix F'F that overflows fails the factor at RHO, after the
-        # build has kept G; the problem solved before it still gets its own
-        # rows and factors, not the failed build's
+        # a Gram matrix F'F that overflows fails the factor at RHO; the
+        # workspace still fits the problem solved before it, with that
+        # problem's rows and factors, not the failed build's
         ok = QpProblem(H=np.eye(2), q=[-4.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
         solve_qp(ok, workspace=ws)
         big = QpProblem(H=np.eye(2), F=[[1e200, 0.0]], g=[1.0])
         for _ in range(2):
             with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
                 solve_qp(big, workspace=ws)
-        assert not ws.fits(big)
+        assert not ws.fits(big) and ws.fits(ok)
         assert self._same(solve_qp(ok, workspace=ws), solve_qp(ok))
 
 
@@ -494,7 +494,8 @@ class TestSparseRows:
         rho_bases, factored = [], []
         factor, lu_factor = qp_solver._factor, qp_solver.lu_factor
         monkeypatch.setattr(qp_solver, "_factor",
-                            lambda ws, rho_base: rho_bases.append(rho_base) or factor(ws, rho_base))
+                            lambda G, P_sigma, rho_base:
+                            rho_bases.append(rho_base) or factor(G, P_sigma, rho_base))
         monkeypatch.setattr(qp_solver, "lu_factor",
                             lambda M: factored.append(M.copy()) or lu_factor(M))
         settings = SolverSettings(eps_abs=1e-12, eps_rel=1e-12, max_iter=200)
@@ -553,42 +554,46 @@ class TestSparseRows:
 
 
 class TestPolishFactor:
-    """The workspace keeps its last polish KKT factor, keyed by the active rows."""
+    """The workspace keeps the LU of the polish system's equality block K_eq,
+    a function of H and F_eq, and nothing that depends on the active rows."""
 
     def _box(self, scale):
-        # scaling the rows and bounds moves no optimum and no active row,
-        # but changes A and with it the polish KKT matrix
+        # scaling the rows and bounds moves no optimum and no active row, but
+        # changes A and with it K_eq = [P + dI, F_eq'; F_eq, -dI]; the optimum
+        # (1, 0.5) has the bound z1 <= 1 active
         F = scale * np.vstack([np.eye(2), -np.eye(2)])
-        return QpProblem(H=np.eye(2), q=[-4.0, -1.0], F=F, g=scale * np.array([1.0, 1.0, 0.0, 0.0]))
+        return QpProblem(H=np.eye(2), q=[-4.0, -1.0], F=F, g=scale * np.array([1.0, 1.0, 0.0, 0.0]),
+                         F_eq=scale * np.array([[1.0, -1.0]]), g_eq=scale * np.array([0.5]))
 
     def test_rebuild_drops_kept_factor(self):
         ws = qp_solver.QpWorkspace()
         solve_qp(self._box(1.0), workspace=ws)
-        idx = ws.kkt[0]
+        kept = ws.keq
         other = self._box(2.0)
         got = solve_qp(other, workspace=ws)
-        assert np.array_equal(ws.kkt[0], idx)
-        fresh = solve_qp(other)
+        fresh_ws = qp_solver.QpWorkspace()
+        fresh = solve_qp(other, workspace=fresh_ws)
+        assert ws.keq is not kept and not np.array_equal(ws.keq[0][0], kept[0][0])
+        assert np.array_equal(ws.keq[0][0], fresh_ws.keq[0][0])
         assert np.array_equal(got.z_star, fresh.z_star)
         assert np.array_equal(got.duals, fresh.duals)
         assert got.iterations == fresh.iterations
 
     def test_factor_that_raised_is_not_kept(self, monkeypatch):
-        # one active row: the polish factors K_eq = P + 1e-9 I, then the
-        # 1 x 1 S; a raise from either keeps neither
+        # one active F row: the polish factors the 3 x 3 K_eq, then the 1 x 1
+        # S; a raise from K_eq keeps no keq, and S is never kept
         p = self._box(1.0)
-        k_eq = 2.0 * p.H + 1e-9 * np.eye(2)
         lu_factor = qp_solver.lu_factor
-        for singular in ("K_eq", "S"):
+        for singular in (p.d + 1, 1):
             def singular_kkt(M):
-                if np.array_equal(M, k_eq) if singular == "K_eq" else M.shape[0] < p.d:
+                if M.shape[0] == singular:
                     raise SingularMatrixError("singular")
                 return lu_factor(M)
 
             ws = qp_solver.QpWorkspace()
             monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
             solve_qp(p, workspace=ws)
-            assert ws.keq is None and ws.kkt is None
+            assert (ws.keq is None) == (singular == p.d + 1)
             monkeypatch.setattr(qp_solver, "lu_factor", lu_factor)
             got, fresh = solve_qp(p, workspace=ws), solve_qp(p)
             assert np.array_equal(got.z_star, fresh.z_star)
@@ -774,6 +779,14 @@ class TestKktResiduals:
         assert stat == pytest.approx(0.0) and comp == pytest.approx(1.5)
         with pytest.raises(ShapeError):
             kkt_residuals(p, sol.z_star, np.array([2.0]))
+
+    def test_row_without_bound(self):
+        # g = +inf on the second row: its zero multiplier adds nothing to the
+        # complementarity, not 0 * inf, and a nonzero one reads inf
+        p = QpProblem(H=np.eye(2), q=[-2.0, -2.0], F=np.eye(2), g=[0.5, np.inf])
+        z = np.array([0.5, 1.0])
+        assert kkt_residuals(p, z, np.array([1.0, 0.0])) == (0.0, 0.0, 0.0)
+        assert kkt_residuals(p, z, np.array([1.0, 1.0]))[2] == np.inf
 
     def test_dimension_check(self):
         p = QpProblem(H=np.eye(2), F=[[1, 0]], g=[1])
