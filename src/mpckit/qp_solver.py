@@ -159,8 +159,8 @@ class QpWorkspace:
     a sparse one), the per-row step-size scale s (the F_eq rows get 1e3),
     P = 2H, P_sigma = P + SIGMA I, the dense Gram matrix G = A' diag(s) A,
     the factor of the reduced matrix at rho = RHO s and, once a solve has
-    polished, keq: the LU of the polish system's equality block with the
-    F_eq rows and their transpose (see _polish).
+    polished, keq: the LU of the polish system's equality block (see
+    _polish).
 
     solve_qp builds it on first use and reuses it while H, F and F_eq are
     the very arrays it was built from. Nothing in it depends on a solve's
@@ -332,38 +332,50 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     )
 
 
+def _active_rows(ax, g, y):
+    """Indices of the F rows a polish treats as active, from A x, the bounds
+    g and the multipliers y of those rows: a multiplier above 1e-9, or A x
+    within 1e-7 + 1e-5 |g| of a finite g. These are the rows of
+    (y > 1e-9) | np.isclose(ax, g, atol=1e-7), without np.isclose's fixed
+    cost; a row with g = +inf or -inf is never at its bound."""
+    near = (np.abs(ax - g) <= 1e-7 + 1e-5 * np.abs(g)) & np.isfinite(g)
+    return np.flatnonzero((y > 1e-9) | near)
+
+
 def _polish(p, ws, u, x, y, ax, res_admm):
     """Refine the ADMM solution (x, y) by one KKT solve on its active rows;
     ax is A x and res_admm the iterate's residuals, as _residuals gives them.
 
-    Every F_eq row is active; an F row is active when its multiplier exceeds
-    1e-9 or A x is within 1e-7 of its bound (the ADMM projection keeps its
-    multiplier nonnegative). The regularized KKT system [K_eq, B'; B, -dI],
-    K_eq = [P + dI, F_eq'; F_eq, -dI] and B the k active F rows, refined
-    three times against the unregularized one, gives the polished point,
-    kept when its F-row multipliers are >= -1e-7 and its largest residual
-    exceeds the ADMM iterate's by at most 1e-12; returns the point kept, its
-    multipliers and their residuals. Block elimination solves it with the
-    LU of K_eq, made at the first polish and kept in ws.keq, and for k > 0
-    W = K_eq^-1 [B 0]' and the LU of S = -dI - [B 0] W; a SingularMatrixError
-    from a factor leaves the ADMM iterate.
+    Every F_eq row is active, and the F rows of _active_rows (the ADMM
+    projection keeps their multipliers nonnegative). The regularized KKT
+    system [K_eq, B'; B, -dI], K_eq = [P + dI, F_eq'; F_eq, -dI] and B the k
+    active F rows, gives a candidate, refined against the unregularized
+    system until its residual there is within 1e-12, for at most three
+    rounds. One set of products per candidate, A x and P x + q + A'y with y
+    zero off the active rows, gives both that residual and the candidate's
+    residuals as _residuals gives them. The last candidate is kept when its
+    F-row multipliers are >= -1e-7 and its largest residual exceeds the ADMM
+    iterate's by at most 1e-12; returns the point kept, its multipliers and
+    their residuals. Block elimination solves it with the LU of K_eq, made at
+    the first polish and kept in ws.keq, and for k > 0 W = K_eq^-1 [B 0]' and
+    the LU of S = -dI - [B 0] W; a SingularMatrixError from a factor leaves
+    the ADMM iterate.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
-    idx = np.flatnonzero(((y > 1e-9) | np.isclose(ax, u, atol=1e-7))[:n_in])
+    idx = _active_rows(ax[:n_in], p.g, y[:n_in])
     rows, k = np.concatenate([np.arange(n_in, A.shape[0]), idx]), len(idx)
     try:
         if ws.keq is None:
-            A_eq = A[n_in:]
             K = np.diag(np.repeat([delta, -delta], [d, n0 - d]))
             K[:d, :d] += P
-            K[d:, :d] = _dense(A_eq)
+            K[d:, :d] = _dense(A[n_in:])
             K[:d, d:] = K[d:, :d].T
-            ws.keq = lu_factor(K), A_eq, A_eq.T
-        keq, A_act, A_act_t = ws.keq
+            ws.keq = lu_factor(K)
+        keq = ws.keq
         if k:
-            A_act, B = A[rows], _dense(A[idx])
-            A_act_t, W = A_act.T, lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
+            B = _dense(A[idx])
+            W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
             s_lu = lu_factor(-delta * np.eye(k) - B @ W[:d])
     except SingularMatrixError:
         return x, y, res_admm
@@ -375,16 +387,19 @@ def _polish(p, ws, u, x, y, ax, res_admm):
         w = lu_solve(s_lu, r[n0:] - B @ t[:d])
         return np.concatenate([t - W @ w, w])
 
-    rhs = np.concatenate([-p.q, u[rows]])
-    sol = solve(rhs)
-    # three rounds of iterative refinement against the unregularized system
-    for _ in range(3):
-        res = rhs - np.concatenate([P @ sol[:d] + A_act_t @ sol[d:], A_act @ sol[:d]])
-        sol = sol + solve(res)
-    xh = sol[:d]
+    sol = solve(np.concatenate([-p.q, u[rows]]))
     yh = np.zeros(A.shape[0])
-    yh[rows] = sol[d:]
-    res_h = _residuals(ws, p.q, u, xh, yh)
+    for rounds in range(4):
+        xh = sol[:d]
+        yh[rows] = sol[d:]
+        r_prim = A @ xh - u
+        r_dual = P @ xh + p.q + ws.At @ yh
+        # the residual against the unregularized system
+        res = -np.concatenate([r_dual, r_prim[rows]])
+        if rounds == 3 or np.abs(res).max() <= 1e-12:
+            break
+        sol = sol + solve(res)
+    res_h = (_violation(r_prim, n_in), float(np.abs(r_dual).max()))
     if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res_admm) + 1e-12:
         return xh, yh, res_h
     return x, y, res_admm

@@ -189,7 +189,7 @@ class TestSolveQp:
         lu_factor = qp_solver.lu_factor
 
         def singular_kkt(M):
-            if M.shape[0] != p.d:     # the (d + n_active)-row polish KKT matrix
+            if M.shape[0] != p.d:     # the polish's k x k Schur complement (K_eq is d x d here)
                 raise SingularMatrixError("singular")
             return lu_factor(M)
 
@@ -343,11 +343,19 @@ class TestStepSizeUpdate:
 
     def test_no_random_qp_at_iteration_cap(self):
         # with an update every 50 iterations draws 227, 907 and 941 ran to
-        # the 20,000-iteration cap
+        # the 20,000-iteration cap; every optimal draw is polished to a
+        # largest residual of 1e-12 max(1, |q|)
         rng = np.random.default_rng(123)
-        capped = [k for k in range(1500)
-                  if solve_qp(random_strictly_convex_qp(rng)).status is QpStatus.MAX_ITERATIONS]
-        assert capped == []
+        capped, inaccurate = [], []
+        for k in range(1500):
+            p = random_strictly_convex_qp(rng)
+            sol = solve_qp(p)
+            if sol.status is QpStatus.MAX_ITERATIONS:
+                capped.append(k)
+            elif sol.status is QpStatus.OPTIMAL and max(sol.primal_residual, sol.dual_residual) \
+                    > 1e-12 * max(1.0, float(np.abs(p.q).max())):
+                inaccurate.append(k)
+        assert capped == [] and inaccurate == []
 
 
 class TestOpenDefects:
@@ -573,8 +581,8 @@ class TestPolishFactor:
         got = solve_qp(other, workspace=ws)
         fresh_ws = qp_solver.QpWorkspace()
         fresh = solve_qp(other, workspace=fresh_ws)
-        assert ws.keq is not kept and not np.array_equal(ws.keq[0][0], kept[0][0])
-        assert np.array_equal(ws.keq[0][0], fresh_ws.keq[0][0])
+        assert ws.keq is not kept and not np.array_equal(ws.keq[0], kept[0])
+        assert np.array_equal(ws.keq[0], fresh_ws.keq[0])
         assert np.array_equal(got.z_star, fresh.z_star)
         assert np.array_equal(got.duals, fresh.duals)
         assert got.iterations == fresh.iterations
@@ -621,6 +629,27 @@ def _polish(p, x, y):
 class TestPolishRule:
     """One KKT solve on the active rows: every F_eq row, and the F rows with
     a positive multiplier or at their bound."""
+
+    def test_active_rows_match_isclose_rule(self):
+        # A x at 0, 0.5, 1 and 2 tolerances 1e-7 + 1e-5 |g| from g, and one
+        # ulp either side of the tolerance; bounds at 0 (tolerance exactly
+        # 1e-7) and at +-inf; multipliers at, below and above 1e-9
+        rng = np.random.default_rng(25)
+        g = rng.normal(scale=10.0, size=2000)
+        g[::9], g[1::9], g[2::13] = 0.0, np.inf, -np.inf
+        finite_g = np.where(np.isfinite(g), g, 0.0)
+        tol = 1e-7 + 1e-5 * np.abs(finite_g)
+        side = rng.choice([-1.0, 1.0], size=g.size)
+        ax = finite_g + side * tol * rng.choice([0.0, 0.5, 1.0, 2.0], size=g.size)
+        ax[3::7] = np.nextafter(ax[3::7], rng.choice([-np.inf, np.inf], size=ax[3::7].size))
+        ax[g == np.inf] = rng.normal(size=int((g == np.inf).sum()))
+        y = rng.choice([0.0, 1e-9, np.nextafter(1e-9, 1.0), np.nextafter(1e-9, 0.0), 1.0, -1.0],
+                       size=g.size)
+        expected = np.flatnonzero((y > 1e-9) | np.isclose(ax, g, atol=1e-7))
+        assert np.array_equal(qp_solver._active_rows(ax, g, y), expected)
+        at_bound = np.isclose(ax, g, atol=1e-7)
+        assert 0 < at_bound.sum() < np.isfinite(g).sum()
+        assert (at_bound & (np.abs(ax - g) == 1e-7 + 1e-5 * np.abs(g))).any()
 
     def test_equality_multiplier_takes_either_sign(self):
         # the minimizer (0.5, -0.5) has multiplier 1; the iterate misses the
@@ -684,6 +713,32 @@ class TestBorderedPolish:
     """The polish solves its KKT system by block elimination on one factor
     of the equality block K_eq and a k x k factor per active set."""
 
+    @pytest.mark.parametrize("n_eq, k", [(0, 0), (3, 0), (0, 3), (3, 2)])
+    def test_back_substitutions(self, monkeypatch, n_eq, k):
+        # the first refinement round brings a well-conditioned polish to
+        # rounding level, so it stops there: two back-substitutions with K_eq
+        # for k = 0, and for k > 0 one k-column solve for W and two bordered
+        # solves, each one with K_eq and one with S; with the objective scaled
+        # by 1e6 (the same KKT point, 1e6 times the multipliers) the residual
+        # stays above 1e-12 and the polish stops after its three rounds
+        rng = np.random.default_rng(25 + 10 * n_eq + k)
+        lu_solve = qp_solver.lu_solve
+        for scale, bordered in ((1.0, 2), (1e6, 4)):
+            p, z, duals = _kkt_point_qp(rng, 8, 8, n_eq, k, 4)
+            p = QpProblem(H=scale * p.H, q=scale * p.q, F=p.F, g=p.g, F_eq=p.F_eq, g_eq=p.g_eq)
+            ws, u = _built(p)
+            calls = []
+            monkeypatch.setattr(qp_solver, "lu_solve",
+                                lambda lu, b: calls.append((lu, b.shape)) or lu_solve(lu, b))
+            y = scale * (duals + 1e-9 * rng.normal(size=duals.shape[0]) * (duals != 0))
+            xh = _polish_at(p, ws, u, z + 1e-9 * rng.normal(size=8), y)[0]
+            monkeypatch.setattr(qp_solver, "lu_solve", lu_solve)
+            assert np.abs(xh - z).max() <= 1e-10    # the polished point was kept
+            keq = [shape for lu, shape in calls if lu is ws.keq]
+            others = [shape for lu, shape in calls if lu is not ws.keq]
+            assert keq == ([(8 + n_eq, k)] if k else []) + [(8 + n_eq,)] * bordered
+            assert others == ([(k,)] * bordered if k else [])
+
     @pytest.mark.parametrize("rows", ["dense", "csr"])
     @pytest.mark.parametrize("rank, n_eq, k", [(3, 3, 3), (4, 0, 4), (2, 5, 1)])
     def test_matches_dense_kkt_solve(self, monkeypatch, rows, rank, n_eq, k):
@@ -714,22 +769,26 @@ class TestBorderedPolish:
     def test_reported_residuals_are_the_returned_points(self, monkeypatch):
         # solve_qp reports the residuals that _polish compared in its accept
         # test: the ADMM iterate's come from the check that stopped the loop,
-        # so only the polished point's are evaluated; they equal a fresh
+        # and the polished point's from the products its last refinement
+        # round tested, so no _residuals call is made; they equal a fresh
         # _residuals call on the returned point, whether the polished point
         # is kept or the ADMM iterate is
         def fresh(p, x, y):
             ws, u = _built(p)
             return qp_solver._residuals(ws, p.q, u, x, y)
 
-        p = random_strictly_convex_qp(np.random.default_rng(4))
         residuals, calls = qp_solver._residuals, []
-        monkeypatch.setattr(qp_solver, "_residuals", lambda *a: calls.append(1) or residuals(*a))
-        polished = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_residuals", residuals)
-        assert polished.status is QpStatus.OPTIMAL and len(calls) == 1
-        assert polished.dual_residual <= 1e-12    # the polished point was kept
-        assert (polished.primal_residual, polished.dual_residual) \
-            == fresh(p, polished.z_star, polished.duals)
+        rng = np.random.default_rng(4)
+        for q in [random_strictly_convex_qp(rng) for _ in range(10)]:
+            for rows in (q, _sparse_rows(q)):
+                monkeypatch.setattr(qp_solver, "_residuals",
+                                    lambda *a: calls.append(1) or residuals(*a))
+                polished = solve_qp(rows)
+                monkeypatch.setattr(qp_solver, "_residuals", residuals)
+                assert polished.status is QpStatus.OPTIMAL and calls == []
+                assert polished.dual_residual <= 1e-12    # the polished point was kept
+                assert (polished.primal_residual, polished.dual_residual) \
+                    == fresh(rows, polished.z_star, polished.duals)
         # min z^2 + 2z has its minimizer -1 inside z <= 0.5; polishing the
         # iterate 0.5 on that row gives the multiplier -3, which fails the
         # sign test
