@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -29,6 +29,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_SOLVER = 4
+
+_PENDULUM_KEYS = tuple(f.name for f in fields(PendulumParams))
 
 
 @dataclass
@@ -147,14 +149,9 @@ def _experiment(doc):
 
     kind = model_sec.get("kind")
     if kind == "pendulum":
-        _object(model_sec, "model", ("kind", "M", "B_fric", "l", "g_grav", "T"))
-        params = PendulumParams(
-            M=_number(model_sec.get("M", 1.0), "M"),
-            B_fric=_number(model_sec.get("B_fric", 1.0), "B_fric"),
-            l=_number(model_sec.get("l", 1.0), "l"),
-            g_grav=_number(model_sec.get("g_grav", 9.8), "g_grav"),
-            T=_number(model_sec.get("T", 0.1), "T"))
-        model = pendulum_model(params)
+        _object(model_sec, "model", ("kind",) + _PENDULUM_KEYS)
+        model = pendulum_model(PendulumParams(**{
+            key: _number(model_sec[key], key) for key in _PENDULUM_KEYS if key in model_sec}))
     elif kind in ("lti", "lti-as-nonlinear"):
         _object(model_sec, "model", ("kind", "A", "B"))
         model = LtiModel(_matrix(model_sec["A"], "A"), _matrix(model_sec["B"], "B"))
@@ -174,17 +171,14 @@ def _experiment(doc):
 
     solver = _object(doc.get("solver", {}), "solver",
                      ("formulation", "eps_abs", "eps_rel", "max_iter", "warm_start"))
-    settings = SolverSettings()
-    for key in ("eps_abs", "eps_rel"):
-        if key in solver:
-            value = _number(solver[key], key)
-            if value < 0:
-                raise ConfigError(f"solver.{key} must be >= 0, got {value}")
-            setattr(settings, key, value)
+    limits = {key: _number(solver[key], f"solver.{key}")
+              for key in ("eps_abs", "eps_rel") if key in solver}
     if "max_iter" in solver:
-        settings.max_iter = _integer(solver["max_iter"], "solver.max_iter")
-        if settings.max_iter < 1:
-            raise ConfigError(f"solver.max_iter must be >= 1, got {settings.max_iter}")
+        limits["max_iter"] = _integer(solver["max_iter"], "solver.max_iter")
+    try:
+        settings = SolverSettings(**limits)
+    except ValueError as exc:
+        raise ConfigError(f"solver.{exc}")
 
     reference = doc.get("reference")
     x_r = None
@@ -350,11 +344,8 @@ def emit_plot(traj, out_path, X_set=None, U_set=None):
     body += panel(X, 30, "states", bounds_of(X_set))
     body += panel(U, 30 + panel_h + 50, "inputs", bounds_of(U_set))
     body.append("</svg>")
-    try:
-        with open(out_path, "w") as fh:
-            fh.write("\n".join(body) + "\n")
-    except OSError as exc:
-        raise OSError(f"could not write plot to {out_path}: {exc}") from exc
+    with open(out_path, "w") as fh:
+        fh.write("\n".join(body) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +398,7 @@ DEMOS = {
         "model": _PENDULUM_MODEL,
         "horizon": {"N": 10, "N_T": 200},
         "weights": {"Q": [[1, 0], [0, 1]], "R": [[1]]},
-        "constraints": {
-            "F_x": [[1, 0], [0, 1], [-1, 0], [0, -1]], "g_x": [5, 5, 5, 5],
-            "F_u": [[1], [-1]], "g_u": [5, 0.0],
-        },
+        "constraints": dict(_PENDULUM_CONSTRAINTS, g_u=[5, 0.0]),
         "reference": {"x_r": [0.5, 0]},
         "initial_state": [2, 1],
     },
@@ -423,11 +411,32 @@ def demo_config(name):
     return parse_config(json.dumps(DEMOS[name]))
 
 
-def _print_summary(summary, file=None):
-    for key in ("name", "steps", "final_state", "max_constraint_violation",
-                "total_cost", "total_iterations", "non_optimal_steps",
-                "wall_time_s", "aborted_at"):
-        print(f"{key}: {summary[key]}", file=file or sys.stdout)
+def _check_feasibility(cfg, state):
+    """Print the phase-I verdict on the comma-separated state for an LTI
+    config; returns EXIT_SOLVER when the verdict is not conclusive."""
+    if not isinstance(cfg.model, LtiModel):
+        raise ConfigError("check-feasibility supports LTI models only")
+    try:
+        x = [float(v) for v in state.split(",")]
+    except ValueError:
+        raise ConfigError("--state must be a numeric array")
+    x = _vector(x, "--state")
+    if x.shape[0] != cfg.mpc.n:
+        raise ConfigError(f"--state has dimension {x.shape[0]}, model has {cfg.mpc.n}")
+    report = is_state_feasible(cfg.model, cfg.mpc, x)
+    print(f"feasible: {report.feasible}")
+    print(f"phase1_slack: {report.phase1_slack}")
+    if report.status is not None:
+        print(f"phase1_status: {report.status}")
+    if report.witness is not None:
+        print(f"witness: {report.witness.ravel().tolist()}")
+    if report.certificate is not None:
+        print(f"certificate: {report.certificate.tolist()}")
+    if not report.conclusive:
+        print(f"solver failure: the phase-I verdict is not conclusive ({report.status})",
+              file=sys.stderr)
+        return EXIT_SOLVER
+    return EXIT_OK
 
 
 def main(argv=None):
@@ -454,54 +463,28 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "run":
-            with open(args.config) as fh:
-                cfg = parse_config(fh.read())
-        elif args.command == "demo":
+        if args.command == "demo":
             cfg = demo_config(args.which)
         else:
             with open(args.config) as fh:
                 cfg = parse_config(fh.read())
-            if not isinstance(cfg.model, LtiModel):
-                print("check-feasibility supports LTI models only", file=sys.stderr)
-                return EXIT_CONFIG
-            try:
-                state = [float(v) for v in args.state.split(",")]
-            except ValueError:
-                raise ConfigError("--state must be a numeric array")
-            x = _vector(state, "--state")
-            if x.shape[0] != cfg.mpc.n:
-                raise ConfigError(f"--state has dimension {x.shape[0]}, model has {cfg.mpc.n}")
-            report = is_state_feasible(cfg.model, cfg.mpc, x)
-            print(f"feasible: {report.feasible}")
-            print(f"phase1_slack: {report.phase1_slack}")
-            if report.status is not None:
-                print(f"phase1_status: {report.status}")
-            if report.witness is not None:
-                print(f"witness: {report.witness.ravel().tolist()}")
-            if report.certificate is not None:
-                print(f"certificate: {report.certificate.tolist()}")
-            if not report.conclusive:
-                print(f"solver failure: the phase-I verdict is not conclusive ({report.status})",
-                      file=sys.stderr)
-                return EXIT_SOLVER
-            return EXIT_OK
+        if args.command == "check-feasibility":
+            return _check_feasibility(cfg, args.state)
+        summary = run_experiment(cfg, out_path=args.out)
+        traj = summary.pop("trajectory")
+        for key, value in summary.items():
+            print(f"{key}: {value}")
+        if args.plot:
+            if traj.inputs:
+                emit_plot(traj, args.plot, X_set=cfg.mpc.X_set, U_set=cfg.mpc.U_set)
+            else:
+                print("empty trajectory, no plot written", file=sys.stderr)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    try:
-        summary = run_experiment(cfg, out_path=args.out)
     except MpcError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    traj = summary.pop("trajectory")
-    _print_summary(summary)
-    if args.plot:
-        if traj.inputs:
-            emit_plot(traj, args.plot, X_set=cfg.mpc.X_set, U_set=cfg.mpc.U_set)
-        else:
-            print("empty trajectory, no plot written", file=sys.stderr)
     if summary["aborted_at"] is not None:
         return EXIT_INFEASIBLE
     if summary["non_optimal_steps"]:

@@ -8,7 +8,7 @@ Everything here is a pure function of its inputs.
 import numpy as np
 from scipy import sparse
 
-from .exceptions import InvalidWeightError, NonFiniteError, ShapeError, SingularMatrixError
+from .exceptions import InvalidWeightError, ShapeError, SingularMatrixError
 
 SYMMETRY_TOL = 1e-10
 
@@ -62,15 +62,14 @@ def as_rows(F, g, d, name="F"):
     matrix and a length-k vector; a missing or empty F is a block of no rows.
 
     A scipy.sparse F becomes a float CSR array, the very same object when it
-    is one already; NaN or infinity among its entries raises NonFiniteError.
+    is one already. NaN or infinity in F, sparse or dense, is for
+    qp_solver.QpWorkspace.build to reject, once per workspace.
     """
     if sparse.issparse(F):
         if not (isinstance(F, sparse.csr_array) and F.dtype == float):
             F = sparse.csr_array(F, dtype=float)
         if F.ndim != 2:
             raise ShapeError(f"{name} must be 2-D, got shape {F.shape}")
-        if not np.isfinite(F.data).all():
-            raise NonFiniteError(f"NaN or infinity in {name}")
     elif F is not None and np.size(F):
         F = as_matrix(F, name)
     else:

@@ -61,16 +61,25 @@ class QpStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverSettings:
     """Stopping tolerances and iteration cap of the QP (ADMM) solver.
 
     solve_nlp passes the same settings on to each of its QP subproblems.
+    A NaN or negative tolerance, or a max_iter below 1, raises ValueError.
     """
 
     eps_abs: float = 1e-6
     eps_rel: float = 1e-6
     max_iter: int = 20000
+
+    def __post_init__(self):
+        # a NaN fails >= 0; with max_iter >= 1 every solve ends on a check
+        for key in ("eps_abs", "eps_rel"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass
@@ -212,13 +221,6 @@ def _violation(r, n_in):
     return max(float(r[:n_in].max(initial=0.0)), float(np.abs(r[n_in:]).max(initial=0.0)))
 
 
-def _residuals(ws, q, u, x, y):
-    """Primal violation of F x <= g, F_eq x = g_eq (u = [g; g_eq]) and
-    stationarity |P x + q + A'y|, with A and P from the workspace ws."""
-    return (_violation(ws.A @ x - u, ws.F.shape[0]),
-            float(np.abs(ws.P @ x + q + ws.At @ y).max()))
-
-
 def solve_qp(p, warm=None, settings=None, workspace=None):
     """Solve the QP by ADMM; returns a QpSolution.
 
@@ -270,7 +272,6 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     q_norm = float(np.abs(q).max(initial=0.0))
 
     status = QpStatus.MAX_ITERATIONS
-    it = 0
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
@@ -316,11 +317,10 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 rho = rho_base * rho_scale
                 lu = _factor(ws.G, ws.P_sigma, rho_base)
 
+    # every exit follows a check, whose A x, P x and A'y are those of (x, y)
+    prim, dual = _violation(ax - u, n_in), r_dual
     if status is QpStatus.OPTIMAL:
-        # the check that stopped the loop has just made A x, P x and A'y
-        x, y, (prim, dual) = _polish(p, ws, u, x, y, ax, (_violation(ax - u, n_in), r_dual))
-    else:
-        prim, dual = _residuals(ws, q, u, x, y)
+        x, y, (prim, dual) = _polish(p, ws, u, x, y, ax, (prim, dual))
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -344,7 +344,8 @@ def _active_rows(ax, g, y):
 
 def _polish(p, ws, u, x, y, ax, res_admm):
     """Refine the ADMM solution (x, y) by one KKT solve on its active rows;
-    ax is A x and res_admm the iterate's residuals, as _residuals gives them.
+    ax is A x and res_admm the iterate's residuals: the max-norm primal
+    violation of F x <= g, F_eq x = g_eq and of stationarity P x + q + A'y.
 
     Every F_eq row is active, and the F rows of _active_rows (the ADMM
     projection keeps their multipliers nonnegative). The regularized KKT
@@ -353,7 +354,7 @@ def _polish(p, ws, u, x, y, ax, res_admm):
     system until its residual there is within 1e-12, for at most three
     rounds. One set of products per candidate, A x and P x + q + A'y with y
     zero off the active rows, gives both that residual and the candidate's
-    residuals as _residuals gives them. The last candidate is kept when its
+    residuals, in res_admm's terms. The last candidate is kept when its
     F-row multipliers are >= -1e-7 and its largest residual exceeds the ADMM
     iterate's by at most 1e-12; returns the point kept, its multipliers and
     their residuals. Block elimination solves it with the LU of K_eq, made at

@@ -188,6 +188,37 @@ class TestMain:
         assert out.exists() and plot.exists()
         assert "final_state" in capsys.readouterr().out
 
+    def test_summary_keys(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_OK
+        keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == ["name", "steps", "final_state", "max_constraint_violation",
+                        "total_cost", "total_iterations", "non_optimal_steps",
+                        "wall_time_s", "aborted_at"]
+
+    def test_unwritable_output_paths(self, tmp_path, capsys):
+        # a path in a missing directory is a config error, not a traceback;
+        # the summary precedes the plot, so it is printed
+        missing = tmp_path / "missing"
+        for flag, summary in (("--out", False), ("--plot", True)):
+            code = main(["demo", "lmpc-stabilize", flag, str(missing / "x")])
+            out, err = capsys.readouterr()
+            assert code == EXIT_CONFIG, flag
+            assert f"config error: [Errno 2] No such file or directory: '{missing / 'x'}'" \
+                in err and "Traceback" not in err, err
+            assert ("final_state" in out) == summary, flag
+
+    def test_plot_of_run_aborted_at_step_0(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, initial_state=[20, 0])))
+        plot = tmp_path / "plot.svg"
+        code = main(["run", "--config", str(cfg_path), "--plot", str(plot)])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INFEASIBLE
+        assert "aborted_at: 0" in out and "empty trajectory, no plot written" in err
+        assert not plot.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json")])
         assert code == EXIT_CONFIG
@@ -300,6 +331,14 @@ class TestMain:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "feasible: True" in out
+
+    def test_check_feasibility_pendulum_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(DEMOS["nmpc-stabilize"]))
+        code = main(["check-feasibility", "--config", str(cfg_path), "--state", "2,1"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert out == "" and "config error: check-feasibility supports LTI models only" in err
 
     def test_check_feasibility_control_horizon(self, tmp_path, capsys):
         # with N_C = 2 the zero inputs after the control horizon break u >= 0.5

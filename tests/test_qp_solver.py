@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -131,6 +133,20 @@ class TestSolveQp:
         sol = solve_qp(p, settings=SolverSettings(max_iter=2))
         assert sol.status is QpStatus.MAX_ITERATIONS
         assert sol.z_star.shape == (p.d,)
+
+    @pytest.mark.parametrize("bad", [{"eps_abs": -1.0}, {"eps_abs": float("nan")},
+                                     {"eps_rel": -1e-6}, {"eps_rel": float("nan")},
+                                     {"max_iter": 0}, {"max_iter": -3}])
+    def test_unusable_settings_rejected(self, bad):
+        # a negative tolerance would run every solve to the cap, and no
+        # iteration would leave no check to end on
+        key = next(iter(bad))
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            SolverSettings(**bad)
+        assert SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iter=1).max_iter == 1
+        # nor can an assignment bypass the check
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            SolverSettings().max_iter = 0
 
     def test_non_finite_inputs_rejected(self):
         p = QpProblem(H=np.eye(2), q=[1.0, np.nan], F=[[1.0, 0.0]], g=[1.0])
@@ -615,10 +631,18 @@ def _built(p):
     return ws, np.concatenate([p.g, p.g_eq])
 
 
+def _residuals(ws, q, u, x, y):
+    """Reference residuals of (x, y): the primal violation of F x <= g,
+    F_eq x = g_eq (u = [g; g_eq]) and the stationarity |P x + q + A'y|, with
+    A and P from the workspace ws."""
+    return (qp_solver._violation(ws.A @ x - u, ws.F.shape[0]),
+            float(np.abs(ws.P @ x + q + ws.At @ y).max()))
+
+
 def _polish_at(p, ws, u, x, y):
     """qp_solver._polish of the iterate (x, y), given A x and its residuals
     as the check that stops solve_qp's loop has them."""
-    return qp_solver._polish(p, ws, u, x, y, ws.A @ x, qp_solver._residuals(ws, p.q, u, x, y))
+    return qp_solver._polish(p, ws, u, x, y, ws.A @ x, _residuals(ws, p.q, u, x, y))
 
 
 def _polish(p, x, y):
@@ -770,22 +794,17 @@ class TestBorderedPolish:
         # solve_qp reports the residuals that _polish compared in its accept
         # test: the ADMM iterate's come from the check that stopped the loop,
         # and the polished point's from the products its last refinement
-        # round tested, so no _residuals call is made; they equal a fresh
-        # _residuals call on the returned point, whether the polished point
-        # is kept or the ADMM iterate is
+        # round tested; they equal the reference _residuals of the returned
+        # point, whether the polished point is kept or the ADMM iterate is
         def fresh(p, x, y):
             ws, u = _built(p)
-            return qp_solver._residuals(ws, p.q, u, x, y)
+            return _residuals(ws, p.q, u, x, y)
 
-        residuals, calls = qp_solver._residuals, []
         rng = np.random.default_rng(4)
         for q in [random_strictly_convex_qp(rng) for _ in range(10)]:
             for rows in (q, _sparse_rows(q)):
-                monkeypatch.setattr(qp_solver, "_residuals",
-                                    lambda *a: calls.append(1) or residuals(*a))
                 polished = solve_qp(rows)
-                monkeypatch.setattr(qp_solver, "_residuals", residuals)
-                assert polished.status is QpStatus.OPTIMAL and calls == []
+                assert polished.status is QpStatus.OPTIMAL
                 assert polished.dual_residual <= 1e-12    # the polished point was kept
                 assert (polished.primal_residual, polished.dual_residual) \
                     == fresh(rows, polished.z_star, polished.duals)
@@ -796,16 +815,21 @@ class TestBorderedPolish:
         x, y, res = _polish_at(one, *_built(one), np.array([0.5]), np.array([0.0]))
         assert np.array_equal(x, [0.5]) and np.array_equal(y, [0.0])
         assert res == fresh(one, x, y)
-        # an ADMM iterate kept unpolished reports the residuals of the check
-        # that stopped the loop: the same bits as _residuals, for dense and
-        # CSR rows
+        # an ADMM iterate kept unpolished, or one that ends at the iteration
+        # cap or with a certificate, reports the residuals of the check that
+        # stopped the loop: the same bits as _residuals, for dense and CSR rows
         monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y, ax, res: (x, y, res))
         rng = np.random.default_rng(16)
-        for q in [random_strictly_convex_qp(rng) for _ in range(20)]:
+        infeasible = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
+        statuses = set()
+        for q in [random_strictly_convex_qp(rng) for _ in range(20)] + [infeasible]:
             for rows in (q, _sparse_rows(q)):
-                admm = solve_qp(rows)
-                assert (admm.primal_residual, admm.dual_residual) \
-                    == fresh(rows, admm.z_star, admm.duals)
+                for max_iter in (1, 7, 20000):
+                    admm = solve_qp(rows, settings=SolverSettings(max_iter=max_iter))
+                    statuses.add(admm.status)
+                    assert (admm.primal_residual, admm.dual_residual) \
+                        == fresh(rows, admm.z_star, admm.duals)
+        assert statuses == set(QpStatus)
 
 
 class TestKktResiduals:
