@@ -9,6 +9,7 @@ reals printed with 17 significant digits, LF line endings.
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -254,8 +255,25 @@ def read_csv(path):
     return np.array(states), np.array(inputs), np.array(costs)
 
 
+def _check_writable(path):
+    """Raise the OSError that writing path would raise, before a closed loop
+    runs. A writable file or FIFO is not opened, so a file keeps its
+    contents and a FIFO's reader its input; a file made to test the path is
+    removed again."""
+    if os.access(path, os.W_OK) and not os.path.isdir(path):
+        return
+    existed = os.path.lexists(path)     # a symbolic link to no file
+    os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    if not existed:
+        os.remove(path)
+
+
 def run_experiment(cfg, out_path=None):
-    """Run the closed loop and return a summary dict; CSV written if requested."""
+    """Run the closed loop and return a summary dict; with out_path the CSV
+    is written there, and a path that cannot be written raises OSError
+    before the loop runs."""
+    if out_path:
+        _check_writable(out_path)
     model = cfg.model
     n = cfg.mpc.n
     m = cfg.mpc.m
@@ -470,6 +488,8 @@ def main(argv=None):
                 cfg = parse_config(fh.read())
         if args.command == "check-feasibility":
             return _check_feasibility(cfg, args.state)
+        if args.plot:
+            _check_writable(args.plot)
         summary = run_experiment(cfg, out_path=args.out)
         traj = summary.pop("trajectory")
         for key, value in summary.items():

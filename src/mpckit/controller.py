@@ -113,7 +113,31 @@ class MpcStepResult:
     solution: object = None  # raw solver output: status, duals and residuals
 
 
-@dataclass
+class Rows:
+    """Rows appended to an array made for count of them, read as a list of
+    rows (an index gives a row, a slice a list) or by np.asarray as one array."""
+
+    __slots__ = ("array", "n")
+
+    def __init__(self, count, width):
+        self.array, self.n = np.empty((count, width)), 0
+
+    def append(self, row):
+        self.array[self.n] = row
+        self.n += 1
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        rows = self.array[:self.n]
+        return list(rows[i]) if isinstance(i, slice) else rows[i]
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.array[:self.n], dtype=dtype, copy=copy)
+
+
+@dataclass(slots=True)
 class Trajectory:
     states: List[np.ndarray] = field(default_factory=list)
     inputs: List[np.ndarray] = field(default_factory=list)
@@ -258,7 +282,7 @@ def run_closed_loop(model, cfg, x_0):
                             reference=None)
 
     ws = _Workspace()
-    traj = Trajectory()
+    traj = Trajectory(states=Rows(cfg.N_T + 1, cfg.n), inputs=Rows(cfg.N_T, cfg.m))
     xe = x_0 - x_r
     traj.states.append(xe + x_r)
     warm = None

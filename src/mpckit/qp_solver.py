@@ -19,6 +19,9 @@ F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
 G is densified once, for LAPACK's LU of the reduced matrix; polishing borders
 one dense LU of its KKT system's equality block by the active F rows.
+
+ADMM's lasting output is an active set: solve_qp polishes on its active rows
+(OSQP, section 4) and returns that point once it passes the termination test.
 """
 
 from dataclasses import dataclass, field
@@ -229,14 +232,18 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     problems that share H, F and F_eq (a closed loop's steps); without one
     the solve builds its own. A warm start of the wrong length raises
     ShapeError. Identical inputs produce bit-identical iterates, with or
-    without a workspace. Termination is tested every CHECK_EVERY
-    iterations and at max_iter, so a solve stops at a multiple of
-    CHECK_EVERY or at max_iter. Raises NonFiniteError when H, F, F_eq,
-    q, the warm start or the start rows (min(F z0, g), g_eq) hold a NaN or
-    an infinity, ShapeError when H is not symmetric and SingularMatrixError
-    when it is not positive semidefinite; the workspace build tests H, F
-    and F_eq (QpWorkspace). The reported residuals are the primal violation
-    and the stationarity of the returned (z_star, duals). INFEASIBLE needs
+    without a workspace. Termination is tested every CHECK_EVERY iterations
+    and at max_iter, so a solve stops at a multiple of CHECK_EVERY or at
+    max_iter. At convergence and at the checks numbered by a power of two,
+    the solve polishes on the iterate's active rows unless it polished on
+    the same rows last; the first polished point that passes (_polish), or
+    else a converged iterate, is OPTIMAL, and ``iterations`` counts the ADMM
+    iterations run before it. Raises NonFiniteError when H, F, F_eq, q, the
+    warm start or the start rows (min(F z0, g), g_eq) hold a NaN or an
+    infinity, ShapeError when H is not symmetric and SingularMatrixError
+    when it is not positive semidefinite; the workspace build tests H, F and
+    F_eq (QpWorkspace). The reported residuals are the primal violation and
+    the stationarity of the returned (z_star, duals). INFEASIBLE needs
     OSQP's certificate: the last dual step, its F rows projected onto >= 0
     and scaled to max-norm 1, is an e with |A'e| <= EPS_INFEASIBLE and
     u'e <= -EPS_INFEASIBLE.
@@ -271,7 +278,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     lu, rho = ws.lu, ws.rho
     q_norm = float(np.abs(q).max(initial=0.0))
 
-    status = QpStatus.MAX_ITERATIONS
+    status, tried, polished = QpStatus.MAX_ITERATIONS, None, None
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
@@ -291,8 +298,15 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         r_dual = float(np.abs(px + q + aty).max())
         scale_prim = max(float(np.abs(ax).max(initial=0.0)), float(np.abs(z).max(initial=0.0)))
         scale_dual = max(float(np.abs(px).max()), q_norm, float(np.abs(aty).max()))
-        if r_prim <= s.eps_abs + s.eps_rel * scale_prim \
-                and r_dual <= s.eps_abs + s.eps_rel * scale_dual:
+        converged = _accepted(s, r_prim, scale_prim, r_dual, scale_dual)
+        # polish at convergence and at checks 1, 2, 4, ...: about log2(checks)
+        # attempts if it never converges; the same rows again give the same point
+        c = it // CHECK_EVERY
+        if converged or (it % CHECK_EVERY == 0 and c & (c - 1) == 0):
+            idx = _active_rows(ax[:n_in], p.g, y[:n_in])
+            if not np.array_equal(idx, tried):
+                tried, polished = idx, _polish(p, ws, s, u, idx)
+        if converged or polished:
             status = QpStatus.OPTIMAL
             break
 
@@ -318,9 +332,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 lu = _factor(ws.G, ws.P_sigma, rho_base)
 
     # every exit follows a check, whose A x, P x and A'y are those of (x, y)
-    prim, dual = _violation(ax - u, n_in), r_dual
-    if status is QpStatus.OPTIMAL:
-        x, y, (prim, dual) = _polish(p, ws, u, x, y, ax, (prim, dual))
+    x, y, (prim, dual) = polished or (x, y, (_violation(ax - u, n_in), r_dual))
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
@@ -342,29 +354,30 @@ def _active_rows(ax, g, y):
     return np.flatnonzero((y > 1e-9) | near)
 
 
-def _polish(p, ws, u, x, y, ax, res_admm):
-    """Refine the ADMM solution (x, y) by one KKT solve on its active rows;
-    ax is A x and res_admm the iterate's residuals: the max-norm primal
-    violation of F x <= g, F_eq x = g_eq and of stationarity P x + q + A'y.
+def _accepted(s, r_prim, scale_prim, r_dual, scale_dual):
+    """The termination test of ADMM iterates and polished points alike."""
+    return (r_prim <= s.eps_abs + s.eps_rel * scale_prim
+            and r_dual <= s.eps_abs + s.eps_rel * scale_dual)
 
-    Every F_eq row is active, and the F rows of _active_rows (the ADMM
-    projection keeps their multipliers nonnegative). The regularized KKT
-    system [K_eq, B'; B, -dI], K_eq = [P + dI, F_eq'; F_eq, -dI] and B the k
-    active F rows, gives a candidate, refined against the unregularized
-    system until its residual there is within 1e-12, for at most three
-    rounds. One set of products per candidate, A x and P x + q + A'y with y
-    zero off the active rows, gives both that residual and the candidate's
-    residuals, in res_admm's terms. The last candidate is kept when its
-    F-row multipliers are >= -1e-7 and its largest residual exceeds the ADMM
-    iterate's by at most 1e-12; returns the point kept, its multipliers and
-    their residuals. Block elimination solves it with the LU of K_eq, made at
-    the first polish and kept in ws.keq, and for k > 0 W = K_eq^-1 [B 0]' and
-    the LU of S = -dI - [B 0] W; a SingularMatrixError from a factor leaves
-    the ADMM iterate.
+
+def _polish(p, ws, s, u, idx):
+    """(x, y, (prim, dual)): the KKT point on every F_eq row and the F rows
+    idx, with prim and dual its max-norm violation of F x <= g,
+    F_eq x = g_eq and of stationarity P x + q + A'y, when it passes
+    _accepted with the scales of its own A x, P x and A'y and its F-row
+    multipliers are >= -1e-7; else None.
+
+    The regularized KKT system [K_eq, B'; B, -dI], where
+    K_eq = [P + dI, F_eq'; F_eq, -dI] and B holds the k rows idx, gives a
+    candidate, refined against the unregularized system until its residual
+    there is within 1e-12, for at most three rounds; A x and P x + q + A'y
+    of each candidate give that residual and its residuals and scales. Block
+    elimination solves it with the LU of K_eq, made at the first polish and
+    kept in ws.keq, and for k > 0 W = K_eq^-1 [B 0]' and the LU of
+    S = -dI - [B 0] W; a SingularMatrixError from a factor gives None.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
-    idx = _active_rows(ax[:n_in], p.g, y[:n_in])
     rows, k = np.concatenate([np.arange(n_in, A.shape[0]), idx]), len(idx)
     try:
         if ws.keq is None:
@@ -379,7 +392,7 @@ def _polish(p, ws, u, x, y, ax, res_admm):
             W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
             s_lu = lu_factor(-delta * np.eye(k) - B @ W[:d])
     except SingularMatrixError:
-        return x, y, res_admm
+        return None
 
     def solve(r):
         t = lu_solve(keq, r[:n0])
@@ -393,17 +406,20 @@ def _polish(p, ws, u, x, y, ax, res_admm):
     for rounds in range(4):
         xh = sol[:d]
         yh[rows] = sol[d:]
-        r_prim = A @ xh - u
-        r_dual = P @ xh + p.q + ws.At @ yh
+        ax, px, aty = A @ xh, P @ xh, ws.At @ yh
+        r_prim = ax - u
+        r_dual = px + p.q + aty
         # the residual against the unregularized system
         res = -np.concatenate([r_dual, r_prim[rows]])
         if rounds == 3 or np.abs(res).max() <= 1e-12:
             break
         sol = sol + solve(res)
-    res_h = (_violation(r_prim, n_in), float(np.abs(r_dual).max()))
-    if np.all(yh[:n_in] >= -1e-7) and max(res_h) <= max(res_admm) + 1e-12:
-        return xh, yh, res_h
-    return x, y, res_admm
+    prim, dual = _violation(r_prim, n_in), float(np.abs(r_dual).max())
+    scale_dual = max(float(np.abs(px).max()), float(np.abs(p.q).max()), float(np.abs(aty).max()))
+    if np.all(yh[:n_in] >= -1e-7) \
+            and _accepted(s, prim, float(np.abs(ax).max(initial=0.0)), dual, scale_dual):
+        return xh, yh, (prim, dual)
+    return None
 
 
 def kkt_residuals(p, z, duals):

@@ -1,10 +1,13 @@
 import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from mpckit import cli
 from mpckit.cli import (DEMOS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
                         EXIT_SOLVER, demo_config, emit_plot, main, parse_config, read_csv,
                         run_experiment, write_csv)
@@ -125,8 +128,9 @@ class TestRunExperiment:
         assert out.exists()  # partial CSV still written
 
     def test_stabilize_demo_admm_iterations(self):
-        # the loop's ADMM iterations are 1,070 with a step-size update every
-        # 10 iterations and were 1,285 with one every 50
+        # the loop's ADMM iterations are 250 with the polish tried at the
+        # termination checks, were 1,070 with it at convergence only and
+        # 1,285 with a step-size update every 50 iterations, not every 10
         assert run_experiment(demo_config("lmpc-stabilize"))["total_iterations"] < 1285
 
 
@@ -197,17 +201,43 @@ class TestMain:
                         "total_cost", "total_iterations", "non_optimal_steps",
                         "wall_time_s", "aborted_at"]
 
-    def test_unwritable_output_paths(self, tmp_path, capsys):
-        # a path in a missing directory is a config error, not a traceback;
-        # the summary precedes the plot, so it is printed
+    def test_unwritable_output_paths(self, tmp_path, capsys, monkeypatch):
+        # a path in a missing directory is a config error, not a traceback,
+        # and it is found before the closed loop runs
+        monkeypatch.setattr(cli, "run_closed_loop", lambda *args: pytest.fail("loop ran"))
         missing = tmp_path / "missing"
-        for flag, summary in (("--out", False), ("--plot", True)):
+        for flag in ("--out", "--plot"):
             code = main(["demo", "lmpc-stabilize", flag, str(missing / "x")])
             out, err = capsys.readouterr()
             assert code == EXIT_CONFIG, flag
             assert f"config error: [Errno 2] No such file or directory: '{missing / 'x'}'" \
                 in err and "Traceback" not in err, err
-            assert ("final_state" in out) == summary, flag
+            assert "final_state" not in out, flag
+
+    def test_output_path_check_leaves_files_as_they_were(self, tmp_path, capsys, monkeypatch):
+        # the check before the loop leaves no file where there was none, and
+        # an existing file keeps its contents unless it is written
+        kept = tmp_path / "kept.svg"
+        kept.write_text("old")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, initial_state=[20, 0])))
+        assert main(["run", "--config", str(cfg_path), "--plot", str(kept)]) == EXIT_INFEASIBLE
+        assert kept.read_text() == "old"     # an aborted run plots nothing
+        monkeypatch.setattr(cli, "run_closed_loop", lambda *args: pytest.fail("loop ran"))
+        for path in (tmp_path / "new.csv", kept):
+            with pytest.raises(pytest.fail.Exception):
+                run_experiment(demo_config("lmpc-stabilize"), out_path=path)
+        assert not (tmp_path / "new.csv").exists() and kept.read_text() == "old"
+
+    def test_fifo_output_path_not_opened(self, tmp_path):
+        # opening a FIFO blocks until a reader comes, and closing it again
+        # would end that reader's input before the CSV is written
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        checked = threading.Event()
+        threading.Thread(target=lambda: cli._check_writable(fifo) or checked.set(),
+                         daemon=True).start()
+        assert checked.wait(10)
 
     def test_plot_of_run_aborted_at_step_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -403,8 +433,10 @@ class TestMain:
         assert "certificate:" not in out and "not conclusive" in err
 
     def test_non_optimal_steps_exit_code(self, tmp_path, capsys):
+        # with zero tolerances no polished point passes, so every step ends
+        # at the iteration cap
         doc = dict(DEMOS["lmpc-stabilize"], horizon={"N": 5, "N_T": 5},
-                   solver={"max_iter": 5})
+                   solver={"eps_abs": 0.0, "eps_rel": 0.0, "max_iter": 5})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
         code = main(["run", "--config", str(cfg_path)])

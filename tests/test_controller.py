@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import sys
@@ -171,6 +172,22 @@ class TestLmpcStep:
         _, cfg = self._pool_at_3x("sparse", 3)
         with pytest.raises(InfeasibleStepError):
             lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+
+    def test_sparse_pool_system_3_polish_attempts(self, monkeypatch):
+        # a step that ADMM cannot end early polishes at most at the checks
+        # numbered by a power of two, and once at convergence
+        _, cfg = self._pool_at_3x("sparse", 3)
+        attempts, sols = [], []
+        polish, solve = qp_solver._polish, controller.solve_qp
+        monkeypatch.setattr(qp_solver, "_polish",
+                            lambda *args: attempts.append(1) or polish(*args))
+        monkeypatch.setattr(controller, "solve_qp",
+                            lambda *args, **kw: sols.append(solve(*args, **kw)) or sols[-1])
+        with contextlib.suppress(InfeasibleStepError):
+            lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+        checks = sols[0].iterations // qp_solver.CHECK_EVERY
+        assert checks > 100
+        assert 1 <= len(attempts) <= int(np.log2(checks)) + 2
 
     def test_control_horizon_zero_tail(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_C=2)
@@ -389,6 +406,13 @@ class TestRunClosedLoop:
         assert len(traj.states) == 11
         assert len(traj.inputs) == len(traj.costs) == 10
         assert len(traj) == 10
+        # the recorded rows read as a list of 1-D arrays and as one array
+        rows = [traj.states[k] for k in range(11)]
+        assert all(isinstance(x, np.ndarray) and x.shape == (2,) for x in rows)
+        assert np.array_equal(traj.states[-1], rows[10])
+        assert isinstance(traj.states[3:5], list) and len(traj.states[3:5]) == 2
+        assert np.array_equal(np.asarray(traj.states), np.vstack(rows))
+        assert np.array_equal(np.asarray(traj.inputs), np.vstack(list(traj.inputs)))
 
     def test_warm_start_equivalence(self, lti_demo_model, lti_demo_sets):
         warm = run_closed_loop(lti_demo_model,
@@ -434,7 +458,8 @@ class TestRunClosedLoop:
             run_closed_loop(lti_demo_model, cfg, [20.0, 0.0])
         assert err.value.step == 0
         assert err.value.trajectory is not None
-        assert len(err.value.trajectory.inputs) == 0
+        assert len(err.value.trajectory.inputs) == 0 and not err.value.trajectory.inputs
+        assert np.asarray(err.value.trajectory.inputs).shape == (0, 1)
         assert np.allclose(err.value.state, [20, 0])
 
 

@@ -211,7 +211,7 @@ class TestSolveQp:
 
         monkeypatch.setattr(qp_solver, "lu_factor", singular_kkt)
         sol = solve_qp(p)
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y, ax, res: (x, y, res))
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
         unpolished = solve_qp(p)
         assert sol.status is QpStatus.OPTIMAL
         assert np.array_equal(sol.z_star, unpolished.z_star)
@@ -238,13 +238,14 @@ class TestLuWrappers:
 
 
 class TestCheckInterval:
-    # needs 102 iterations with a check at every iteration (105 by default),
-    # so every cap below ends the solve before it converges
+    # needs 102 iterations with a check at every iteration (105 by default)
     P = random_strictly_convex_qp(np.random.default_rng(141))
 
     @pytest.mark.parametrize("max_iter", [5, 10, 50, 55, 100])
     def test_same_iterates_as_checking_every_iteration(self, monkeypatch, max_iter):
-        cap = SolverSettings(max_iter=max_iter)
+        # with zero tolerances neither an iterate nor a polished point passes,
+        # so every solve runs to its cap
+        cap = SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iter=max_iter)
         default = solve_qp(self.P, settings=cap)
         monkeypatch.setattr(qp_solver, "CHECK_EVERY", 1)
         every = solve_qp(self.P, settings=cap)
@@ -522,7 +523,10 @@ class TestSparseRows:
                             rho_bases.append(rho_base) or factor(G, P_sigma, rho_base))
         monkeypatch.setattr(qp_solver, "lu_factor",
                             lambda M: factored.append(M.copy()) or lu_factor(M))
-        settings = SolverSettings(eps_abs=1e-12, eps_rel=1e-12, max_iter=200)
+        # no ADMM iterate passes zero tolerances, and no polish runs: the
+        # polished point of a one-variable QP can be exact and pass them
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+        settings = SolverSettings(eps_abs=0.0, eps_rel=0.0, max_iter=200)
         for dense, csr in _pairs(lti_12_4)[::6]:
             A = np.vstack([dense.F, dense.F_eq])
             scale = np.repeat([1.0, 1e3], [dense.F.shape[0], dense.F_eq.shape[0]])
@@ -530,8 +534,7 @@ class TestSparseRows:
                 rho_bases.clear()
                 factored.clear()
                 solve_qp(p, settings=settings)
-                # the polish factors, if any, come after the loop's
-                assert len(rho_bases) > 1 and len(factored) >= len(rho_bases)
+                assert len(rho_bases) > 1 and len(factored) == len(rho_bases)
                 assert rho_bases[0] == 1e-5
                 for rho_base, M in zip(rho_bases, factored):
                     ref = 2.0 * p.H + qp_solver.SIGMA * np.eye(p.d) \
@@ -640,9 +643,13 @@ def _residuals(ws, q, u, x, y):
 
 
 def _polish_at(p, ws, u, x, y):
-    """qp_solver._polish of the iterate (x, y), given A x and its residuals
-    as the check that stops solve_qp's loop has them."""
-    return qp_solver._polish(p, ws, u, x, y, ws.A @ x, _residuals(ws, p.q, u, x, y))
+    """qp_solver._polish on the active rows of the iterate (x, y), as a
+    termination check of solve_qp finds them; the iterate and its residuals
+    when the polished point fails the accept test."""
+    n_in = p.F.shape[0]
+    idx = qp_solver._active_rows((ws.A @ x)[:n_in], p.g, y[:n_in])
+    return qp_solver._polish(p, ws, SolverSettings(), u, idx) \
+        or (x, y, _residuals(ws, p.q, u, x, y))
 
 
 def _polish(p, x, y):
@@ -818,7 +825,7 @@ class TestBorderedPolish:
         # an ADMM iterate kept unpolished, or one that ends at the iteration
         # cap or with a certificate, reports the residuals of the check that
         # stopped the loop: the same bits as _residuals, for dense and CSR rows
-        monkeypatch.setattr(qp_solver, "_polish", lambda p, ws, u, x, y, ax, res: (x, y, res))
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
         rng = np.random.default_rng(16)
         infeasible = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
         statuses = set()
@@ -830,6 +837,71 @@ class TestBorderedPolish:
                     assert (admm.primal_residual, admm.dual_residual) \
                         == fresh(rows, admm.z_star, admm.duals)
         assert statuses == set(QpStatus)
+
+
+def _recorded_polishes(monkeypatch):
+    """Record each qp_solver._polish call as (active F rows, its result)."""
+    calls, polish = [], qp_solver._polish
+
+    def recording(p, ws, s, u, idx):
+        calls.append((idx, polish(p, ws, s, u, idx)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qp_solver, "_polish", recording)
+    return calls
+
+
+class TestPolishAtChecks:
+    """solve_qp polishes at convergence and at the termination checks
+    numbered by a power of two, and returns the first polished point that
+    passes the termination test."""
+
+    def test_wrong_first_active_set_runs_on(self, monkeypatch):
+        # the rows active at the first check (iteration CHECK_EVERY) are not
+        # the optimum's: that polished point fails, ADMM runs on, and a later
+        # active set gives the oracle's answer
+        calls = _recorded_polishes(monkeypatch)
+        rng = np.random.default_rng(7)
+        wrong_first = 0
+        for _ in range(40):
+            p = random_strictly_convex_qp(rng)
+            calls.clear()
+            sol = solve_qp(p)
+            if calls[0][1] is not None:
+                continue
+            wrong_first += 1
+            z, obj = solve_oracle(p)
+            assert sol.status is QpStatus.OPTIMAL and sol.iterations > qp_solver.CHECK_EVERY
+            assert sol.z_star is calls[-1][1][0]
+            assert np.abs(sol.z_star - z).max() <= 1e-9
+            assert abs(sol.objective - obj) <= 1e-9 * max(1.0, abs(obj))
+        assert wrong_first >= 5
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_accepted_point_passes_termination_test(self, monkeypatch, eps):
+        # every polished point returned passes eps_abs + eps_rel scale with
+        # the scales of its own A x, P x and A'y, and has F-row multipliers
+        # >= -1e-7; most pass before ADMM's own iterate would
+        calls = _recorded_polishes(monkeypatch)
+        settings = SolverSettings(eps_abs=eps, eps_rel=eps)
+        rng = np.random.default_rng(8)
+        accepted = 0
+        for q in [random_strictly_convex_qp(rng) for _ in range(100)]:
+            for p in (q, _sparse_rows(q)):
+                calls.clear()
+                sol = solve_qp(p, settings=settings)
+                if not calls or calls[-1][1] is None:
+                    continue
+                accepted += 1
+                assert sol.status is QpStatus.OPTIMAL and sol.z_star is calls[-1][1][0]
+                stationarity, violation, _ = kkt_residuals(p, sol.z_star, sol.duals)
+                A = np.vstack([_dense(p.F), _dense(p.F_eq)])
+                scale_dual = max(float(np.abs(2.0 * p.H @ sol.z_star).max()),
+                                 float(np.abs(p.q).max()), float(np.abs(A.T @ sol.duals).max()))
+                assert violation <= eps + eps * float(np.abs(A @ sol.z_star).max(initial=0.0))
+                assert stationarity <= eps + eps * scale_dual
+                assert sol.duals[:p.F.shape[0]].min(initial=0.0) >= -1e-7
+        assert accepted >= 150
 
 
 class TestKktResiduals:
