@@ -19,7 +19,8 @@ import numpy as np
 
 from . import __version__
 from .controller import MpcConfig, Trajectory, run_closed_loop
-from .exceptions import ConfigError, InfeasibleStepError, MpcError
+from .exceptions import (ConfigError, InfeasibleStepError, MpcError,
+                         ReferenceInfeasibleError)
 from .feasibility import is_state_feasible
 from .model import (LtiModel, PendulumParams, Polytope, lti_as_nonlinear,
                     pendulum_model)
@@ -211,8 +212,10 @@ def _experiment(doc):
     n = mpc.n
     if x0.shape[0] != n:
         raise ConfigError(f"initial_state has dimension {x0.shape[0]}, model has {n}")
-    return ExperimentConfig(model=model, mpc=mpc, initial_state=x0,
-                            name=doc.get("name", "experiment"))
+    name = doc.get("name", "experiment")
+    if not isinstance(name, str):
+        raise ConfigError(f"name must be a JSON string, got {name!r}")
+    return ExperimentConfig(model=model, mpc=mpc, initial_state=x0, name=name)
 
 
 def _fmt(x):
@@ -499,7 +502,8 @@ def main(argv=None):
                 emit_plot(traj, args.plot, X_set=cfg.mpc.X_set, U_set=cfg.mpc.U_set)
             else:
                 print("empty trajectory, no plot written", file=sys.stderr)
-    except (OSError, ConfigError) as exc:
+    # a reference outside X_set or U_set is found before any solve
+    except (OSError, ConfigError, ReferenceInfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MpcError as exc:

@@ -141,17 +141,17 @@ def condensed_rows(pm, c, N_C):
 
 
 def sparse_blocks(pm, w, c, N_C):
-    """The x_k-independent blocks (H, F, g, F_eq) of assemble_sparse_qp.
+    """The x_k-independent blocks (H, F, g, F_eq, A_X) of assemble_sparse_qp.
 
     As in condensed_blocks, inputs after the control horizon N_C are fixed
     to zero: z = (X, first m N_C inputs), and F keeps every row. F and F_eq
     are scipy.sparse CSR arrays, so the QP solver works on their non-zeros;
-    H stays dense.
+    H stays dense. A_X maps x_k to the right-hand side of the dynamics rows.
     """
     n_u = pm.m * N_C
     H, F, g = trajectory_blocks(w, c, n_u)
     F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]])
-    return H, sparse.csr_array(F), g, sparse.csr_array(F_eq)
+    return H, sparse.csr_array(F), g, sparse.csr_array(F_eq), pm.A_X
 
 
 def condensed_blocks(pm, w, c, N_C):
@@ -169,39 +169,29 @@ def condensed_blocks(pm, w, c, N_C):
             *condensed_rows(pm, c, N_C))
 
 
-def assemble_sparse_qp(pm, w, c, x_k, blocks=None):
-    """QP over z = (X, U) with the dynamics as equality rows [I, -B_U] z = A_X x_k.
+def assemble_sparse_qp(blocks, x_k):
+    """The sparse-form QP at x_k: z = (X, U) with the dynamics as equality
+    rows [I, -B_U] z = A_X x_k.
 
-    ``blocks`` are sparse_blocks(pm, w, c, N_C), kept from an earlier call,
-    and z ends in the first m N_C inputs; without them N_C = N. Only the
-    right-hand side g_eq is built from x_k.
+    ``blocks`` are sparse_blocks(pm, w, c, N_C), built once per closed
+    loop; only the right-hand side g_eq is evaluated at x_k.
     """
+    H, F, g, F_eq, A_X = blocks
     x_k = as_vector(x_k, "x_k")
-    if x_k.shape[0] != pm.n:
-        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {pm.n}")
-    nX = pm.n * (pm.N + 1)
-    nU = pm.m * pm.N
-    if w.Q_X.shape[0] != nX or w.R_U.shape[0] != nU:
-        raise ShapeError("weights inconsistent with prediction matrices")
-    if c.F_X.shape[1] != nX or c.F_U.shape[1] != nU:
-        raise ShapeError("constraints inconsistent with prediction matrices")
-    H, F, g, F_eq = blocks if blocks is not None else sparse_blocks(pm, w, c, pm.N)
-    return QpProblem(H=H, q=np.zeros(H.shape[0]), F=F, g=g, F_eq=F_eq, g_eq=pm.A_X @ x_k)
+    if x_k.shape[0] != A_X.shape[1]:
+        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {A_X.shape[1]}")
+    return QpProblem(H=H, q=np.zeros(H.shape[0]), F=F, g=g, F_eq=F_eq, g_eq=A_X @ x_k)
 
 
-def assemble_condensed_qp(pm, w, c, x_k, blocks=None):
-    """QP over the inputs U only, with the states eliminated through the prediction.
+def assemble_condensed_qp(blocks, x_k):
+    """The condensed-form QP at x_k, over the inputs U only, with the states
+    eliminated through the prediction.
 
-    ``blocks`` are condensed_blocks(pm, w, c, N_C), kept from an earlier
-    call, and z is the first m N_C inputs; without them N_C = N. x_k enters
-    only through the three gain products for q, r and g.
+    ``blocks`` are condensed_blocks(pm, w, c, N_C), built once per closed
+    loop; x_k enters only through the three gain products for q, r and g.
     """
+    H, G_q, G_r, F, g0, G = blocks
     x_k = as_vector(x_k, "x_k")
-    if x_k.shape[0] != pm.n:
-        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {pm.n}")
-    nX = pm.n * (pm.N + 1)
-    if w.Q_X.shape[0] != nX or c.F_X.shape[1] != nX:
-        raise ShapeError("weights/constraints inconsistent with prediction matrices")
-    H, G_q, G_r, F, g0, G = blocks if blocks is not None \
-        else condensed_blocks(pm, w, c, pm.N)
+    if x_k.shape[0] != G.shape[1]:
+        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {G.shape[1]}")
     return QpProblem(H=H, q=G_q @ x_k, r=float(x_k @ G_r @ x_k), F=F, g=g0 - G @ x_k)

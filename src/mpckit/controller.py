@@ -154,18 +154,19 @@ class _Workspace:
 
     run_closed_loop creates one per loop and its first step fills it, not
     the loop's set-up:
-    - LMPC: the prediction, weights and constraints, the form's constant
-      blocks over the control horizon N_C (condensed_blocks or
-      sparse_blocks) and the QP solver's QpWorkspace (stacked rows, P, the
-      Gram matrix of the rows and the factor at RHO);
-    - NMPC: the cost and inequality blocks (H, F, g) over z = (X, U), U the
-      first m N_C inputs.
-    Later steps build only what x_k changes. A step called without one
+    - ``pm``: LMPC's prediction matrices;
+    - ``blocks``: LMPC's constant blocks over the control horizon N_C
+      (condensed_blocks or sparse_blocks), or NMPC's cost and inequality
+      blocks (H, F, g) over z = (X, U), U the first m N_C inputs, with the
+      Jacobian map of build_feq_jacobian;
+    - ``qp``: the QP solver's QpWorkspace (stacked rows, P, the Gram matrix
+      of the rows and the factor at RHO).
+    Later steps only evaluate the blocks at x_k. A step called without one
     builds everything afresh.
     """
 
     def __init__(self):
-        self.pm = self.w = self.c = self.blocks = None
+        self.pm = self.blocks = None
         self.qp = QpWorkspace()
 
 
@@ -174,17 +175,15 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     x_k = as_vector(x_k, "x_k")
     cfg.check_sizes(model, x_k)
     ws = _ws if _ws is not None else _Workspace()
-    if ws.pm is None:
-        ws.pm = build_prediction(model, cfg.N)
-        ws.w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
-        ws.c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
-    pm, w, c = ws.pm, ws.w, ws.c
-    nX = pm.n * (pm.N + 1)
-
     sparse = cfg.formulation == SPARSE
     if ws.blocks is None:
-        ws.blocks = (sparse_blocks if sparse else condensed_blocks)(pm, w, c, cfg.N_C)
-    qp = (assemble_sparse_qp if sparse else assemble_condensed_qp)(pm, w, c, x_k, ws.blocks)
+        ws.pm = build_prediction(model, cfg.N)
+        w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
+        c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
+        ws.blocks = (sparse_blocks if sparse else condensed_blocks)(ws.pm, w, c, cfg.N_C)
+    pm = ws.pm
+    nX = pm.n * (pm.N + 1)
+    qp = (assemble_sparse_qp if sparse else assemble_condensed_qp)(ws.blocks, x_k)
     sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
     if sol.status is QpStatus.INFEASIBLE:
         raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
@@ -200,13 +199,13 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     cfg.check_sizes(model, x_k)
     n, m, N = model.n, model.m, cfg.N
     residual, d = build_feq(model, x_k, N, cfg.N_C)
-    jacobian = build_feq_jacobian(model, x_k, N, cfg.N_C)
     ws = _ws if _ws is not None else _Workspace()
     if ws.blocks is None:
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
         c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, N)
-        ws.blocks = trajectory_blocks(w, c, m * cfg.N_C)
-    H, F, g = ws.blocks
+        ws.blocks = (*trajectory_blocks(w, c, m * cfg.N_C),
+                     build_feq_jacobian(model, N, cfg.N_C))
+    H, F, g, jacobian = ws.blocks
     nX = n * (N + 1)
     p = NlpProblem(H=H, F=F, g=g, residual=residual, jacobian=jacobian)
     if warm is None:

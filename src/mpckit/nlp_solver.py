@@ -98,12 +98,13 @@ def build_feq(model, x_k, N, N_C=None):
     return residual, d
 
 
-def build_feq_jacobian(model, x_k, N, N_C=None):
-    """Jacobian of build_feq's residual. Stage i's blocks df/dx and df/du at
-    (x_i, u_i) come from model.jac_x/jac_u when the model has both, else from
-    numerics.finite_diff_jacobian of one model.step. The inputs after the
-    control horizon are not decisions, so a stage i >= N_C is differenced in
-    x only: N_C (n + m + 1) + (N - N_C)(n + 1) steps."""
+def build_feq_jacobian(model, N, N_C=None):
+    """Jacobian of build_feq's residual, the same map at every x_k, since x_k
+    enters the residual as a constant only. Stage i's blocks df/dx and df/du
+    at (x_i, u_i) come from model.jac_x/jac_u when the model has both, else
+    from numerics.finite_diff_jacobian of one model.step. The inputs after
+    the control horizon are not decisions, so a stage i >= N_C is differenced
+    in x only: N_C (n + m + 1) + (N - N_C)(n + 1) steps."""
     n, m = model.n, model.m
     N_C = N if N_C is None else N_C
     nX = n * (N + 1)
@@ -177,7 +178,7 @@ def solve_nlp(p, z0, settings=None):
         sol = solve_qp(sub, warm=qp_warm, settings=s)
         if sol.status is QpStatus.INFEASIBLE:
             elastic_used = True
-            sol = _solve_elastic(p, z, grad, slack, J, c, s)
+            sol = _solve_elastic(p, grad, slack, J, c, s)
         step = sol.z_star[:d]
         # the multipliers of p.F lead and those of J close the duals, in the
         # elastic subproblem too
@@ -229,7 +230,7 @@ def solve_nlp(p, z0, settings=None):
     )
 
 
-def _solve_elastic(p, z, grad, slack, J, c, s):
+def _solve_elastic(p, grad, slack, J, c, s):
     """Relaxed subproblem: J step + c = e_plus - e_minus, penalized l1 slack.
 
     The slack bounds e_plus, e_minus >= 0 are F rows after p.F's, so the

@@ -18,7 +18,7 @@ from mpckit import (MpcConfig, NlpStatus, SolverSettings, is_state_feasible,
                     steady_state_input_nonlinear)
 from mpckit.cli import demo_config
 from mpckit.condense import (assemble_condensed_qp, build_prediction,
-                             build_weights, stack_constraints)
+                             build_weights, condensed_blocks, stack_constraints)
 from mpckit.model import (LtiModel, box_polytope, empty_polytope, lti_step,
                           pendulum_model)
 from qp_oracle import random_strictly_convex_qp, solve_oracle
@@ -207,7 +207,7 @@ def test_criterion_9_optimality_trend():
         pm = build_prediction(model, 30)
         w = build_weights(Q, R, Q, 30)
         c = stack_constraints(empty_polytope(2), empty_polytope(1), None, 30)
-        batch = solve_qp(assemble_condensed_qp(pm, w, c, x0))
+        batch = solve_qp(assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x0))
         assert abs(j_star_0 - batch.objective) <= 1e-6 * abs(batch.objective)
 
 

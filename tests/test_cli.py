@@ -337,6 +337,12 @@ class TestMain:
                                             "g": SMALL_CONFIG["constraints"]["g_x"], "G": [1]})},
              "unknown key 'G' in constraints.terminal"),
             ({"reference": {"x_r": [3, 2], "u_r": [0]}}, "unknown key 'u_r' in reference"),
+            ({"name": 3}, "name must be a JSON string, got 3"),
+            # a reference with no admissible steady state stops before any solve
+            ({"reference": {"x_r": [100, 100]}},
+             "reference state lies outside the state constraint set"),
+            ({"reference": {"x_r": [9, -9]}},
+             "steady-state input for the reference violates the input constraints"),
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:
@@ -352,6 +358,14 @@ class TestMain:
                                             initial_state=[20, 0])))
         code = main(["run", "--config", str(cfg_path)])
         assert code == EXIT_INFEASIBLE
+
+    def test_reference_without_steady_input_exit_code(self, tmp_path, capsys):
+        # no input holds the pendulum at a non-zero angular velocity
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(DEMOS["nmpc-track"], reference={"x_r": [0.5, 1.0]})))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert out == "" and err == "solver failure: line search stalled in steady-state solve\n"
 
     def test_check_feasibility(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

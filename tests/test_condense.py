@@ -5,7 +5,8 @@ from mpckit import (InvalidHorizonError, InvalidWeightError, QpProblem,
                     ShapeError, solve_qp)
 from mpckit.condense import (assemble_condensed_qp, assemble_sparse_qp,
                              build_prediction, build_weights, condensed_blocks,
-                             condensed_rows, shift_duals, stack_constraints)
+                             condensed_rows, shift_duals, sparse_blocks,
+                             stack_constraints)
 from mpckit.controller import MpcConfig, lmpc_step
 from mpckit.model import (LtiModel, Polytope, box_polytope, empty_polytope,
                           lti_step)
@@ -175,27 +176,40 @@ class TestAssembleSparseQp:
         pm = build_prediction(lti_demo_model, 3)
         w = build_weights(np.eye(2), [[1.0]], np.eye(2), 3)
         c = stack_constraints(X_set, U_set, None, 3)
-        qp = assemble_sparse_qp(pm, w, c, [1.0, -1.0])
+        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), [1.0, -1.0])
         assert np.allclose(qp.H, qp.H.T)
         assert np.linalg.eigvalsh(qp.H).min() >= -1e-12
         assert qp.F_eq.shape[0] == 2 * 4
 
     def test_scalar_substitution(self):
         _, pm, w, c, x = _scalar_setup()
-        qp = assemble_sparse_qp(pm, w, c, x)
+        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
         assert np.allclose(qp.F_eq.toarray(), [[1, 0, 0], [0, 1, -1]])
         assert np.allclose(qp.g_eq, [1, 1])
 
     def test_zero_state(self):
         _, pm, w, c, _ = _scalar_setup()
-        qp = assemble_sparse_qp(pm, w, c, [0.0])
+        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), [0.0])
         assert np.allclose(qp.g_eq, 0.0)
+
+    @pytest.mark.parametrize("x_k", [[1.0], [1.0, -1.0, 0.0]])
+    @pytest.mark.parametrize("form", ["sparse", "condensed"])
+    def test_wrong_state_length_rejected(self, lti_demo_model, lti_demo_sets, form, x_k):
+        # the blocks of both forms hold n = 2 columns for x_k
+        X_set, U_set = lti_demo_sets
+        pm = build_prediction(lti_demo_model, 3)
+        w = build_weights(np.eye(2), [[1.0]], np.eye(2), 3)
+        c = stack_constraints(X_set, U_set, None, 3)
+        blocks, assemble = {"sparse": (sparse_blocks, assemble_sparse_qp),
+                            "condensed": (condensed_blocks, assemble_condensed_qp)}[form]
+        with pytest.raises(ShapeError, match=f"state has dimension {len(x_k)}, expected 2"):
+            assemble(blocks(pm, w, c, 2), x_k)
 
 
 class TestAssembleCondensedQp:
     def test_scalar_hand_kkt(self):
         _, pm, w, c, x = _scalar_setup()
-        qp = assemble_condensed_qp(pm, w, c, x)
+        qp = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x)
         assert np.allclose(qp.H, [[2.0]])
         assert np.allclose(qp.q, [2.0])
         sol = solve_qp(qp)
@@ -203,7 +217,7 @@ class TestAssembleCondensedQp:
 
     def test_zero_state(self):
         _, pm, w, c, _ = _scalar_setup()
-        qp = assemble_condensed_qp(pm, w, c, [0.0])
+        qp = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), [0.0])
         assert np.allclose(qp.q, 0.0)
         assert qp.r == 0.0
 
@@ -211,7 +225,7 @@ class TestAssembleCondensedQp:
         pm = build_prediction(lti_demo_model, 4)
         w = build_weights(np.eye(2), [[1.0]], np.eye(2), 4)
         c = stack_constraints(empty_polytope(2), empty_polytope(1), None, 4)
-        qp = assemble_condensed_qp(pm, w, c, [1.0, 1.0])
+        qp = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), [1.0, 1.0])
         assert np.linalg.eigvalsh(qp.H - w.R_U).min() >= -1e-10
         assert np.linalg.eigvalsh(qp.H).min() > 0
 
@@ -224,8 +238,8 @@ class TestAssembleCondensedQp:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             U = rng.uniform(-1, 1, size=4)
-            sparse = assemble_sparse_qp(pm, w, c, x)
-            cond = assemble_condensed_qp(pm, w, c, x)
+            sparse = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
+            cond = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x)
             X = pm.A_X @ x + pm.B_U @ U
             z = np.concatenate([X, U])
             assert abs(sparse.objective(z) - cond.objective(U)) \
@@ -240,8 +254,8 @@ class TestAssembleCondensedQp:
         for _ in range(30):
             x = rng.uniform(-8, 8, size=2)
             U = rng.uniform(-1.5, 1.5, size=3)
-            sparse = assemble_sparse_qp(pm, w, c, x)
-            cond = assemble_condensed_qp(pm, w, c, x)
+            sparse = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
+            cond = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x)
             X = pm.A_X @ x + pm.B_U @ U
             z = np.concatenate([X, U])
             ok_sparse = bool(np.all(sparse.F @ z <= sparse.g + 1e-10))
@@ -269,7 +283,7 @@ class TestParametricForm:
             terminal = box_polytope(0.5, n) if trial % 2 else None
             c = stack_constraints(X_set, box_polytope(1.0, m), terminal, N)
             x = rng.standard_normal(n)
-            qp = assemble_condensed_qp(pm, w, c, x, condensed_blocks(pm, w, c, N_C))
+            qp = assemble_condensed_qp(condensed_blocks(pm, w, c, N_C), x)
             k = m * N_C
             X_free = pm.A_X @ x
             assert qp.d == k
@@ -287,7 +301,7 @@ class TestControlHorizon:
         pm = build_prediction(lti_demo_model, 5)
         w = build_weights(np.eye(2), [[1.0]], np.eye(2), 5)
         c = stack_constraints(X_set, U_set, None, 5)
-        qp = assemble_condensed_qp(pm, w, c, [1.0, 1.0], condensed_blocks(pm, w, c, 2))
+        qp = assemble_condensed_qp(condensed_blocks(pm, w, c, 2), [1.0, 1.0])
         assert qp.d == 2
         # every row is kept, those of the zero tail included
         assert qp.F.shape[0] == c.F_X.shape[0] + c.F_U.shape[0]
@@ -300,8 +314,8 @@ class TestControlHorizon:
         pm = build_prediction(model, N)
         w = build_weights([[0.0]], [[0.1]], [[1.0]], N)
         c = stack_constraints(empty_polytope(1), empty_polytope(1), None, N)
-        qp = assemble_condensed_qp(pm, w, c, [3.0])
-        red = assemble_condensed_qp(pm, w, c, [3.0], condensed_blocks(pm, w, c, 2))
+        qp = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), [3.0])
+        red = assemble_condensed_qp(condensed_blocks(pm, w, c, 2), [3.0])
         sol = solve_qp(red)
 
         def zero_tail_cost(u0, u1):

@@ -605,6 +605,37 @@ class TestLoopWorkspace:
         repeated = [a for a in set(active_sets) if a and active_sets.count(a) > 1]
         assert repeated
 
+    @pytest.mark.parametrize("kind", ["condensed", "sparse", "nmpc", "nmpc-derivative-free"])
+    def test_builders_once_per_loop(self, lti_demo_sets, pendulum_sets, monkeypatch, kind):
+        # a step evaluates the kept blocks at x_k: every x_k-independent
+        # builder runs at the loop's first step only
+        builders = ("build_prediction", "build_weights", "stack_constraints",
+                    "build_feq_jacobian")
+        calls = dict.fromkeys(builders, 0)
+
+        def counted(name, build):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return build(*args, **kwargs)
+            return call
+
+        for name in builders:
+            monkeypatch.setattr(controller, name, counted(name, getattr(controller, name)))
+        if kind in ("condensed", "sparse"):
+            model, x_0 = LtiModel([[0.9, 0.2], [-0.4, 0.8]], [[0.1], [0.01]]), [10.0, 5.0]
+            cfg = _demo_cfg(lti_demo_sets, N_T=20, formulation=kind)
+        else:
+            p = PendulumParams()
+            model, x_0 = pendulum_model(p), [0.6, -0.4]
+            if kind == "nmpc-derivative-free":
+                model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
+            cfg = _demo_cfg(pendulum_sets, N_T=8)
+        traj = run_closed_loop(model, cfg, x_0)
+        assert len(traj) == cfg.N_T
+        nmpc = kind.startswith("nmpc")
+        assert calls == {"build_prediction": int(not nmpc), "build_weights": 1,
+                         "stack_constraints": 1, "build_feq_jacobian": int(nmpc)}
+
 
 class TestDualWarmStart:
     """An LMPC loop warm-starts each step from the previous step's primal and

@@ -57,7 +57,7 @@ class TestBuildFeq:
 
     def test_analytic_jacobian_matches_finite_differences(self, pendulum):
         residual, d = build_feq(pendulum, [2, 1], 3)
-        jacobian = build_feq_jacobian(pendulum, [2, 1], 3)
+        jacobian = build_feq_jacobian(pendulum, 3)
         rng = np.random.default_rng(15)
         z = rng.normal(size=d)
         assert np.abs(jacobian(z) - finite_diff_jacobian(residual, z)).max() < 1e-6
@@ -71,8 +71,8 @@ class TestBuildFeq:
         full, _ = build_feq(pendulum, x_k, 4)
         assert dim == d
         assert np.array_equal(residual(z[:d]), full(z))
-        J = build_feq_jacobian(pendulum, x_k, 4, N_C=2)(z[:d])
-        J_full = build_feq_jacobian(pendulum, x_k, 4)(z)
+        J = build_feq_jacobian(pendulum, 4, N_C=2)(z[:d])
+        J_full = build_feq_jacobian(pendulum, 4)(z)
         assert J_full.shape == (10, d_full)
         assert np.array_equal(J, J_full[:, :d])
 
@@ -90,7 +90,7 @@ class TestBuildFeq:
         # h = sqrt(eps) max(1, |z_c|) differs between columns
         scale = np.where(np.arange(d) % 3 == 0, 0.5, 4.0)
         z = rng.choice([-1.0, 1.0], d) * scale * rng.uniform(0.5, 1.0, d)
-        J = build_feq_jacobian(model, x_k, N, N_C)(z)
+        J = build_feq_jacobian(model, N, N_C)(z)
         nX = n * (N + 1)
         assert J.shape == (nX, d)
         X = z[:nX].reshape(N + 1, n)
@@ -128,7 +128,7 @@ class TestBuildFeq:
         model = NonlinearModel(plant.n, plant.m, step=step)
         x_k = np.full(model.n, 0.5)
         residual, d = build_feq(model, x_k, N, N_C)
-        jacobian = build_feq_jacobian(model, x_k, N, N_C)
+        jacobian = build_feq_jacobian(model, N, N_C)
         z = np.linspace(-2.0, 2.0, d)
         steps.clear()
         jacobian(z)
@@ -163,7 +163,7 @@ class TestSolveNlp:
 
     def test_equilibrium_subproblem(self, pendulum):
         residual, d = build_feq(pendulum, [0, 0], 3)
-        jacobian = build_feq_jacobian(pendulum, [0, 0], 3)
+        jacobian = build_feq_jacobian(pendulum, 3)
         nX = 2 * 4
         F = np.zeros((2 * 3, d))
         g = np.zeros(2 * 3)
@@ -178,7 +178,7 @@ class TestSolveNlp:
 
     def test_optimal_satisfies_constraints(self, pendulum):
         residual, d = build_feq(pendulum, [2, 1], 4)
-        jacobian = build_feq_jacobian(pendulum, [2, 1], 4)
+        jacobian = build_feq_jacobian(pendulum, 4)
         nX = 2 * 5
         F = np.zeros((2 * 4, d))
         g = np.zeros(2 * 4)
@@ -204,7 +204,7 @@ class TestSolveNlp:
 
     def test_analytic_vs_finite_difference_jacobian(self, pendulum):
         residual, d = build_feq(pendulum, [2, 1], 4)
-        jacobian = build_feq_jacobian(pendulum, [2, 1], 4)
+        jacobian = build_feq_jacobian(pendulum, 4)
         z0 = np.concatenate([np.tile([2.0, 1.0], 5), np.zeros(4)])
         with_jac = solve_nlp(NlpProblem(H=np.eye(d), residual=residual,
                                         jacobian=jacobian), z0)

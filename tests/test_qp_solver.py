@@ -470,7 +470,7 @@ def _sparse_form_qp(lti_12_4, N=20):
     pm = build_prediction(model, N)
     w = build_weights(np.eye(12), 0.1 * np.eye(4), np.eye(12), N)
     c = stack_constraints(X_set, U_set, None, N)
-    return assemble_sparse_qp(pm, w, c, x0, sparse_blocks(pm, w, c, N))
+    return assemble_sparse_qp(sparse_blocks(pm, w, c, N), x0)
 
 
 def _dense_rows(p):
