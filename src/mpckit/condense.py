@@ -177,9 +177,7 @@ def assemble_sparse_qp(blocks, x_k):
     loop; only the right-hand side g_eq is evaluated at x_k.
     """
     H, F, g, F_eq, A_X = blocks
-    x_k = as_vector(x_k, "x_k")
-    if x_k.shape[0] != A_X.shape[1]:
-        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {A_X.shape[1]}")
+    x_k = as_vector(x_k, "state", A_X.shape[1])
     return QpProblem(H=H, q=np.zeros(H.shape[0]), F=F, g=g, F_eq=F_eq, g_eq=A_X @ x_k)
 
 
@@ -191,7 +189,5 @@ def assemble_condensed_qp(blocks, x_k):
     loop; x_k enters only through the three gain products for q, r and g.
     """
     H, G_q, G_r, F, g0, G = blocks
-    x_k = as_vector(x_k, "x_k")
-    if x_k.shape[0] != G.shape[1]:
-        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {G.shape[1]}")
+    x_k = as_vector(x_k, "state", G.shape[1])
     return QpProblem(H=H, q=G_q @ x_k, r=float(x_k @ G_r @ x_k), F=F, g=g0 - G @ x_k)

@@ -242,7 +242,7 @@ def tracking_transform(cfg, model, x_r):
         u_r = steady_state_input_nonlinear(model, x_r)
         err_model = NonlinearModel(
             n=model.n, m=model.m,
-            step=lambda xe, ue: as_vector(model.step(xe + x_r, ue + u_r)) - x_r,
+            step=lambda xe, ue: model.step(xe + x_r, ue + u_r) - x_r,
             jac_x=(lambda xe, ue: model.jac_x(xe + x_r, ue + u_r)) if model.jac_x else None,
             jac_u=(lambda xe, ue: model.jac_u(xe + x_r, ue + u_r)) if model.jac_u else None,
         )

@@ -52,25 +52,21 @@ class LyapunovReport:
 
 def is_control_sequence_feasible(model, cfg, x_k, U, tol=FEASIBILITY_TOL):
     """Roll out U from x_k; true iff all inputs and predicted states stay in
-    their sets (terminal state checked against the terminal set if given)."""
+    their sets (terminal state in the terminal set if given), one product a set."""
     x_k = as_vector(x_k, "x_k")
     cfg.check_sizes(model, x_k)
     U = np.asarray(U, dtype=float)
     if U.size != cfg.N * cfg.m:
         raise ShapeError(f"U has {U.size} entries, expected N m = {cfg.N * cfg.m}")
     U = U.reshape(cfg.N, cfg.m)
-    x = x_k.copy()
-    if not polytope_contains(cfg.X_set, x, tol):
-        return False
+    X = np.empty((cfg.N + 1, cfg.n))
+    X[0] = x_k
     for i in range(cfg.N):
-        if not polytope_contains(cfg.U_set, U[i], tol):
-            return False
-        x = as_vector(model.step(x, U[i]))
-        last = i == cfg.N - 1
-        target = cfg.terminal_set if (last and cfg.terminal_set is not None) else cfg.X_set
-        if not polytope_contains(target, x, tol):
-            return False
-    return True
+        X[i + 1] = model.step(X[i], U[i])
+    T = cfg.terminal_set
+    return (polytope_contains(cfg.U_set, U, tol)
+            and polytope_contains(cfg.X_set, X if T is None else X[:-1], tol)
+            and (T is None or polytope_contains(T, X[-1], tol)))
 
 
 def is_state_feasible(model, cfg, x_k):

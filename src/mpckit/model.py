@@ -1,13 +1,13 @@
 """Discrete-time system models, polytopic constraint sets and steady-state inputs."""
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exceptions import ShapeError, SteadyStateError
-from .numerics import as_matrix, as_vector, finite_diff_jacobian, pseudo_inverse_apply
+from .numerics import (as_matrix, as_points, as_vector, finite_diff_jacobian,
+                       pseudo_inverse_apply)
 
 DEFAULT_CONTAIN_TOL = 1e-8
 # Damped Gauss-Newton for the nonlinear steady-state input, started at u = 0:
@@ -46,19 +46,21 @@ class LtiModel:
         return lti_step(self, x, u)
 
     def jac_x(self, x, u):
-        return self.A.copy()
+        return np.broadcast_to(self.A, np.shape(x)[:-1] + self.A.shape).copy()
 
     def jac_u(self, x, u):
-        return self.B.copy()
+        return np.broadcast_to(self.B, np.shape(x)[:-1] + self.B.shape).copy()
 
 
 @dataclass(frozen=True)
 class NonlinearModel:
     """x_{k+1} = step(x_k, u_k) with optional analytic Jacobians.
 
-    ``step`` must be a pure function returning a length-n vector.
-    ``jac_x`` / ``jac_u``, when given, return the n-by-n and n-by-m
-    Jacobians of ``step`` with respect to state and input.
+    Each map takes stacked stages x (..., n) and u (..., m), one state having
+    no leading axis, so that NMPC evaluates a horizon in one call: ``step`` is
+    pure and gives (..., n), ``jac_x`` / ``jac_u``, when given, the (..., n, n)
+    and (..., n, m) Jacobians of ``step``. Write ``x[..., 0]`` and ``np.sin``,
+    not ``x[0]`` and ``math.sin``, as the README's example does.
     """
 
     n: int
@@ -128,29 +130,26 @@ def box_polytope(bound, dim=1):
 
 
 def lti_step(model, x, u):
-    """One step of the LTI dynamics: A x + B u."""
-    x = as_vector(x, "x")
-    u = as_vector(u, "u")
-    if x.shape[0] != model.n:
-        raise ShapeError(f"state has dimension {x.shape[0]}, expected {model.n}")
-    if u.shape[0] != model.m:
-        raise ShapeError(f"input has dimension {u.shape[0]}, expected {model.m}")
-    return model.A @ x + model.B @ u
+    """A x + B u of one state or of stacked stages, each stage by its own
+    matrix-vector product, whose bits x @ A.T would not keep."""
+    x, u = as_points(x, model.n, "state"), as_points(u, model.m, "input")
+    return (model.A @ x[..., None])[..., 0] + (model.B @ u[..., None])[..., 0]
 
 
 def pendulum_step(p, x, u):
-    """Forward-Euler pendulum map.
+    """Forward-Euler pendulum map, of one state or of stacked stages.
 
     [x1 + T x2,
      x2 + T(-(g/l) sin(x1) - (B/(M l^2)) x2 + (1/(M l^2)) u)]
     """
-    x = as_vector(x, "x")
-    u = as_vector(u, "u")
+    x, u = as_points(x, 2, "state"), as_points(u, 1, "input")
     ml2 = p.M * p.l * p.l
-    x1 = x[0] + p.T * x[1]
-    x2 = x[1] + p.T * (-(p.g_grav / p.l) * math.sin(x[0])
-                       - (p.B_fric / ml2) * x[1] + u[0] / ml2)
-    return np.array([x1, x2])
+    x2 = x[..., 1] + p.T * (-(p.g_grav / p.l) * np.sin(x[..., 0])
+                            - (p.B_fric / ml2) * x[..., 1] + u[..., 0] / ml2)
+    out = np.empty(x2.shape + (2,))
+    out[..., 0] = x[..., 0] + p.T * x[..., 1]
+    out[..., 1] = x2
+    return out
 
 
 def pendulum_model(p=None):
@@ -158,15 +157,21 @@ def pendulum_model(p=None):
     if p is None:
         p = PendulumParams()
     ml2 = p.M * p.l * p.l
+    # the entries that do not depend on (x, u)
+    A = np.array([[1.0, p.T], [0.0, 1.0 - p.T * p.B_fric / ml2]])
+    B = np.array([[0.0], [p.T / ml2]])
 
     def jac_x(x, u):
-        return np.array([
-            [1.0, p.T],
-            [-p.T * (p.g_grav / p.l) * math.cos(x[0]), 1.0 - p.T * p.B_fric / ml2],
-        ])
+        x = as_points(x, 2, "state")
+        J = np.empty(x.shape + (2,))
+        J[...] = A
+        J[..., 1, 0] = -p.T * (p.g_grav / p.l) * np.cos(x[..., 0])
+        return J
 
     def jac_u(x, u):
-        return np.array([[0.0], [p.T / ml2]])
+        J = np.empty(np.shape(x)[:-1] + B.shape)
+        J[...] = B
+        return J
 
     return NonlinearModel(n=2, m=1,
                           step=lambda x, u: pendulum_step(p, x, u),
@@ -179,18 +184,15 @@ def lti_as_nonlinear(model):
 
 
 def polytope_contains(P, v, tol=DEFAULT_CONTAIN_TOL):
-    """True iff F v <= g + tol rowwise. Zero-row polytopes contain everything."""
-    v = as_vector(v, "v")
-    if v.shape[0] != P.dim:
-        raise ShapeError(f"point has dimension {v.shape[0]}, polytope has {P.dim}")
-    return bool(np.all(P.F @ v <= P.g + tol))
+    """True iff F v <= g + tol rowwise, for one point v or all stacked points
+    v (..., dim), each by its own F v. Zero-row polytopes contain everything."""
+    v = as_points(v, P.dim, "point")
+    return bool(np.all((P.F @ v[..., None])[..., 0] <= P.g + tol))
 
 
 def steady_state_input_lti(model, x_r):
     """Steady input u_r solving x_r = A x_r + B u_r in the least-squares sense."""
-    x_r = as_vector(x_r, "x_r")
-    if x_r.shape[0] != model.n:
-        raise ShapeError(f"reference has dimension {x_r.shape[0]}, expected {model.n}")
+    x_r = as_vector(x_r, "reference", model.n)
     rhs = (np.eye(model.n) - model.A) @ x_r
     return pseudo_inverse_apply(model.B, rhs)
 

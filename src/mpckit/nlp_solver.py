@@ -21,6 +21,7 @@ STEP_TOL = 1e-8
 LINE_SEARCH_MAX = 30
 ARMIJO = 1e-4
 ELASTIC_PENALTY = 1e4
+STACKED = "a model's step, jac_x and jac_u must take stacked stages x (..., n), u (..., m)"
 
 
 class NlpStatus(Enum):
@@ -74,66 +75,80 @@ def build_feq(model, x_k, N, N_C=None):
     z is ordered as all N+1 state blocks followed by the first N_C input
     blocks (default N); the inputs after the control horizon are zero.
     Returns (residual map, decision dimension). The residual's first block
-    pins the initial state; block i+1 is x_{i+1} - f(x_i, u_i).
+    pins the initial state; block i+1 is x_{i+1} - f(x_i, u_i), from one
+    model.step call on all stages.
     """
-    x_k = as_vector(x_k, "x_k")
     n, m = model.n, model.m
-    if x_k.shape[0] != n:
-        raise ShapeError(f"state has dimension {x_k.shape[0]}, expected {n}")
+    x_k = as_vector(x_k, "state", n)
     nX = n * (N + 1)
     d = nX + m * (N if N_C is None else N_C)
 
     def residual(z):
-        z = as_vector(z, "z")
-        if z.shape[0] != d:
-            raise ShapeError(f"decision vector has length {z.shape[0]}, expected {d}")
+        z = as_vector(z, "decision vector", d)
         X = z[:nX].reshape(N + 1, n)
-        U = pad_inputs(z[nX:], N, m)
-        out = np.empty(nX)
-        out[:n] = X[0] - x_k
-        for i in range(N):
-            out[(i + 1) * n:(i + 2) * n] = X[i + 1] - as_vector(model.step(X[i], U[i]))
-        return out
+        F = _stages(model.step, X[:N], pad_inputs(z[nX:], N, m), (N, n))
+        return np.concatenate([X[0] - x_k, (X[1:] - F).ravel()])
 
     return residual, d
 
 
+def _stages(f, X, U, shape):
+    """f(X, U), a model's step, jac_x or jac_u on all stages at once, of the given shape."""
+    try:
+        out = np.asarray(f(X, U), dtype=float)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ShapeError(f"{STACKED}: {exc}") from exc
+    if out.shape != shape:
+        raise ShapeError(f"{STACKED}: shape {out.shape} on {X.shape[0]} stages, not {shape}")
+    return out
+
+
 def build_feq_jacobian(model, N, N_C=None):
     """Jacobian of build_feq's residual, the same map at every x_k, since x_k
-    enters the residual as a constant only. Stage i's blocks df/dx and df/du
-    at (x_i, u_i) come from model.jac_x/jac_u when the model has both, else
-    from numerics.finite_diff_jacobian of one model.step. The inputs after
-    the control horizon are not decisions, so a stage i >= N_C is differenced
-    in x only: N_C (n + m + 1) + (N - N_C)(n + 1) steps."""
+    enters the residual as a constant only: a copy of one template with the
+    identity blocks in place, filled with every stage's df/dx and df/du from
+    one model.jac_x and one model.jac_u call when the model has both, else
+    from the n + m + 1 horizon steps of numerics.finite_diff_jacobian. The
+    first call checks the model against stagewise calls, since a model
+    written for one stage can give the (N, n) shape at N = n."""
     n, m = model.n, model.m
     N_C = N if N_C is None else N_C
     nX = n * (N + 1)
+    d = nX + m * N_C
     analytic = model.jac_x is not None and model.jac_u is not None
-
-    def stage(x, u, decided):
-        if analytic:
-            return as_matrix(model.jac_x(x, u)), as_matrix(model.jac_u(x, u))
-        # through the module, not this module's finite_diff_jacobian name
-        if not decided:
-            return numerics.finite_diff_jacobian(lambda v: model.step(v, u), x), None
-        D = numerics.finite_diff_jacobian(lambda v: model.step(v[:n], v[n:]),
-                                          np.concatenate([x, u]))
-        return D[:, :n], D[:, n:]
+    template = np.eye(nX, d)
+    # flat positions of stage i's blocks -df/dx and, for i < N_C, -df/du in J
+    i, r, c = np.ogrid[:N, :n, :n]
+    at_x = ((i + 1) * n + r) * d + i * n + c
+    i, r, c = np.ogrid[:N_C, :n, :m]
+    at_u = ((i + 1) * n + r) * d + nX + i * m + c
+    maps = [(model.step, (N, n))]
+    if analytic:
+        maps += [(model.jac_x, (N, n, n)), (model.jac_u, (N, n, m))]
+    checked = False
 
     def jacobian(z):
+        nonlocal checked
         z = as_vector(z, "z")
-        X = z[:nX].reshape(N + 1, n)
+        X = z[:nX].reshape(N + 1, n)[:N]
         U = pad_inputs(z[nX:], N, m)
-        J = np.zeros((nX, nX + m * N_C))
-        J[:n, :n] = np.eye(n)
-        for i in range(N):
-            r0 = (i + 1) * n
-            A, B = stage(X[i], U[i], i < N_C)
-            J[r0:r0 + n, r0:r0 + n] = np.eye(n)
-            J[r0:r0 + n, i * n:(i + 1) * n] = -A
-            if i < N_C:
-                c0 = nX + i * m
-                J[r0:r0 + n, c0:c0 + m] = -B
+        if not checked:
+            for f, shape in maps:
+                stagewise = [f(x, u) for x, u in zip(X, U)]
+                if not np.allclose(_stages(f, X, U, shape), stagewise,
+                                   rtol=1e-9, atol=1e-12, equal_nan=True):
+                    raise ShapeError(f"{STACKED}: other values than stage by stage")
+            checked = True
+        if analytic:
+            A, B = _stages(model.jac_x, X, U, (N, n, n)), _stages(model.jac_u, X, U, (N, n, m))
+        else:
+            # through the module, not this module's finite_diff_jacobian name
+            D = numerics.finite_diff_jacobian(
+                lambda V: _stages(model.step, V[:, :n], V[:, n:], (N, n)), np.hstack([X, U]))
+            A, B = D[:, :, :n], D[:, :, n:]
+        J = template.copy()
+        J.flat[at_x] = -A
+        J.flat[at_u] = -B[:N_C]
         return J
 
     return jacobian

@@ -21,13 +21,24 @@ def as_matrix(M, name="matrix"):
     return A
 
 
-def as_vector(v, name="vector"):
-    """Coerce to a 1-D float array, raising ShapeError on anything else."""
+def as_vector(v, name="vector", dim=None):
+    """Coerce to a 1-D float array, of dim entries when dim is given, raising
+    ShapeError on anything else."""
     a = np.asarray(v, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1)
     if a.ndim != 1:
         raise ShapeError(f"{name} must be 1-D, got shape {a.shape}")
+    if dim is not None and a.shape[0] != dim:
+        raise ShapeError(f"{name} has dimension {a.shape[0]}, expected {dim}")
+    return a
+
+
+def as_points(v, dim, name):
+    """One point (dim,) or stacked points (..., dim) as a float array; a scalar is one point."""
+    a = np.atleast_1d(np.asarray(v, dtype=float))
+    if a.shape[-1] != dim:
+        raise ShapeError(f"{name} has dimension {a.shape[-1]}, expected {dim}")
     return a
 
 
@@ -121,14 +132,18 @@ def pseudo_inverse_apply(M, b):
 
 def finite_diff_jacobian(f, z):
     """Forward-difference Jacobian of f at z: column i is
-    (f(z + h_i e_i) - f(z)) / h_i, h_i = sqrt(machine epsilon) * max(1, |z_i|)."""
-    z = as_vector(z)
-    f0 = as_vector(f(z), "f(z)")
+    (f(z + h_i e_i) - f(z)) / h_i, h_i = sqrt(machine epsilon) * max(1, |z_i|).
+    Stacked points z (..., k), which f maps to (..., r) at once, get their
+    Jacobians (..., r, k), each with the bits of its own, from k + 1 calls."""
+    z = as_vector(z) if np.ndim(z) < 2 else np.asarray(z, dtype=float)
+    f0 = np.asarray(f(z), dtype=float)
+    if f0.ndim != z.ndim or f0.shape[:-1] != z.shape[:-1]:
+        raise ShapeError(f"f(z) has shape {f0.shape} for z of shape {z.shape}")
     sqrt_eps = np.sqrt(np.finfo(float).eps)
-    J = np.empty((f0.shape[0], z.shape[0]))
-    for i in range(z.shape[0]):
-        h = sqrt_eps * max(1.0, abs(z[i]))
+    J = np.empty(f0.shape + z.shape[-1:])
+    for i in range(z.shape[-1]):
+        h = sqrt_eps * np.maximum(1.0, np.abs(z[..., i]))
         zp = z.copy()
-        zp[i] += h
-        J[:, i] = (as_vector(f(zp), "f(z+h)") - f0) / h
+        zp[..., i] += h
+        J[..., i] = (f(zp) - f0) / h[..., None]
     return J

@@ -276,13 +276,15 @@ class TestNmpcStep:
 
         def with_differences(build):
             # the model here is the loop's inner one, in error coordinates
-            # when tracking
+            # when tracking; D differences one stage at a time
             def build_explicit(inner, *args):
                 def D(x, u):
+                    if np.ndim(x) == 2:
+                        return np.array([D(*stage) for stage in zip(x, u)])
                     return finite_diff_jacobian(lambda v: inner.step(v[:2], v[2:]),
                                                 np.concatenate([x, u]))
-                return build(replace(inner, jac_x=lambda x, u: D(x, u)[:, :2],
-                                     jac_u=lambda x, u: D(x, u)[:, 2:]), *args)
+                return build(replace(inner, jac_x=lambda x, u: D(x, u)[..., :2],
+                                     jac_u=lambda x, u: D(x, u)[..., 2:]), *args)
             return build_explicit
 
         monkeypatch.setattr(controller, "build_feq_jacobian",

@@ -8,7 +8,7 @@ from mpckit import (InfeasibleStepError, MpcConfig, ShapeError,
                     run_closed_loop)
 from mpckit import cli, feasibility
 from mpckit.condense import build_prediction, condensed_rows, stack_constraints
-from mpckit.model import LtiModel, Polytope, box_polytope
+from mpckit.model import LtiModel, Polytope, box_polytope, polytope_contains
 
 
 def _demo_cfg(lti_demo_sets, **kw):
@@ -70,6 +70,35 @@ class TestControlSequenceFeasible:
                         U_set=U_set, terminal_set=box_polytope(1e-6, 2))
         assert not is_control_sequence_feasible(lti_demo_model, cfg, [5, 0],
                                                 np.zeros((2, 1)))
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    def test_verdicts_of_a_stagewise_roll_out(self, lti_12_4, terminal):
+        # one polytope_contains per point, stopping at the first point outside
+        model, X_set, U_set, x_0 = lti_12_4
+        T = box_polytope(6.0, 12) if terminal else None
+        cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=np.eye(4), X_set=X_set, U_set=U_set,
+                        terminal_set=T)
+
+        def stagewise(x_k, U):
+            x = np.asarray(x_k, dtype=float)
+            if not polytope_contains(X_set, x, 1e-8):
+                return False
+            for i, u in enumerate(U):
+                if not polytope_contains(U_set, u, 1e-8):
+                    return False
+                x = model.step(x, u)
+                if not polytope_contains(T if i == 19 and T is not None else X_set, x, 1e-8):
+                    return False
+            return True
+
+        rng = np.random.default_rng(29)
+        verdicts = []
+        for scale in np.linspace(0.5, 4.0, 60):
+            x_k = np.clip(scale * x_0, -10.5, 10.5)
+            U = rng.uniform(-1.01, 1.01, (20, 4)) * rng.uniform(0.0, 1.0)
+            verdicts.append(stagewise(x_k, U))
+            assert is_control_sequence_feasible(model, cfg, x_k, U) is verdicts[-1]
+        assert 0 < sum(verdicts) < len(verdicts)
 
     @pytest.mark.parametrize("shape", [(4, 1), (6,), (5, 2)])
     def test_wrong_sequence_size(self, lti_demo_model, lti_demo_sets, shape):

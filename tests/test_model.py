@@ -75,6 +75,38 @@ class TestLtiStep:
         with pytest.raises(ShapeError):
             lti_step(lti_demo_model, [1, 2], [0, 0])
 
+    def test_stacked_stages_have_the_bits_of_each_stage(self, lti_12_4):
+        # A @ x per stage, not x @ A.T, whose bits differ
+        model = lti_12_4[0]
+        rng = np.random.default_rng(29)
+        X, U = rng.normal(size=(20, 12)), rng.normal(size=(20, 4))
+        stages = np.array([model.A @ x + model.B @ u for x, u in zip(X, U)])
+        assert model.step(X, U).tobytes() == stages.tobytes()
+        assert model.step(X[0], U[0]).tobytes() == stages[0].tobytes()
+        assert model.step(X.reshape(4, 5, 12), U.reshape(4, 5, 4)).shape == (4, 5, 12)
+        assert np.array_equal(model.jac_x(X, U), np.broadcast_to(model.A, (20, 12, 12)))
+        assert np.array_equal(model.jac_u(X, U), np.broadcast_to(model.B, (20, 12, 4)))
+
+
+class TestPendulumModel:
+    def test_stacked_stages_have_the_bits_of_each_stage(self, pendulum):
+        rng = np.random.default_rng(29)
+        X, U = rng.uniform(-3.0, 3.0, (30, 2)), rng.uniform(-5.0, 5.0, (30, 1))
+        for f in (pendulum.step, pendulum.jac_x, pendulum.jac_u):
+            stages = np.array([f(x, u) for x, u in zip(X, U)])
+            assert f(X, U).tobytes() == stages.tobytes()
+        # the step of one state: the forward-Euler map with math.sin
+        p = PendulumParams()
+        for x, u in zip(X, U):
+            expect = [x[0] + p.T * x[1], x[1] + p.T * (-p.g_grav * math.sin(x[0]) - x[1] + u[0])]
+            assert pendulum.step(x, u).tolist() == expect
+
+    def test_wrong_dimension_rejected(self, pendulum):
+        with pytest.raises(ShapeError, match="state has dimension 3"):
+            pendulum.step(np.zeros((4, 3)), np.zeros((4, 1)))
+        with pytest.raises(ShapeError, match="input has dimension 2"):
+            pendulum.step(np.zeros(2), np.zeros(2))
+
 
 class TestPendulumStep:
     def test_equilibrium(self):
@@ -134,6 +166,20 @@ class TestPolytopeContains:
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
             polytope_contains(box_polytope(1, dim=2), [1, 2, 3])
+
+    def test_stacked_points(self):
+        # every point is tested with the bits of its own F v
+        rng = np.random.default_rng(29)
+        P = Polytope(rng.normal(size=(7, 3)), rng.uniform(0.5, 1.0, 7))
+        V = rng.uniform(-0.4, 0.4, (50, 3))
+        inside = [polytope_contains(P, v) for v in V]
+        assert 0 < sum(inside) < len(V)
+        assert polytope_contains(P, V) is all(inside)
+        assert polytope_contains(P, V[np.array(inside)]) is True
+        assert polytope_contains(P, V.reshape(5, 10, 3)) is False
+        assert polytope_contains(empty_polytope(3), V) is True
+        with pytest.raises(ShapeError):
+            polytope_contains(P, V[:, :2])
 
 
 class TestSteadyStateLti:

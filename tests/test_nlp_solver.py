@@ -1,8 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mpckit import (NlpProblem, NlpStatus, QpProblem, ShapeError,
-                    build_feq, build_feq_jacobian, solve_nlp, solve_qp)
+from mpckit import (MpcConfig, NlpProblem, NlpStatus, QpProblem, ShapeError,
+                    build_feq, build_feq_jacobian, lti_as_nonlinear, nmpc_step,
+                    run_closed_loop, solve_nlp, solve_qp, tracking_transform)
 from mpckit.model import LtiModel, NonlinearModel, PendulumParams, pendulum_model, pendulum_step
 from mpckit.nlp_solver import SQP_TOL
 from mpckit.numerics import finite_diff_jacobian
@@ -16,15 +20,17 @@ def _rollout_z(model, x_k, U):
     return np.concatenate([np.concatenate(X), np.ravel(U)])
 
 
+LTI_3_2 = LtiModel([[0.9, 0.2, 0.0], [-0.4, 0.8, 0.1], [0.0, 0.3, 1.1]],
+                   [[0.1, 0.0], [0.01, 0.2], [0.0, 0.5]])
+
+
 def _step_only(kind):
     """The forward-Euler pendulum or an n = 3, m = 2 LTI system, as a model
     with a step function and no Jacobians."""
     if kind == "pendulum":
         p = PendulumParams()
         return NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
-    lti = LtiModel([[0.9, 0.2, 0.0], [-0.4, 0.8, 0.1], [0.0, 0.3, 1.1]],
-                   [[0.1, 0.0], [0.01, 0.2], [0.0, 0.5]])
-    return NonlinearModel(n=3, m=2, step=lti.step)
+    return NonlinearModel(n=3, m=2, step=LTI_3_2.step)
 
 
 class TestBuildFeq:
@@ -114,15 +120,15 @@ class TestBuildFeq:
     @pytest.mark.parametrize("N, N_C", [(2, 2), (10, 10), (10, 4)])
     @pytest.mark.parametrize("kind", ["pendulum", "lti"])
     def test_derivative_free_jacobian_step_count(self, kind, N, N_C):
-        # one step at (x_i, u_i) and one per coordinate of (x_i, u_i), or of
-        # x_i alone after the control horizon, where u_i is no decision:
-        # (n + m + 1) N_C + (n + 1)(N - N_C) steps, where one residual per
-        # column costs (d + 1) N
+        # one horizon step at (X, U) and one per coordinate of (x_i, u_i),
+        # moved at every stage at once: n + m + 1 horizon steps and no
+        # stagewise ones, where one residual per column costs d + 1; the
+        # first call also checks the model against N stagewise steps
         plant = _step_only(kind)
         steps = []
 
         def step(x, u):
-            steps.append(1)
+            steps.append(np.ndim(x))
             return plant.step(x, u)
 
         model = NonlinearModel(plant.n, plant.m, step=step)
@@ -130,14 +136,126 @@ class TestBuildFeq:
         residual, d = build_feq(model, x_k, N, N_C)
         jacobian = build_feq_jacobian(model, N, N_C)
         z = np.linspace(-2.0, 2.0, d)
-        steps.clear()
         jacobian(z)
-        assert len(steps) == (model.n + model.m + 1) * N_C + (model.n + 1) * (N - N_C)
-        if (kind, N) == ("pendulum", 10):
-            assert len(steps) == {10: 40, 4: 34}[N_C]
+        assert sorted(steps) == [1] * N + [2] * (model.n + model.m + 2)
+        for _ in range(2):
+            steps.clear()
+            jacobian(z)
+            assert steps == [2] * (model.n + model.m + 1)
+        if kind == "pendulum":
+            assert len(steps) == 4
         steps.clear()
         finite_diff_jacobian(residual, z)
-        assert len(steps) == (d + 1) * N
+        assert steps == [2] * (d + 1)
+
+
+def _stagewise_residual(model, x_k, N, N_C, z):
+    """build_feq's residual from one model.step call per stage."""
+    n, m = model.n, model.m
+    nX = n * (N + 1)
+    X = z[:nX].reshape(N + 1, n)
+    U = np.zeros((N, m))
+    U[:N_C] = z[nX:].reshape(N_C, m)
+    blocks = [X[0] - x_k] + [X[i + 1] - model.step(X[i], U[i]) for i in range(N)]
+    return np.concatenate(blocks)
+
+
+def _stagewise_jacobian(model, N, N_C, z):
+    """build_feq_jacobian's Jacobian from one jac_x and one jac_u call per
+    stage, or from finite_diff_jacobian of one model.step per stage."""
+    n, m = model.n, model.m
+    nX = n * (N + 1)
+    X = z[:nX].reshape(N + 1, n)
+    U = np.zeros((N, m))
+    U[:N_C] = z[nX:].reshape(N_C, m)
+    J = np.zeros((nX, nX + m * N_C))
+    J[:, :nX] = np.eye(nX)
+    for i in range(N):
+        if model.jac_x is not None:
+            A, B = model.jac_x(X[i], U[i]), model.jac_u(X[i], U[i])
+        else:
+            D = finite_diff_jacobian(lambda v: model.step(v[:n], v[n:]),
+                                     np.concatenate([X[i], U[i]]))
+            A, B = D[:, :n], D[:, n:]
+        rows = slice((i + 1) * n, (i + 2) * n)
+        J[rows, i * n:(i + 1) * n] = -A
+        if i < N_C:
+            J[rows, nX + i * m:nX + (i + 1) * m] = -B
+    return J
+
+
+def _tracking_pendulum(p):
+    cfg = MpcConfig(N=5, N_T=5, Q=np.eye(2), R=[[1.0]])
+    return tracking_transform(cfg, pendulum_model(p), [0.3, 0.0])[3]
+
+
+class TestStackedStages:
+    @pytest.mark.parametrize("N, N_C", [(1, 1), (2, 2), (10, 10), (10, 4)])
+    @pytest.mark.parametrize("kind", ["pendulum", "pendulum-fd", "lti-as-nonlinear",
+                                      "tracking", "tracking-fd"])
+    def test_bits_of_stagewise_reference(self, kind, N, N_C):
+        # one horizon evaluation gives the bits of one call per stage
+        p = PendulumParams()
+        model = {"pendulum": lambda: pendulum_model(p),
+                 "pendulum-fd": lambda: replace(pendulum_model(p), jac_x=None, jac_u=None),
+                 "lti-as-nonlinear": lambda: lti_as_nonlinear(LTI_3_2),
+                 "tracking": lambda: _tracking_pendulum(p),
+                 "tracking-fd": lambda: replace(_tracking_pendulum(p), jac_x=None, jac_u=None),
+                 }[kind]()
+        rng = np.random.default_rng(29)
+        x_k = rng.uniform(-1.0, 1.0, model.n)
+        residual, d = build_feq(model, x_k, N, N_C)
+        jacobian = build_feq_jacobian(model, N, N_C)
+        for _ in range(3):
+            z = rng.choice([-1.0, 1.0], d) * rng.uniform(0.2, 3.0, d)
+            assert residual(z).tobytes() == _stagewise_residual(model, x_k, N, N_C, z).tobytes()
+            assert jacobian(z).tobytes() == _stagewise_jacobian(model, N, N_C, z).tobytes()
+
+    @staticmethod
+    def _per_stage(sin, analytic):
+        """The pendulum as a model written for one stage: x[0], and math.sin
+        or np.sin."""
+        p = PendulumParams()
+
+        def step(x, u):
+            return np.array([x[0] + p.T * x[1],
+                             x[1] + p.T * (-p.g_grav * sin(x[0]) - x[1] + u[0])])
+
+        def jac_x(x, u):
+            return np.array([[1.0, p.T], [-p.T * p.g_grav * math.cos(x[0]), 1.0 - p.T]])
+
+        if not analytic:
+            return NonlinearModel(n=2, m=1, step=step)
+        return NonlinearModel(n=2, m=1, step=step, jac_x=jac_x,
+                              jac_u=lambda x, u: np.array([[0.0], [p.T]]))
+
+    @pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "fd"])
+    @pytest.mark.parametrize("sin", [math.sin, np.sin], ids=["math", "numpy"])
+    @pytest.mark.parametrize("N", [2, 3, 5])
+    def test_per_stage_model_rejected(self, pendulum_sets, sin, analytic, N):
+        # N = n = 2 with np.sin: the per-stage step gives the (N, n) shape
+        model = self._per_stage(sin, analytic)
+        X_set, U_set = pendulum_sets
+        cfg = MpcConfig(N=N, N_T=N, Q=np.eye(2), R=[[1.0]], X_set=X_set, U_set=U_set)
+        # the stagewise model itself is right, one state at a time
+        x, u = np.array([0.6, -0.4]), np.array([0.05])
+        assert np.allclose(model.step(x, u), pendulum_model().step(x, u), rtol=1e-15)
+        with pytest.raises(ShapeError, match="stacked stages"):
+            nmpc_step(model, cfg, x)
+        with pytest.raises(ShapeError, match="stacked stages"):
+            run_closed_loop(model, cfg, x)
+        residual, d = build_feq(model, x, N)
+        with pytest.raises(ShapeError, match="stacked stages"):
+            build_feq_jacobian(model, N)(np.linspace(-1.0, 1.0, d))
+
+    def test_readme_custom_model(self, pendulum_sets):
+        # the README's custom model, as it is written there
+        step = lambda x, u: np.stack([x[..., 0] + 0.1 * x[..., 1], x[..., 1] + 0.1 * (u[..., 0] - np.sin(x[..., 0]))], axis=-1)  # noqa: E501, E731
+        model = NonlinearModel(n=2, m=1, step=step)
+        X_set, U_set = pendulum_sets
+        cfg = MpcConfig(N=5, N_T=5, Q=np.eye(2), R=[[1.0]], X_set=X_set, U_set=U_set)
+        traj = run_closed_loop(model, cfg, [0.5, 0.0])
+        assert all(s is NlpStatus.OPTIMAL for s in traj.statuses)
 
 
 class TestSolveNlp:

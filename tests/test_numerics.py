@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mpckit import SingularMatrixError
+from mpckit import ShapeError, SingularMatrixError
 from mpckit.numerics import block_diag, finite_diff_jacobian, pseudo_inverse_apply
 
 
@@ -83,3 +83,25 @@ class TestFiniteDiffJacobian:
             ])
             J = finite_diff_jacobian(f, z)
             assert np.abs(J - analytic).max() < 1e-5
+
+    def test_stacked_points_have_the_bits_of_each_point(self):
+        # k + 1 calls of f for all points, |z| above and below 1
+        rng = np.random.default_rng(29)
+        Z = rng.choice([-1.0, 1.0], (6, 3)) * rng.uniform(0.1, 4.0, (6, 3))
+        calls = []
+
+        def f(v):
+            calls.append(v.shape)
+            return np.stack([v[..., 0] ** 2 + v[..., 1], np.sin(v[..., 1] * v[..., 2])], axis=-1)
+
+        J = finite_diff_jacobian(f, Z)
+        assert calls == [(6, 3)] * 4
+        assert J.shape == (6, 2, 3)
+        for z, Jz in zip(Z, J):
+            assert Jz.tobytes() == finite_diff_jacobian(f, z).tobytes()
+
+    def test_output_shape_checked(self):
+        with pytest.raises(ShapeError):
+            finite_diff_jacobian(lambda v: v.sum(), np.ones(3))
+        with pytest.raises(ShapeError):
+            finite_diff_jacobian(lambda v: v[0], np.ones((4, 3)))
