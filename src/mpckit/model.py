@@ -142,14 +142,13 @@ def pendulum_step(p, x, u):
     [x1 + T x2,
      x2 + T(-(g/l) sin(x1) - (B/(M l^2)) x2 + (1/(M l^2)) u)]
     """
-    x, u = as_points(x, 2, "state"), as_points(u, 1, "input")
+    # transposed, x[i] is coordinate i of all stages; of one state it is a
+    # numpy scalar, whose arithmetic is faster than that of a 0-d array
+    x, u = as_points(x, 2, "state").T, as_points(u, 1, "input").T
     ml2 = p.M * p.l * p.l
-    x2 = x[..., 1] + p.T * (-(p.g_grav / p.l) * np.sin(x[..., 0])
-                            - (p.B_fric / ml2) * x[..., 1] + u[..., 0] / ml2)
-    out = np.empty(x2.shape + (2,))
-    out[..., 0] = x[..., 0] + p.T * x[..., 1]
-    out[..., 1] = x2
-    return out
+    return np.array([x[0] + p.T * x[1],
+                     x[1] + p.T * (-(p.g_grav / p.l) * np.sin(x[0])
+                                   - (p.B_fric / ml2) * x[1] + u[0] / ml2)]).T
 
 
 def pendulum_model(p=None):

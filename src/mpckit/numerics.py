@@ -139,11 +139,10 @@ def finite_diff_jacobian(f, z):
     f0 = np.asarray(f(z), dtype=float)
     if f0.ndim != z.ndim or f0.shape[:-1] != z.shape[:-1]:
         raise ShapeError(f"f(z) has shape {f0.shape} for z of shape {z.shape}")
-    sqrt_eps = np.sqrt(np.finfo(float).eps)
+    h = np.sqrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(z))
     J = np.empty(f0.shape + z.shape[-1:])
     for i in range(z.shape[-1]):
-        h = sqrt_eps * np.maximum(1.0, np.abs(z[..., i]))
         zp = z.copy()
-        zp[..., i] += h
-        J[..., i] = (f(zp) - f0) / h[..., None]
+        zp[..., i] += h[..., i]
+        J[..., i] = (f(zp) - f0) / h[..., i, None]
     return J
