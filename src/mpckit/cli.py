@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import __version__
-from .controller import MpcConfig, Trajectory, run_closed_loop
+from .controller import MpcConfig, run_closed_loop
 from .exceptions import (ConfigError, InfeasibleStepError, MpcError,
                          ReferenceInfeasibleError)
 from .feasibility import is_state_feasible
@@ -41,6 +41,7 @@ class ExperimentConfig:
     mpc: MpcConfig
     initial_state: np.ndarray
     name: str = "experiment"
+    reference: np.ndarray | None = None      # x_r, tracked by run_closed_loop
 
 
 def _finite_array(obj, key):
@@ -100,12 +101,6 @@ def _integer(obj, key):
     # bool is an int subclass, and JSON true is not a count
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(f"{key} must be an integer, got {obj!r}")
-    return obj
-
-
-def _boolean(obj, key):
-    if not isinstance(obj, bool):
-        raise ConfigError(f"{key} must be true or false, got {obj!r}")
     return obj
 
 
@@ -172,7 +167,7 @@ def _experiment(doc):
         terminal = Polytope(_matrix(t["F"], "terminal.F"), _vector(t["g"], "terminal.g"))
 
     solver = _object(doc.get("solver", {}), "solver",
-                     ("formulation", "eps_abs", "eps_rel", "max_iter", "warm_start"))
+                     ("formulation", "eps_abs", "eps_rel", "max_iter"))
     limits = {key: _number(solver[key], f"solver.{key}")
               for key in ("eps_abs", "eps_rel") if key in solver}
     if "max_iter" in solver:
@@ -186,6 +181,8 @@ def _experiment(doc):
     x_r = None
     if reference is not None:
         x_r = _vector(_object(reference, "reference", ("x_r",))["x_r"], "x_r")
+        if x_r.shape[0] != model.n:
+            raise ConfigError(f"reference (x_r) has length {x_r.shape[0]}, expected {model.n}")
 
     Q, R = _matrix(weights["Q"], "Q"), _matrix(weights["R"], "R")
     # a Q or R that is not square is MpcConfig's to reject
@@ -204,9 +201,7 @@ def _experiment(doc):
         U_set=U_set,
         terminal_set=terminal,
         formulation=solver.get("formulation", "condensed"),
-        reference=x_r,
         settings=settings,
-        warm_start=_boolean(solver.get("warm_start", True), "solver.warm_start"),
     )
 
     n = mpc.n
@@ -215,7 +210,7 @@ def _experiment(doc):
     name = doc.get("name", "experiment")
     if not isinstance(name, str):
         raise ConfigError(f"name must be a JSON string, got {name!r}")
-    return ExperimentConfig(model=model, mpc=mpc, initial_state=x0, name=name)
+    return ExperimentConfig(model=model, mpc=mpc, initial_state=x0, name=name, reference=x_r)
 
 
 def _fmt(x):
@@ -283,9 +278,9 @@ def run_experiment(cfg, out_path=None):
     t0 = time.perf_counter()
     aborted_at = None
     try:
-        traj = run_closed_loop(model, cfg.mpc, cfg.initial_state)
+        traj = run_closed_loop(model, cfg.mpc, cfg.initial_state, cfg.reference)
     except InfeasibleStepError as err:
-        traj = err.trajectory if err.trajectory is not None else Trajectory()
+        traj = err.trajectory
         aborted_at = err.step
     wall = time.perf_counter() - t0
     if out_path:

@@ -25,7 +25,8 @@ CONDENSED = "condensed"
 
 @dataclass
 class MpcConfig:
-    """Horizons, weights, constraint sets and solver options for one controller."""
+    """The finite-horizon problem of one step: horizons, weights, constraint
+    sets and solver options; N_T is the length of a closed loop."""
 
     N: int
     N_T: int
@@ -37,9 +38,7 @@ class MpcConfig:
     U_set: Optional[Polytope] = None
     terminal_set: Optional[Polytope] = None
     formulation: str = CONDENSED    # LMPC's; NMPC always solves the trajectory form
-    reference: Optional[np.ndarray] = None
     settings: SolverSettings = field(default_factory=SolverSettings)
-    warm_start: bool = True
 
     def __post_init__(self):
         if self.N_C is None:
@@ -81,11 +80,6 @@ class MpcConfig:
                              ("terminal_set (F)", self.terminal_set, self.n)):
             if P is not None and P.dim != dim:
                 raise ShapeError(f"{name} has {P.dim} columns, expected {dim}")
-        if self.reference is not None:
-            self.reference = as_vector(self.reference, "reference")
-            if self.reference.shape[0] != self.n:
-                raise ShapeError(f"reference (x_r) has length {self.reference.shape[0]}, "
-                                 f"expected {self.n}")
 
     @property
     def n(self):
@@ -171,7 +165,9 @@ class _Workspace:
 
 
 def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
-    """One LMPC solve: returns the applied input and the full predicted sequences."""
+    """One LMPC solve of the regulation problem, which steers x_k toward the
+    origin: returns the applied input and the full predicted sequences. A
+    set point is tracked by run_closed_loop's reference (tracking_transform)."""
     x_k = as_vector(x_k, "x_k")
     cfg.check_sizes(model, x_k)
     ws = _ws if _ws is not None else _Workspace()
@@ -194,7 +190,8 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
 
 
 def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
-    """One NMPC solve via SQP on the trajectory decision vector."""
+    """One NMPC solve via SQP on the trajectory decision vector, of the
+    regulation problem as lmpc_step's."""
     x_k = as_vector(x_k, "x_k")
     cfg.check_sizes(model, x_k)
     n, m, N = model.n, model.m, cfg.N
@@ -225,14 +222,15 @@ def _step_result(U, X, sol):
 
 
 def tracking_transform(cfg, model, x_r):
-    """Steady input and constraint sets shifted into error coordinates.
+    """The regulation problem of tracking the steady state x_r.
 
-    Returns (u_r, shifted X_set, shifted U_set, error-dynamics model). An
-    LtiModel is its own error model: x - x_r steps by A and B when
-    x_r = A x_r + B u_r.
+    Returns (u_r, inner_cfg, error-dynamics model): the steady input, cfg
+    with X_set, U_set and the terminal set shifted into error coordinates
+    x - x_r, u - u_r, and the model that steps the error. An LtiModel is its
+    own error model: x - x_r steps by A and B when x_r = A x_r + B u_r.
     """
-    x_r = as_vector(x_r, "x_r")
-    X_set, U_set = cfg.X_set, cfg.U_set
+    x_r = as_vector(x_r, "reference (x_r)", cfg.n)
+    X_set, U_set, T = cfg.X_set, cfg.U_set, cfg.terminal_set
     if not polytope_contains(X_set, x_r):
         raise ReferenceInfeasibleError("reference state lies outside the state constraint set")
     if isinstance(model, LtiModel):
@@ -249,17 +247,22 @@ def tracking_transform(cfg, model, x_r):
     if not polytope_contains(U_set, u_r):
         raise ReferenceInfeasibleError(
             "steady-state input for the reference violates the input constraints")
-    return (u_r, Polytope(X_set.F, X_set.g - X_set.F @ x_r),
-            Polytope(U_set.F, U_set.g - U_set.F @ u_r), err_model)
+    inner_cfg = replace(cfg, X_set=Polytope(X_set.F, X_set.g - X_set.F @ x_r),
+                        U_set=Polytope(U_set.F, U_set.g - U_set.F @ u_r),
+                        terminal_set=None if T is None else Polytope(T.F, T.g - T.F @ x_r))
+    return u_r, inner_cfg, err_model
 
 
-def run_closed_loop(model, cfg, x_0):
+def run_closed_loop(model, cfg, x_0, reference=None):
     """Simulate the receding-horizon loop for N_T steps.
 
-    The loop runs in error coordinates x - x_r, u - u_r; without a reference
-    x_r and u_r are zero. X_set, U_set and the terminal set are given in
-    original coordinates and shifted with them. An infeasible step raises
-    InfeasibleStepError carrying the partial trajectory and the failing state.
+    With a reference x_r the loop tracks it: every step solves the regulation
+    problem of tracking_transform in error coordinates x - x_r, u - u_r, and
+    the trajectory records states and inputs in original coordinates, in
+    which X_set, U_set and the terminal set are given. Each step after the
+    first is warm-started from the previous one (_next_warm). An infeasible
+    step raises InfeasibleStepError carrying the partial trajectory and the
+    failing state.
     """
     x_0 = as_vector(x_0, "x_0")
     cfg.check_sizes(model, x_0)
@@ -269,16 +272,12 @@ def run_closed_loop(model, cfg, x_0):
     # adding -0.0 leaves every float as it is, signed zeros included
     x_r, u_r = np.full(cfg.n, -0.0), np.full(cfg.m, -0.0)
     inner_cfg, inner_model = cfg, model
-    if cfg.reference is not None:
-        x_r = cfg.reference
+    if reference is not None:
         # The plant is the same model the controller predicts with: in
         # tracking mode that is the error-coordinate model, so the loop
         # simulates in error coordinates and translates back for the record.
-        u_r, X_shift, U_shift, inner_model = tracking_transform(cfg, model, x_r)
-        T = cfg.terminal_set
-        T_shift = None if T is None else Polytope(T.F, T.g - T.F @ x_r)
-        inner_cfg = replace(cfg, X_set=X_shift, U_set=U_shift, terminal_set=T_shift,
-                            reference=None)
+        x_r = as_vector(reference, "reference (x_r)", cfg.n)
+        u_r, inner_cfg, inner_model = tracking_transform(cfg, model, x_r)
 
     ws = _Workspace()
     traj = Trajectory(states=Rows(cfg.N_T + 1, cfg.n), inputs=Rows(cfg.N_T, cfg.m))
@@ -298,7 +297,7 @@ def run_closed_loop(model, cfg, x_0):
         traj.costs.append(step.J_star)
         traj.statuses.append(step.solver_status)
         traj.iterations.append(step.iterations)
-        warm = _next_warm(step, inner_cfg, inner_model, is_lti) if cfg.warm_start else None
+        warm = _next_warm(step, inner_cfg, inner_model, is_lti)
     return traj
 
 

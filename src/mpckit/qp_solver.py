@@ -69,7 +69,7 @@ class SolverSettings:
     """Stopping tolerances and iteration cap of the QP (ADMM) solver.
 
     solve_nlp passes the same settings on to each of its QP subproblems.
-    A NaN or negative tolerance, or a max_iter below 1, raises ValueError.
+    A NaN, negative or infinite tolerance, or a max_iter below 1, raises ValueError.
     """
 
     eps_abs: float = 1e-6
@@ -77,10 +77,11 @@ class SolverSettings:
     max_iter: int = 20000
 
     def __post_init__(self):
-        # a NaN fails >= 0; with max_iter >= 1 every solve ends on a check
+        # a NaN fails both; an infinite tolerance would accept any iterate
+        # as optimal; with max_iter >= 1 every solve ends on a check
         for key in ("eps_abs", "eps_rel"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be >= 0 and finite, got {getattr(self, key)}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

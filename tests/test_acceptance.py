@@ -38,7 +38,7 @@ def criterion(num, desc):
 def _demo_run(name):
     cfg = demo_config(name)
     t0 = time.perf_counter()
-    traj = run_closed_loop(cfg.model, cfg.mpc, cfg.initial_state)
+    traj = run_closed_loop(cfg.model, cfg.mpc, cfg.initial_state, cfg.reference)
     wall = time.perf_counter() - t0
     return cfg, traj, wall
 

@@ -281,7 +281,6 @@ class TestMain:
             ({"horizon": {"N": 1, "N_T": True}}, "horizon.N_T must be an integer"),
             ({"horizon": {"N": 3, "N_T": 5, "N_C": "2"}}, "horizon.N_C must be an integer"),
             ({"solver": {"max_iter": 100.9}}, "solver.max_iter must be an integer"),
-            ({"solver": {"warm_start": "false"}}, "solver.warm_start must be true or false"),
             ({"solver": {"eps_abs": "0.001"}}, "eps_abs must be a JSON number"),
             ({"solver": {"eps_rel": True}}, "eps_rel must be a JSON number"),
             ({"model": dict(lti, A=[["0.9", "0.2"], ["-0.4", "0.8"]])}, "A must hold JSON numbers only"),
@@ -324,6 +323,7 @@ class TestMain:
             ({"constraint": SMALL_CONFIG["constraints"]}, "unknown key 'constraint' in config"),
             ({"solver": {"max_iters": 5}}, "unknown key 'max_iters' in solver"),
             ({"solver": {"formulaton": "sparse"}}, "unknown key 'formulaton' in solver"),
+            ({"solver": {"warm_start": False}}, "unknown key 'warm_start' in solver"),
             ({"horizon": {"N": 3, "N_T": 5, "N_c": 2}}, "unknown key 'N_c' in horizon"),
             ({"weights": {"Q": [[1, 0], [0, 1]], "R": [[1]], "QN": [[2, 0], [0, 2]]}},
              "unknown key 'QN' in weights"),

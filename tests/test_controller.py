@@ -15,7 +15,8 @@ from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
 from mpckit.model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
-                          box_polytope, lti_step, pendulum_model, pendulum_step)
+                          box_polytope, lti_step, pendulum_model, pendulum_step,
+                          polytope_contains)
 from mpckit.numerics import finite_diff_jacobian
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
@@ -41,7 +42,6 @@ class TestMpcConfig:
             cfg = _scalar_cfg()
         assert cfg.N_C == cfg.N
         assert np.allclose(cfg.Q_N, cfg.Q)
-        assert cfg.warm_start
 
     def test_horizon_one_warns(self):
         with pytest.warns(UserWarning):
@@ -268,11 +268,12 @@ class TestNmpcStep:
         X_set, U_set = pendulum_sets
         args = dict(N=10, N_T=10, Q=np.eye(2), R=[[1.0]], X_set=X_set, U_set=U_set)
         args.update(kw)
+        x_r = args.pop("reference", None)
         cfg = MpcConfig(**args)
         p = PendulumParams()
         model = NonlinearModel(n=2, m=1, step=lambda x, u: pendulum_step(p, x, u))
-        free = run_closed_loop(model, cfg, [0.6, -0.4])
-        analytic = run_closed_loop(pendulum_model(p), cfg, [0.6, -0.4])
+        free = run_closed_loop(model, cfg, [0.6, -0.4], x_r)
+        analytic = run_closed_loop(pendulum_model(p), cfg, [0.6, -0.4], x_r)
 
         def with_differences(build):
             # the model here is the loop's inner one, in error coordinates
@@ -289,7 +290,7 @@ class TestNmpcStep:
 
         monkeypatch.setattr(controller, "build_feq_jacobian",
                             with_differences(controller.build_feq_jacobian))
-        explicit = run_closed_loop(model, cfg, [0.6, -0.4])
+        explicit = run_closed_loop(model, cfg, [0.6, -0.4], x_r)
         assert np.array_equal(np.array(free.states), np.array(explicit.states))
         assert np.array_equal(np.array(free.inputs), np.array(explicit.inputs))
         assert free.statuses == explicit.statuses == analytic.statuses
@@ -308,27 +309,50 @@ class TestNmpcStep:
 class TestTrackingTransform:
     def test_demo_reference(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)
-        u_r, X_shift, U_shift, err_model = tracking_transform(
-            cfg, lti_demo_model, [3, 2])
+        u_r, inner, err_model = tracking_transform(cfg, lti_demo_model, [3, 2])
         assert abs(u_r[0] - 0.59) < 5e-3
         assert err_model is lti_demo_model
-        assert np.allclose(U_shift.g, [1 - u_r[0], 1 + u_r[0]])
-        assert np.allclose(X_shift.g, [7, 8, 13, 12])
+        assert np.allclose(inner.U_set.g, [1 - u_r[0], 1 + u_r[0]])
+        assert np.allclose(inner.X_set.g, [7, 8, 13, 12])
+        assert inner.terminal_set is None
 
     def test_zero_reference_leaves_sets(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets)
-        u_r, X_shift, U_shift, _ = tracking_transform(cfg, lti_demo_model, [0, 0])
+        u_r, inner, _ = tracking_transform(cfg, lti_demo_model, [0, 0])
         assert np.abs(u_r).max() < 1e-12
-        assert np.allclose(X_shift.g, cfg.X_set.g)
-        assert np.allclose(U_shift.g, cfg.U_set.g)
+        assert np.allclose(inner.X_set.g, cfg.X_set.g)
+        assert np.allclose(inner.U_set.g, cfg.U_set.g)
+
+    def test_terminal_set_shifted(self, lti_demo_model, lti_demo_sets):
+        # the terminal set is given in original coordinates, like X_set, and
+        # moves with it; the rest of the problem is cfg's
+        x_r = np.array([0.11, -0.195])
+        terminal = Polytope(np.vstack([np.eye(2), -np.eye(2)]),
+                            np.array([0.16, -0.145, -0.06, 0.245]))
+        cfg = _demo_cfg(lti_demo_sets, N=10, terminal_set=terminal)
+        _, inner, _ = tracking_transform(cfg, lti_demo_model, x_r)
+        assert np.array_equal(inner.terminal_set.F, terminal.F)
+        assert np.allclose(inner.terminal_set.g, [0.05] * 4, rtol=0.0, atol=1e-15)
+        assert polytope_contains(inner.terminal_set, [0.0, 0.0])
+        assert not polytope_contains(inner.terminal_set, [0.06, 0.0])
+        assert (inner.N, inner.N_T, inner.formulation) == (cfg.N, cfg.N_T, cfg.formulation)
+        assert cfg.terminal_set is terminal
+
+    def test_wrong_length_reference_rejected(self, lti_demo_model, lti_demo_sets):
+        cfg = _demo_cfg(lti_demo_sets, N_T=5)
+        for entry in (lambda: tracking_transform(cfg, lti_demo_model, [3, 2, 1]),
+                      lambda: run_closed_loop(lti_demo_model, cfg, [1.0, 0.5], [3, 2, 1])):
+            with pytest.raises(ShapeError, match=r"reference \(x_r\) has dimension 3, expected 2"):
+                entry()
 
     def test_pendulum_reference(self, pendulum, pendulum_sets):
         X_set, _ = pendulum_sets
         U_set = Polytope([[1.0], [-1.0]], [5.0, 0.0])
         cfg = MpcConfig(N=5, N_T=50, Q=np.eye(2), R=[[1.0]],
                         X_set=X_set, U_set=U_set)
-        u_r, _, U_shift, err_model = tracking_transform(cfg, pendulum, [0.5, 0])
+        u_r, inner, err_model = tracking_transform(cfg, pendulum, [0.5, 0])
         assert abs(u_r[0] - 4.6974) < 1e-2
+        assert np.allclose(inner.U_set.g, [5.0 - u_r[0], u_r[0]])
         assert err_model is not None
         # error dynamics have a fixed point at the origin
         assert np.abs(err_model.step(np.zeros(2), np.zeros(1))).max() < 1e-9
@@ -394,9 +418,9 @@ class TestRunClosedLoop:
         # trajectory: its inputs, applied by model.step from the initial
         # state, give back its states
         exp = cli.demo_config(demo)
-        cfg = replace(exp.mpc, N_T=N_T, reference=exp.mpc.reference if x_r is None else x_r)
-        traj = run_closed_loop(exp.model, cfg, exp.initial_state)
-        assert len(traj) == N_T and cfg.reference is not None
+        x_r = exp.reference if x_r is None else x_r
+        traj = run_closed_loop(exp.model, replace(exp.mpc, N_T=N_T), exp.initial_state, x_r)
+        assert len(traj) == N_T and x_r is not None
         x = np.asarray(traj.states[0])
         for u, recorded in zip(traj.inputs, traj.states[1:]):
             x = exp.model.step(x, u)
@@ -416,12 +440,12 @@ class TestRunClosedLoop:
         assert np.array_equal(np.asarray(traj.states), np.vstack(rows))
         assert np.array_equal(np.asarray(traj.inputs), np.vstack(list(traj.inputs)))
 
-    def test_warm_start_equivalence(self, lti_demo_model, lti_demo_sets):
-        warm = run_closed_loop(lti_demo_model,
-                               _demo_cfg(lti_demo_sets, N_T=15), [10.0, 5.0])
-        cold = run_closed_loop(
-            lti_demo_model,
-            _demo_cfg(lti_demo_sets, N_T=15, warm_start=False), [10.0, 5.0])
+    def test_warm_start_equivalence(self, lti_demo_model, lti_demo_sets, monkeypatch):
+        cfg = _demo_cfg(lti_demo_sets, N_T=15)
+        warm = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        # a cold loop: every step starts from no guess
+        monkeypatch.setattr(controller, "_next_warm", lambda *args: None)
+        cold = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
         U_w = np.array(warm.inputs)
         U_c = np.array(cold.inputs)
         assert np.abs(U_w - U_c).max() <= 1e-4
@@ -429,8 +453,8 @@ class TestRunClosedLoop:
     def test_tracking_original_coordinate_constraints(self, lti_demo_model,
                                                       lti_demo_sets):
         X_set, U_set = lti_demo_sets
-        cfg = _demo_cfg(lti_demo_sets, N_T=40, reference=[3, 2])
-        traj = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        cfg = _demo_cfg(lti_demo_sets, N_T=40)
+        traj = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0], [3, 2])
         X = np.array(traj.states)
         U = np.array(traj.inputs)
         assert float((X_set.F @ X.T - X_set.g[:, None]).max()) <= 1e-6
@@ -447,9 +471,9 @@ class TestRunClosedLoop:
         x_r = np.array([0.11, -0.195])
         terminal = Polytope(np.vstack([np.eye(2), -np.eye(2)]),
                             np.array([0.16, -0.145, -0.06, 0.245]))
-        cfg = _demo_cfg(lti_demo_sets, N=10, N_T=60, reference=x_r, terminal_set=terminal)
+        cfg = _demo_cfg(lti_demo_sets, N=10, N_T=60, terminal_set=terminal)
         assert is_state_feasible(lti_demo_model, cfg, [1.0, 0.5]).feasible
-        traj = run_closed_loop(lti_demo_model, cfg, [1.0, 0.5])
+        traj = run_closed_loop(lti_demo_model, cfg, [1.0, 0.5], x_r)
         assert len(traj) == 60
         assert np.abs(traj.states[-1] - x_r).max() <= 1e-3
 
@@ -476,15 +500,17 @@ class TestLoopWorkspace:
         {"reference": [3, 2], "formulation": "sparse"},
     ])
     def test_matches_fresh_steps(self, lti_demo_model, lti_demo_sets, monkeypatch, kw):
+        kw = dict(kw)
+        x_r = kw.pop("reference", None)
         cfg = _demo_cfg(lti_demo_sets, N_T=20, **kw)
-        kept = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        kept = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0], x_r)
         step = controller.lmpc_step
 
         def fresh_step(model, cfg, x_k, warm=None, _ws=None):
             return step(model, cfg, x_k, warm=warm)
 
         monkeypatch.setattr(controller, "lmpc_step", fresh_step)
-        fresh = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
+        fresh = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0], x_r)
         assert np.array_equal(np.array(kept.states), np.array(fresh.states))
         assert np.array_equal(np.array(kept.inputs), np.array(fresh.inputs))
         assert kept.costs == fresh.costs
@@ -649,18 +675,17 @@ class TestDualWarmStart:
         cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
                         U_set=U_set, formulation=form)
         both = run_closed_loop(model, cfg, x0)
-        cold = run_closed_loop(model, replace(cfg, warm_start=False), x0)
         # zero multipliers in a QpSolution warm start are a primal-only one
         monkeypatch.setattr(controller, "shift_duals", lambda y, *sets: np.zeros_like(y))
         primal = run_closed_loop(model, cfg, x0)
+        monkeypatch.setattr(controller, "_next_warm", lambda *args: None)
+        cold = run_closed_loop(model, cfg, x0)
         assert sum(both.iterations) < sum(primal.iterations)
         assert np.abs(np.array(both.inputs) - np.array(cold.inputs)).max() <= 1e-4
 
     @pytest.mark.parametrize("kind", ["lti", "nonlinear"])
-    @pytest.mark.parametrize("warm_start", [True, False])
-    def test_warm_start_kinds(self, lti_demo_model, lti_demo_sets, monkeypatch, kind,
-                              warm_start):
-        cfg = _demo_cfg(lti_demo_sets, N_C=3, N_T=5, warm_start=warm_start)
+    def test_warm_start_kinds(self, lti_demo_model, lti_demo_sets, monkeypatch, kind):
+        cfg = _demo_cfg(lti_demo_sets, N_C=3, N_T=5)
         model = lti_demo_model if kind == "lti" else lti_as_nonlinear(lti_demo_model)
         name = "lmpc_step" if kind == "lti" else "nmpc_step"
         step, warms, steps = getattr(controller, name), [], []
@@ -673,9 +698,6 @@ class TestDualWarmStart:
         monkeypatch.setattr(controller, name, recorded)
         run_closed_loop(model, cfg, [5.0, 2.0])
         assert warms[0] is None
-        if not warm_start:
-            assert warms == [None] * 5
-            return
         for prev, warm in zip(steps, warms[1:]):
             # z = (6 states of 2, 3 inputs of 1) or the 3 inputs alone
             z = np.concatenate([prev.X_star[1:].ravel(), prev.X_star[-1],

@@ -186,7 +186,7 @@ def _stagewise_jacobian(model, N, N_C, z):
 
 def _tracking_pendulum(p):
     cfg = MpcConfig(N=5, N_T=5, Q=np.eye(2), R=[[1.0]])
-    return tracking_transform(cfg, pendulum_model(p), [0.3, 0.0])[3]
+    return tracking_transform(cfg, pendulum_model(p), [0.3, 0.0])[2]
 
 
 class TestStackedStages:

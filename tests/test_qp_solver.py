@@ -136,10 +136,12 @@ class TestSolveQp:
 
     @pytest.mark.parametrize("bad", [{"eps_abs": -1.0}, {"eps_abs": float("nan")},
                                      {"eps_rel": -1e-6}, {"eps_rel": float("nan")},
-                                     {"max_iter": 0}, {"max_iter": -3}])
+                                     {"max_iter": 0}, {"max_iter": -3},
+                                     {"eps_abs": float("inf")}, {"eps_rel": float("inf")}])
     def test_unusable_settings_rejected(self, bad):
-        # a negative tolerance would run every solve to the cap, and no
-        # iteration would leave no check to end on
+        # a negative tolerance would run every solve to the cap, an infinite
+        # one would call any iterate optimal, and no iteration would leave
+        # no check to end on
         key = next(iter(bad))
         with pytest.raises(ValueError, match=f"{key} must be >= "):
             SolverSettings(**bad)

@@ -22,15 +22,24 @@ def test_tracer_installs_and_restores():
     lmpc = cli.parse_config(json.dumps(SMALL_CONFIG))
     nmpc = cli.parse_config(json.dumps(dict(SMALL_CONFIG, model=dict(
         SMALL_CONFIG["model"], kind="lti-as-nonlinear"))))
+    sparse = cli.parse_config(json.dumps(dict(SMALL_CONFIG, solver={"formulation": "sparse"})))
     before = {name: dict(vars(mod)) for name, mod in vars(MODS).items()}
     with Tracer(MODS) as tracer:
         cli.run_experiment(lmpc)
         cli.run_experiment(nmpc)
         feasibility.is_state_feasible(lmpc.model, lmpc.mpc, lmpc.initial_state)
+        tracer.episode = 1
+        cli.run_experiment(sparse)
     names = {sp.name for sp in tracer.spans}
     assert {"controller.lmpc_step", "controller.nmpc_step", "qp_solver.solve_qp",
             "nlp_solver.solve_nlp", "condense.assemble", "condense.build",
             "qp_solver.lu_factor"} <= names
+    # each sparse-form step assembles its QP through controller's name, or
+    # the benchmark's condense.assemble_ms reads 0 on lmpc-sparse
+    sparse_spans = [sp for sp in tracer.spans if sp.episode == 1]
+    steps = {sp.id for sp in sparse_spans if sp.name == "controller.lmpc_step"}
+    assembled = [sp.parent for sp in sparse_spans if sp.name == "condense.assemble"]
+    assert len(steps) == sparse.mpc.N_T and sorted(assembled) == sorted(steps)
     for name, mod in vars(MODS).items():
         for attr, value in before[name].items():
             assert getattr(mod, attr) is value, f"{name}.{attr} not restored"
