@@ -1,5 +1,6 @@
 """Receding-horizon loops for linear and nonlinear MPC, with set-point tracking."""
 
+import copy
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
@@ -247,9 +248,12 @@ def tracking_transform(cfg, model, x_r):
     if not polytope_contains(U_set, u_r):
         raise ReferenceInfeasibleError(
             "steady-state input for the reference violates the input constraints")
-    inner_cfg = replace(cfg, X_set=Polytope(X_set.F, X_set.g - X_set.F @ x_r),
-                        U_set=Polytope(U_set.F, U_set.g - U_set.F @ u_r),
-                        terminal_set=None if T is None else Polytope(T.F, T.g - T.F @ x_r))
+    # only the sets move; a copy, not replace(), since cfg is validated and
+    # MpcConfig.__post_init__ would repeat its warnings and eigenvalues
+    inner_cfg = copy.copy(cfg)
+    inner_cfg.X_set = Polytope(X_set.F, X_set.g - X_set.F @ x_r)
+    inner_cfg.U_set = Polytope(U_set.F, U_set.g - U_set.F @ u_r)
+    inner_cfg.terminal_set = None if T is None else Polytope(T.F, T.g - T.F @ x_r)
     return u_r, inner_cfg, err_model
 
 

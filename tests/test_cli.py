@@ -5,9 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 
-from mpckit import cli
+from mpckit import cli, feasibility
 from mpckit.cli import (DEMOS, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK,
                         EXIT_SOLVER, demo_config, emit_plot, main, parse_config, read_csv,
                         run_experiment, write_csv)
@@ -420,9 +419,7 @@ class TestMain:
         assert "feasible: False" in out and "phase1_status: optimal" in out
         assert "certificate: [" in out
         # HiGHS stopped at its own iteration limit leaves the verdict open
-        linprog = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda cost, **kw: linprog(cost, options={"maxiter": 1}, **kw))
+        monkeypatch.setitem(feasibility.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
         code = main(args)
         out, err = capsys.readouterr()
         assert code == EXIT_SOLVER
@@ -430,14 +427,13 @@ class TestMain:
         assert "solver failure: the phase-I verdict is not conclusive" in err
 
     def test_check_feasibility_tampered_certificate(self, tmp_path, capsys, monkeypatch):
-        linprog = scipy.optimize.linprog
+        solve = feasibility._solve_lp
 
-        def tampered(cost, **kw):
-            res = linprog(cost, **kw)
-            res.ineqlin.marginals = -res.ineqlin.marginals
-            return res
+        def tampered(lp, b):
+            status, x, mu = solve(lp, b)
+            return status, x, -mu
 
-        monkeypatch.setattr(scipy.optimize, "linprog", tampered)
+        monkeypatch.setattr(feasibility, "_solve_lp", tampered)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(DEMOS["lmpc-stabilize"]))
         code = main(["check-feasibility", "--config", str(cfg_path), "--state=8.5,-9.5"])

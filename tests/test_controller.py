@@ -2,6 +2,7 @@ import contextlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -337,6 +338,20 @@ class TestTrackingTransform:
         assert not polytope_contains(inner.terminal_set, [0.06, 0.0])
         assert (inner.N, inner.N_T, inner.formulation) == (cfg.N, cfg.N_T, cfg.formulation)
         assert cfg.terminal_set is terminal
+
+    def test_no_second_validation(self, lti_demo_model, lti_demo_sets):
+        # N = 1 and a semidefinite Q warn once, when cfg is made; the shifted
+        # problem is cfg's with its sets moved, so tracking warns no more
+        with pytest.warns(UserWarning) as made:
+            cfg = _demo_cfg(lti_demo_sets, N=1, N_T=5, Q=np.diag([1.0, 0.0]))
+        assert len(made) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u_r, inner, _ = tracking_transform(cfg, lti_demo_model, [0.11, -0.195])
+            traj = run_closed_loop(lti_demo_model, cfg, [1.0, 0.5], [0.11, -0.195])
+        assert len(traj.inputs) == 5
+        assert inner.Q is cfg.Q and inner.R is cfg.R and inner.Q_N is cfg.Q_N
+        assert np.array_equal(inner.U_set.g, cfg.U_set.g - cfg.U_set.F @ u_r)
 
     def test_wrong_length_reference_rejected(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)

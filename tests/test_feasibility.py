@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
-import scipy.optimize
+from scipy import sparse
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
-from mpckit import (InfeasibleStepError, MpcConfig, ShapeError,
+from mpckit import (InfeasibleStepError, MpcConfig, NonFiniteError, ShapeError,
                     SolverSettings, Trajectory, is_control_sequence_feasible, is_state_feasible,
                     lmpc_step, lyapunov_monitor, persistent_feasibility_check,
                     run_closed_loop)
@@ -25,17 +28,18 @@ def _scalar_cfg(x_bound, u_bound, N=1):
                          U_set=box_polytope(u_bound))
 
 
-def _record_linprog(monkeypatch, change=None):
-    """Record each linprog call of phase-I; change(res) may alter the result."""
+def _record_lp(monkeypatch, change=None):
+    """Record each (lp, b) that phase-I hands to HiGHS; change(status, x, mu)
+    may alter what HiGHS returned."""
     calls = []
-    linprog = scipy.optimize.linprog
+    solve = feasibility._solve_lp
 
-    def recording_linprog(cost, **kwargs):
-        calls.append((cost, kwargs))
-        res = linprog(cost, **kwargs)
-        return res if change is None else change(res)
+    def recording_solve(lp, b):
+        calls.append((lp, b.copy()))
+        result = solve(lp, b)
+        return result if change is None else change(*result)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+    monkeypatch.setattr(feasibility, "_solve_lp", recording_solve)
     return calls
 
 
@@ -189,23 +193,41 @@ class TestStateFeasible:
         assert capped.phase1_slack == full.phase1_slack
         assert np.array_equal(capped.certificate, full.certificate)
 
+    @pytest.mark.parametrize("sets, message", [
+        (lambda X, U: (Polytope(X.F, [np.inf, 10.0, 10.0, 10.0]), U), "g0 - G x_k are not finite"),
+        (lambda X, U: (X, Polytope([[np.inf], [-1.0]], U.g)), "F_U are not finite"),
+    ], ids=["g", "F"])
+    def test_infinite_phase1_data_rejected(self, lti_demo_model, lti_demo_sets, sets, message):
+        # HiGHS would take g = inf as a free row, whose zero multiplier makes
+        # y'b NaN, and reject an infinite coefficient, so phase-I refuses both,
+        # as linprog did
+        X_set, U_set = sets(*lti_demo_sets)
+        with pytest.raises(NonFiniteError, match=message):
+            is_state_feasible(lti_demo_model, _demo_cfg(lti_demo_sets, X_set=X_set, U_set=U_set),
+                              [0.5, 0.5])
+
     def test_phase1_rows_are_condensed_rows(self, lti_demo_model, lti_demo_sets,
                                             monkeypatch):
-        calls = _record_linprog(monkeypatch)
+        calls = _record_lp(monkeypatch)
         cfg = _demo_cfg(lti_demo_sets, N_C=2)
         x = np.array([5.0, 2.0])
         is_state_feasible(lti_demo_model, cfg, x)
         pm = build_prediction(lti_demo_model, cfg.N)
         c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
         F, g0, G = condensed_rows(pm, c, cfg.N_C)
-        ((cost, kw),) = calls
-        # minimize s over (U, s) with F U - s <= g0 - G x_k and s >= -1
-        assert np.array_equal(cost, np.append(np.zeros(F.shape[1]), 1.0))
-        A = kw["A_ub"]
-        assert np.array_equal(A[:, :-1], F) and np.all(A[:, -1] == -1.0)
-        assert np.array_equal(kw["b_ub"], g0 - G @ x)
-        assert kw["bounds"] == [(None, None)] * F.shape[1] + [(-1.0, None)]
-        assert kw["method"] == "highs"
+        ((lp, b),) = calls
+        # minimize s over (U, s) with F U - s <= g0 - G x_k, U free and s >= -1
+        nU, rows = F.shape[1], F.shape[0]
+        assert np.array_equal(lp.col_cost_, np.append(np.zeros(nU), 1.0))
+        assert np.array_equal(lp.col_lower_, [-np.inf] * nU + [-1.0])
+        assert np.array_equal(lp.col_upper_, np.full(nU + 1, np.inf))
+        assert np.array_equal(lp.row_lower_, np.full(rows, -np.inf))
+        assert np.array_equal(b, g0 - G @ x)
+        A = sparse.csc_array(np.hstack([F, -np.ones((rows, 1))]))
+        assert (lp.num_row_, lp.num_col_) == A.shape
+        assert np.array_equal(lp.a_matrix_.start_, A.indptr)
+        assert np.array_equal(lp.a_matrix_.index_, A.indices)
+        assert np.array_equal(lp.a_matrix_.value_, A.data)
 
     def test_phase1_status_reported(self, lti_demo_model, lti_demo_sets, monkeypatch):
         cfg = _demo_cfg(lti_demo_sets)
@@ -214,7 +236,7 @@ class TestStateFeasible:
         assert not full.feasible and full.phase1_slack == pytest.approx(0.3909, abs=1e-3)
         assert is_state_feasible(lti_demo_model, cfg, [0.0, 0.0]).status == "optimal"
         # a state outside X_set is answered without an LP
-        calls = _record_linprog(monkeypatch)
+        calls = _record_lp(monkeypatch)
         outside = is_state_feasible(lti_demo_model, cfg, [11.0, 0.0])
         assert outside.status is None and outside.conclusive and not outside.feasible
         assert calls == []
@@ -274,7 +296,7 @@ class TestPhase1Verdicts:
     @pytest.mark.parametrize("x, change, status", [
         ([-9.9, -8.1], None, "iteration_limit"),
         ([9.0, 9.0], None, "iteration_limit"),
-        # changes to the marginals mu = -y; the last three each break one check
+        # changes to HiGHS's row duals mu = -y; the last three each break one check
         ([-9.9, -8.1], lambda mu: -mu, "certificate_rejected"),
         # y_0 = -1 on row 0 (x_0 in X_set), which has no input columns
         ([8.5, -9.5], lambda mu: np.where(np.arange(mu.size) == 0, 1.0, mu),
@@ -289,24 +311,81 @@ class TestPhase1Verdicts:
             "input-row", "zeroed", "witness"])
     def test_unchecked_verdict_not_conclusive(self, lti_demo_model, lti_demo_sets,
                                               monkeypatch, x, change, status):
-        def tamper(res):
+        def tamper(lp_status, lp_x, mu):
             if change == "witness":
-                res.x[0] += 5.0   # u_0 leaves |u| <= 1
+                lp_x[0] += 5.0   # u_0 leaves |u| <= 1
             else:
-                res.ineqlin.marginals = change(res.ineqlin.marginals)
-            return res
+                mu = change(mu)
+            return lp_status, lp_x, mu
 
         if change is None:
             # HiGHS itself, stopped after one simplex iteration
-            real = scipy.optimize.linprog
-            monkeypatch.setattr(scipy.optimize, "linprog",
-                                lambda cost, **kw: real(cost, options={"maxiter": 1}, **kw))
+            monkeypatch.setitem(feasibility.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
         else:
-            _record_linprog(monkeypatch, tamper)
+            _record_lp(monkeypatch, tamper)
         report = is_state_feasible(lti_demo_model, _demo_cfg(lti_demo_sets), x)
         assert report.status == status and not report.conclusive
         assert not report.feasible
         assert report.witness is None and report.certificate is None
+
+
+class TestLinprogReference:
+    """Phase-I runs HiGHS through SciPy's binding with linprog's settings, so
+    it must give linprog(method="highs")'s answers bit for bit."""
+
+    @staticmethod
+    def _four_state_case():
+        # a seeded (4, 2) system near marginal stability, |x| <= 5, |u| <= 1,
+        # N = 4, and 16 states inside its state box
+        r = np.random.default_rng(32)
+        A = r.standard_normal((4, 4))
+        A *= r.uniform(0.9, 1.0) / np.abs(np.linalg.eigvals(A)).max()
+        model = LtiModel(A, r.standard_normal((4, 2)) / 2.0)
+        cfg = MpcConfig(N=4, N_T=4, Q=np.eye(4), R=np.eye(2), X_set=box_polytope(5.0, 4),
+                        U_set=box_polytope(1.0, 2))
+        return model, cfg, r.uniform(-5.0, 5.0, (16, 4))
+
+    @staticmethod
+    def _linprog(rows, x_k, **options):
+        lp, F, g0, G = rows
+        nU = F.shape[1]
+        return linprog(np.append(np.zeros(nU), 1.0), A_ub=np.hstack([F, -np.ones((F.shape[0], 1))]),
+                       b_ub=g0 - G @ x_k, bounds=[(None, None)] * nU + [(-1.0, None)],
+                       method="highs", **options)
+
+    def test_same_answers_as_linprog(self):
+        demo = cli.demo_config("lmpc-stabilize")
+        grid = np.stack(np.meshgrid(*[np.linspace(-9.75, 9.75, 14)] * 2), -1).reshape(-1, 2)
+        verdicts = set()
+        for model, cfg, states in [(demo.model, demo.mpc, grid), self._four_state_case()]:
+            rows = feasibility._phase1_rows(model, cfg)
+            lp, F, g0, G = rows
+            for x_k in states:
+                status, x, mu = feasibility._solve_lp(lp, g0 - G @ x_k)
+                res = self._linprog(rows, x_k)
+                assert status == feasibility.LP_STATUS[res.status] == "optimal"
+                # x holds U and the slack s; -mu the row multipliers y
+                assert np.array_equal(x, res.x)
+                assert np.array_equal(-mu, -res.ineqlin.marginals)
+                verdicts.add((cfg.n, x[-1] <= feasibility.PHASE1_SLACK_TOL))
+        assert verdicts == {(2, True), (2, False), (4, True), (4, False)}
+
+    @pytest.mark.parametrize("x_k", [[-9.9, -8.1], [9.0, 9.0], [8.5, -9.5]])
+    def test_capped_status_as_linprog(self, monkeypatch, x_k):
+        demo = cli.demo_config("lmpc-stabilize")
+        rows = feasibility._phase1_rows(demo.model, demo.mpc)
+        lp, F, g0, G = rows
+        monkeypatch.setitem(feasibility.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
+        status, x, mu = feasibility._solve_lp(lp, g0 - G @ np.array(x_k))
+        res = self._linprog(rows, np.array(x_k), options={"maxiter": 1})
+        assert status == feasibility.LP_STATUS[res.status] == "iteration_limit"
+        assert x is None and mu is None
+
+    def test_every_model_status_maps_as_linprog(self):
+        for model_status in HighsModelStatus.__members__.values():
+            code, _ = _highs_to_scipy_status_message(model_status, "")
+            assert feasibility._lp_status(model_status) == feasibility.LP_STATUS[code], \
+                model_status
 
 
 class TestPersistentFeasibility:
