@@ -1,15 +1,19 @@
 """Feasible-set diagnostics and the Lyapunov decrease monitor."""
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
 
 # build_prediction and stack_constraints are called through this module's
 # names, and solve_qp stays importable although phase-I no longer calls it:
-# bench/spans.py patches all three here by name, and bench/run.py solve_qp
+# bench/spans.py patches all three here by name, and bench/run.py solve_qp.
+# The phase-I rows are kept across calls for the last config checked, so a
+# scan over one config builds them once and its traced condense.build_ms
+# reads about 0
 from .condense import build_prediction, condensed_rows, stack_constraints
 from .exceptions import NonFiniteError, ShapeError
 from .model import LtiModel, polytope_contains
@@ -83,7 +87,9 @@ def is_state_feasible(model, cfg, x_k):
     N-step prediction inside the constraint sets. HiGHS solves it through
     SciPy's bundled binding with the settings of linprog(method="highs"),
     so with linprog's answers, but without linprog's per-call wrapping,
-    which took half of a check's time (BENCH_32.json). The
+    which took half of a check's time (BENCH_32.json). The LP's rows depend
+    on the config alone and are kept for the last config checked, so
+    consecutive calls under one config build them once (BENCH_33.json). The
     inputs after the control horizon N_C are fixed to zero, as in lmpc_step,
     and the witness holds them as zeros. A feasible verdict carries a
     witness that rolls out inside the sets, an infeasible one a checked
@@ -99,7 +105,8 @@ def persistent_feasibility_check(traj, model, cfg):
 
 def _phase1(model, cfg, states):
     """Phase-I reports for states under one config. The rows depend on the
-    config only, so they are built once, for the first state in X_set."""
+    config only, so they are fetched once, for the first state in X_set,
+    from _cached_rows; a state outside X_set builds nothing."""
     reports, rows = [], None
     for x_k in states:
         x_k = as_vector(x_k, "x_k")
@@ -110,17 +117,60 @@ def _phase1(model, cfg, states):
             reports.append(FeasibilityReport(feasible=False, phase1_slack=np.inf))
             continue
         if rows is None:
-            rows = _phase1_rows(model, cfg)
+            rows = _cached_rows(model, cfg)
         reports.append(_phase1_lp(model, cfg, rows, x_k))
     return reports
 
 
+# content key -> phase-I rows, for the last config checked alone: a scan, a
+# trajectory check and the CLI check consecutive states of one config
+_rows_cache = {}
+_rows_lock = threading.Lock()
+
+
+def _rows_key(model, cfg):
+    """The content of everything _phase1_rows reads; each array enters with
+    its shape, dtype and bytes, so an in-place edit changes the key."""
+    T = cfg.terminal_set
+    arrays = [model.A, model.B, cfg.X_set.F, cfg.X_set.g, cfg.U_set.F, cfg.U_set.g]
+    if T is not None:
+        arrays += [T.F, T.g]
+    return (cfg.N, cfg.N_C) + tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+
+
+def _cached_rows(model, cfg):
+    """_phase1_rows(model, cfg), built again only when the config's content
+    differs from the last one's. The rows are read-only, so concurrent
+    checks share them without writing to them; the lock keeps the cache to
+    one entry when threads check different configs."""
+    key = _rows_key(model, cfg)
+    with _rows_lock:
+        rows = _rows_cache.get(key)
+        if rows is None:
+            rows = _phase1_rows(model, cfg)
+            _rows_cache.clear()
+            _rows_cache[key] = rows
+    return rows
+
+
+class _Phase1Lp(NamedTuple):
+    """The LP min s over (U, s) subject to [F_U, -1] (U, s) <= b, U free and
+    s >= -1, without its row upper bounds b: the CSC arrays of the matrix,
+    the column cost and bounds and the row lower bounds, all read-only."""
+    start: np.ndarray
+    index: np.ndarray
+    value: np.ndarray
+    col_cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    row_lower: np.ndarray
+
+
 def _phase1_rows(model, cfg):
-    """(lp, F_U, g0, G): the LP min s over (U, s) subject to the rows
-    F_U U - s <= g0 - G x_k (condensed_rows' rows with the slack column -1
-    appended), U free and s >= -1, as a HiGHS model whose row upper bounds
-    are left for each state to set."""
-    from scipy.optimize._highspy import _core   # see _solve_lp
+    """(lp, F_U, g0, G), all of it read-only: the rows F_U U - s <= g0 - G x_k
+    (condensed_rows' rows with the slack column -1 appended) as a _Phase1Lp
+    whose row upper bounds each state supplies. They depend on the config
+    alone, so _cached_rows keeps them across calls."""
     pm = build_prediction(model, cfg.N)
     c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
     F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
@@ -128,16 +178,12 @@ def _phase1_rows(model, cfg):
         raise NonFiniteError("phase-I rows F_U are not finite")
     rows, nU = F_U.shape
     A = sparse.csc_array(np.hstack([F_U, -np.ones((rows, 1))]))
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nU + 1
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
-    lp.col_cost_ = np.append(np.zeros(nU), 1.0)
     # s >= -1 keeps the LP bounded, since a slack below -1 is equally conclusive
-    lp.col_lower_ = np.append(np.full(nU, -np.inf), -1.0)
-    lp.col_upper_ = np.full(nU + 1, np.inf)
-    lp.row_lower_ = np.full(rows, -np.inf)
+    lp = _Phase1Lp(A.indptr, A.indices, A.data, np.append(np.zeros(nU), 1.0),
+                  np.append(np.full(nU, -np.inf), -1.0), np.full(nU + 1, np.inf),
+                  np.full(rows, -np.inf))
+    for a in (*lp, F_U, g0, G):
+        a.setflags(write=False)
     return lp, F_U, g0, G
 
 
@@ -152,24 +198,39 @@ def _highs_options(items):
 
 
 def _solve_lp(lp, b):
-    """Run a fresh HiGHS under HIGHS_OPTIONS on lp with row upper bounds b:
-    (status, x, row duals), the last two None unless the status is optimal.
+    """Run a fresh HiGHS under HIGHS_OPTIONS on the _Phase1Lp lp with row
+    upper bounds b: (status, x, row duals), the last two None unless the
+    status is optimal. Each call copies lp into a HighsLp of its own
+    (_highs_lp), so no call writes to the shared rows.
 
     This is what linprog(method="highs") runs, without its per-call
     wrapping: checked inputs, options validated anew, a dense-to-CSC
     conversion and parsed results. scipy.optimize adds 0.3 s to mpckit's
     import, so its HiGHS binding is imported on first use."""
     from scipy.optimize._highspy import _core
-    lp.row_upper_ = b
     highs = _core._Highs()
     highs.passOptions(_highs_options(tuple(HIGHS_OPTIONS.items())))
-    highs.passModel(lp)
+    highs.passModel(_highs_lp(lp, b))
     highs.run()
     status = highs.getModelStatus()
     if status != _core.HighsModelStatus.kOptimal:
         return _lp_status(status), None, None
     solution = highs.getSolution()
     return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _highs_lp(lp, b):
+    """A new HighsLp holding the _Phase1Lp lp with row upper bounds b."""
+    from scipy.optimize._highspy import _core
+    model = _core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = lp.col_cost.size
+    model.num_row_ = model.a_matrix_.num_row_ = lp.row_lower.size
+    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
+        lp.start, lp.index, lp.value)
+    model.col_cost_, model.col_lower_, model.col_upper_ = lp.col_cost, lp.col_lower, lp.col_upper
+    model.row_lower_, model.row_upper_ = lp.row_lower, b
+    return model
 
 
 def _lp_status(model_status):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -465,3 +467,16 @@ class TestMain:
             main(["--version"])
         assert exc.value.code == 0
         assert "mpc" in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_optimize_out():
+    """scipy.optimize adds 0.3 s to mpckit's import, so phase-I imports its
+    HiGHS binding on first use; importing the CLI must not load it."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, mpckit.cli; print(sorted(m for m in sys.modules "
+         "if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,3 +1,9 @@
+import copy
+import json
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,6 +18,9 @@ from mpckit import (InfeasibleStepError, MpcConfig, NonFiniteError, ShapeError,
 from mpckit import cli, feasibility
 from mpckit.condense import build_prediction, condensed_rows, stack_constraints
 from mpckit.model import LtiModel, Polytope, box_polytope, polytope_contains
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import workloads  # noqa: E402
 
 
 def _demo_cfg(lti_demo_sets, **kw):
@@ -41,6 +50,43 @@ def _record_lp(monkeypatch, change=None):
 
     monkeypatch.setattr(feasibility, "_solve_lp", recording_solve)
     return calls
+
+
+def _count_builds(monkeypatch):
+    """Record one entry per phase-I row build; the cache starts empty and is
+    restored afterwards."""
+    builds = []
+    build = feasibility.build_prediction
+
+    def counting_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(feasibility, "build_prediction", counting_build)
+    monkeypatch.setattr(feasibility, "_rows_cache", {})
+    return builds
+
+
+def _same_reports(a, b):
+    """True iff the reports agree bit for bit: verdict, status, slack,
+    witness and certificate."""
+    def bits(v):
+        return None if v is None else (v.shape, v.dtype.str, v.tobytes())
+
+    return len(a) == len(b) and all(
+        (r.feasible, r.status, bits(np.float64(r.phase1_slack)), bits(r.witness),
+         bits(r.certificate)) ==
+        (q.feasible, q.status, bits(np.float64(q.phase1_slack)), bits(q.witness),
+         bits(q.certificate)) for r, q in zip(a, b))
+
+
+def _cold_reports(model, cfg, states):
+    """is_state_feasible at each state, the phase-I rows built anew for each."""
+    reports = []
+    for x in states:
+        feasibility._rows_cache.clear()
+        reports.append(is_state_feasible(model, cfg, x))
+    return reports
 
 
 class _null:
@@ -216,13 +262,14 @@ class TestStateFeasible:
         c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
         F, g0, G = condensed_rows(pm, c, cfg.N_C)
         ((lp, b),) = calls
+        lp = feasibility._highs_lp(lp, b)   # the model HiGHS is handed
         # minimize s over (U, s) with F U - s <= g0 - G x_k, U free and s >= -1
         nU, rows = F.shape[1], F.shape[0]
         assert np.array_equal(lp.col_cost_, np.append(np.zeros(nU), 1.0))
         assert np.array_equal(lp.col_lower_, [-np.inf] * nU + [-1.0])
         assert np.array_equal(lp.col_upper_, np.full(nU + 1, np.inf))
         assert np.array_equal(lp.row_lower_, np.full(rows, -np.inf))
-        assert np.array_equal(b, g0 - G @ x)
+        assert np.array_equal(b, g0 - G @ x) and np.array_equal(lp.row_upper_, b)
         A = sparse.csc_array(np.hstack([F, -np.ones((rows, 1))]))
         assert (lp.num_row_, lp.num_col_) == A.shape
         assert np.array_equal(lp.a_matrix_.start_, A.indptr)
@@ -404,20 +451,18 @@ class TestPersistentFeasibility:
 
     def test_rows_built_once_per_trajectory(self, lti_demo_model, lti_demo_sets,
                                             monkeypatch):
-        builds = []
-        build = feasibility.build_prediction
-
-        def counting_build(*args):
-            builds.append(1)
-            return build(*args)
-
-        monkeypatch.setattr(feasibility, "build_prediction", counting_build)
+        builds = _count_builds(monkeypatch)
         cfg = _demo_cfg(lti_demo_sets, N_T=20)
         traj = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
-        builds.clear()
+        # a cold cache: a state outside X_set builds nothing, a trajectory once
+        feasibility._rows_cache.clear()
+        is_state_feasible(lti_demo_model, cfg, [11.0, 0.0])
+        assert builds == []
         reports = persistent_feasibility_check(traj, lti_demo_model, cfg)
         assert len(reports) == 21 and builds == [1]
+        # the rows are kept for the next call under the same config
         builds.clear()
+        is_state_feasible(lti_demo_model, cfg, [1.0, 1.0])
         is_state_feasible(lti_demo_model, cfg, [11.0, 0.0])
         assert builds == []
 
@@ -431,6 +476,106 @@ class TestPersistentFeasibility:
         traj = Trajectory(states=[np.zeros(2)])
         with pytest.raises(TypeError, match="needs an LtiModel, got NonlinearModel"):
             persistent_feasibility_check(traj, pendulum, _demo_cfg(lti_demo_sets))
+
+
+def _set_u_bound(exp):
+    exp.mpc.U_set.g[:] = 0.5
+
+
+def _set_n_c(exp):
+    exp.mpc.N_C = 1
+
+
+def _set_terminal(exp):
+    exp.mpc.terminal_set = Polytope(TERMINAL["F"], TERMINAL["g"])
+
+
+def _set_a(exp):
+    exp.model.A[:] = OTHER_A
+
+
+TERMINAL = {"F": [[1, 0], [0, 1], [-1, 0], [0, -1]], "g": [2, 2, 2, 2]}
+OTHER_A = [[0.9, 0.3], [-0.4, 0.8]]
+
+
+class TestRowsCache:
+    """The phase-I rows of the last config checked are kept across calls; a
+    report from kept rows must be that of a cold build, bit for bit."""
+
+    # states of the demo system, feasible and infeasible under its config
+    STATES = np.array([[-9.9, -8.1], [8.5, -9.5], [5.0, 2.0], [-3.0, 9.0], [0.0, 0.0]])
+
+    @staticmethod
+    def _scan(seed):
+        return [(cli.parse_config(json.dumps(doc)), states)
+                for doc, states in workloads.scan_cycle(seed)]
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_warm_reports_equal_cold(self, monkeypatch, seed):
+        builds = _count_builds(monkeypatch)
+        for exp, states in self._scan(seed):
+            builds.clear()
+            warm = [is_state_feasible(exp.model, exp.mpc, x) for x in states]
+            assert builds == [1]
+            assert _same_reports(warm, _cold_reports(exp.model, exp.mpc, states))
+
+    @pytest.mark.parametrize("edit, doc_edit", [
+        (_set_u_bound, lambda d: d["constraints"].update(g_u=[0.5, 0.5])),
+        (_set_n_c, lambda d: d["horizon"].update(N_C=1)),
+        (_set_terminal, lambda d: d["constraints"].update(terminal=TERMINAL)),
+        (_set_a, lambda d: d["model"].update(A=OTHER_A)),
+    ], ids=["U_set.g-in-place", "N_C", "terminal-set", "A-in-place"])
+    def test_edited_config_rebuilds(self, monkeypatch, edit, doc_edit):
+        doc = copy.deepcopy(cli.DEMOS["lmpc-stabilize"])
+        exp = cli.parse_config(json.dumps(doc))
+        builds = _count_builds(monkeypatch)
+        before = [is_state_feasible(exp.model, exp.mpc, x) for x in self.STATES]
+        edit(exp)
+        builds.clear()
+        after = [is_state_feasible(exp.model, exp.mpc, x) for x in self.STATES]
+        assert builds == [1]
+        doc_edit(doc)
+        fresh = cli.parse_config(json.dumps(doc))
+        assert _same_reports(after, _cold_reports(fresh.model, fresh.mpc, self.STATES))
+        # the kept rows would have answered otherwise
+        assert not _same_reports(after, before)
+
+    def test_alternating_configs(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        (a, xa), (b, xb) = ((exp, states[:20]) for exp, states in self._scan(1))
+        cold = {id(a): _cold_reports(a.model, a.mpc, xa), id(b): _cold_reports(b.model, b.mpc, xb)}
+        builds.clear()
+        for exp, states in [(a, xa), (b, xb), (a, xa), (b, xb)]:
+            warm = [is_state_feasible(exp.model, exp.mpc, x) for x in states]
+            assert _same_reports(warm, cold[id(exp)])
+        assert builds == [1, 1, 1, 1]
+
+    def test_cached_rows_are_read_only(self, lti_demo_model, lti_demo_sets):
+        lp, F, g0, G = feasibility._cached_rows(lti_demo_model, _demo_cfg(lti_demo_sets))
+        for a in (*lp, F, g0, G):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("same", [False, True], ids=["two-configs", "one-config"])
+    def test_threads_match_serial(self, same):
+        (a, xa), (b, xb) = ((exp, states[:40]) for exp, states in self._scan(3))
+        jobs = [(a, xa), (a, xa[::-1]) if same else (b, xb)]
+
+        def check(exp, states):
+            return [is_state_feasible(exp.model, exp.mpc, x) for x in states]
+
+        serial = [check(*job) for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # switch threads often, inside a check too
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    threaded = [f.result(timeout=60)
+                                for f in [pool.submit(check, *job) for job in jobs]]
+                assert all(_same_reports(s, t) for s, t in zip(serial, threaded))
+                assert len(feasibility._rows_cache) == 1
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestLyapunovMonitor:
