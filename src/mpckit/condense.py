@@ -35,7 +35,6 @@ class StackedConstraints:
 
     F_X is N stage blocks of X_set's rows, then the terminal block (the
     terminal set's rows, or X_set's); F_U is N stage blocks of U_set's rows.
-    shift_duals moves multipliers along this layout.
     """
 
     F_X: np.ndarray
@@ -85,36 +84,6 @@ def stack_constraints(X_set, U_set, terminal, N):
                               g_X=np.concatenate([np.tile(X_set.g, N), last.g]),
                               F_U=block_diag(*[U_set.F] * N),
                               g_U=np.tile(U_set.g, N))
-
-
-def shift_duals(y, X_set, U_set, terminal, N):
-    """The multipliers y of an LMPC step's rows moved one stage earlier, as
-    the next step's dual warm start.
-
-    y holds the multipliers of the rows [F_X; F_U] of stack_constraints(X_set,
-    U_set, terminal, N) (both forms keep every row), then, in the sparse form,
-    of the n(N + 1) dynamics rows [I, -B_U], one block per state. Each stage
-    block takes the multipliers of the stage after it and the one vacated at
-    the end gets zeros, as the shifted inputs do; the terminal block of F_X
-    keeps its own. The N + 1 dynamics blocks shift as one run, since
-    [I, -B_U] has no terminal rows: on eight (12, 4, 20) sparse-form loops,
-    keeping the last block's own multipliers took 24.8 ADMM iterations per
-    step, zeros 24.3.
-    """
-    y = as_vector(y, "duals")
-    p_x, p_u = X_set.F.shape[0], U_set.F.shape[0]
-    n_x = N * p_x + (terminal if terminal is not None else X_set).F.shape[0]
-    n_ineq = n_x + N * p_u
-    p_dyn = (y.shape[0] - n_ineq) // (N + 1)
-    if p_dyn < 0 or y.shape[0] != n_ineq + p_dyn * (N + 1):
-        raise ShapeError(f"{y.shape[0]} multipliers do not fit {n_ineq} inequality rows "
-                         f"and {N + 1} dynamics blocks")
-    out = np.zeros_like(y)
-    # (first row, rows per block, blocks) of each run of stage blocks
-    for lo, p, k in ((0, p_x, N), (n_x, p_u, N), (n_ineq, p_dyn, N + 1)):
-        out[lo:lo + (k - 1) * p] = y[lo + p:lo + k * p]
-    out[N * p_x:n_x] = y[N * p_x:n_x]
-    return out
 
 
 def trajectory_blocks(w, c, n_u=None):

@@ -2,15 +2,14 @@
 
 import copy
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
 
 from .condense import (assemble_condensed_qp, assemble_sparse_qp,
                        build_prediction, build_weights, condensed_blocks,
-                       shift_duals, sparse_blocks, stack_constraints,
-                       trajectory_blocks)
+                       sparse_blocks, stack_constraints, trajectory_blocks)
 from .exceptions import (InfeasibleStepError, InvalidHorizonError,
                          InvalidWeightError, ReferenceInfeasibleError, ShapeError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
@@ -308,15 +307,14 @@ def run_closed_loop(model, cfg, x_0, reference=None):
 def _next_warm(step, cfg, model, is_lti):
     """Shift the step-k solution one block forward as the k+1 initial guess.
 
-    An LMPC step passes on its QpSolution with the primal and the
-    multipliers both shifted (condense.shift_duals); an NMPC step passes the
-    primal trajectory only, since shifted multipliers saved its first SQP
+    Only the primal trajectory is passed on: solve_qp first polishes on the
+    rows at their bounds in the shifted trajectory, which are mostly the next
+    step's active rows, so an LMPC step is usually solved without ADMM
+    iterations. Shifted multipliers saved an NMPC step's first SQP
     subproblem only 2-6% of the ADMM iterations.
     """
     X_s = np.vstack([step.X_star[1:], step.X_star[-1]]).ravel()
     U_s = np.vstack([step.U_star[1:], np.zeros((1, model.m))]).ravel()[:model.m * cfg.N_C]
-    if not is_lti:
-        return np.concatenate([X_s, U_s])
-    z = U_s if cfg.formulation == CONDENSED else np.concatenate([X_s, U_s])
-    duals = shift_duals(step.solution.duals, cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
-    return replace(step.solution, z_star=z, duals=duals)
+    if is_lti and cfg.formulation == CONDENSED:
+        return U_s
+    return np.concatenate([X_s, U_s])

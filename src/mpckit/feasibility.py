@@ -11,10 +11,10 @@ from scipy import sparse
 # build_prediction and stack_constraints are called through this module's
 # names, and solve_qp stays importable although phase-I no longer calls it:
 # bench/spans.py patches all three here by name, and bench/run.py solve_qp.
-# The phase-I rows are kept across calls for the last config checked, so a
-# scan over one config builds them once and its traced condense.build_ms
-# reads about 0; each thread keeps one HiGHS instance and one copy of the LP
-# for those rows, so a state sets only its row bounds
+# Each thread keeps the phase-I rows of the last config it checked, with one
+# HiGHS instance and one copy of the LP for them, so a scan over one config
+# builds them once, its traced condense.build_ms reads about 0, and a state
+# sets only its row bounds
 from .condense import build_prediction, condensed_rows, stack_constraints
 from .exceptions import NonFiniteError, ShapeError
 from .model import LtiModel, polytope_contains
@@ -89,10 +89,10 @@ def is_state_feasible(model, cfg, x_k):
     SciPy's bundled binding with the settings of linprog(method="highs"),
     so with linprog's answers, but without linprog's per-call wrapping,
     which took half of a check's time (BENCH_32.json). The LP's rows depend
-    on the config alone and are kept for the last config checked, so
-    consecutive calls under one config build them once (BENCH_33.json), and
-    each thread keeps one HiGHS instance and its copy of the LP for them, so
-    a state only hands HiGHS its row bounds (BENCH_34.json). The
+    on the config alone, and each thread keeps them for the last config it
+    checked, so consecutive calls under one config build them once
+    (BENCH_33.json), with one HiGHS instance and its copy of the LP, so a
+    state only hands HiGHS its row bounds (BENCH_34.json). The
     inputs after the control horizon N_C are fixed to zero, as in lmpc_step,
     and the witness holds them as zeros. A feasible verdict carries a
     witness that rolls out inside the sets, an infeasible one a checked
@@ -110,7 +110,7 @@ def _phase1(model, cfg, states):
     """Phase-I reports for states under one config. The rows depend on the
     config only, so they are fetched once, for the first state in X_set,
     from _cached_rows; a state outside X_set builds nothing."""
-    reports, rows = [], None
+    reports, kept = [], None
     for x_k in states:
         x_k = as_vector(x_k, "x_k")
         cfg.check_sizes(model, x_k)
@@ -119,16 +119,10 @@ def _phase1(model, cfg, states):
         if not polytope_contains(cfg.X_set, x_k, FEASIBILITY_TOL):
             reports.append(FeasibilityReport(feasible=False, phase1_slack=np.inf))
             continue
-        if rows is None:
-            rows = _cached_rows(model, cfg)
-        reports.append(_phase1_lp(model, cfg, rows, x_k))
+        if kept is None:
+            kept = _cached_rows(model, cfg)
+        reports.append(_phase1_lp(model, cfg, kept, x_k))
     return reports
-
-
-# content key -> phase-I rows, for the last config checked alone: a scan, a
-# trajectory check and the CLI check consecutive states of one config
-_rows_cache = {}
-_rows_lock = threading.Lock()
 
 
 def _rows_key(model, cfg):
@@ -141,19 +135,32 @@ def _rows_key(model, cfg):
     return (cfg.N, cfg.N_C) + tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
 
 
+class _Kept(NamedTuple):
+    """What a thread keeps for the last config it checked: the content key
+    (_rows_key), the rows (lp, F_U, g0, G) of _phase1_rows, the _Highs that
+    solves lp and its HighsLp copy of lp (_highs_lp), whose row bounds each
+    check sets."""
+    key: tuple
+    rows: tuple
+    highs: object
+    model: object
+
+
+# per thread, the one _Kept entry: a scan, a trajectory check and the CLI
+# check consecutive states of one config, and no thread writes another's
+_kept = threading.local()
+
+
 def _cached_rows(model, cfg):
-    """_phase1_rows(model, cfg), built again only when the config's content
-    differs from the last one's. The rows are read-only, so concurrent
-    checks share them without writing to them; the lock keeps the cache to
-    one entry when threads check different configs."""
+    """The calling thread's _Kept entry for (model, cfg), built again only
+    when the config's content differs from the last one it checked."""
+    from scipy.optimize._highspy import _core
     key = _rows_key(model, cfg)
-    with _rows_lock:
-        rows = _rows_cache.get(key)
-        if rows is None:
-            rows = _phase1_rows(model, cfg)
-            _rows_cache.clear()
-            _rows_cache[key] = rows
-    return rows
+    kept = getattr(_kept, "entry", None)
+    if kept is None or kept.key != key:
+        rows = _phase1_rows(model, cfg)
+        kept = _kept.entry = _Kept(key, rows, _core._Highs(), _highs_lp(rows[0], rows[2]))
+    return kept
 
 
 class _Phase1Lp(NamedTuple):
@@ -173,7 +180,7 @@ def _phase1_rows(model, cfg):
     """(lp, F_U, g0, G), all of it read-only: the rows F_U U - s <= g0 - G x_k
     (condensed_rows' rows with the slack column -1 appended) as a _Phase1Lp
     whose row upper bounds each state supplies. They depend on the config
-    alone, so _cached_rows keeps them across calls."""
+    alone, so each thread keeps them across calls (_cached_rows)."""
     pm = build_prediction(model, cfg.N)
     c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
     F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
@@ -190,10 +197,6 @@ def _phase1_rows(model, cfg):
     return lp, F_U, g0, G
 
 
-# per thread: the rows lp in use, the _Highs that solves it and its HighsLp
-_kept_highs = threading.local()
-
-
 @lru_cache(maxsize=1)
 def _highs_options(items):
     """One HighsOptions set to the (name, value) items, made once per process."""
@@ -204,12 +207,11 @@ def _highs_options(items):
     return options
 
 
-def _solve_lp(lp, b):
-    """Run HiGHS under HIGHS_OPTIONS on the _Phase1Lp lp with row upper
-    bounds b: (status, x, row duals), the last two None unless the status
-    is optimal. Each thread keeps one _Highs and one HighsLp copy of lp
-    (_highs_lp) while lp stays the rows in use, so a check sets only the
-    row bounds of its own copy and writes nothing shared. passModel clears
+def _solve_lp(kept, b):
+    """Run HiGHS under HIGHS_OPTIONS on the rows of the _Kept entry kept with
+    row upper bounds b: (status, x, row duals), the last two None unless the
+    status is optimal. The entry's HighsLp is the calling thread's own, so a
+    check sets its row bounds and writes nothing shared. passModel clears
     the solver's state, so each run starts cold, as a fresh _Highs does;
     the options are passed at every call, so those in force are
     HIGHS_OPTIONS' at the time.
@@ -219,9 +221,6 @@ def _solve_lp(lp, b):
     conversion and parsed results. scipy.optimize adds 0.3 s to mpckit's
     import, so its HiGHS binding is imported on first use."""
     from scipy.optimize._highspy import _core
-    kept = _kept_highs
-    if getattr(kept, "lp", None) is not lp:
-        kept.lp, kept.highs, kept.model = lp, _core._Highs(), _highs_lp(lp, b)
     highs = kept.highs
     kept.model.row_upper_ = b
     highs.passOptions(_highs_options(tuple(HIGHS_OPTIONS.items())))
@@ -253,13 +252,13 @@ def _lp_status(model_status):
     return LP_STATUS[_MODEL_STATUS.get(model_status.name, 4)]
 
 
-def _phase1_lp(model, cfg, rows, x_k):
+def _phase1_lp(model, cfg, kept, x_k):
     """Minimize s over (U, s) with HiGHS; check the verdict before reporting it."""
-    lp, F_U, g0, G = rows
+    _, F_U, g0, G = kept.rows
     b = g0 - G @ x_k
     if not np.isfinite(b).all():
         raise NonFiniteError("phase-I row bounds g0 - G x_k are not finite")
-    status, x, mu = _solve_lp(lp, b)
+    status, x, mu = _solve_lp(kept, b)
     if status != "optimal":
         return FeasibilityReport(False, np.nan, status=status)
     nU = F_U.shape[1]

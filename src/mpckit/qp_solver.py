@@ -22,6 +22,8 @@ one dense LU of its KKT system's equality block by the active F rows.
 
 ADMM's lasting output is an active set: solve_qp polishes on its active rows
 (OSQP, section 4) and returns that point once it passes the termination test.
+It first polishes on the start's active rows, since consecutive MPC steps
+mostly share theirs, so a warm-started step often needs no ADMM iteration.
 """
 
 from dataclasses import dataclass, field
@@ -226,28 +228,31 @@ def _violation(r, n_in):
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
-    """Solve the QP by ADMM; returns a QpSolution.
+    """Solve the QP by polishing on the start's active rows, then by ADMM;
+    returns a QpSolution.
 
     ``warm`` may be a primal vector or a previous QpSolution (primal and
-    dual warm start). ``workspace`` is a QpWorkspace kept between solves of
-    problems that share H, F and F_eq (a closed loop's steps); without one
-    the solve builds its own. A warm start of the wrong length raises
-    ShapeError. Identical inputs produce bit-identical iterates, with or
-    without a workspace. Termination is tested every CHECK_EVERY iterations
-    and at max_iter, so a solve stops at a multiple of CHECK_EVERY or at
-    max_iter. At convergence and at the checks numbered by a power of two,
-    the solve polishes on the iterate's active rows unless it polished on
-    the same rows last; the first polished point that passes (_polish), or
-    else a converged iterate, is OPTIMAL, and ``iterations`` counts the ADMM
-    iterations run before it. Raises NonFiniteError when H, F, F_eq, q, the
-    warm start or the start rows (min(F z0, g), g_eq) hold a NaN or an
-    infinity, ShapeError when H is not symmetric and SingularMatrixError
-    when it is not positive semidefinite; the workspace build tests H, F and
-    F_eq (QpWorkspace). The reported residuals are the primal violation and
-    the stationarity of the returned (z_star, duals). INFEASIBLE needs
-    OSQP's certificate: the last dual step, its F rows projected onto >= 0
-    and scaled to max-norm 1, is an e with |A'e| <= EPS_INFEASIBLE and
-    u'e <= -EPS_INFEASIBLE.
+    dual warm start); a cold start is (0, 0). ``workspace`` is a QpWorkspace
+    kept between solves of problems that share H, F and F_eq (a closed
+    loop's steps); without one the solve builds its own. A warm start of the
+    wrong length raises ShapeError. Identical inputs produce bit-identical
+    iterates, with or without a workspace. Round 0 polishes on the start's
+    active rows (_active_rows); a point that passes is OPTIMAL after 0
+    iterations. Otherwise ADMM runs from the start, and termination is
+    tested every CHECK_EVERY iterations and at max_iter, so a solve stops at
+    a multiple of CHECK_EVERY or at max_iter. At convergence and at the
+    checks numbered by a power of two, the solve polishes on the iterate's
+    active rows unless it polished on the same rows last; the first polished
+    point that passes (_polish), or else a converged iterate, is OPTIMAL,
+    and ``iterations`` counts the ADMM iterations run before it. Raises
+    NonFiniteError when H, F, F_eq, q, the warm start or the start rows
+    (min(F z0, g), g_eq) hold a NaN or an infinity, ShapeError when H is
+    not symmetric and SingularMatrixError when it is not positive
+    semidefinite; the workspace build tests H, F and F_eq (QpWorkspace).
+    The reported residuals are the primal violation and the stationarity of
+    the returned (z_star, duals). INFEASIBLE needs OSQP's certificate: the
+    last dual step, its F rows projected onto >= 0 and scaled to max-norm 1,
+    is an e with |A'e| <= EPS_INFEASIBLE and u'e <= -EPS_INFEASIBLE.
     """
     s = settings or SolverSettings()
     d, n_in = p.d, p.F.shape[0]
@@ -270,16 +275,25 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                          f"expected {d} and {m}")
     if not (np.isfinite(q).all() and np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteError("NaN or infinity in q or in the warm start")
-    z = np.minimum(A @ x, u)
+    ax = A @ x
+    z = np.minimum(ax, u)
     z[n_in:] = p.g_eq
     if not np.isfinite(z).all():
         raise NonFiniteError("NaN or infinity in the start rows min(F z0, g), g_eq")
+
+    # round 0: the start's active rows, which consecutive MPC steps mostly
+    # share (Ferreau, Bock and Diehl 2008)
+    tried = _active_rows(ax[:n_in], p.g, y[:n_in])
+    polished = _polish(p, ws, s, u, tried)
+    if polished:
+        x, y, (prim, dual) = polished
+        return QpSolution(x, p.objective(x), QpStatus.OPTIMAL, 0, prim, dual, y)
 
     rho_base = RHO
     lu, rho = ws.lu, ws.rho
     q_norm = float(np.abs(q).max(initial=0.0))
 
-    status, tried, polished = QpStatus.MAX_ITERATIONS, None, None
+    status = QpStatus.MAX_ITERATIONS
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x

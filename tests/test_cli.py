@@ -431,8 +431,8 @@ class TestMain:
     def test_check_feasibility_tampered_certificate(self, tmp_path, capsys, monkeypatch):
         solve = feasibility._solve_lp
 
-        def tampered(lp, b):
-            status, x, mu = solve(lp, b)
+        def tampered(kept, b):
+            status, x, mu = solve(kept, b)
             return status, x, -mu
 
         monkeypatch.setattr(feasibility, "_solve_lp", tampered)

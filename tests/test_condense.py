@@ -5,9 +5,7 @@ from mpckit import (InvalidHorizonError, InvalidWeightError, QpProblem,
                     ShapeError, solve_qp)
 from mpckit.condense import (assemble_condensed_qp, assemble_sparse_qp,
                              build_prediction, build_weights, condensed_blocks,
-                             condensed_rows, shift_duals, sparse_blocks,
-                             stack_constraints)
-from mpckit.controller import MpcConfig, lmpc_step
+                             condensed_rows, sparse_blocks, stack_constraints)
 from mpckit.model import (LtiModel, Polytope, box_polytope, empty_polytope,
                           lti_step)
 
@@ -122,52 +120,6 @@ class TestStackConstraints:
         X_set, U_set = lti_demo_sets
         with pytest.raises(ShapeError):
             stack_constraints(X_set, U_set, box_polytope(1, 3), 2)
-
-
-class TestShiftDuals:
-    """shift_duals against blocks split and shifted by hand, on the
-    multipliers of real LMPC steps."""
-
-    @staticmethod
-    def _by_hand(y, p_x, p_t, p_u, n_dyn, N):
-        # split y into its blocks, then drop each run's first stage block and
-        # close it with zeros; the terminal block stays
-        cuts = np.cumsum([p_x] * N + [p_t] + [p_u] * N + [n_dyn] * (N + 1 if n_dyn else 0))
-        blocks = np.split(y, cuts[:-1])
-        X, T, U, D = blocks[:N], blocks[N], blocks[N + 1:2 * N + 1], blocks[2 * N + 1:]
-        shifted = (X[1:] + [np.zeros(p_x)] + [T] + U[1:] + [np.zeros(p_u)]
-                   + (D[1:] + [np.zeros(n_dyn)] if D else []))
-        return np.concatenate(shifted)
-
-    @pytest.mark.parametrize("form", ["condensed", "sparse"])
-    @pytest.mark.parametrize("case", ["triangle terminal", "N_C < N", "empty X_set"])
-    def test_matches_hand_shift(self, lti_demo_model, lti_demo_sets, form, case):
-        X_set, U_set = lti_demo_sets
-        N, N_C, terminal = 4, 4, None
-        if case == "triangle terminal":
-            # three rows where X_set has four
-            terminal = Polytope([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.5, 0.5, 0.5])
-        elif case == "N_C < N":
-            N_C = 2
-        else:
-            X_set = empty_polytope(2)
-        cfg = MpcConfig(N=N, N_T=10, N_C=N_C, Q=np.eye(2), R=[[1.0]], X_set=X_set,
-                        U_set=U_set, terminal_set=terminal, formulation=form)
-        step = lmpc_step(lti_demo_model, cfg, [1.0, 0.5])
-        p_x, p_u = X_set.F.shape[0], U_set.F.shape[0]
-        p_t = (terminal or X_set).F.shape[0]
-        n_dyn = 2 if form == "sparse" else 0
-        y = np.arange(1.0, step.solution.duals.shape[0] + 1)
-        assert y.shape[0] == N * p_x + p_t + N * p_u + n_dyn * (N + 1)
-        expected = self._by_hand(y, p_x, p_t, p_u, n_dyn, N)
-        assert np.array_equal(shift_duals(y, X_set, U_set, terminal, N), expected)
-
-    def test_wrong_length_rejected(self, lti_demo_sets):
-        X_set, U_set = lti_demo_sets
-        # at N = 3: 3 x 4 + 4 + 3 x 2 = 22 inequality rows, then 4 dynamics blocks
-        for length in (21, 22 + 4 * 2 + 1, 22 - 4):
-            with pytest.raises(ShapeError):
-                shift_duals(np.zeros(length), X_set, U_set, None, 3)
 
 
 class TestAssembleSparseQp:

@@ -681,26 +681,25 @@ class TestLoopWorkspace:
 
 
 class TestDualWarmStart:
-    """An LMPC loop warm-starts each step from the previous step's primal and
-    multipliers, both shifted one stage; NMPC from the primal only."""
+    """A closed loop warm-starts each step from the previous step's primal
+    trajectory, shifted one stage, and passes no multipliers: solve_qp's
+    round 0 polishes on the rows that trajectory holds at their bounds."""
 
     @pytest.mark.parametrize("form", ["condensed", "sparse"])
     def test_fewer_iterations_same_inputs(self, lti_12_4, monkeypatch, form):
         model, X_set, U_set, x0 = lti_12_4
         cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
                         U_set=U_set, formulation=form)
-        both = run_closed_loop(model, cfg, x0)
-        # zero multipliers in a QpSolution warm start are a primal-only one
-        monkeypatch.setattr(controller, "shift_duals", lambda y, *sets: np.zeros_like(y))
-        primal = run_closed_loop(model, cfg, x0)
+        warm = run_closed_loop(model, cfg, x0)
         monkeypatch.setattr(controller, "_next_warm", lambda *args: None)
         cold = run_closed_loop(model, cfg, x0)
-        assert sum(both.iterations) < sum(primal.iterations)
-        assert np.abs(np.array(both.inputs) - np.array(cold.inputs)).max() <= 1e-4
+        assert sum(warm.iterations) < sum(cold.iterations)
+        # the shifted trajectory holds the next step's active rows at every step
+        assert warm.iterations[0] > 0 and not any(warm.iterations[1:])
+        assert np.abs(np.array(warm.inputs) - np.array(cold.inputs)).max() <= 1e-4
 
     @pytest.mark.parametrize("kind", ["lti", "nonlinear"])
     def test_warm_start_kinds(self, lti_demo_model, lti_demo_sets, monkeypatch, kind):
-        cfg = _demo_cfg(lti_demo_sets, N_C=3, N_T=5)
         model = lti_demo_model if kind == "lti" else lti_as_nonlinear(lti_demo_model)
         name = "lmpc_step" if kind == "lti" else "nmpc_step"
         step, warms, steps = getattr(controller, name), [], []
@@ -711,17 +710,16 @@ class TestDualWarmStart:
             return steps[-1]
 
         monkeypatch.setattr(controller, name, recorded)
-        run_closed_loop(model, cfg, [5.0, 2.0])
-        assert warms[0] is None
-        for prev, warm in zip(steps, warms[1:]):
-            # z = (6 states of 2, 3 inputs of 1) or the 3 inputs alone
-            z = np.concatenate([prev.X_star[1:].ravel(), prev.X_star[-1],
-                                prev.U_star[1:4].ravel()])
-            if kind == "nonlinear":
+        for form in ["condensed", "sparse"]:
+            warms.clear()
+            steps.clear()
+            cfg = _demo_cfg(lti_demo_sets, N_C=3, N_T=5, formulation=form)
+            run_closed_loop(model, cfg, [5.0, 2.0])
+            assert warms[0] is None
+            for prev, warm in zip(steps, warms[1:]):
+                # z = (6 states of 2, 3 inputs of 1); LMPC's condensed form
+                # takes the 3 inputs alone, NMPC always the whole trajectory
+                z = np.concatenate([prev.X_star[1:].ravel(), prev.X_star[-1],
+                                    prev.U_star[1:4].ravel()])
                 assert isinstance(warm, np.ndarray)
-                assert np.array_equal(warm, z)
-            else:
-                assert isinstance(warm, qp_solver.QpSolution)
-                assert np.array_equal(warm.z_star, z[12:])
-                assert np.array_equal(warm.duals, controller.shift_duals(
-                    prev.solution.duals, cfg.X_set, cfg.U_set, None, cfg.N))
+                assert np.array_equal(warm, z[12:] if (kind, form) == ("lti", "condensed") else z)

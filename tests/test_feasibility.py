@@ -45,9 +45,9 @@ def _record_lp(monkeypatch, change=None):
     calls = []
     solve = feasibility._solve_lp
 
-    def recording_solve(lp, b):
-        calls.append((lp, b.copy()))
-        result = solve(lp, b)
+    def recording_solve(kept, b):
+        calls.append((kept.rows[0], b.copy()))
+        result = solve(kept, b)
         return result if change is None else change(*result)
 
     monkeypatch.setattr(feasibility, "_solve_lp", recording_solve)
@@ -55,18 +55,23 @@ def _record_lp(monkeypatch, change=None):
 
 
 def _count_builds(monkeypatch):
-    """Record one entry per phase-I row build; the cache starts empty and is
-    restored afterwards."""
+    """Record the calling thread for each phase-I row build; no thread keeps
+    rows at the start, and the kept entries are restored afterwards."""
     builds = []
     build = feasibility.build_prediction
 
     def counting_build(*args):
-        builds.append(1)
+        builds.append(threading.get_ident())
         return build(*args)
 
     monkeypatch.setattr(feasibility, "build_prediction", counting_build)
-    monkeypatch.setattr(feasibility, "_rows_cache", {})
+    monkeypatch.setattr(feasibility, "_kept", threading.local())
     return builds
+
+
+def _forget_rows():
+    """Drop the calling thread's kept phase-I rows."""
+    feasibility._kept.entry = None
 
 
 def _same_reports(a, b):
@@ -86,7 +91,7 @@ def _cold_reports(model, cfg, states):
     """is_state_feasible at each state, the phase-I rows built anew for each."""
     reports = []
     for x in states:
-        feasibility._rows_cache.clear()
+        _forget_rows()
         reports.append(is_state_feasible(model, cfg, x))
     return reports
 
@@ -407,10 +412,11 @@ class TestLinprogReference:
         grid = np.stack(np.meshgrid(*[np.linspace(-9.75, 9.75, 14)] * 2), -1).reshape(-1, 2)
         verdicts = set()
         for model, cfg, states in [(demo.model, demo.mpc, grid), self._four_state_case()]:
-            rows = feasibility._phase1_rows(model, cfg)
+            kept = feasibility._cached_rows(model, cfg)
+            rows = kept.rows
             lp, F, g0, G = rows
             for x_k in states:
-                status, x, mu = feasibility._solve_lp(lp, g0 - G @ x_k)
+                status, x, mu = feasibility._solve_lp(kept, g0 - G @ x_k)
                 res = self._linprog(rows, x_k)
                 assert status == feasibility.LP_STATUS[res.status] == "optimal"
                 # x holds U and the slack s; -mu the row multipliers y
@@ -422,10 +428,11 @@ class TestLinprogReference:
     @pytest.mark.parametrize("x_k", [[-9.9, -8.1], [9.0, 9.0], [8.5, -9.5]])
     def test_capped_status_as_linprog(self, monkeypatch, x_k):
         demo = cli.demo_config("lmpc-stabilize")
-        rows = feasibility._phase1_rows(demo.model, demo.mpc)
+        kept = feasibility._cached_rows(demo.model, demo.mpc)
+        rows = kept.rows
         lp, F, g0, G = rows
         monkeypatch.setitem(feasibility.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
-        status, x, mu = feasibility._solve_lp(lp, g0 - G @ np.array(x_k))
+        status, x, mu = feasibility._solve_lp(kept, g0 - G @ np.array(x_k))
         res = self._linprog(rows, np.array(x_k), options={"maxiter": 1})
         assert status == feasibility.LP_STATUS[res.status] == "iteration_limit"
         assert x is None and mu is None
@@ -457,11 +464,11 @@ class TestPersistentFeasibility:
         cfg = _demo_cfg(lti_demo_sets, N_T=20)
         traj = run_closed_loop(lti_demo_model, cfg, [10.0, 5.0])
         # a cold cache: a state outside X_set builds nothing, a trajectory once
-        feasibility._rows_cache.clear()
+        _forget_rows()
         is_state_feasible(lti_demo_model, cfg, [11.0, 0.0])
         assert builds == []
         reports = persistent_feasibility_check(traj, lti_demo_model, cfg)
-        assert len(reports) == 21 and builds == [1]
+        assert len(reports) == 21 and len(builds) == 1
         # the rows are kept for the next call under the same config
         builds.clear()
         is_state_feasible(lti_demo_model, cfg, [1.0, 1.0])
@@ -518,7 +525,7 @@ class TestRowsCache:
         for exp, states in self._scan(seed):
             builds.clear()
             warm = [is_state_feasible(exp.model, exp.mpc, x) for x in states]
-            assert builds == [1]
+            assert len(builds) == 1
             assert _same_reports(warm, _cold_reports(exp.model, exp.mpc, states))
 
     @pytest.mark.parametrize("edit, doc_edit", [
@@ -535,7 +542,7 @@ class TestRowsCache:
         edit(exp)
         builds.clear()
         after = [is_state_feasible(exp.model, exp.mpc, x) for x in self.STATES]
-        assert builds == [1]
+        assert len(builds) == 1
         doc_edit(doc)
         fresh = cli.parse_config(json.dumps(doc))
         assert _same_reports(after, _cold_reports(fresh.model, fresh.mpc, self.STATES))
@@ -550,20 +557,23 @@ class TestRowsCache:
         for exp, states in [(a, xa), (b, xb), (a, xa), (b, xb)]:
             warm = [is_state_feasible(exp.model, exp.mpc, x) for x in states]
             assert _same_reports(warm, cold[id(exp)])
-        assert builds == [1, 1, 1, 1]
+        assert len(builds) == 4
 
     def test_cached_rows_are_read_only(self, lti_demo_model, lti_demo_sets):
-        lp, F, g0, G = feasibility._cached_rows(lti_demo_model, _demo_cfg(lti_demo_sets))
+        lp, F, g0, G = feasibility._cached_rows(lti_demo_model, _demo_cfg(lti_demo_sets)).rows
         for a in (*lp, F, g0, G):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
     @pytest.mark.parametrize("same", [False, True], ids=["two-configs", "one-config"])
-    def test_threads_match_serial(self, same):
+    def test_threads_match_serial(self, monkeypatch, same):
         (a, xa), (b, xb) = ((exp, states[:40]) for exp, states in self._scan(3))
         jobs = [(a, xa), (a, xa[::-1]) if same else (b, xb)]
+        builds = _count_builds(monkeypatch)
+        checked = []
 
         def check(exp, states):
+            checked.append((threading.get_ident(), id(exp)))
             return [is_state_feasible(exp.model, exp.mpc, x) for x in states]
 
         serial = [check(*job) for job in jobs]
@@ -571,21 +581,24 @@ class TestRowsCache:
         sys.setswitchinterval(1e-5)   # switch threads often, inside a check too
         try:
             for _ in range(3):
+                builds.clear()
+                checked.clear()
                 with ThreadPoolExecutor(max_workers=2) as pool:
                     threaded = [f.result(timeout=60)
                                 for f in [pool.submit(check, *job) for job in jobs]]
                 assert all(_same_reports(s, t) for s, t in zip(serial, threaded))
-                assert len(feasibility._rows_cache) == 1
+                # one row build per worker thread and config it checked
+                assert sorted(builds) == sorted(t for t, _ in set(checked))
         finally:
             sys.setswitchinterval(interval)
 
 
-def _fresh_solve(lp, b):
+def _fresh_solve(kept, b):
     """_solve_lp as it ran before HiGHS instances were kept: a _Highs and a
     HighsLp of its own for every call."""
     highs = _core._Highs()
     highs.passOptions(feasibility._highs_options(tuple(feasibility.HIGHS_OPTIONS.items())))
-    highs.passModel(feasibility._highs_lp(lp, b))
+    highs.passModel(feasibility._highs_lp(kept.rows[0], b))
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
@@ -609,7 +622,7 @@ def _count_highs(monkeypatch):
             return super().run()
 
     monkeypatch.setattr(_core, "_Highs", CountingHighs)
-    monkeypatch.setattr(feasibility, "_kept_highs", type(feasibility._kept_highs)())
+    monkeypatch.setattr(feasibility, "_kept", threading.local())
     return built, runs
 
 
@@ -666,7 +679,7 @@ class TestKeptHighs:
                 built.clear()
                 for x in states:
                     is_state_feasible(exp.model, exp.mpc, x)
-                assert builds == [1] and len(built) == 1
+                assert len(builds) == 1 and len(built) == 1
                 assert {id(highs) for _, highs in runs} == {id(built[0][1])}
                 runs.clear()
 

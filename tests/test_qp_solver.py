@@ -239,6 +239,16 @@ class TestLuWrappers:
             qp_solver.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def _spurious_multiplier(p, sol, value):
+    """A warm start at sol's point whose multipliers add value on the F row
+    with the most slack there: round 0 polishes with that row held at its
+    bound, an active set that is wrong."""
+    i = int(np.argmax(p.g - p.F @ sol.z_star))
+    duals = sol.duals.copy()
+    duals[i] += value
+    return dataclasses.replace(sol, duals=duals)
+
+
 class TestCheckInterval:
     # needs 102 iterations with a check at every iteration (105 by default)
     P = random_strictly_convex_qp(np.random.default_rng(141))
@@ -267,13 +277,15 @@ class TestCheckInterval:
                         or sol.iterations == max_iter), (max_iter, sol.iterations)
 
     def test_check_at_iteration_cap(self, monkeypatch):
-        # a warm restart converges within 3 iterations, below CHECK_EVERY,
-        # and the check at max_iter = 3 reports it
-        cold = solve_qp(self.P)
-        sol = solve_qp(self.P, warm=cold, settings=SolverSettings(max_iter=3))
+        # a restart from the solution with a spurious 1e-8 multiplier on an
+        # inactive row: round 0 holds that row at its bound and rejects the
+        # point, ADMM converges within 3 iterations, below CHECK_EVERY, and
+        # the check at max_iter = 3 reports it
+        warm = _spurious_multiplier(self.P, solve_qp(self.P), 1e-8)
+        sol = solve_qp(self.P, warm=warm, settings=SolverSettings(max_iter=3))
         assert sol.status is QpStatus.OPTIMAL and sol.iterations == 3
         monkeypatch.setattr(qp_solver, "CHECK_EVERY", 1)
-        assert solve_qp(self.P, warm=cold).iterations <= 3
+        assert 0 < solve_qp(self.P, warm=warm).iterations <= 3
 
 
 def test_admm_factors_reduced_system(monkeypatch):
@@ -859,8 +871,9 @@ class TestPolishAtChecks:
     passes the termination test."""
 
     def test_wrong_first_active_set_runs_on(self, monkeypatch):
-        # the rows active at the first check (iteration CHECK_EVERY) are not
-        # the optimum's: that polished point fails, ADMM runs on, and a later
+        # round 0's rows (those at their bound at 0) and the first rows ADMM
+        # polishes on, at a check from iteration CHECK_EVERY on, are not the
+        # optimum's: both polished points fail, ADMM runs on, and a later
         # active set gives the oracle's answer
         calls = _recorded_polishes(monkeypatch)
         rng = np.random.default_rng(7)
@@ -869,7 +882,7 @@ class TestPolishAtChecks:
             p = random_strictly_convex_qp(rng)
             calls.clear()
             sol = solve_qp(p)
-            if calls[0][1] is not None:
+            if calls[0][1] is not None or len(calls) < 2 or calls[1][1] is not None:
                 continue
             wrong_first += 1
             z, obj = solve_oracle(p)
@@ -896,14 +909,78 @@ class TestPolishAtChecks:
                     continue
                 accepted += 1
                 assert sol.status is QpStatus.OPTIMAL and sol.z_star is calls[-1][1][0]
-                stationarity, violation, _ = kkt_residuals(p, sol.z_star, sol.duals)
-                A = np.vstack([_dense(p.F), _dense(p.F_eq)])
-                scale_dual = max(float(np.abs(2.0 * p.H @ sol.z_star).max()),
-                                 float(np.abs(p.q).max()), float(np.abs(A.T @ sol.duals).max()))
-                assert violation <= eps + eps * float(np.abs(A @ sol.z_star).max(initial=0.0))
-                assert stationarity <= eps + eps * scale_dual
-                assert sol.duals[:p.F.shape[0]].min(initial=0.0) >= -1e-7
+                _assert_passes_accept_test(p, sol, eps)
         assert accepted >= 150
+
+
+def _assert_passes_accept_test(p, sol, eps):
+    """sol passes eps_abs = eps_rel = eps with the scales of its own A x,
+    P x and A'y, by kkt_residuals, and its F-row multipliers are >= -1e-7."""
+    stationarity, violation, _ = kkt_residuals(p, sol.z_star, sol.duals)
+    A = np.vstack([_dense(p.F), _dense(p.F_eq)])
+    scale_dual = max(float(np.abs(2.0 * p.H @ sol.z_star).max()),
+                     float(np.abs(p.q).max()), float(np.abs(A.T @ sol.duals).max()))
+    assert violation <= eps + eps * float(np.abs(A @ sol.z_star).max(initial=0.0))
+    assert stationarity <= eps + eps * scale_dual
+    assert sol.duals[:p.F.shape[0]].min(initial=0.0) >= -1e-7
+
+
+class TestRoundZero:
+    """Before ADMM, solve_qp polishes on the start's active rows (round 0)
+    and returns that point after 0 iterations when it passes."""
+
+    @staticmethod
+    def _oracle_qps(seed, count):
+        """(QP, oracle point) for random QPs with F rows, in dense and CSR rows."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for q in [random_strictly_convex_qp(rng) for _ in range(count)]:
+            if q.F.shape[0]:
+                z, _ = solve_oracle(q)
+                out += [(q, z), (_sparse_rows(q), z)]
+        return out
+
+    def test_start_at_solution_needs_no_iteration(self, monkeypatch):
+        calls = _recorded_polishes(monkeypatch)
+        pairs = self._oracle_qps(40, 30)
+        for p, z in pairs:
+            calls.clear()
+            sol = solve_qp(p, warm=z)
+            assert sol.status is QpStatus.OPTIMAL and sol.iterations == 0
+            assert len(calls) == 1 and sol.z_star is calls[0][1][0]
+            assert np.abs(sol.z_star - z).max() <= 1e-9
+        assert len(pairs) >= 40
+
+    def test_wrong_active_set_runs_admm(self, monkeypatch):
+        # the oracle's point with a multiplier on the row of most slack:
+        # round 0 holds that row at its bound, its polished point fails, and
+        # ADMM reaches the oracle's answer
+        calls = _recorded_polishes(monkeypatch)
+        for p, z in self._oracle_qps(41, 30):
+            start = QpSolution(z, p.objective(z), QpStatus.OPTIMAL, 0, 0.0, 0.0,
+                               np.zeros(p.F.shape[0] + p.F_eq.shape[0]))
+            warm = _spurious_multiplier(p, start, 1.0)
+            calls.clear()
+            sol = solve_qp(p, warm=warm)
+            (row,) = np.flatnonzero(warm.duals)
+            assert row in calls[0][0] and calls[0][1] is None
+            assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+            assert np.abs(sol.z_star - z).max() <= 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_returned_points_pass_accept_test(self, eps):
+        # cold starts, starts at the solution and starts near it
+        settings = SolverSettings(eps_abs=eps, eps_rel=eps)
+        rng = np.random.default_rng(42)
+        at_round_0 = 0
+        for p, z in self._oracle_qps(42, 60):
+            for warm in (None, z, z + 1e-4 * rng.normal(size=p.d)):
+                sol = solve_qp(p, warm=warm, settings=settings)
+                if sol.iterations == 0:
+                    at_round_0 += 1
+                    assert sol.status is QpStatus.OPTIMAL
+                    _assert_passes_accept_test(p, sol, eps)
+        assert at_round_0 >= 100
 
 
 class TestKktResiduals:
