@@ -10,8 +10,8 @@ import numpy as np
 from .condense import (assemble_condensed_qp, assemble_sparse_qp,
                        build_prediction, build_weights, condensed_blocks,
                        sparse_blocks, stack_constraints, trajectory_blocks)
-from .exceptions import (InfeasibleStepError, InvalidHorizonError,
-                         InvalidWeightError, ReferenceInfeasibleError, ShapeError)
+from .exceptions import (InfeasibleStepError, InvalidHorizonError, InvalidWeightError,
+                         NonFiniteError, ReferenceInfeasibleError, ShapeError)
 from .model import (LtiModel, NonlinearModel, Polytope, empty_polytope,
                     polytope_contains, steady_state_input_lti,
                     steady_state_input_nonlinear)
@@ -90,10 +90,13 @@ class MpcConfig:
         return self.R.shape[0]
 
     def check_sizes(self, model, x):
-        """Raise ShapeError unless the model's n and m and the state x match Q and R."""
+        """Raise ShapeError unless the model's n and m and the state x match Q
+        and R, and NonFiniteError unless x is finite."""
         if (model.n, model.m, x.shape[0]) != (self.n, self.m, self.n):
             raise ShapeError(f"model (n = {model.n}, m = {model.m}) or state (length "
                              f"{x.shape[0]}) does not match Q and R (n = {self.n}, m = {self.m})")
+        if not np.isfinite(x).all():
+            raise NonFiniteError(f"state {x} has a NaN or infinite entry")
 
 
 @dataclass
@@ -153,8 +156,9 @@ class _Workspace:
       (condensed_blocks or sparse_blocks), or NMPC's cost and inequality
       blocks (H, F, g) over z = (X, U), U the first m N_C inputs, with the
       Jacobian map of build_feq_jacobian;
-    - ``qp``: the QP solver's QpWorkspace (stacked rows, P, the Gram matrix
-      of the rows and the factor at RHO).
+    - ``qp``: LMPC's QpWorkspace (stacked rows, P, the Gram matrix of the
+      rows and the factor at RHO); NMPC leaves it unused, since solve_nlp
+      builds one per SQP subproblem.
     Later steps only evaluate the blocks at x_k. A step called without one
     builds everything afresh.
     """

@@ -11,10 +11,8 @@ from scipy import sparse
 # build_prediction and stack_constraints are called through this module's
 # names, and solve_qp stays importable although phase-I no longer calls it:
 # bench/spans.py patches all three here by name, and bench/run.py solve_qp.
-# Each thread keeps the phase-I rows of the last config it checked, with one
-# HiGHS instance and one copy of the LP for them, so a scan over one config
-# builds them once, its traced condense.build_ms reads about 0, and a state
-# sets only its row bounds
+# A thread keeps the phase-I rows of the last config it checked (_Kept), so
+# a scan's traced condense.build_ms reads about 0
 from .condense import build_prediction, condensed_rows, stack_constraints
 from .exceptions import NonFiniteError, ShapeError
 from .model import LtiModel, polytope_contains
@@ -85,19 +83,15 @@ def is_control_sequence_feasible(model, cfg, x_k, U, tol=FEASIBILITY_TOL):
 
 def is_state_feasible(model, cfg, x_k):
     """Phase-I linear program deciding whether some input sequence keeps the
-    N-step prediction inside the constraint sets. HiGHS solves it through
-    SciPy's bundled binding with the settings of linprog(method="highs"),
-    so with linprog's answers, but without linprog's per-call wrapping,
-    which took half of a check's time (BENCH_32.json). The LP's rows depend
-    on the config alone, and each thread keeps them for the last config it
-    checked, so consecutive calls under one config build them once
-    (BENCH_33.json), with one HiGHS instance and its copy of the LP, so a
-    state only hands HiGHS its row bounds (BENCH_34.json). The
-    inputs after the control horizon N_C are fixed to zero, as in lmpc_step,
-    and the witness holds them as zeros. A feasible verdict carries a
-    witness that rolls out inside the sets, an infeasible one a checked
-    certificate; a report that is not conclusive is never feasible. LTI
-    models only."""
+    N-step prediction inside the constraint sets, solved by HiGHS through
+    SciPy's binding with linprog(method="highs")'s settings, so with its
+    answers. Each thread keeps one entry for the last config it checked:
+    content key, rows, a HiGHS instance and a HighsLp, so a check under that
+    config only sets the row bounds; HIGHS_OPTIONS is read at every check.
+    The inputs after the control horizon N_C are fixed to zero, as in
+    lmpc_step. A feasible verdict carries a witness that rolls out inside
+    the sets, an infeasible one a checked certificate; a report that is not
+    conclusive is never feasible. LTI models only."""
     return _phase1(model, cfg, [x_k])[0]
 
 
@@ -107,15 +101,16 @@ def persistent_feasibility_check(traj, model, cfg):
 
 
 def _phase1(model, cfg, states):
-    """Phase-I reports for states under one config. The rows depend on the
-    config only, so they are fetched once, for the first state in X_set,
-    from _cached_rows; a state outside X_set builds nothing."""
+    """Phase-I reports for states under one config: all states are checked,
+    then the model kind, then the rows are fetched once, for the first state
+    in X_set (_cached_rows); a state outside X_set builds nothing."""
+    states = [as_vector(x_k, "x_k") for x_k in states]
+    for x_k in states:
+        cfg.check_sizes(model, x_k)
+    if not isinstance(model, LtiModel):
+        raise TypeError(f"phase-I feasibility needs an LtiModel, got {type(model).__name__}")
     reports, kept = [], None
     for x_k in states:
-        x_k = as_vector(x_k, "x_k")
-        cfg.check_sizes(model, x_k)
-        if not isinstance(model, LtiModel):
-            raise TypeError(f"phase-I feasibility needs an LtiModel, got {type(model).__name__}")
         if not polytope_contains(cfg.X_set, x_k, FEASIBILITY_TOL):
             reports.append(FeasibilityReport(feasible=False, phase1_slack=np.inf))
             continue
@@ -136,14 +131,15 @@ def _rows_key(model, cfg):
 
 
 class _Kept(NamedTuple):
-    """What a thread keeps for the last config it checked: the content key
-    (_rows_key), the rows (lp, F_U, g0, G) of _phase1_rows, the _Highs that
-    solves lp and its HighsLp copy of lp (_highs_lp), whose row bounds each
-    check sets."""
+    """What a thread keeps for the last config it checked: its content key
+    (_rows_key), its rows (_phase1_rows), and the _Highs that solves its LP
+    with the HighsLp lp (_highs_lp), whose row bounds each check sets."""
     key: tuple
-    rows: tuple
+    F_U: np.ndarray
+    g0: np.ndarray
+    G: np.ndarray
     highs: object
-    model: object
+    lp: object
 
 
 # per thread, the one _Kept entry: a scan, a trajectory check and the CLI
@@ -154,97 +150,81 @@ _kept = threading.local()
 def _cached_rows(model, cfg):
     """The calling thread's _Kept entry for (model, cfg), built again only
     when the config's content differs from the last one it checked."""
-    from scipy.optimize._highspy import _core
     key = _rows_key(model, cfg)
     kept = getattr(_kept, "entry", None)
     if kept is None or kept.key != key:
-        rows = _phase1_rows(model, cfg)
-        kept = _kept.entry = _Kept(key, rows, _core._Highs(), _highs_lp(rows[0], rows[2]))
+        F_U, g0, G = _phase1_rows(model, cfg)
+        kept = _kept.entry = _Kept(key, F_U, g0, G, _highs_core()._Highs(), _highs_lp(F_U))
     return kept
 
 
-class _Phase1Lp(NamedTuple):
-    """The LP min s over (U, s) subject to [F_U, -1] (U, s) <= b, U free and
-    s >= -1, without its row upper bounds b: the CSC arrays of the matrix,
-    the column cost and bounds and the row lower bounds, all read-only."""
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
-    col_cost: np.ndarray
-    col_lower: np.ndarray
-    col_upper: np.ndarray
-    row_lower: np.ndarray
-
-
 def _phase1_rows(model, cfg):
-    """(lp, F_U, g0, G), all of it read-only: the rows F_U U - s <= g0 - G x_k
-    (condensed_rows' rows with the slack column -1 appended) as a _Phase1Lp
-    whose row upper bounds each state supplies. They depend on the config
-    alone, so each thread keeps them across calls (_cached_rows)."""
+    """(F_U, g0, G), read-only: condensed_rows' rows F_U U <= g0 - G x_k.
+    They depend on the config alone, so each thread keeps them across calls
+    (_cached_rows)."""
     pm = build_prediction(model, cfg.N)
     c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
     F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
     if not np.isfinite(F_U).all():
         raise NonFiniteError("phase-I rows F_U are not finite")
+    for a in (F_U, g0, G):
+        a.setflags(write=False)
+    return F_U, g0, G
+
+
+def _highs_core():
+    """SciPy's HiGHS binding, imported on first use, since scipy.optimize
+    adds 0.3 s to mpckit's import."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def _highs_lp(F_U):
+    """A new HighsLp of min s over (U, s) subject to [F_U, -1] (U, s) <= b,
+    U free and s >= -1, without its row upper bounds b, which each check
+    sets."""
+    core = _highs_core()
     rows, nU = F_U.shape
     A = sparse.csc_array(np.hstack([F_U, -np.ones((rows, 1))]))
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nU + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_, lp.col_upper_ = np.append(np.zeros(nU), 1.0), np.full(nU + 1, np.inf)
     # s >= -1 keeps the LP bounded, since a slack below -1 is equally conclusive
-    lp = _Phase1Lp(A.indptr, A.indices, A.data, np.append(np.zeros(nU), 1.0),
-                  np.append(np.full(nU, -np.inf), -1.0), np.full(nU + 1, np.inf),
-                  np.full(rows, -np.inf))
-    for a in (*lp, F_U, g0, G):
-        a.setflags(write=False)
-    return lp, F_U, g0, G
+    lp.col_lower_, lp.row_lower_ = np.append(np.full(nU, -np.inf), -1.0), np.full(rows, -np.inf)
+    return lp
 
 
 @lru_cache(maxsize=1)
 def _highs_options(items):
     """One HighsOptions set to the (name, value) items, made once per process."""
-    from scipy.optimize._highspy import _core
-    options = _core.HighsOptions()
+    options = _highs_core().HighsOptions()
     for name, value in items:
         setattr(options, name, value)
     return options
 
 
 def _solve_lp(kept, b):
-    """Run HiGHS under HIGHS_OPTIONS on the rows of the _Kept entry kept with
+    """Run HiGHS under HIGHS_OPTIONS on the LP of the _Kept entry kept with
     row upper bounds b: (status, x, row duals), the last two None unless the
-    status is optimal. The entry's HighsLp is the calling thread's own, so a
-    check sets its row bounds and writes nothing shared. passModel clears
-    the solver's state, so each run starts cold, as a fresh _Highs does;
-    the options are passed at every call, so those in force are
-    HIGHS_OPTIONS' at the time.
-
-    This is what linprog(method="highs") runs, without its per-call
-    wrapping: checked inputs, options validated anew, a dense-to-CSC
-    conversion and parsed results. scipy.optimize adds 0.3 s to mpckit's
-    import, so its HiGHS binding is imported on first use."""
-    from scipy.optimize._highspy import _core
+    status is optimal. The entry is the calling thread's own, so a check
+    writes nothing shared. passModel clears the solver's state, so each run
+    starts cold, as a fresh _Highs does, under the options in force at the
+    call. This is linprog(method="highs") without its per-call wrapping:
+    checked inputs, options validated anew, a dense-to-CSC conversion and
+    parsing."""
     highs = kept.highs
-    kept.model.row_upper_ = b
+    kept.lp.row_upper_ = b
     highs.passOptions(_highs_options(tuple(HIGHS_OPTIONS.items())))
-    highs.passModel(kept.model)
+    highs.passModel(kept.lp)
     highs.run()
     status = highs.getModelStatus()
-    if status != _core.HighsModelStatus.kOptimal:
+    if status != _highs_core().HighsModelStatus.kOptimal:
         return _lp_status(status), None, None
     solution = highs.getSolution()
     return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
-
-
-def _highs_lp(lp, b):
-    """A new HighsLp holding the _Phase1Lp lp with row upper bounds b."""
-    from scipy.optimize._highspy import _core
-    model = _core.HighsLp()
-    model.num_col_ = model.a_matrix_.num_col_ = lp.col_cost.size
-    model.num_row_ = model.a_matrix_.num_row_ = lp.row_lower.size
-    model.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    model.a_matrix_.start_, model.a_matrix_.index_, model.a_matrix_.value_ = (
-        lp.start, lp.index, lp.value)
-    model.col_cost_, model.col_lower_, model.col_upper_ = lp.col_cost, lp.col_lower, lp.col_upper
-    model.row_lower_, model.row_upper_ = lp.row_lower, b
-    return model
 
 
 def _lp_status(model_status):
@@ -254,8 +234,8 @@ def _lp_status(model_status):
 
 def _phase1_lp(model, cfg, kept, x_k):
     """Minimize s over (U, s) with HiGHS; check the verdict before reporting it."""
-    _, F_U, g0, G = kept.rows
-    b = g0 - G @ x_k
+    F_U = kept.F_U
+    b = kept.g0 - kept.G @ x_k
     if not np.isfinite(b).all():
         raise NonFiniteError("phase-I row bounds g0 - G x_k are not finite")
     status, x, mu = _solve_lp(kept, b)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from mpckit import (InfeasibleStepError, InvalidHorizonError,
-                    InvalidWeightError, MpcConfig, ReferenceInfeasibleError,
-                    ShapeError, SolverSettings, is_state_feasible, lmpc_step, lti_as_nonlinear,
-                    nmpc_step, run_closed_loop, tracking_transform)
+                    InvalidWeightError, MpcConfig, NonFiniteError, ReferenceInfeasibleError,
+                    ShapeError, SolverSettings, Trajectory, is_control_sequence_feasible,
+                    is_state_feasible, lmpc_step, lti_as_nonlinear, nmpc_step,
+                    persistent_feasibility_check, run_closed_loop, tracking_transform)
 from mpckit import cli, controller, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
@@ -410,6 +411,23 @@ class TestRunClosedLoop:
         # Q and R size the controller for n = 2, m = 1
         with pytest.raises(ShapeError, match=r"does not match Q and R \(n = 2, m = 1\)"):
             entry(model, _demo_cfg(lti_demo_sets, N_T=5), x_0)
+
+    # every entry point that takes a state refuses a NaN or an infinity in it
+    # before any arithmetic, so without a warning
+    @pytest.mark.parametrize("x_0", [[np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [
+        lambda lti, pend, cfg, x: run_closed_loop(lti, cfg, x),
+        lambda lti, pend, cfg, x: lmpc_step(lti, cfg, x),
+        lambda lti, pend, cfg, x: nmpc_step(pend, cfg, x),
+        lambda lti, pend, cfg, x: is_state_feasible(lti, cfg, x),
+        lambda lti, pend, cfg, x: persistent_feasibility_check(Trajectory(states=[x]), lti, cfg),
+        lambda lti, pend, cfg, x: is_control_sequence_feasible(lti, cfg, x, np.zeros((5, 1))),
+    ], ids=["run_closed_loop", "lmpc_step", "nmpc_step", "is_state_feasible",
+            "persistent_feasibility_check", "is_control_sequence_feasible"])
+    def test_non_finite_state(self, entry, x_0, lti_demo_model, pendulum, lti_demo_sets):
+        with pytest.raises(NonFiniteError, match="has a NaN or infinite entry"):
+            entry(lti_demo_model, pendulum, _demo_cfg(lti_demo_sets, N_T=5), np.array(x_0))
 
     def test_origin_stays_at_origin(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)

@@ -40,13 +40,13 @@ def _scalar_cfg(x_bound, u_bound, N=1):
 
 
 def _record_lp(monkeypatch, change=None):
-    """Record each (lp, b) that phase-I hands to HiGHS; change(status, x, mu)
-    may alter what HiGHS returned."""
+    """Record each (kept entry, b) that phase-I hands to HiGHS;
+    change(status, x, mu) may alter what HiGHS returned."""
     calls = []
     solve = feasibility._solve_lp
 
     def recording_solve(kept, b):
-        calls.append((kept.rows[0], b.copy()))
+        calls.append((kept, b.copy()))
         result = solve(kept, b)
         return result if change is None else change(*result)
 
@@ -268,8 +268,8 @@ class TestStateFeasible:
         pm = build_prediction(lti_demo_model, cfg.N)
         c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
         F, g0, G = condensed_rows(pm, c, cfg.N_C)
-        ((lp, b),) = calls
-        lp = feasibility._highs_lp(lp, b)   # the model HiGHS is handed
+        ((kept, b),) = calls
+        lp = kept.lp   # the model HiGHS is handed
         # minimize s over (U, s) with F U - s <= g0 - G x_k, U free and s >= -1
         nU, rows = F.shape[1], F.shape[0]
         assert np.array_equal(lp.col_cost_, np.append(np.zeros(nU), 1.0))
@@ -400,8 +400,8 @@ class TestLinprogReference:
         return model, cfg, r.uniform(-5.0, 5.0, (16, 4))
 
     @staticmethod
-    def _linprog(rows, x_k, **options):
-        lp, F, g0, G = rows
+    def _linprog(kept, x_k, **options):
+        F, g0, G = kept.F_U, kept.g0, kept.G
         nU = F.shape[1]
         return linprog(np.append(np.zeros(nU), 1.0), A_ub=np.hstack([F, -np.ones((F.shape[0], 1))]),
                        b_ub=g0 - G @ x_k, bounds=[(None, None)] * nU + [(-1.0, None)],
@@ -413,11 +413,9 @@ class TestLinprogReference:
         verdicts = set()
         for model, cfg, states in [(demo.model, demo.mpc, grid), self._four_state_case()]:
             kept = feasibility._cached_rows(model, cfg)
-            rows = kept.rows
-            lp, F, g0, G = rows
             for x_k in states:
-                status, x, mu = feasibility._solve_lp(kept, g0 - G @ x_k)
-                res = self._linprog(rows, x_k)
+                status, x, mu = feasibility._solve_lp(kept, kept.g0 - kept.G @ x_k)
+                res = self._linprog(kept, x_k)
                 assert status == feasibility.LP_STATUS[res.status] == "optimal"
                 # x holds U and the slack s; -mu the row multipliers y
                 assert np.array_equal(x, res.x)
@@ -429,11 +427,9 @@ class TestLinprogReference:
     def test_capped_status_as_linprog(self, monkeypatch, x_k):
         demo = cli.demo_config("lmpc-stabilize")
         kept = feasibility._cached_rows(demo.model, demo.mpc)
-        rows = kept.rows
-        lp, F, g0, G = rows
         monkeypatch.setitem(feasibility.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
-        status, x, mu = feasibility._solve_lp(kept, g0 - G @ np.array(x_k))
-        res = self._linprog(rows, np.array(x_k), options={"maxiter": 1})
+        status, x, mu = feasibility._solve_lp(kept, kept.g0 - kept.G @ np.array(x_k))
+        res = self._linprog(kept, np.array(x_k), options={"maxiter": 1})
         assert status == feasibility.LP_STATUS[res.status] == "iteration_limit"
         assert x is None and mu is None
 
@@ -482,9 +478,12 @@ class TestPersistentFeasibility:
 
 
     def test_nonlinear_model_rejected(self, pendulum, lti_demo_sets):
-        traj = Trajectory(states=[np.zeros(2)])
-        with pytest.raises(TypeError, match="needs an LtiModel, got NonlinearModel"):
-            persistent_feasibility_check(traj, pendulum, _demo_cfg(lti_demo_sets))
+        # the model kind is checked once, not per state, so an empty
+        # trajectory is refused too
+        for states in ([np.zeros(2)], []):
+            with pytest.raises(TypeError, match="needs an LtiModel, got NonlinearModel"):
+                persistent_feasibility_check(Trajectory(states=states), pendulum,
+                                             _demo_cfg(lti_demo_sets))
 
 
 def _set_u_bound(exp):
@@ -560,8 +559,8 @@ class TestRowsCache:
         assert len(builds) == 4
 
     def test_cached_rows_are_read_only(self, lti_demo_model, lti_demo_sets):
-        lp, F, g0, G = feasibility._cached_rows(lti_demo_model, _demo_cfg(lti_demo_sets)).rows
-        for a in (*lp, F, g0, G):
+        kept = feasibility._cached_rows(lti_demo_model, _demo_cfg(lti_demo_sets))
+        for a in (kept.F_U, kept.g0, kept.G):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
 
@@ -596,15 +595,33 @@ class TestRowsCache:
 def _fresh_solve(kept, b):
     """_solve_lp as it ran before HiGHS instances were kept: a _Highs and a
     HighsLp of its own for every call."""
-    highs = _core._Highs()
+    highs, lp = _core._Highs(), feasibility._highs_lp(kept.F_U)
+    lp.row_upper_ = b
     highs.passOptions(feasibility._highs_options(tuple(feasibility.HIGHS_OPTIONS.items())))
-    highs.passModel(feasibility._highs_lp(kept.rows[0], b))
+    highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
     if status != HighsModelStatus.kOptimal:
         return feasibility._lp_status(status), None, None
     solution = highs.getSolution()
     return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _lp_fields(obj):
+    """The public data fields of a HighsLp, its matrix's included, each as
+    its bytes or, for an enum, its name; mods_ and scale_ expose none."""
+    fields = {}
+    for name in dir(obj):
+        value = getattr(obj, name)
+        if name.startswith("_"):
+            continue
+        if isinstance(value, (list, np.ndarray, int, float, str)):
+            fields[name] = np.asarray(value).tobytes()
+        elif hasattr(value, "name"):
+            fields[name] = value.name
+        else:
+            fields.update({f"{name}.{k}": v for k, v in _lp_fields(value).items()})
+    return fields
 
 
 def _count_highs(monkeypatch):
@@ -645,6 +662,18 @@ class TestKeptHighs:
                 kept = [is_state_feasible(exp.model, exp.mpc, x) for x in states[::step]]
                 fresh = self._fresh_reports(monkeypatch, exp.model, exp.mpc, states[::step])
                 assert _same_reports(kept, fresh)
+
+    def test_kept_lp_equals_fresh(self):
+        # after a whole scan of a config, the kept HighsLp holds what one
+        # built afresh from the kept rows holds, the row bounds aside
+        for exp, states in TestRowsCache._scan(1):
+            for x in states:
+                is_state_feasible(exp.model, exp.mpc, x)
+            kept = feasibility._cached_rows(exp.model, exp.mpc)
+            fields, fresh = _lp_fields(kept.lp), _lp_fields(feasibility._highs_lp(kept.F_U))
+            del fields["row_upper_"], fresh["row_upper_"]
+            assert {"num_row_", "col_lower_", "a_matrix_.value_"} <= fields.keys()
+            assert fields == fresh
 
     def test_interleaved_statuses_equal_fresh(self, monkeypatch):
         demo = cli.demo_config("lmpc-stabilize")
