@@ -232,8 +232,12 @@ def tracking_transform(cfg, model, x_r):
     with X_set, U_set and the terminal set shifted into error coordinates
     x - x_r, u - u_r, and the model that steps the error. An LtiModel is its
     own error model: x - x_r steps by A and B when x_r = A x_r + B u_r.
+    An x_r of the wrong length raises ShapeError, and one holding a NaN or
+    an infinity raises NonFiniteError before any arithmetic.
     """
     x_r = as_vector(x_r, "reference (x_r)", cfg.n)
+    if not np.isfinite(x_r).all():
+        raise NonFiniteError(f"reference (x_r) {x_r} has a NaN or infinite entry")
     X_set, U_set, T = cfg.X_set, cfg.U_set, cfg.terminal_set
     if not polytope_contains(X_set, x_r):
         raise ReferenceInfeasibleError("reference state lies outside the state constraint set")
@@ -312,10 +316,11 @@ def _next_warm(step, cfg, model, is_lti):
     """Shift the step-k solution one block forward as the k+1 initial guess.
 
     Only the primal trajectory is passed on: solve_qp first polishes on the
-    rows at their bounds in the shifted trajectory, which are mostly the next
-    step's active rows, so an LMPC step is usually solved without ADMM
-    iterations. Shifted multipliers saved an NMPC step's first SQP
-    subproblem only 2-6% of the ADMM iterations.
+    rows at their bounds in the shifted trajectory (round 0), which are
+    mostly the next step's active rows, and its active-set rounds correct
+    the rest, so an LMPC step is usually solved by one polish and its
+    ``iterations`` (ADMM iterations only) read 0. Shifted multipliers saved
+    an NMPC step's first SQP subproblem only 2-6% of the ADMM iterations.
     """
     X_s = np.vstack([step.X_star[1:], step.X_star[-1]]).ravel()
     U_s = np.vstack([step.U_star[1:], np.zeros((1, model.m))]).ravel()[:model.m * cfg.N_C]

@@ -22,8 +22,11 @@ one dense LU of its KKT system's equality block by the active F rows.
 
 ADMM's lasting output is an active set: solve_qp polishes on its active rows
 (OSQP, section 4) and returns that point once it passes the termination test.
-It first polishes on the start's active rows, since consecutive MPC steps
-mostly share theirs, so a warm-started step often needs no ADMM iteration.
+It first polishes on the start's active rows (round 0), since consecutive MPC
+steps mostly share theirs. A rejected polished point is still a KKT point of
+its rows, and its violated rows and negative multipliers name the next set to
+try: up to ACTIVE_SET_ROUNDS primal-dual active-set rounds polish on those
+before ADMM runs, so most MPC steps need no ADMM iteration at all.
 """
 
 from dataclasses import dataclass, field
@@ -52,6 +55,11 @@ ALPHA = 1.6
 CHECK_EVERY = 5
 RHO_UPDATE_INTERVAL = 2 * CHECK_EVERY
 EPS_INFEASIBLE = 1e-8
+# Primal-dual active-set rounds after a failed round 0 (Hintermueller, Ito and
+# Kunisch, SIAM J. Optim. 2002): over the seed-1 benchmark episodes a pendulum
+# SQP subproblem needs one or two, a cold LMPC step one to seven; the cap bounds
+# what a QP whose rounds do not settle, an infeasible one say, pays before ADMM.
+ACTIVE_SET_ROUNDS = 20
 
 # LAPACK's double-precision LU routines, looked up once: scipy.linalg's
 # lu_factor/lu_solve look them up again, behind a batching wrapper, on every
@@ -70,7 +78,10 @@ class QpStatus(Enum):
 class SolverSettings:
     """Stopping tolerances and iteration cap of the QP (ADMM) solver.
 
-    solve_nlp passes the same settings on to each of its QP subproblems.
+    max_iter caps ADMM iterations only: round 0 and the active-set rounds
+    before ADMM (solve_qp) do not count against it, and a QP they solve
+    reports 0 iterations. solve_nlp passes the same settings on to each of
+    its QP subproblems.
     A NaN, negative or infinite tolerance, or a max_iter below 1, raises ValueError.
     """
 
@@ -228,26 +239,31 @@ def _violation(r, n_in):
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
-    """Solve the QP by polishing on the start's active rows, then by ADMM;
-    returns a QpSolution.
+    """Solve the QP by polishing on active sets, then by ADMM; returns a
+    QpSolution.
 
     ``warm`` may be a primal vector or a previous QpSolution (primal and
     dual warm start); a cold start is (0, 0). ``workspace`` is a QpWorkspace
     kept between solves of problems that share H, F and F_eq (a closed
     loop's steps); without one the solve builds its own. A warm start of the
     wrong length raises ShapeError. Identical inputs produce bit-identical
-    iterates, with or without a workspace. Round 0 polishes on the start's
-    active rows (_active_rows); a point that passes is OPTIMAL after 0
-    iterations. Otherwise ADMM runs from the start, and termination is
+    iterates, with or without a workspace.
+
+    Round 0 polishes on the start's active rows (_active_rows). Each of up
+    to ACTIVE_SET_ROUNDS later rounds polishes on the F rows that the last
+    rejected polished point (x, y) names, y_i + (F_i x - g_i) > 0 at a
+    finite g_i: a primal-dual active-set step. The rounds end at the first
+    point that passes (_polish), OPTIMAL after 0 iterations, or at a set
+    tried before. Otherwise ADMM runs from the start, and termination is
     tested every CHECK_EVERY iterations and at max_iter, so a solve stops at
     a multiple of CHECK_EVERY or at max_iter. At convergence and at the
     checks numbered by a power of two, the solve polishes on the iterate's
-    active rows unless it polished on the same rows last; the first polished
-    point that passes (_polish), or else a converged iterate, is OPTIMAL,
-    and ``iterations`` counts the ADMM iterations run before it. Raises
-    NonFiniteError when H, F, F_eq, q, the warm start or the start rows
-    (min(F z0, g), g_eq) hold a NaN or an infinity, ShapeError when H is
-    not symmetric and SingularMatrixError when it is not positive
+    active rows unless it has polished on the same rows before; the first
+    polished point that passes, or else a converged iterate, is OPTIMAL.
+    ``iterations`` counts ADMM iterations only, and max_iter caps them
+    alone. Raises NonFiniteError when H, F, F_eq, q, the warm start or the
+    start rows (min(F z0, g), g_eq) hold a NaN or an infinity, ShapeError
+    when H is not symmetric and SingularMatrixError when it is not positive
     semidefinite; the workspace build tests H, F and F_eq (QpWorkspace).
     The reported residuals are the primal violation and the stationarity of
     the returned (z_star, duals). INFEASIBLE needs OSQP's certificate: the
@@ -281,13 +297,21 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     if not np.isfinite(z).all():
         raise NonFiniteError("NaN or infinity in the start rows min(F z0, g), g_eq")
 
-    # round 0: the start's active rows, which consecutive MPC steps mostly
-    # share (Ferreau, Bock and Diehl 2008)
-    tried = _active_rows(ax[:n_in], p.g, y[:n_in])
-    polished = _polish(p, ws, s, u, tried)
-    if polished:
-        x, y, (prim, dual) = polished
-        return QpSolution(x, p.objective(x), QpStatus.OPTIMAL, 0, prim, dual, y)
+    # round 0 on the start's active rows, which consecutive MPC steps mostly
+    # share (Ferreau, Bock and Diehl 2008), then the active-set rounds on the
+    # rows each rejected point names; tried holds every set polished
+    idx, tried, rejected = _active_rows(ax[:n_in], p.g, y[:n_in]), set(), []
+    for _ in range(ACTIVE_SET_ROUNDS + 1):
+        tried.add(idx.tobytes())
+        polished = _polish(p, ws, s, u, idx, rejected)
+        if polished:
+            x, y, (prim, dual) = polished
+            return QpSolution(x, p.objective(x), QpStatus.OPTIMAL, 0, prim, dual, y)
+        if not rejected:
+            break
+        idx = np.flatnonzero((rejected.pop() > 0) & np.isfinite(p.g))
+        if idx.tobytes() in tried:
+            break
 
     rho_base = RHO
     lu, rho = ws.lu, ws.rho
@@ -319,8 +343,9 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         c = it // CHECK_EVERY
         if converged or (it % CHECK_EVERY == 0 and c & (c - 1) == 0):
             idx = _active_rows(ax[:n_in], p.g, y[:n_in])
-            if not np.array_equal(idx, tried):
-                tried, polished = idx, _polish(p, ws, s, u, idx)
+            if idx.tobytes() not in tried:
+                tried.add(idx.tobytes())
+                polished = _polish(p, ws, s, u, idx)
         if converged or polished:
             status = QpStatus.OPTIMAL
             break
@@ -375,12 +400,14 @@ def _accepted(s, r_prim, scale_prim, r_dual, scale_dual):
             and r_dual <= s.eps_abs + s.eps_rel * scale_dual)
 
 
-def _polish(p, ws, s, u, idx):
+def _polish(p, ws, s, u, idx, rejected=None):
     """(x, y, (prim, dual)): the KKT point on every F_eq row and the F rows
     idx, with prim and dual its max-norm violation of F x <= g,
     F_eq x = g_eq and of stationarity P x + q + A'y, when it passes
     _accepted with the scales of its own A x, P x and A'y and its F-row
-    multipliers are >= -1e-7; else None.
+    multipliers are >= -1e-7; else None. A point that fails appends
+    y + (F x - g) over the F rows to the list ``rejected``, when one is
+    given: the active-set rounds of solve_qp take their next rows from it.
 
     The regularized KKT system [K_eq, B'; B, -dI], where
     K_eq = [P + dI, F_eq'; F_eq, -dI] and B holds the k rows idx, gives a
@@ -434,6 +461,8 @@ def _polish(p, ws, s, u, idx):
     if np.all(yh[:n_in] >= -1e-7) \
             and _accepted(s, prim, float(np.abs(ax).max(initial=0.0)), dual, scale_dual):
         return xh, yh, (prim, dual)
+    if rejected is not None:
+        rejected.append(yh[:n_in] + r_prim[:n_in])
     return None
 
 

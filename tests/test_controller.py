@@ -176,20 +176,28 @@ class TestLmpcStep:
             lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
 
     def test_sparse_pool_system_3_polish_attempts(self, monkeypatch):
-        # a step that ADMM cannot end early polishes at most at the checks
-        # numbered by a power of two, and once at convergence
+        # an infeasible step: round 0 and the active-set rounds, which hand
+        # _polish a list for the rejected point, polish at most
+        # 1 + ACTIVE_SET_ROUNDS times; ADMM, which cannot end early, then
+        # polishes at most at the checks numbered by a power of two, and once
+        # at convergence
         _, cfg = self._pool_at_3x("sparse", 3)
-        attempts, sols = [], []
+        in_rounds, at_checks, sols = [], [], []
         polish, solve = qp_solver._polish, controller.solve_qp
-        monkeypatch.setattr(qp_solver, "_polish",
-                            lambda *args: attempts.append(1) or polish(*args))
+
+        def counted(*args):
+            (in_rounds if len(args) == 6 else at_checks).append(1)
+            return polish(*args)
+
+        monkeypatch.setattr(qp_solver, "_polish", counted)
         monkeypatch.setattr(controller, "solve_qp",
                             lambda *args, **kw: sols.append(solve(*args, **kw)) or sols[-1])
         with contextlib.suppress(InfeasibleStepError):
             lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
         checks = sols[0].iterations // qp_solver.CHECK_EVERY
         assert checks > 100
-        assert 1 <= len(attempts) <= int(np.log2(checks)) + 2
+        assert 1 <= len(in_rounds) <= qp_solver.ACTIVE_SET_ROUNDS + 1
+        assert len(at_checks) <= int(np.log2(checks)) + 1
 
     def test_control_horizon_zero_tail(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_C=2)
@@ -429,6 +437,18 @@ class TestRunClosedLoop:
         with pytest.raises(NonFiniteError, match="has a NaN or infinite entry"):
             entry(lti_demo_model, pendulum, _demo_cfg(lti_demo_sets, N_T=5), np.array(x_0))
 
+    # a reference holding a NaN or an infinity is refused as such, before
+    # the containment test, which called a NaN outside X_set and warned on
+    # an infinity
+    @pytest.mark.parametrize("x_r", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0]],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind", ["lti", "pendulum"])
+    def test_non_finite_reference(self, kind, x_r, lti_demo_model, lti_demo_sets, pendulum,
+                                  pendulum_sets):
+        model, sets = (lti_demo_model, lti_demo_sets) if kind == "lti" else (pendulum, pendulum_sets)
+        with pytest.raises(NonFiniteError, match=r"reference \(x_r\) .* has a NaN or infinite entry"):
+            run_closed_loop(model, _demo_cfg(sets, N_T=5), [0.0, 0.0], reference=x_r)
+
     def test_origin_stays_at_origin(self, lti_demo_model, lti_demo_sets):
         cfg = _demo_cfg(lti_demo_sets, N_T=5)
         traj = run_closed_loop(lti_demo_model, cfg, [0.0, 0.0])
@@ -577,7 +597,10 @@ class TestLoopWorkspace:
     @pytest.mark.parametrize("N_C", [None, 5], ids=["N_C=N", "N_C=5"])
     def test_gram_matrix_once_per_loop(self, lti_12_4, monkeypatch, form, N_C):
         # the loop refactors the reduced matrix at adapted step sizes, all
-        # from the Gram matrix its first step formed
+        # from the Gram matrix its first step formed; no polish is accepted,
+        # so neither round 0 nor the active-set rounds end a step, and every
+        # step runs ADMM
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
         model, X_set, U_set, x0 = lti_12_4
         cfg = MpcConfig(N=20, N_T=20, N_C=N_C, Q=np.eye(12), R=0.1 * np.eye(4),
                         X_set=X_set, U_set=U_set, formulation=form)
@@ -705,15 +728,30 @@ class TestDualWarmStart:
 
     @pytest.mark.parametrize("form", ["condensed", "sparse"])
     def test_fewer_iterations_same_inputs(self, lti_12_4, monkeypatch, form):
+        # no step runs an ADMM iteration, warm or cold: the active-set rounds
+        # finish every cold step, so the work a warm start saves is polishes
         model, X_set, U_set, x0 = lti_12_4
         cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
                         U_set=U_set, formulation=form)
+        polish, solve, polishes, per_step = qp_solver._polish, controller.solve_qp, [], []
+
+        def counted_solve(*args, **kw):
+            before = len(polishes)
+            sol = solve(*args, **kw)
+            per_step.append(len(polishes) - before)
+            return sol
+
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: polishes.append(1) or polish(*args))
+        monkeypatch.setattr(controller, "solve_qp", counted_solve)
         warm = run_closed_loop(model, cfg, x0)
+        warm_polishes, per_step = per_step, []
         monkeypatch.setattr(controller, "_next_warm", lambda *args: None)
         cold = run_closed_loop(model, cfg, x0)
-        assert sum(warm.iterations) < sum(cold.iterations)
+        cold_polishes = per_step
+        assert not any(warm.iterations) and not any(cold.iterations)
+        assert sum(warm_polishes) < sum(cold_polishes)
         # the shifted trajectory holds the next step's active rows at every step
-        assert warm.iterations[0] > 0 and not any(warm.iterations[1:])
+        assert warm_polishes[0] > 1 and all(n == 1 for n in warm_polishes[1:])
         assert np.abs(np.array(warm.inputs) - np.array(cold.inputs)).max() <= 1e-4
 
     @pytest.mark.parametrize("kind", ["lti", "nonlinear"])

@@ -128,8 +128,9 @@ class TestSolveQp:
         assert a.iterations == b.iterations
 
     def test_max_iterations_status(self):
-        rng = np.random.default_rng(13)
-        p = random_strictly_convex_qp(rng)
+        # a QP whose active-set rounds end on a repeated set, so ADMM runs
+        p = _drawn_qp(13, 208)
+        assert solve_qp(p).iterations > 2
         sol = solve_qp(p, settings=SolverSettings(max_iter=2))
         assert sol.status is QpStatus.MAX_ITERATIONS
         assert sol.z_star.shape == (p.d,)
@@ -239,6 +240,14 @@ class TestLuWrappers:
             qp_solver.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
+def _drawn_qp(seed, k):
+    """The k-th QP that random_strictly_convex_qp draws from rng(seed)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(k):
+        random_strictly_convex_qp(rng)
+    return random_strictly_convex_qp(rng)
+
+
 def _spurious_multiplier(p, sol, value):
     """A warm start at sol's point whose multipliers add value on the F row
     with the most slack there: round 0 polishes with that row held at its
@@ -249,9 +258,20 @@ def _spurious_multiplier(p, sol, value):
     return dataclasses.replace(sol, duals=duals)
 
 
+def _wrong_start(p, z):
+    """A start at the point z, multiplier 1 on the F row of most slack there
+    and 0 on every other row."""
+    start = QpSolution(z, p.objective(z), QpStatus.OPTIMAL, 0, 0.0, 0.0,
+                       np.zeros(p.F.shape[0] + p.F_eq.shape[0]))
+    return _spurious_multiplier(p, start, 1.0)
+
+
 class TestCheckInterval:
     # needs 102 iterations with a check at every iteration (105 by default)
     P = random_strictly_convex_qp(np.random.default_rng(141))
+    # holding rows 2, 3 and 5 at their bounds gives multipliers near 1e9,
+    # and the active-set rounds from there end on a repeated set
+    CYCLING = _drawn_qp(141, 146)
 
     @pytest.mark.parametrize("max_iter", [5, 10, 50, 55, 100])
     def test_same_iterates_as_checking_every_iteration(self, monkeypatch, max_iter):
@@ -279,13 +299,14 @@ class TestCheckInterval:
     def test_check_at_iteration_cap(self, monkeypatch):
         # a restart from the solution with a spurious 1e-8 multiplier on an
         # inactive row: round 0 holds that row at its bound and rejects the
-        # point, ADMM converges within 3 iterations, below CHECK_EVERY, and
-        # the check at max_iter = 3 reports it
-        warm = _spurious_multiplier(self.P, solve_qp(self.P), 1e-8)
-        sol = solve_qp(self.P, warm=warm, settings=SolverSettings(max_iter=3))
+        # point, the active-set rounds end on a repeated set, ADMM converges
+        # within 3 iterations, below CHECK_EVERY, and the check at
+        # max_iter = 3 reports it
+        warm = _spurious_multiplier(self.CYCLING, solve_qp(self.CYCLING), 1e-8)
+        sol = solve_qp(self.CYCLING, warm=warm, settings=SolverSettings(max_iter=3))
         assert sol.status is QpStatus.OPTIMAL and sol.iterations == 3
         monkeypatch.setattr(qp_solver, "CHECK_EVERY", 1)
-        assert 0 < solve_qp(self.P, warm=warm).iterations <= 3
+        assert 0 < solve_qp(self.CYCLING, warm=warm).iterations <= 3
 
 
 def test_admm_factors_reduced_system(monkeypatch):
@@ -854,11 +875,12 @@ class TestBorderedPolish:
 
 
 def _recorded_polishes(monkeypatch):
-    """Record each qp_solver._polish call as (active F rows, its result)."""
+    """Record each qp_solver._polish call as (active F rows, its result,
+    whether round 0 or an active-set round made it)."""
     calls, polish = [], qp_solver._polish
 
-    def recording(p, ws, s, u, idx):
-        calls.append((idx, polish(p, ws, s, u, idx)))
+    def recording(p, ws, s, u, idx, *rejected):
+        calls.append((idx, polish(p, ws, s, u, idx, *rejected), bool(rejected)))
         return calls[-1][1]
 
     monkeypatch.setattr(qp_solver, "_polish", recording)
@@ -871,18 +893,21 @@ class TestPolishAtChecks:
     passes the termination test."""
 
     def test_wrong_first_active_set_runs_on(self, monkeypatch):
-        # round 0's rows (those at their bound at 0) and the first rows ADMM
-        # polishes on, at a check from iteration CHECK_EVERY on, are not the
-        # optimum's: both polished points fail, ADMM runs on, and a later
-        # active set gives the oracle's answer
+        # round 0's rows (those at their bound at 0), those of the active-set
+        # rounds and the first rows ADMM polishes on, at a check from
+        # iteration CHECK_EVERY on, are not the optimum's: every one of those
+        # polished points fails, ADMM runs on, and a later active set gives
+        # the oracle's answer
         calls = _recorded_polishes(monkeypatch)
         rng = np.random.default_rng(7)
         wrong_first = 0
-        for _ in range(40):
+        for _ in range(2000):
             p = random_strictly_convex_qp(rng)
             calls.clear()
             sol = solve_qp(p)
-            if calls[0][1] is not None or len(calls) < 2 or calls[1][1] is not None:
+            checks = [polished for _, polished, in_rounds in calls if not in_rounds]
+            if any(polished for _, polished, in_rounds in calls if in_rounds) \
+                    or len(checks) < 2 or checks[0] is not None:
                 continue
             wrong_first += 1
             z, obj = solve_oracle(p)
@@ -952,20 +977,23 @@ class TestRoundZero:
         assert len(pairs) >= 40
 
     def test_wrong_active_set_runs_admm(self, monkeypatch):
-        # the oracle's point with a multiplier on the row of most slack:
-        # round 0 holds that row at its bound, its polished point fails, and
-        # ADMM reaches the oracle's answer
+        # the oracle's point with a multiplier on the row of most slack: round 0
+        # holds that row at its bound, its polished point fails, and on these
+        # QPs the active-set rounds end on a repeated set, so ADMM runs and
+        # reaches the oracle's answer, with dense and CSR rows
         calls = _recorded_polishes(monkeypatch)
-        for p, z in self._oracle_qps(41, 30):
-            start = QpSolution(z, p.objective(z), QpStatus.OPTIMAL, 0, 0.0, 0.0,
-                               np.zeros(p.F.shape[0] + p.F_eq.shape[0]))
-            warm = _spurious_multiplier(p, start, 1.0)
-            calls.clear()
-            sol = solve_qp(p, warm=warm)
-            (row,) = np.flatnonzero(warm.duals)
-            assert row in calls[0][0] and calls[0][1] is None
-            assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
-            assert np.abs(sol.z_star - z).max() <= 1e-9
+        for k in (13, 106, 192, 393, 442):
+            q = _drawn_qp(41, k)
+            z, _ = solve_oracle(q)
+            for p in (q, _sparse_rows(q)):
+                warm = _wrong_start(p, z)
+                calls.clear()
+                sol = solve_qp(p, warm=warm)
+                (row,) = np.flatnonzero(warm.duals)
+                assert row in calls[0][0] and calls[0][1] is None and calls[0][2]
+                assert not any(polished for _, polished, in_rounds in calls if in_rounds)
+                assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+                assert np.abs(sol.z_star - z).max() <= 1e-9
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-3])
     def test_returned_points_pass_accept_test(self, eps):
@@ -981,6 +1009,83 @@ class TestRoundZero:
                     assert sol.status is QpStatus.OPTIMAL
                     _assert_passes_accept_test(p, sol, eps)
         assert at_round_0 >= 100
+
+
+class TestActiveSetRounds:
+    """After a failed round 0, solve_qp polishes on the F rows that each
+    rejected point (x, y) names, y_i + (F_i x - g_i) > 0 at a finite g_i,
+    for up to ACTIVE_SET_ROUNDS rounds, and ADMM runs only when they stop
+    on a set tried before or at that cap."""
+
+    def test_wrong_start_solved_by_rounds(self, monkeypatch):
+        # round 0 holds a row of slack at its bound and fails; the rounds
+        # drop it, and their last point is the oracle's, after 0 iterations
+        calls = _recorded_polishes(monkeypatch)
+        pairs = TestRoundZero._oracle_qps(41, 30)
+        solved = {"dense": 0, "csr": 0}
+        for p, z in pairs:
+            calls.clear()
+            sol = solve_qp(p, warm=_wrong_start(p, z))
+            assert calls[0][1] is None
+            if sol.iterations:
+                continue
+            solved["csr" if sparse.issparse(p.F) else "dense"] += 1
+            assert sol.status is QpStatus.OPTIMAL and len(calls) >= 2
+            assert all(in_rounds for _, _, in_rounds in calls)
+            assert sol.z_star is calls[-1][1][0]
+            assert np.abs(sol.z_star - z).max() <= 1e-9
+            assert abs(sol.objective - p.objective(z)) <= 1e-9 * max(1.0, abs(p.objective(z)))
+        assert len(pairs) >= 50 and min(solved.values()) >= 25
+
+    def test_repeated_set_or_cap_falls_back_to_admm(self, monkeypatch):
+        calls = _recorded_polishes(monkeypatch)
+
+        def falls_back(p, rounds):
+            # the rounds make `rounds` polishes, all rejected, then ADMM
+            # reaches the oracle's answer
+            z, obj = solve_oracle(p)
+            for rows in (p, _sparse_rows(p)):
+                calls.clear()
+                sol = solve_qp(rows)
+                in_rounds = [polished for _, polished, r in calls if r]
+                assert rounds(len(in_rounds)) and not any(in_rounds)
+                assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+                assert np.abs(sol.z_star - z).max() <= 1e-9
+                assert abs(sol.objective - obj) <= 1e-9 * max(1.0, abs(obj))
+
+        # a set tried before ends the rounds below the cap
+        for p in (TestCheckInterval.CYCLING, _drawn_qp(13, 208), _drawn_qp(7, 443)):
+            falls_back(p, lambda n: 2 <= n <= qp_solver.ACTIVE_SET_ROUNDS)
+        # QPs that need three or more rounds stop at a cap of one, after
+        # round 0 and one round
+        rng = np.random.default_rng(43)
+        capped, cap = 0, qp_solver.ACTIVE_SET_ROUNDS
+        for q in [random_strictly_convex_qp(rng) for _ in range(60)]:
+            calls.clear()
+            if solve_qp(q).iterations or len(calls) < 4:
+                continue
+            capped += 1
+            monkeypatch.setattr(qp_solver, "ACTIVE_SET_ROUNDS", 1)
+            falls_back(q, lambda n: n == 2)
+            monkeypatch.setattr(qp_solver, "ACTIVE_SET_ROUNDS", cap)
+        assert capped >= 5
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-3])
+    def test_returned_points_pass_accept_test(self, monkeypatch, eps):
+        # cold starts, wrong starts and starts near the solution
+        calls = _recorded_polishes(monkeypatch)
+        settings = SolverSettings(eps_abs=eps, eps_rel=eps)
+        rng = np.random.default_rng(44)
+        by_rounds = 0
+        for p, z in TestRoundZero._oracle_qps(44, 60):
+            for warm in (None, _wrong_start(p, z), z + 1e-2 * rng.normal(size=p.d)):
+                calls.clear()
+                sol = solve_qp(p, warm=warm, settings=settings)
+                if sol.iterations == 0 and len(calls) > 1:
+                    by_rounds += 1
+                    assert sol.status is QpStatus.OPTIMAL and sol.z_star is calls[-1][1][0]
+                    _assert_passes_accept_test(p, sol, eps)
+        assert by_rounds >= 100
 
 
 class TestKktResiduals:
