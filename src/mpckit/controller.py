@@ -156,9 +156,9 @@ class _Workspace:
       (condensed_blocks or sparse_blocks), or NMPC's cost and inequality
       blocks (H, F, g) over z = (X, U), U the first m N_C inputs, with the
       Jacobian map of build_feq_jacobian;
-    - ``qp``: LMPC's QpWorkspace (stacked rows, P, the Gram matrix of the
-      rows and the factor at RHO); NMPC leaves it unused, since solve_nlp
-      builds one per SQP subproblem.
+    - ``qp``: the loop's QpWorkspace. LMPC's steps share all of it; NMPC's
+      SQP subproblems share its H/F part (P and the checks of H and F), and
+      each rebuilds its F_eq part from that iteration's Jacobian.
     Later steps only evaluate the blocks at x_k. A step called without one
     builds everything afresh.
     """
@@ -212,7 +212,7 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     if warm is None:
         warm = np.concatenate([np.tile(x_k, N + 1), np.zeros(d - nX)])
     # solve_nlp raises ShapeError on a warm start of the wrong length
-    sol = solve_nlp(p, warm, settings=cfg.settings)
+    sol = solve_nlp(p, warm, settings=cfg.settings, workspace=ws.qp)
     return _step_result(pad_inputs(sol.z_star[nX:], N, m),
                         sol.z_star[:nX].reshape(N + 1, n), sol)
 

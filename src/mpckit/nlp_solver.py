@@ -11,7 +11,7 @@ from . import numerics
 from .exceptions import ShapeError
 from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
                        finite_diff_jacobian, pad_inputs)
-from .qp_solver import QpProblem, QpStatus, SolverSettings, solve_qp
+from .qp_solver import QpProblem, QpStatus, QpWorkspace, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
 # line-search backtracks, Armijo constant and the l1 penalty on elastic slack.
@@ -158,14 +158,20 @@ def _merit(p, z, c_norm1, mu):
     return p.objective(z) + mu * c_norm1
 
 
-def solve_nlp(p, z0, settings=None):
+def solve_nlp(p, z0, settings=None, workspace=None):
     """SQP with an l1 merit line search; subproblems go through solve_qp.
 
     Infeasible linearizations are retried with elastic slack on the
     equality rows (flagged in the returned solution). ``settings`` apply to
-    every QP subproblem.
+    every QP subproblem. ``workspace`` is a QpWorkspace for the plain
+    subproblems, as in solve_qp: they share p.H and p.F, so its H/F part is
+    built once, kept across calls that pass it (an NMPC closed loop's steps),
+    and only its F_eq part follows each iteration's Jacobian. Without one
+    the call builds its own. The elastic subproblem, whose H is larger,
+    builds a workspace each time.
     """
     s = settings or SolverSettings()
+    ws = workspace if workspace is not None else QpWorkspace()
     z = as_vector(z0, "z0").copy()
     if z.shape[0] != p.d:
         raise ShapeError(f"z0 has length {z.shape[0]}, expected {p.d}")
@@ -190,7 +196,7 @@ def solve_nlp(p, z0, settings=None):
         slack = p.g - p.F @ z
         # subproblem in the step: min s'Hs + (2Hz+q)'s  s.t. Fs <= g-Fz, Js = -c
         sub = QpProblem(H=p.H, q=grad, F=p.F, g=slack, F_eq=J, g_eq=-c)
-        sol = solve_qp(sub, warm=qp_warm, settings=s)
+        sol = solve_qp(sub, warm=qp_warm, settings=s, workspace=ws)
         if sol.status is QpStatus.INFEASIBLE:
             elastic_used = True
             sol = _solve_elastic(p, grad, slack, J, c, s)

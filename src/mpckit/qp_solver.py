@@ -10,14 +10,15 @@ as A = [F; F_eq], u = [g; g_eq], and the solver alternates one d x d linear
 solve with P + sigma I + A' diag(rho) A (OSQP's reduced form of the KKT
 system) with a projection onto the rows: min(., g) on F, g_eq on F_eq. The
 step size is rho = rho_base s, s a fixed per-row scale, so the reduced matrix
-is P + sigma I + rho_base G with the Gram matrix G = A' diag(s) A formed
-once; a change of rho_base costs one scaled add and one LU. A QpWorkspace
-keeps what depends on H, F and F_eq alone across the solves that share them,
-as the steps of a closed loop do.
+is P + sigma I + rho_base G with the Gram matrix G = A' diag(s) A, formed
+when ADMM first runs; a change of rho_base costs one scaled add and one LU.
+A QpWorkspace keeps what depends on H and F, and what F_eq adds, across the
+solves that share them: the steps of a closed loop, or an SQP loop's
+subproblems, whose linearized dynamics F_eq change while H and F do not.
 
 F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 them; A is then CSR too and every product with A or A' costs its non-zeros.
-G is densified once, for LAPACK's LU of the reduced matrix; polishing borders
+G is dense, for LAPACK's LU of the reduced matrix; polishing borders
 one dense LU of its KKT system's equality block by the active F rows.
 
 ADMM's lasting output is an active set: solve_qp polishes on its active rows
@@ -170,9 +171,10 @@ def _factor(G, P_sigma, rho_base):
     """LU factor of the reduced matrix P + SIGMA I + A' diag(rho_base s) A
     as rho_base G + P_sigma, G = A' diag(s) A: no product with A.
 
-    QpWorkspace.build has tested H, F and F_eq for finiteness and P_sigma
-    for definiteness, so the matrix is regular; a rho_base G that overflows
-    still reaches lu_factor, which rejects it.
+    QpWorkspace.build has tested H, F and F_eq for finiteness, P_sigma for
+    definiteness and the diagonal at RHO, so the matrix is regular; a
+    rho_base G that overflows at a larger rho_base still reaches lu_factor,
+    which rejects it.
     """
     M = rho_base * G
     M += P_sigma
@@ -180,24 +182,29 @@ def _factor(G, P_sigma, rho_base):
 
 
 class QpWorkspace:
-    """What a solve takes from H, F and F_eq alone: the stacked rows
+    """What a solve takes from H, F and F_eq alone, in two parts.
+
+    The H/F part, kept while H and F are the very arrays it was built from:
+    P = 2H and P_sigma = P + SIGMA I, after H and F are tested for NaN or
+    infinity (NonFiniteError), H for symmetry to SYMMETRY_TOL (ShapeError)
+    and P_sigma for a Cholesky factor (SingularMatrixError: the rows can
+    make the reduced matrix regular for an H that is not positive
+    semidefinite, and ADMM would then diverge).
+    The F_eq part, rebuilt when F_eq changes too: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
-    a sparse one), the per-row step-size scale s (the F_eq rows get 1e3),
-    P = 2H, P_sigma = P + SIGMA I, the dense Gram matrix G = A' diag(s) A,
-    the factor of the reduced matrix at rho = RHO s and, once a solve has
-    polished, keq: the LU of the polish system's equality block (see
-    _polish).
+    a sparse one), after F_eq is tested for NaN or infinity; the per-row
+    step-size scale s (the F_eq rows get 1e3) and rho = RHO s. Its build
+    also tests the diagonal of the reduced matrix at RHO, which bounds every
+    entry of that positive definite matrix, so a Gram matrix that overflows
+    raises NonFiniteError before any solve.
+    Solves fill the rest on first use: keq, the LU of the polish system's
+    equality block (see _polish), and, once ADMM runs, the dense Gram matrix
+    G = A' diag(s) A and lu, the factor of the reduced matrix at RHO.
 
     solve_qp builds it on first use and reuses it while H, F and F_eq are
     the very arrays it was built from. Nothing in it depends on a solve's
     data or iterates, so a reused workspace gives the same bits as a fresh
-    one. A build checks its input before its first factor: NaN or infinity
-    in H, F or F_eq raises NonFiniteError, an H that is not symmetric to
-    SYMMETRY_TOL raises ShapeError, and a P + SIGMA I with no Cholesky
-    factor raises SingularMatrixError, since the rows can make the reduced
-    matrix regular for an H that is not positive semidefinite, and ADMM
-    would then diverge; a G that overflows makes the factor at RHO raise
-    NonFiniteError. A build that raises leaves the workspace as it was.
+    one. A build that raises leaves the workspace as it was.
     """
 
     def __init__(self):
@@ -208,28 +215,32 @@ class QpWorkspace:
                 and _same_block(self.F_eq, p.F_eq))
 
     def build(self, p):
-        rows_sparse = sparse.issparse(p.F) or sparse.issparse(p.F_eq)
-        if rows_sparse:
+        kept = self.H is p.H and _same_block(self.F, p.F)
+        if not all(np.isfinite(M.data if sparse.issparse(M) else M).all()
+                   for M in ((p.F_eq,) if kept else (p.H, p.F, p.F_eq))):
+            raise NonFiniteError("NaN or infinity in H, F or F_eq")
+        if kept:
+            P, P_sigma = self.P, self.P_sigma
+        else:
+            if np.abs(p.H - p.H.T).max() > SYMMETRY_TOL:
+                raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
+            P = 2.0 * p.H
+            P_sigma = P + SIGMA * np.eye(p.d)
+            if _potrf(P_sigma)[1] > 0:
+                raise SingularMatrixError("P + sigma I has no Cholesky factor: "
+                                          "H is not positive semidefinite")
+        if sparse.issparse(p.F) or sparse.issparse(p.F_eq):
             A = sparse.vstack([p.F, p.F_eq], format="csr")
             At = A.T.tocsr()
         else:
             A = np.vstack([p.F, p.F_eq])
             At = A.T
-        if not (np.isfinite(p.H).all() and np.isfinite(A.data if rows_sparse else A).all()):
-            raise NonFiniteError("NaN or infinity in H, F or F_eq")
-        if np.abs(p.H - p.H.T).max() > SYMMETRY_TOL:
-            raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
-        P = 2.0 * p.H
-        P_sigma = P + SIGMA * np.eye(p.d)
-        if _potrf(P_sigma)[1] > 0:
-            raise SingularMatrixError("P + sigma I has no Cholesky factor: "
-                                      "H is not positive semidefinite")
         rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        G = _dense((At * rho_scale) @ A)
-        lu = _factor(G, P_sigma, RHO)
-        (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma, self.G,
-         self.rho_scale, self.rho, self.lu, self.keq) = \
-            p.H, p.F, p.F_eq, A, At, P, P_sigma, G, rho_scale, RHO * rho_scale, lu, None
+        if not np.isfinite(RHO * ((At ** 2) @ rho_scale) + P_sigma.diagonal()).all():
+            raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
+        (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma,
+         self.rho_scale, self.rho, self.G, self.lu, self.keq) = \
+            p.H, p.F, p.F_eq, A, At, P, P_sigma, rho_scale, RHO * rho_scale, None, None, None
 
 
 def _violation(r, n_in):
@@ -314,6 +325,9 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
             break
 
     rho_base = RHO
+    if ws.lu is None:
+        G = _dense((At * rho_scale) @ A)
+        ws.G, ws.lu = G, _factor(G, ws.P_sigma, RHO)
     lu, rho = ws.lu, ws.rho
     q_norm = float(np.abs(q).max(initial=0.0))
 

@@ -13,7 +13,7 @@ from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     ShapeError, SolverSettings, Trajectory, is_control_sequence_feasible,
                     is_state_feasible, lmpc_step, lti_as_nonlinear, nmpc_step,
                     persistent_feasibility_check, run_closed_loop, tracking_transform)
-from mpckit import cli, controller, qp_solver
+from mpckit import cli, controller, nlp_solver, qp_solver
 from mpckit.condense import (build_prediction, build_weights, condensed_blocks,
                              stack_constraints)
 from mpckit.model import (LtiModel, NonlinearModel, PendulumParams, Polytope,
@@ -572,6 +572,9 @@ class TestLoopWorkspace:
 
     @pytest.mark.parametrize("N_C", [None, 2], ids=["N_C=N", "N_C=2"])
     def test_factor_at_initial_rho_once_per_loop(self, monkeypatch, N_C):
+        # the reduced matrix at RHO is factored when ADMM first runs: never in
+        # the lmpc-stabilize loop, whose steps all end on a polished point,
+        # and once in the loop when polishing is off and every step runs ADMM
         exp = cli.demo_config("lmpc-stabilize")
         cfg = replace(exp.mpc, N_C=N_C)
         factored = []
@@ -582,16 +585,21 @@ class TestLoopWorkspace:
 
         lu_factor = qp_solver.lu_factor
         monkeypatch.setattr(qp_solver, "lu_factor", recording_lu_factor)
-        traj = run_closed_loop(exp.model, cfg, exp.initial_state)
         pm = build_prediction(exp.model, cfg.N)
         w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
         c = stack_constraints(cfg.X_set, cfg.U_set, None, cfg.N)
         H, _, _, F, _, _ = condensed_blocks(pm, w, c, cfg.N_C)
         at_rho = 2.0 * H + qp_solver.SIGMA * np.eye(H.shape[0]) \
             + qp_solver.RHO * F.T @ F
-        assert len(traj) == 50
-        assert sum(np.allclose(M, at_rho, rtol=1e-12, atol=0.0)
-                   for M in factored if M.shape == at_rho.shape) == 1
+        counts = []
+        for polish in (qp_solver._polish, lambda *args: None):
+            monkeypatch.setattr(qp_solver, "_polish", polish)
+            factored.clear()
+            traj = run_closed_loop(exp.model, cfg, exp.initial_state)
+            assert len(traj) == 50
+            counts.append(sum(np.allclose(M, at_rho, rtol=1e-12, atol=0.0)
+                              for M in factored if M.shape == at_rho.shape))
+        assert counts == [0, 1]
 
     @pytest.mark.parametrize("form", ["condensed", "sparse"])
     @pytest.mark.parametrize("N_C", [None, 5], ids=["N_C=N", "N_C=5"])
@@ -664,7 +672,8 @@ class TestLoopWorkspace:
     def test_workspace_keeps_no_solve_history(self, monkeypatch, form):
         # the lmpc-stabilize loop polishes on the same non-empty active set
         # at several steps; its QP workspace holds only what the build sets
-        # and K_eq's LU, and each step equals a fresh-workspace step
+        # and K_eq's LU, with G and the factor at RHO unformed since no step
+        # runs ADMM, and each step equals a fresh-workspace step
         exp = cli.demo_config("lmpc-stabilize")
         cfg = replace(exp.mpc, formulation=form)
         step = controller.lmpc_step
@@ -675,6 +684,7 @@ class TestLoopWorkspace:
             out = step(model, cfg, x_k, warm=warm, _ws=_ws)
             fresh = step(model, cfg, x_k, warm=warm)
             assert set(vars(_ws.qp)) == fields and len(_ws.qp.keq) == 2
+            assert _ws.qp.G is None and _ws.qp.lu is None
             for a, b in ((out.solution, fresh.solution), (out, fresh)):
                 for key, value in vars(a).items():
                     if key != "solution":
@@ -688,6 +698,72 @@ class TestLoopWorkspace:
         assert len(traj) == len(active_sets) == 50
         repeated = [a for a in set(active_sets) if a and active_sets.count(a) > 1]
         assert repeated
+
+    @pytest.mark.parametrize("polish", [True, False], ids=["polish", "no-polish"])
+    @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])
+    @pytest.mark.parametrize("demo", ["nmpc-stabilize", "nmpc-track"])
+    def test_nmpc_steps_match_fresh_steps(self, monkeypatch, demo, jacobian, polish):
+        # one QP workspace serves the whole NMPC loop: each step equals the
+        # same step with a fresh workspace, bit for bit; H and F are checked
+        # (potrf) once per loop, and the reduced matrix at RHO is factored
+        # once by each subproblem that reaches ADMM and by no other; with
+        # polishing on, none does, and with it off (a 10-step loop) all do
+        exp = cli.demo_config(demo)
+        model, cfg = exp.model, exp.mpc
+        if jacobian == "finite-difference":
+            model = replace(model, jac_x=None, jac_u=None)
+        if not polish:
+            monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+            cfg = replace(cfg, N_T=10)
+        step, potrf, factor, solve = (controller.nmpc_step, qp_solver._potrf,
+                                      qp_solver._factor, nlp_solver.solve_qp)
+        potrfs, at_rho, admm, kept = [], [], [], [True]
+        monkeypatch.setattr(qp_solver, "_potrf", lambda M: kept[0] and potrfs.append(1) or potrf(M))
+        monkeypatch.setattr(qp_solver, "_factor", lambda G, P_sigma, rho_base: (
+            kept[0] and rho_base == qp_solver.RHO and at_rho.append(1)
+            or factor(G, P_sigma, rho_base)))
+
+        def counted_solve(*args, **kw):
+            sol = solve(*args, **kw)
+            if kept[0] and sol.iterations > 0:
+                admm.append(1)
+            return sol
+
+        def checked_step(model, cfg, x_k, warm=None, _ws=None):
+            kept[0] = True
+            out = step(model, cfg, x_k, warm=warm, _ws=_ws)
+            kept[0] = False
+            fresh = step(model, cfg, x_k, warm=warm)
+            for a, b in ((out.solution, fresh.solution), (out, fresh)):
+                for key, value in vars(a).items():
+                    if key != "solution":
+                        assert np.array_equal(value, getattr(b, key)), key
+            return out
+
+        monkeypatch.setattr(nlp_solver, "solve_qp", counted_solve)
+        monkeypatch.setattr(controller, "nmpc_step", checked_step)
+        traj = run_closed_loop(model, cfg, exp.initial_state, exp.reference)
+        assert len(traj) == cfg.N_T
+        assert len(potrfs) == 1
+        assert len(at_rho) == len(admm)
+        assert len(admm) == (0 if polish else sum(traj.iterations))
+
+    def test_nan_jacobian_at_a_later_step_rejected(self, pendulum_sets):
+        # the loop's workspace keeps its H/F part, and still tests each
+        # subproblem's F_eq, the Jacobian rows, for NaN
+        base = pendulum_model(PendulumParams())
+        nan = [False]
+        model = replace(base, jac_x=lambda x, u: np.full_like(base.jac_x(x, u), np.nan)
+                        if nan[0] else base.jac_x(x, u))
+        cfg = _demo_cfg(pendulum_sets, N_T=8)
+        ws, x = controller._Workspace(), np.array([0.6, -0.4])
+        for _ in range(3):
+            x = model.step(x, nmpc_step(model, cfg, x, _ws=ws).u_k)
+        H = ws.qp.H
+        nan[0] = True
+        with pytest.raises(NonFiniteError, match="NaN or infinity in H, F or F_eq"):
+            nmpc_step(model, cfg, x, _ws=ws)
+        assert ws.qp.H is H is ws.blocks[0]
 
     @pytest.mark.parametrize("kind", ["condensed", "sparse", "nmpc", "nmpc-derivative-free"])
     def test_builders_once_per_loop(self, lti_demo_sets, pendulum_sets, monkeypatch, kind):

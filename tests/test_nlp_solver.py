@@ -10,6 +10,7 @@ from mpckit import (MpcConfig, NlpProblem, NlpStatus, QpProblem, ShapeError,
 from mpckit.model import LtiModel, NonlinearModel, PendulumParams, pendulum_model, pendulum_step
 from mpckit.nlp_solver import SQP_TOL
 from mpckit.numerics import finite_diff_jacobian
+from mpckit.qp_solver import QpWorkspace
 
 
 def _rollout_z(model, x_k, U):
@@ -336,6 +337,17 @@ class TestSolveNlp:
                          residual=lambda z: np.array([z[0] - 5.0]))
         sol = solve_nlp(nlp, np.zeros(1))
         assert sol.elastic_used
+
+    def test_elastic_relaxation_with_workspace(self):
+        # the same NlpSolution with a kept workspace, which the plain
+        # subproblems share: their ADMM runs form its factor at RHO
+        nlp = NlpProblem(H=[[1.0]], F=[[1.0]], g=[0.0],
+                         residual=lambda z: np.array([z[0] - 5.0]))
+        ws = QpWorkspace()
+        kept, fresh = solve_nlp(nlp, np.zeros(1), workspace=ws), solve_nlp(nlp, np.zeros(1))
+        assert kept.elastic_used and ws.H is nlp.H and ws.lu is not None
+        for key, value in vars(fresh).items():
+            assert np.array_equal(getattr(kept, key), value), key
 
     def test_elastic_penalty_from_equality_multipliers(self):
         # the first subproblem is infeasible; the merit penalty comes from

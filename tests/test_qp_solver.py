@@ -310,9 +310,10 @@ class TestCheckInterval:
 
 
 def test_admm_factors_reduced_system(monkeypatch):
-    # 40 rows on 3 variables, none active at the optimum: the ADMM step
-    # factors only the d x d reduced matrix, and polishing on the empty
-    # active set factors P + 1e-9 I once
+    # 40 rows on 3 variables, none active at the optimum: round 0 polishes
+    # on the empty active set, which factors P + 1e-9 I once, and nothing is
+    # factored at RHO; with polishing off, ADMM runs and factors only the
+    # d x d reduced matrix
     factored = []
     lu_factor = qp_solver.lu_factor
 
@@ -324,13 +325,20 @@ def test_admm_factors_reduced_system(monkeypatch):
     rng = np.random.default_rng(15)
     F = rng.normal(size=(40, 3))
     g = np.abs(F).sum(axis=1) + 1.0   # every row holds with slack on |z| <= 1
-    sol = solve_qp(QpProblem(H=np.eye(3), q=[-1.0, 0.5, 0.0], F=F, g=g))
-    assert sol.status is QpStatus.OPTIMAL
-    assert np.abs(sol.z_star - [0.5, -0.25, 0.0]).max() < 1e-6
+    p = QpProblem(H=np.eye(3), q=[-1.0, 0.5, 0.0], F=F, g=g)
     polish = 2.0 * np.eye(3) + 1e-9 * np.eye(3)
-    reduced = [M for M in factored if not np.array_equal(M, polish)]
-    assert reduced and all(M.shape == (3, 3) for M in reduced)
-    assert len(factored) - len(reduced) == 1
+    sol = solve_qp(p)
+    assert sol.status is QpStatus.OPTIMAL and sol.iterations == 0
+    assert np.abs(sol.z_star - [0.5, -0.25, 0.0]).max() < 1e-6
+    assert len(factored) == 1 and np.array_equal(factored[0], polish)
+    factored.clear()
+    monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+    sol = solve_qp(p)
+    assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+    assert np.abs(sol.z_star - [0.5, -0.25, 0.0]).max() < 1e-6
+    assert factored and all(M.shape == (3, 3) for M in factored)
+    at_rho = 2.0 * np.eye(3) + qp_solver.SIGMA * np.eye(3) + qp_solver.RHO * F.T @ F
+    assert np.allclose(factored[0], at_rho, rtol=1e-12, atol=0.0)
 
 
 # Entries are multiples of 1/8 in [-1, 1]: data on the scale of eps_abs
@@ -457,9 +465,11 @@ class TestWorkspace:
         kept = solve_qp(moved, workspace=ws)
         reused = len(factors)
         assert self._same(kept, solve_qp(moved))
-        # a fresh solve makes the reused one's factors, plus the reduced
-        # matrix at RHO and the polish factor of K_eq = P + 1e-9 I
-        assert len(factors) == 2 * reused + 2
+        # a fresh solve makes the reused one's factors, plus the polish
+        # factor of K_eq = P + 1e-9 I; neither solve reaches ADMM, so neither
+        # factors the reduced matrix at RHO
+        assert len(factors) == 2 * reused + 1
+        assert kept.iterations == 0 and ws.lu is None
         # equal values in other arrays, or other values, get a fresh build
         for p in (QpProblem(H=H.copy(), q=[1.0, -3.0], F=F, g=[0.5, 0.2]),
                   QpProblem(H=H, q=[1.0, -3.0], F=2.0 * F, g=[0.5, 0.2]),
@@ -538,13 +548,17 @@ class TestSparseRows:
             assert _rel_close(b.duals, a.duals, 1e-9)
 
     def test_reduced_matrices_match_dense_rows(self, lti_12_4, monkeypatch):
-        reduced = []
-        monkeypatch.setattr(qp_solver, "lu_factor", lambda M: reduced.append(M) or (M, None))
+        # the reduced matrix at RHO, factored when ADMM first runs: with
+        # polishing off, the only factor of a one-iteration solve
+        reduced, lu_factor = [], qp_solver.lu_factor
+        monkeypatch.setattr(qp_solver, "lu_factor", lambda M: reduced.append(M.copy()) or lu_factor(M))
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
         for dense, csr in _pairs(lti_12_4):
+            reduced.clear()
             for p in (dense, csr):
-                qp_solver.QpWorkspace().build(p)
-            assert reduced[-2].shape == (dense.d, dense.d)
-            assert _rel_close(reduced[-1], reduced[-2], 1e-12)
+                solve_qp(p, settings=SolverSettings(max_iter=1))
+            assert len(reduced) == 2 and reduced[0].shape == (dense.d, dense.d)
+            assert _rel_close(reduced[1], reduced[0], 1e-12)
 
     def test_reduced_matrices_at_every_rho(self, lti_12_4, monkeypatch):
         # RHO far from balance forces step-size updates; every reduced matrix
