@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     InvalidWeightError, MpcConfig, NonFiniteError, ReferenceInfeasibleError,
@@ -672,18 +673,22 @@ class TestLoopWorkspace:
     def test_workspace_keeps_no_solve_history(self, monkeypatch, form):
         # the lmpc-stabilize loop polishes on the same non-empty active set
         # at several steps; its QP workspace holds only what the build sets
-        # and K_eq's LU, with G and the factor at RHO unformed since no step
-        # runs ADMM, and each step equals a fresh-workspace step
+        # and K_eq's factor, the very object lu_factor returned for it, with
+        # G and the factor at RHO unformed since no step runs ADMM, and each
+        # step equals a fresh-workspace step
         exp = cli.demo_config("lmpc-stabilize")
         cfg = replace(exp.mpc, formulation=form)
-        step = controller.lmpc_step
+        step, lu_factor = controller.lmpc_step, qp_solver.lu_factor
         fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "rho", "lu", "keq"}
-        active_sets = []
+        active_sets, factors = [], []
+        monkeypatch.setattr(qp_solver, "lu_factor",
+                            lambda M: factors.append(lu_factor(M)) or factors[-1])
 
         def checked_step(model, cfg, x_k, warm=None, _ws=None):
             out = step(model, cfg, x_k, warm=warm, _ws=_ws)
             fresh = step(model, cfg, x_k, warm=warm)
-            assert set(vars(_ws.qp)) == fields and len(_ws.qp.keq) == 2
+            assert set(vars(_ws.qp)) == fields
+            assert any(_ws.qp.keq is f for f in factors)
             assert _ws.qp.G is None and _ws.qp.lu is None
             for a, b in ((out.solution, fresh.solution), (out, fresh)):
                 for key, value in vars(a).items():
@@ -698,6 +703,34 @@ class TestLoopWorkspace:
         assert len(traj) == len(active_sets) == 50
         repeated = [a for a in set(active_sets) if a and active_sets.count(a) > 1]
         assert repeated
+
+    @pytest.mark.parametrize("demo, form", [
+        ("lmpc-stabilize", "sparse"),
+        ("lmpc-track", "sparse"),
+        ("lmpc-stabilize", "condensed"),
+        ("nmpc-stabilize", None),
+        ("nmpc-track", None),
+    ])
+    def test_keq_stored_as_rows_are(self, monkeypatch, demo, form):
+        # the sparse form's CSR rows give a scipy.sparse K_eq, factored once
+        # per loop; every other factor there (S of the bordered polish) and
+        # every factor of a condensed or NMPC loop, whose rows are dense,
+        # takes an ndarray
+        exp = cli.demo_config(demo)
+        cfg = exp.mpc if form is None else replace(exp.mpc, formulation=form)
+        lu_factor, factored = qp_solver.lu_factor, []
+        monkeypatch.setattr(qp_solver, "lu_factor",
+                            lambda M: factored.append(M) or lu_factor(M))
+        controller.run_closed_loop(exp.model, cfg, exp.initial_state, exp.reference)
+        stored = [M for M in factored if sparse.issparse(M)]
+        assert factored and all(sparse.issparse(M) or isinstance(M, np.ndarray)
+                                for M in factored)
+        if form == "sparse":
+            n, m = cfg.n, cfg.m
+            keq_rows = n * (cfg.N + 1) + m * cfg.N + n * (cfg.N + 1)
+            assert [M.shape for M in stored] == [(keq_rows, keq_rows)]
+        else:
+            assert stored == []
 
     @pytest.mark.parametrize("polish", [True, False], ids=["polish", "no-polish"])
     @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])

@@ -239,6 +239,37 @@ class TestLuWrappers:
         with pytest.raises(SingularMatrixError):
             qp_solver.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_sparse_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            qp_solver.lu_factor(sparse.csc_array(np.array([[1.0, 0.0], [bad, 1.0]])))
+
+    @pytest.mark.parametrize("M", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [3.0, 0.0, 1.0]],    # an empty column
+    ], ids=["rank-one", "empty-column"])
+    def test_sparse_singular_rejected(self, M):
+        # SuperLU's RuntimeError never leaves qp_solver
+        with pytest.raises(SingularMatrixError) as err:
+            qp_solver.lu_factor(sparse.csc_array(np.array(M)))
+        assert not isinstance(err.value, RuntimeError)
+
+    def test_sparse_matches_dense(self):
+        # K_eq-like quasi-definite matrices and general ones, one and several
+        # right-hand sides; a CSR matrix is factored as its CSC copy
+        rng = np.random.default_rng(23)
+        for d, n_eq in [(1, 0), (5, 2), (20, 8), (60, 30)]:
+            P = rng.normal(size=(d, d))
+            F_eq = rng.normal(size=(n_eq, d)) * (rng.random((n_eq, d)) < 0.3)
+            K = np.block([[P @ P.T + 1e-9 * np.eye(d), F_eq.T], [F_eq, -1e-9 * np.eye(n_eq)]])
+            for M in (K, rng.normal(size=K.shape) * (rng.random(K.shape) < 0.4) + np.eye(len(K))):
+                dense = qp_solver.lu_factor(M)
+                for fmt in (sparse.csc_array, sparse.csr_array):
+                    lu = qp_solver.lu_factor(fmt(M))
+                    for b in (rng.normal(size=len(M)), rng.normal(size=(len(M), 3))):
+                        assert _rel_close(qp_solver.lu_solve(lu, b),
+                                          qp_solver.lu_solve(dense, b), 1e-12)
+
 
 def _drawn_qp(seed, k):
     """The k-th QP that random_strictly_convex_qp draws from rng(seed)."""
@@ -654,6 +685,32 @@ class TestPolishFactor:
         assert np.array_equal(got.z_star, fresh.z_star)
         assert np.array_equal(got.duals, fresh.duals)
         assert got.iterations == fresh.iterations
+
+    @pytest.mark.parametrize("rows", ["dense", "csr"])
+    def test_singular_keq_falls_back_to_admm(self, monkeypatch, rows):
+        # K_eq reaches lu_factor as an ndarray or as a scipy.sparse matrix, as
+        # the QP's rows are stored; either way a SingularMatrixError from its
+        # factor leaves no polish, and the solve returns ADMM's converged iterate
+        p = self._box(1.0)
+        if rows == "csr":
+            p = _sparse_rows(p)
+        lu_factor, kinds = qp_solver.lu_factor, []
+
+        def singular_keq(M):
+            if M.shape[0] == p.d + 1:
+                kinds.append(sparse.issparse(M))
+                raise SingularMatrixError("singular")
+            return lu_factor(M)
+
+        monkeypatch.setattr(qp_solver, "lu_factor", singular_keq)
+        sol = solve_qp(p)
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+        unpolished = solve_qp(p)
+        assert kinds and set(kinds) == {rows == "csr"}
+        assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+        assert sol.iterations == unpolished.iterations
+        assert np.array_equal(sol.z_star, unpolished.z_star)
+        assert np.array_equal(sol.duals, unpolished.duals)
 
     def test_factor_that_raised_is_not_kept(self, monkeypatch):
         # one active F row: the polish factors the 3 x 3 K_eq, then the 1 x 1
