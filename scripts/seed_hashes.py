@@ -1,6 +1,6 @@
 """Print sha256 prefixes of the seed-1 benchmark episodes' closed loops.
 
-    python3 scripts/seed_hashes.py [--seed S]
+    python3 scripts/seed_hashes.py
 
 Run from the repository root; mpckit is imported from ./src and the
 episodes from bench/workloads.py, as bench/run.py builds them. Each line
@@ -22,7 +22,6 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
 
-import argparse
 import dataclasses
 import hashlib
 import json
@@ -36,6 +35,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 import workloads  # noqa: E402
 from mpckit import cli  # noqa: E402
 
+SEED = 1
 LMPC_EPISODES = 16
 PEND_EPISODES = 24
 
@@ -58,19 +58,16 @@ def family_hash(specs):
     return h.hexdigest()
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=1)
-    args = ap.parse_args(argv)
+def main():
     families = {
-        "condensed": [workloads.lmpc_episode(args.seed, i, "condensed")
+        "condensed": [workloads.lmpc_episode(SEED, i, "condensed")
                       for i in range(LMPC_EPISODES)],
-        "sparse": [workloads.lmpc_episode(args.seed, i, "sparse")
+        "sparse": [workloads.lmpc_episode(SEED, i, "sparse")
                    for i in range(LMPC_EPISODES)],
-        "pendulum": [workloads.pendulum_episode(args.seed, i) for i in range(PEND_EPISODES)],
+        "pendulum": [workloads.pendulum_episode(SEED, i) for i in range(PEND_EPISODES)],
     }
     for name, specs in families.items():
-        print(f"{name} seed {args.seed} episodes 0-{len(specs) - 1}: "
+        print(f"{name} seed-1 episodes 0-{len(specs) - 1}: "
               f"sha256 {family_hash(specs)[:8]}")
 
 
