@@ -120,20 +120,10 @@ def _phase1(model, cfg, states):
     return reports
 
 
-def _rows_key(model, cfg):
-    """The content of everything _phase1_rows reads; each array enters with
-    its shape, dtype and bytes, so an in-place edit changes the key."""
-    T = cfg.terminal_set
-    arrays = [model.A, model.B, cfg.X_set.F, cfg.X_set.g, cfg.U_set.F, cfg.U_set.g]
-    if T is not None:
-        arrays += [T.F, T.g]
-    return (cfg.N, cfg.N_C) + tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
-
-
 class _Kept(NamedTuple):
     """What a thread keeps for the last config it checked: its content key
-    (_rows_key), its rows (_phase1_rows), and the _Highs that solves its LP
-    with the HighsLp lp (_highs_lp), whose row bounds each check sets."""
+    and rows (_cached_rows), and the _Highs that solves its LP with the
+    HighsLp lp (_highs_lp), whose row bounds each check sets."""
     key: tuple
     F_U: np.ndarray
     g0: np.ndarray
@@ -149,27 +139,26 @@ _kept = threading.local()
 
 def _cached_rows(model, cfg):
     """The calling thread's _Kept entry for (model, cfg), built again only
-    when the config's content differs from the last one it checked."""
-    key = _rows_key(model, cfg)
+    when its key differs from the last config's: N, N_C and every array the
+    rows are built from, each with its shape, dtype and bytes, so an in-place
+    edit changes it. The rows, condensed_rows' F_U U <= g0 - G x_k, are made
+    read-only, since every later check under the config reads them."""
+    T = cfg.terminal_set
+    arrays = [model.A, model.B, cfg.X_set.F, cfg.X_set.g, cfg.U_set.F, cfg.U_set.g]
+    if T is not None:
+        arrays += [T.F, T.g]
+    key = (cfg.N, cfg.N_C) + tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
     kept = getattr(_kept, "entry", None)
     if kept is None or kept.key != key:
-        F_U, g0, G = _phase1_rows(model, cfg)
+        pm = build_prediction(model, cfg.N)
+        c = stack_constraints(cfg.X_set, cfg.U_set, T, cfg.N)
+        F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
+        if not np.isfinite(F_U).all():
+            raise NonFiniteError("phase-I rows F_U are not finite")
+        for a in (F_U, g0, G):
+            a.setflags(write=False)
         kept = _kept.entry = _Kept(key, F_U, g0, G, _highs_core()._Highs(), _highs_lp(F_U))
     return kept
-
-
-def _phase1_rows(model, cfg):
-    """(F_U, g0, G), read-only: condensed_rows' rows F_U U <= g0 - G x_k.
-    They depend on the config alone, so each thread keeps them across calls
-    (_cached_rows)."""
-    pm = build_prediction(model, cfg.N)
-    c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
-    F_U, g0, G = condensed_rows(pm, c, cfg.N_C)
-    if not np.isfinite(F_U).all():
-        raise NonFiniteError("phase-I rows F_U are not finite")
-    for a in (F_U, g0, G):
-        a.setflags(write=False)
-    return F_U, g0, G
 
 
 def _highs_core():

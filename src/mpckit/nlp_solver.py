@@ -154,10 +154,6 @@ def build_feq_jacobian(model, N, N_C=None):
     return jacobian
 
 
-def _merit(p, z, c_norm1, mu):
-    return p.objective(z) + mu * c_norm1
-
-
 def solve_nlp(p, z0, settings=None, workspace=None):
     """SQP with an l1 merit line search; subproblems go through solve_qp.
 
@@ -209,7 +205,7 @@ def solve_nlp(p, z0, settings=None, workspace=None):
 
         mu = max(10.0, 2.0 * float(np.abs(nu).max(initial=0.0)), mu)
         c_norm1 = float(np.abs(c).sum())
-        phi0 = _merit(p, z, c_norm1, mu)
+        phi0 = p.objective(z) + mu * c_norm1
         # directional derivative of the merit function along the step
         dderiv = float(grad @ step) - mu * c_norm1
         t = 1.0
@@ -217,7 +213,7 @@ def solve_nlp(p, z0, settings=None, workspace=None):
         for _ in range(LINE_SEARCH_MAX):
             z_try = z + t * step
             c_try = as_vector(p.residual(z_try))
-            phi_try = _merit(p, z_try, float(np.abs(c_try).sum()), mu)
+            phi_try = p.objective(z_try) + mu * float(np.abs(c_try).sum())
             if phi_try <= phi0 + ARMIJO * t * min(dderiv, 0.0):
                 accepted = True
                 break

@@ -221,32 +221,31 @@ class QpWorkspace:
     semidefinite, and ADMM would then diverge).
     The F_eq part, rebuilt when F_eq changes too: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
-    a sparse one), after F_eq is tested for NaN or infinity; the per-row
-    step-size scale s (the F_eq rows get 1e3) and rho = RHO s. Its build
-    also tests the diagonal of the reduced matrix at RHO, which bounds every
-    entry of that positive definite matrix, so a Gram matrix that overflows
-    raises NonFiniteError before any solve.
+    a sparse one), after F_eq is tested for NaN or infinity, and the per-row
+    step-size scale s (the F_eq rows get 1e3). Its build also tests the
+    diagonal of the reduced matrix at RHO, which bounds every entry of that
+    positive definite matrix, so a Gram matrix that overflows raises
+    NonFiniteError before any solve.
     Solves fill the rest on first use: keq, lu_factor's factor of the
     polish system's equality block (see _polish), a SuperLU object for
     sparse rows and (lu, piv) for dense ones, and, once ADMM runs, the
     dense Gram matrix G = A' diag(s) A and lu, the factor of the reduced
     matrix at RHO.
 
-    solve_qp builds it on first use and reuses it while H, F and F_eq are
-    the very arrays it was built from. Nothing in it depends on a solve's
-    data or iterates, so a reused workspace gives the same bits as a fresh
-    one. A build that raises leaves the workspace as it was.
+    solve_qp calls build(p) at every solve, and build returns at once while
+    H, F and F_eq are the very arrays it was built from. Nothing in it
+    depends on a solve's data or iterates, so a reused workspace gives the
+    same bits as a fresh one. A build that raises leaves the workspace as
+    it was.
     """
 
     def __init__(self):
         self.H = self.F = self.F_eq = None
 
-    def fits(self, p):
-        return (self.H is p.H and _same_block(self.F, p.F)
-                and _same_block(self.F_eq, p.F_eq))
-
     def build(self, p):
         kept = self.H is p.H and _same_block(self.F, p.F)
+        if kept and _same_block(self.F_eq, p.F_eq):
+            return
         if not all(np.isfinite(M.data if sparse.issparse(M) else M).all()
                    for M in ((p.F_eq,) if kept else (p.H, p.F, p.F_eq))):
             raise NonFiniteError("NaN or infinity in H, F or F_eq")
@@ -270,8 +269,8 @@ class QpWorkspace:
         if not np.isfinite(RHO * ((At ** 2) @ rho_scale) + P_sigma.diagonal()).all():
             raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
         (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma,
-         self.rho_scale, self.rho, self.G, self.lu, self.keq) = \
-            p.H, p.F, p.F_eq, A, At, P, P_sigma, rho_scale, RHO * rho_scale, None, None, None
+         self.rho_scale, self.G, self.lu, self.keq) = \
+            p.H, p.F, p.F_eq, A, At, P, P_sigma, rho_scale, None, None, None
 
 
 def _violation(r, n_in):
@@ -316,8 +315,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     d, n_in = p.d, p.F.shape[0]
     u = np.concatenate([p.g, p.g_eq])
     ws = workspace if workspace is not None else QpWorkspace()
-    if not ws.fits(p):
-        ws.build(p)
+    ws.build(p)
     A, At, P, rho_scale = ws.A, ws.At, ws.P, ws.rho_scale
     m = A.shape[0]
     q = p.q
@@ -359,7 +357,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     if ws.lu is None:
         G = _dense((At * rho_scale) @ A)
         ws.G, ws.lu = G, _factor(G, ws.P_sigma, RHO)
-    lu, rho = ws.lu, ws.rho
+    lu, rho = ws.lu, RHO * rho_scale
     q_norm = float(np.abs(q).max(initial=0.0))
 
     status = QpStatus.MAX_ITERATIONS

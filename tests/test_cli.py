@@ -285,6 +285,7 @@ class TestMain:
             ({"solver": {"eps_abs": "0.001"}}, "eps_abs must be a JSON number"),
             ({"solver": {"eps_rel": True}}, "eps_rel must be a JSON number"),
             ({"model": dict(lti, A=[["0.9", "0.2"], ["-0.4", "0.8"]])}, "A must hold JSON numbers only"),
+            ({"weights": {"Q": [[1, 0], [0]], "R": [[1]]}}, "Q must hold JSON numbers only"),
             ({"initial_state": ["10", "5"]}, "initial_state must hold JSON numbers only"),
             ({"weights": {"Q": [[True, 0], [0, True]], "R": [[1]]}}, "Q must hold JSON numbers only"),
             ({"model": dict(DEMOS["nmpc-stabilize"]["model"], T="0.1")}, "T must be a JSON number"),
@@ -339,6 +340,16 @@ class TestMain:
              "unknown key 'G' in constraints.terminal"),
             ({"reference": {"x_r": [3, 2], "u_r": [0]}}, "unknown key 'u_r' in reference"),
             ({"name": 3}, "name must be a JSON string, got 3"),
+            # a JSON number given for a matrix or a vector is read as 1x1 or
+            # length 1, and then checked against the model like any other
+            ({"weights": {"Q": 1, "R": [[1]]}}, "Q is 1x1, but the model has 2 states"),
+            ({"initial_state": 10}, "initial_state has dimension 1, model has 2"),
+            ({"model": dict(lti, A=[lti["A"]])}, "A must be a nested row-major array (matrix)"),
+            ({"initial_state": [[10, 5]]}, "initial_state must be a flat array (vector)"),
+            ({"constraints": {"F_x": SMALL_CONFIG["constraints"]["F_x"]}},
+             "constraints need both F_x and g_x for the state set"),
+            # the whole document, not a change to SMALL_CONFIG
+            ([SMALL_CONFIG], "top-level config must be an object"),
             # a reference with no admissible steady state stops before any solve
             ({"reference": {"x_r": [100, 100]}},
              "reference state lies outside the state constraint set"),
@@ -347,7 +358,8 @@ class TestMain:
         ]
         cfg_path = tmp_path / "cfg.json"
         for change, message in bad:
-            cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, **change)))
+            doc = dict(SMALL_CONFIG, **change) if isinstance(change, dict) else change
+            cfg_path.write_text(json.dumps(doc))
             code = main(["run", "--config", str(cfg_path)])
             assert code == EXIT_CONFIG, change
             err = capsys.readouterr().err
@@ -367,6 +379,21 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == EXIT_SOLVER
         out, err = capsys.readouterr()
         assert out == "" and err == "solver failure: line search stalled in steady-state solve\n"
+
+    @pytest.mark.parametrize("kind, message", [
+        ("lti", "zero matrix has no meaningful least-squares solution"),
+        ("lti-as-nonlinear",
+         "Gauss-Newton step failed: zero matrix has no meaningful least-squares solution"),
+    ])
+    def test_reference_with_zero_input_matrix_exit_code(self, tmp_path, capsys, kind, message):
+        # B = 0: no input moves the state, so no steady input exists for x_r
+        cfg_path = tmp_path / "cfg.json"
+        model = dict(SMALL_CONFIG["model"], kind=kind, B=[[0.0], [0.0]])
+        cfg_path.write_text(json.dumps(dict(SMALL_CONFIG, model=model,
+                                            reference={"x_r": [1, 1]})))
+        assert main(["run", "--config", str(cfg_path)]) == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"solver failure: {message}\n"
 
     def test_check_feasibility(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -94,6 +94,14 @@ class TestBuildWeights:
         with pytest.raises(InvalidWeightError):
             build_weights([[1, 1e-3], [0, 1]], [[1.0]], np.eye(2), 2)
 
+    def test_zero_horizon_rejected(self):
+        with pytest.raises(InvalidHorizonError, match="horizon must be >= 1, got 0"):
+            build_weights(np.eye(2), [[1.0]], np.eye(2), 0)
+
+    def test_terminal_weight_shape_checked(self):
+        with pytest.raises(InvalidWeightError, match=r"Q_N shape \(3, 3\) != Q shape \(2, 2\)"):
+            build_weights(np.eye(2), [[1.0]], np.eye(3), 2)
+
 
 class TestStackConstraints:
     def test_demo_replication(self, lti_demo_sets):
@@ -120,6 +128,11 @@ class TestStackConstraints:
         X_set, U_set = lti_demo_sets
         with pytest.raises(ShapeError):
             stack_constraints(X_set, U_set, box_polytope(1, 3), 2)
+
+    def test_zero_horizon_rejected(self, lti_demo_sets):
+        X_set, U_set = lti_demo_sets
+        with pytest.raises(InvalidHorizonError, match="horizon must be >= 1, got 0"):
+            stack_constraints(X_set, U_set, None, 0)
 
 
 class TestAssembleSparseQp:

@@ -85,6 +85,10 @@ class TestMpcConfig:
         with pytest.raises(ValueError):
             MpcConfig(N=2, N_T=5, Q=[[1.0]], R=[[1.0]], formulation="dense")
 
+    def test_terminal_weight_shape_checked(self):
+        with pytest.raises(InvalidWeightError, match=r"Q_N shape \(1, 1\) != Q shape \(2, 2\)"):
+            MpcConfig(N=2, N_T=5, Q=np.eye(2), R=[[1.0]], Q_N=[[1.0]])
+
 
 class TestLmpcStep:
     def test_scalar_hand_optimum(self):
@@ -679,7 +683,7 @@ class TestLoopWorkspace:
         exp = cli.demo_config("lmpc-stabilize")
         cfg = replace(exp.mpc, formulation=form)
         step, lu_factor = controller.lmpc_step, qp_solver.lu_factor
-        fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "rho", "lu", "keq"}
+        fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "lu", "keq"}
         active_sets, factors = [], []
         monkeypatch.setattr(qp_solver, "lu_factor",
                             lambda M: factors.append(lu_factor(M)) or factors[-1])

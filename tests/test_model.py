@@ -38,6 +38,12 @@ class TestTypes:
         with pytest.raises(ShapeError):
             Polytope([[1, 0]], [1, 2])
 
+    def test_polytope_matrix_shape(self):
+        with pytest.raises(ShapeError, match=r"F must be 2-D, got shape \(2,\)"):
+            Polytope([1, 0], [1])
+        with pytest.raises(ShapeError, match="polytope dimension must be at least 1"):
+            Polytope(np.zeros((1, 0)), [1])
+
     def test_box_and_empty(self):
         P = box_polytope(10, dim=2)
         assert P.rows == 4 and P.dim == 2
@@ -236,6 +242,24 @@ class TestSteadyStateNonlinear:
         with pytest.raises(SteadyStateError) as err:
             steady_state_input_nonlinear(pendulum, [0.0, 1.0])
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize("log_scale, converges", [(99.5, True), (110.0, False)])
+    def test_iteration_cap(self, log_scale, converges):
+        # the residual s exp(-u): each Gauss-Newton step adds 1 to u and cuts
+        # the residual by e, so from u = 0 it falls to STEADY_TOL = 1e-8 at
+        # the 100th and last iteration for s = 1e-8 e^99.5, and is e^10 times
+        # too large after it for s = 1e-8 e^110
+        s = 1e-8 * math.exp(log_scale)
+        model = NonlinearModel(n=1, m=1, step=lambda x, u: x + s * np.exp(-u),
+                               jac_u=lambda x, u: -s * np.exp(-u)[..., None])
+        if converges:
+            u_r = steady_state_input_nonlinear(model, [0.0])
+            assert abs(u_r[0] - 100.0) < 1e-9
+            return
+        with pytest.raises(SteadyStateError, match="no steady-state input within 100 iterations") \
+                as err:
+            steady_state_input_nonlinear(model, [0.0])
+        assert abs(err.value.residual / (1e-8 * math.exp(10.0)) - 1.0) < 1e-9
 
     def test_lti_wrapper_consistency(self, lti_demo_model):
         # x_r = (I - A)^{-1} B is the exact steady state for u = 1

@@ -2,8 +2,31 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from scipy import sparse
+
 from mpckit import ShapeError, SingularMatrixError
-from mpckit.numerics import block_diag, finite_diff_jacobian, pseudo_inverse_apply
+from mpckit.numerics import (as_matrix, as_rows, as_vector, block_diag, finite_diff_jacobian,
+                             pseudo_inverse_apply)
+
+
+class TestCoercion:
+    @pytest.mark.parametrize("M", [[1.0, 2.0], np.zeros((0, 2)), np.zeros((2, 0)),
+                                   np.zeros((1, 1, 1))])
+    def test_matrix_shape_rejected(self, M):
+        with pytest.raises(ShapeError, match="M must be 2-D with at least one row and column"):
+            as_matrix(M, "M")
+
+    def test_scalar_is_a_vector_of_one(self):
+        v = as_vector(3, "v")
+        assert v.shape == (1,) and v.dtype == float and v[0] == 3.0
+
+    def test_vector_shape_rejected(self):
+        with pytest.raises(ShapeError, match=r"v must be 1-D, got shape \(1, 2\)"):
+            as_vector([[1.0, 2.0]], "v")
+
+    def test_one_dimensional_sparse_rows_rejected(self):
+        with pytest.raises(ShapeError, match=r"F_eq must be 2-D, got shape \(2,\)"):
+            as_rows(sparse.coo_array(np.array([1.0, 2.0])), [1.0], 2, "F_eq")
 
 
 class TestBlockDiag:
@@ -35,6 +58,10 @@ class TestPseudoInverseApply:
     def test_zero_matrix(self):
         with pytest.raises(SingularMatrixError):
             pseudo_inverse_apply([[0.0], [0.0]], [1, 2])
+
+    def test_right_hand_side_length_checked(self):
+        with pytest.raises(ShapeError, match="matrix has 2 rows but right-hand side has 3"):
+            pseudo_inverse_apply(np.eye(2), [1.0, 2.0, 3.0])
 
     def test_matches_lstsq_on_full_column_rank(self):
         rng = np.random.default_rng(1)

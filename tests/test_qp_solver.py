@@ -240,6 +240,11 @@ class TestLuWrappers:
             qp_solver.lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_dense_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteError):
+            qp_solver.lu_factor(np.array([[1.0, 0.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_sparse_non_finite_rejected(self, bad):
         with pytest.raises(NonFiniteError):
             qp_solver.lu_factor(sparse.csc_array(np.array([[1.0, 0.0], [bad, 1.0]])))
@@ -514,23 +519,26 @@ class TestWorkspace:
             assert built == len(factors) - built
 
     def test_failed_build_is_not_reused(self):
-        # a build that raises must not leave the workspace fitting the problem
+        # a build that raises must not leave the workspace holding the
+        # problem's H, so the next build of that problem runs its tests again
         ws = qp_solver.QpWorkspace()
         p = QpProblem(H=np.diag([-5e-7, 1.0]), q=[1.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
         for _ in range(2):
             with pytest.raises(SingularMatrixError, match="H is not positive semidefinite"):
                 solve_qp(p, workspace=ws)
-        assert not ws.fits(p)
+        assert ws.H is not p.H
         # a Gram matrix F'F that overflows fails the factor at RHO; the
-        # workspace still fits the problem solved before it, with that
+        # workspace still holds the problem solved before it, with that
         # problem's rows and factors, not the failed build's
         ok = QpProblem(H=np.eye(2), q=[-4.0, 1.0], F=np.eye(2), g=[1.0, 1.0])
         solve_qp(ok, workspace=ws)
+        kept = dict(vars(ws))
         big = QpProblem(H=np.eye(2), F=[[1e200, 0.0]], g=[1.0])
         for _ in range(2):
             with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
                 solve_qp(big, workspace=ws)
-        assert not ws.fits(big) and ws.fits(ok)
+        assert ws.H is not big.H
+        assert all(getattr(ws, key) is value for key, value in kept.items())
         assert self._same(solve_qp(ok, workspace=ws), solve_qp(ok))
 
 
@@ -628,7 +636,10 @@ class TestSparseRows:
         assert again.F is p.F and again.F_eq is p.F_eq
         ws = qp_solver.QpWorkspace()
         ws.build(p)
-        assert ws.fits(again)
+        built = dict(vars(ws))
+        ws.build(again)
+        assert vars(ws).keys() == built.keys()
+        assert all(getattr(ws, key) is value for key, value in built.items())
         assert isinstance(ws.A, sparse.csr_array) and isinstance(ws.At, sparse.csr_array)
         assert np.array_equal(ws.At.toarray(), ws.A.toarray().T)
         # other sparse formats and dtypes become float CSR arrays
