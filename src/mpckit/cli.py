@@ -455,6 +455,9 @@ def _check_feasibility(cfg, state):
     return EXIT_OK
 
 
+# arithmetic that overflows, on numbers a config may hold (say 1e308 in F_x),
+# raises FloatingPointError, a solver failure, rather than warning and going on
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="mpc", description="MPC experiment harness")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
@@ -501,7 +504,7 @@ def main(argv=None):
     except (OSError, ConfigError, ReferenceInfeasibleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MpcError as exc:
+    except (MpcError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if summary["aborted_at"] is not None:

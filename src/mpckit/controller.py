@@ -186,7 +186,7 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     qp = (assemble_sparse_qp if sparse else assemble_condensed_qp)(ws.blocks, x_k)
     sol = solve_qp(qp, warm=warm, settings=cfg.settings, workspace=ws.qp)
     if sol.status is QpStatus.INFEASIBLE:
-        raise InfeasibleStepError("LMPC problem infeasible", state=x_k)
+        raise InfeasibleStepError("LMPC problem infeasible", state=x_k, certificate=sol.duals)
     U = pad_inputs(sol.z_star[nX:] if sparse else sol.z_star, pm.N, pm.m)
     X = sol.z_star[:nX] if sparse else pm.A_X @ x_k + pm.B_U @ U.ravel()
     # the condensed objective includes the carried constant r_k
@@ -272,8 +272,8 @@ def run_closed_loop(model, cfg, x_0, reference=None):
     the trajectory records states and inputs in original coordinates, in
     which X_set, U_set and the terminal set are given. Each step after the
     first is warm-started from the previous one (_next_warm). An infeasible
-    step raises InfeasibleStepError carrying the partial trajectory and the
-    failing state.
+    step raises InfeasibleStepError carrying the partial trajectory, the
+    failing state and its QP's certificate.
     """
     x_0 = as_vector(x_0, "x_0")
     cfg.check_sizes(model, x_0)
@@ -300,8 +300,8 @@ def run_closed_loop(model, cfg, x_0, reference=None):
             step = solve(inner_model, inner_cfg, xe, warm=warm, _ws=ws)
         except InfeasibleStepError as err:
             raise InfeasibleStepError(
-                f"closed loop infeasible at step {k}",
-                state=xe + x_r, step=k, trajectory=traj) from err
+                f"closed loop infeasible at step {k}", state=xe + x_r, step=k,
+                trajectory=traj, certificate=err.certificate) from err
         xe = as_vector(inner_model.step(xe, step.u_k))
         traj.states.append(xe + x_r)
         traj.inputs.append(step.u_k + u_r)

@@ -43,15 +43,18 @@ class ReferenceInfeasibleError(MpcError):
 class InfeasibleStepError(MpcError):
     """The per-step optimization was infeasible at the current state.
 
-    Carries the offending state in ``state``, the step index in ``step``
-    and, when raised from a closed-loop run, the partial ``trajectory``.
+    Carries the offending state in ``state``, the step index in ``step``,
+    the step QP's Farkas certificate in ``certificate`` (its solution's
+    ``duals``, in the layout of its rows [F; F_eq]) and, when raised from a
+    closed-loop run, the partial ``trajectory``.
     """
 
-    def __init__(self, message, state=None, step=None, trajectory=None):
+    def __init__(self, message, state=None, step=None, trajectory=None, certificate=None):
         super().__init__(message)
         self.state = state
         self.step = step
         self.trajectory = trajectory
+        self.certificate = certificate
 
 
 class ConfigError(MpcError, ValueError):

@@ -2,37 +2,25 @@
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
 # build_prediction and stack_constraints are called through this module's
-# names, and solve_qp stays importable although phase-I no longer calls it:
+# names, and solve_qp stays importable although phase-I does not call it:
 # bench/spans.py patches all three here by name, and bench/run.py solve_qp.
-# A thread keeps the phase-I rows of the last config it checked (_Kept), so
-# a scan's traced condense.build_ms reads about 0
+# A thread keeps the phase-I rows of the last config it checked (_Kept), so a
+# scan's traced condense.build_ms reads about 0. The LP helpers are qp_solver's.
 from .condense import build_prediction, condensed_rows, stack_constraints
 from .exceptions import NonFiniteError, ShapeError
 from .model import LtiModel, polytope_contains
 from .numerics import as_vector, pad_inputs
-from .qp_solver import solve_qp  # noqa: F401
+from .qp_solver import (CERTIFICATE_TOL, HIGHS_OPTIONS, LP_STATUS, _certified,  # noqa: F401
+                        _highs_core, _highs_lp, _highs_options, _lp_status, _solve_lp, solve_qp)
 
 FEASIBILITY_TOL = 1e-8
 PHASE1_SLACK_TOL = 1e-6
-# an infeasibility certificate y needs max|F_U'y| <= CERTIFICATE_TOL max|F_U| sum|y|
-CERTIFICATE_TOL = 1e-9
 LYAPUNOV_FLOOR = 1e-9
-# scipy.optimize.linprog's status codes
-LP_STATUS = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")
-# linprog(method="highs")'s code for a HiGHS model status; any other is 4
-_MODEL_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kModelError": 2,
-                 "kInfeasible": 2, "kUnbounded": 3}
-# the HiGHS options linprog(method="highs") sets: presolve, the dual simplex
-# (simplex strategy 1), no debugging and no output
-HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "highs_debug_level": 0,
-                 "output_flag": False, "log_to_console": False}
 
 
 @dataclass
@@ -40,8 +28,7 @@ class FeasibilityReport:
     feasible: bool
     phase1_slack: float
     witness: Optional[np.ndarray] = None   # (N, m) inputs that roll out inside the sets
-    # y >= 0 over the phase-I rows F_U U <= g0 - G x_k with F_U'y = 0 and
-    # y'(g0 - G x_k) < 0, so that no input sequence meets them (Farkas)
+    # a Farkas certificate (_certified) that no U meets F_U U <= g0 - G x_k
     certificate: Optional[np.ndarray] = None
     # None when x_k lies outside X_set and no LP ran; "optimal" when the LP
     # ended optimal and its witness or certificate passed its check; else the
@@ -161,87 +148,22 @@ def _cached_rows(model, cfg):
     return kept
 
 
-def _highs_core():
-    """SciPy's HiGHS binding, imported on first use, since scipy.optimize
-    adds 0.3 s to mpckit's import."""
-    from scipy.optimize._highspy import _core
-    return _core
-
-
-def _highs_lp(F_U):
-    """A new HighsLp of min s over (U, s) subject to [F_U, -1] (U, s) <= b,
-    U free and s >= -1, without its row upper bounds b, which each check
-    sets."""
-    core = _highs_core()
-    rows, nU = F_U.shape
-    A = sparse.csc_array(np.hstack([F_U, -np.ones((rows, 1))]))
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = nU + 1
-    lp.num_row_ = lp.a_matrix_.num_row_ = rows
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
-    lp.col_cost_, lp.col_upper_ = np.append(np.zeros(nU), 1.0), np.full(nU + 1, np.inf)
-    # s >= -1 keeps the LP bounded, since a slack below -1 is equally conclusive
-    lp.col_lower_, lp.row_lower_ = np.append(np.full(nU, -np.inf), -1.0), np.full(rows, -np.inf)
-    return lp
-
-
-@lru_cache(maxsize=1)
-def _highs_options(items):
-    """One HighsOptions set to the (name, value) items, made once per process."""
-    options = _highs_core().HighsOptions()
-    for name, value in items:
-        setattr(options, name, value)
-    return options
-
-
-def _solve_lp(kept, b):
-    """Run HiGHS under HIGHS_OPTIONS on the LP of the _Kept entry kept with
-    row upper bounds b: (status, x, row duals), the last two None unless the
-    status is optimal. The entry is the calling thread's own, so a check
-    writes nothing shared. passModel clears the solver's state, so each run
-    starts cold, as a fresh _Highs does, under the options in force at the
-    call. This is linprog(method="highs") without its per-call wrapping:
-    checked inputs, options validated anew, a dense-to-CSC conversion and
-    parsing."""
-    highs = kept.highs
-    kept.lp.row_upper_ = b
-    highs.passOptions(_highs_options(tuple(HIGHS_OPTIONS.items())))
-    highs.passModel(kept.lp)
-    highs.run()
-    status = highs.getModelStatus()
-    if status != _highs_core().HighsModelStatus.kOptimal:
-        return _lp_status(status), None, None
-    solution = highs.getSolution()
-    return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
-
-
-def _lp_status(model_status):
-    """linprog(method="highs")'s status string for a HiGHS model status."""
-    return LP_STATUS[_MODEL_STATUS.get(model_status.name, 4)]
-
-
 def _phase1_lp(model, cfg, kept, x_k):
     """Minimize s over (U, s) with HiGHS; check the verdict before reporting it."""
-    F_U = kept.F_U
     b = kept.g0 - kept.G @ x_k
     if not np.isfinite(b).all():
         raise NonFiniteError("phase-I row bounds g0 - G x_k are not finite")
     status, x, mu = _solve_lp(kept, b)
     if status != "optimal":
         return FeasibilityReport(False, np.nan, status=status)
-    nU = F_U.shape[1]
-    slack = float(x[nU])
+    slack = float(x[-1])
     if slack <= PHASE1_SLACK_TOL:
-        witness = pad_inputs(x[:nU], cfg.N, cfg.m)
+        witness = pad_inputs(x[:-1], cfg.N, cfg.m)
         ok = is_control_sequence_feasible(model, cfg, x_k, witness, tol=PHASE1_SLACK_TOL)
         return FeasibilityReport(ok, max(slack, 0.0), witness if ok else None,
                                  status="optimal" if ok else "witness_rejected")
-    # by LP duality the row multipliers y have y'b = -s < 0
-    y = -mu
-    ok = (np.all(y >= 0.0) and y @ b < 0.0 and np.abs(F_U.T @ y).max(initial=0.0)
-          <= CERTIFICATE_TOL * np.abs(F_U).max(initial=0.0) * np.abs(y).sum())
-    return FeasibilityReport(False, slack, certificate=y if ok else None,
+    ok = _certified(kept.F_U, b, -mu)
+    return FeasibilityReport(False, slack, certificate=-mu if ok else None,
                              status="optimal" if ok else "certificate_rejected")
 
 

@@ -87,6 +87,12 @@ class PendulumParams:
     def __post_init__(self):
         if self.M <= 0 or self.l <= 0 or self.T <= 0:
             raise ValueError("pendulum requires M > 0, l > 0, T > 0")
+        # the step divides by M l^2 and l, which positive parameters such as
+        # l = 1e-300 can still underflow to 0 or overflow
+        ml2 = self.M * self.l * self.l
+        if not (0 < ml2 < np.inf and 0 < self.T / ml2 < np.inf
+                and 0 < self.g_grav / self.l < np.inf):
+            raise ValueError("pendulum requires M l^2, T / (M l^2) and g_grav / l finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,15 @@ It first polishes on the start's active rows (round 0), since consecutive MPC
 steps mostly share theirs. A rejected polished point is still a KKT point of
 its rows, and its violated rows and negative multipliers name the next set to
 try: up to ACTIVE_SET_ROUNDS primal-dual active-set rounds polish on those
-before ADMM runs, so most MPC steps need no ADMM iteration at all.
+before ADMM runs, so most MPC steps need no ADMM iteration at all. When they
+fail, phase-I's slack LP on the QP's rows (HiGHS) may prove the QP infeasible:
+INFEASIBLE comes only from LP multipliers that pass a Farkas check (_certified).
 """
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -46,8 +50,7 @@ from .numerics import SYMMETRY_TOL, as_cost, as_rows, as_vector
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
-# termination checks (residuals, certificate) and between step-size updates,
-# and the tolerance of the infeasibility certificate. The step size is
+# termination checks and between step-size updates. The step size is
 # rebalanced at every second check: an MPC step's QP typically converges
 # within 50 iterations, and a sparser schedule leaves it at the initial RHO.
 # The update interval is fixed when the module loads, not read from
@@ -58,12 +61,22 @@ SIGMA = 1e-6
 ALPHA = 1.6
 CHECK_EVERY = 5
 RHO_UPDATE_INTERVAL = 2 * CHECK_EVERY
-EPS_INFEASIBLE = 1e-8
 # Primal-dual active-set rounds after a failed round 0 (Hintermueller, Ito and
 # Kunisch, SIAM J. Optim. 2002): over the seed-1 benchmark episodes a pendulum
 # SQP subproblem needs one or two, a cold LMPC step one to seven; the cap bounds
-# what a QP whose rounds do not settle, an infeasible one say, pays before ADMM.
+# what a QP whose rounds do not settle, an infeasible one say, pays before the LP.
 ACTIVE_SET_ROUNDS = 20
+# a certificate y for rows M z <= b needs max|M'y| <= CERTIFICATE_TOL max|M| sum|y|
+CERTIFICATE_TOL = 1e-9
+# scipy.optimize.linprog's status codes
+LP_STATUS = ("optimal", "iteration_limit", "infeasible", "unbounded", "numerical_difficulties")
+# linprog(method="highs")'s code for a HiGHS model status; any other is 4
+_MODEL_STATUS = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1, "kModelError": 2,
+                 "kInfeasible": 2, "kUnbounded": 3}
+# the HiGHS options linprog(method="highs") sets: presolve, the dual simplex
+# (simplex strategy 1), no debugging and no output
+HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "highs_debug_level": 0,
+                 "output_flag": False, "log_to_console": False}
 
 # LAPACK's double-precision LU routines, looked up once: scipy.linalg's
 # lu_factor/lu_solve look them up again, behind a batching wrapper, on every
@@ -94,9 +107,9 @@ class QpStatus(Enum):
 class SolverSettings:
     """Stopping tolerances and iteration cap of the QP (ADMM) solver.
 
-    max_iter caps ADMM iterations only: round 0 and the active-set rounds
-    before ADMM (solve_qp) do not count against it, and a QP they solve
-    reports 0 iterations. solve_nlp passes the same settings on to each of
+    max_iter caps ADMM iterations only: round 0, the active-set rounds and
+    the LP before ADMM (solve_qp) do not count against it, and a QP they
+    end reports 0 iterations. solve_nlp passes the same settings on to each of
     its QP subproblems.
     A NaN, negative or infinite tolerance, or a max_iter below 1, raises ValueError.
     """
@@ -280,8 +293,8 @@ def _violation(r, n_in):
 
 
 def solve_qp(p, warm=None, settings=None, workspace=None):
-    """Solve the QP by polishing on active sets, then by ADMM; returns a
-    QpSolution.
+    """Solve the QP by polishing on active sets, then by ADMM, after an LP
+    that may prove it infeasible; returns a QpSolution.
 
     ``warm`` may be a primal vector or a previous QpSolution (primal and
     dual warm start); a cold start is (0, 0). ``workspace`` is a QpWorkspace
@@ -295,7 +308,12 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     rejected polished point (x, y) names, y_i + (F_i x - g_i) > 0 at a
     finite g_i: a primal-dual active-set step. The rounds end at the first
     point that passes (_polish), OPTIMAL after 0 iterations, or at a set
-    tried before. Otherwise ADMM runs from the start, and termination is
+    tried before. Then phase-I's slack LP, min s subject to F z - s <= g on
+    the rows with finite g and |F_eq z - g_eq| <= s, ends the solve
+    INFEASIBLE after 0 iterations if its s exceeds eps_abs and its row
+    multipliers pass _certified: z_star is the LP's point and duals the
+    certificate over [F; F_eq], 0 on the rows with g = inf.
+    Otherwise ADMM runs from the start, and termination is
     tested every CHECK_EVERY iterations and at max_iter, so a solve stops at
     a multiple of CHECK_EVERY or at max_iter. At convergence and at the
     checks numbered by a power of two, the solve polishes on the iterate's
@@ -307,9 +325,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     when H is not symmetric and SingularMatrixError when it is not positive
     semidefinite; the workspace build tests H, F and F_eq (QpWorkspace).
     The reported residuals are the primal violation and the stationarity of
-    the returned (z_star, duals). INFEASIBLE needs OSQP's certificate: the
-    last dual step, its F rows projected onto >= 0 and scaled to max-norm 1,
-    is an e with |A'e| <= EPS_INFEASIBLE and u'e <= -EPS_INFEASIBLE.
+    the returned (z_star, duals).
     """
     s = settings or SolverSettings()
     d, n_in = p.d, p.F.shape[0]
@@ -353,6 +369,18 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
         if idx.tobytes() in tried:
             break
 
+    # the rounds cannot settle on an infeasible QP; the LP splits F_eq z = g_eq in two
+    fin, k = np.flatnonzero(np.isfinite(p.g)), m - n_in
+    rows = (sparse.vstack if sparse.issparse(A) else np.vstack)([p.F[fin], p.F_eq, -p.F_eq])
+    b = np.concatenate([p.g[fin], p.g_eq, -p.g_eq])
+    status, xs, mu = _solve_lp(SimpleNamespace(highs=_highs_core()._Highs(), lp=_highs_lp(rows)), b)
+    # a slack within eps_abs leaves a point that ADMM's accept test may take
+    if status == "optimal" and xs[d] > s.eps_abs and _certified(rows, b, -mu):
+        x, y, j = xs[:d], np.zeros(m), fin.size
+        y[fin], y[n_in:] = -mu[:j], mu[j + k:] - mu[j:j + k]
+        return QpSolution(x, p.objective(x), QpStatus.INFEASIBLE, 0, _violation(A @ x - u, n_in),
+                          float(np.abs(P @ x + q + At @ y).max()), y)
+
     rho_base = RHO
     if ws.lu is None:
         G = _dense((At * rho_scale) @ A)
@@ -360,14 +388,12 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     lu, rho = ws.lu, RHO * rho_scale
     q_norm = float(np.abs(q).max(initial=0.0))
 
-    status = QpStatus.MAX_ITERATIONS
     for it in range(1, s.max_iter + 1):
         x_t = lu_solve(lu, SIGMA * x - q + At @ (rho * z - y))
         x = ALPHA * x_t + (1.0 - ALPHA) * x
         az = ALPHA * (A @ x_t) + (1.0 - ALPHA) * z
         z = np.minimum(az + y / rho, u)
         z[n_in:] = p.g_eq
-        y_prev = y
         y = y + rho * (az - z)
         if it % CHECK_EVERY and it != s.max_iter:
             continue
@@ -390,19 +416,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
                 tried.add(idx.tobytes())
                 polished = _polish(p, ws, s, u, idx)
         if converged or polished:
-            status = QpStatus.OPTIMAL
             break
-
-        # certificate: the dual step on F projected onto >= 0; g may be inf where e = 0
-        dy = y - y_prev
-        dy[:n_in] = np.maximum(dy[:n_in], 0.0)
-        dy_norm = float(np.abs(dy).max(initial=0.0))
-        if dy_norm > 1e-14:
-            e = dy / dy_norm
-            if float(np.where(e != 0, u, 0.0) @ e) <= -EPS_INFEASIBLE \
-                    and float(np.abs(At @ e).max()) <= EPS_INFEASIBLE:
-                status = QpStatus.INFEASIBLE
-                break
 
         # residual-balancing step-size update
         if it % RHO_UPDATE_INTERVAL == 0:
@@ -419,7 +433,7 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
     return QpSolution(
         z_star=x,
         objective=p.objective(x),
-        status=status,
+        status=QpStatus.OPTIMAL if converged or polished else QpStatus.MAX_ITERATIONS,
         iterations=it,
         primal_residual=prim,
         dual_residual=dual,
@@ -533,8 +547,72 @@ def kkt_residuals(p, z, duals):
     lam, nu = duals[:n_in], duals[n_in:]
     stationarity = float(np.abs(2.0 * p.H @ z + p.q + p.F.T @ lam + p.F_eq.T @ nu).max())
     slack = p.F @ z - p.g
-    viol = max(float(slack.max(initial=0.0)),
-               float(np.abs(p.F_eq @ z - p.g_eq).max(initial=0.0)))
+    viol = _violation(np.concatenate([slack, p.F_eq @ z - p.g_eq]), n_in)
     active = lam != 0
     comp = float(np.abs(lam[active] * slack[active]).max(initial=0.0))
     return stationarity, viol, comp
+
+
+def _highs_core():
+    """SciPy's HiGHS binding, imported on first use, since scipy.optimize
+    adds 0.3 s to mpckit's import."""
+    from scipy.optimize._highspy import _core
+    return _core
+
+
+def _highs_lp(rows):
+    """A new HighsLp of phase-I's slack LP, min s over (z, s) subject to
+    [rows, -1] (z, s) <= b, z free and s >= -1, without its row upper bounds
+    b, which each solve sets; rows is a dense or CSR block."""
+    core = _highs_core()
+    n_rows, nz = rows.shape
+    A = sparse.csc_array(np.hstack([_dense(rows), -np.ones((n_rows, 1))]))
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = nz + 1
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+    lp.col_cost_, lp.col_upper_ = np.append(np.zeros(nz), 1.0), np.full(nz + 1, np.inf)
+    # s >= -1 keeps the LP bounded, since a slack below -1 is equally conclusive
+    lp.col_lower_, lp.row_lower_ = np.append(np.full(nz, -np.inf), -1.0), np.full(n_rows, -np.inf)
+    return lp
+
+
+@lru_cache(maxsize=1)
+def _highs_options(items):
+    """One HighsOptions set to the (name, value) items, made once per process."""
+    options = _highs_core().HighsOptions()
+    for name, value in items:
+        setattr(options, name, value)
+    return options
+
+
+def _solve_lp(kept, b):
+    """Run the HiGHS instance kept.highs under HIGHS_OPTIONS on the HighsLp
+    kept.lp with row upper bounds b: (status, x, row duals), the last two
+    None unless the status is optimal. passModel clears the solver's state,
+    so each run starts cold, as a fresh _Highs does, under the options in
+    force at the call. This is linprog(method="highs") without its per-call
+    wrapping: checked inputs, options validated anew, a dense-to-CSC
+    conversion and parsing."""
+    kept.lp.row_upper_ = b
+    kept.highs.passOptions(_highs_options(tuple(HIGHS_OPTIONS.items())))
+    kept.highs.passModel(kept.lp)
+    kept.highs.run()
+    status = kept.highs.getModelStatus()
+    if status != _highs_core().HighsModelStatus.kOptimal:
+        return _lp_status(status), None, None
+    solution = kept.highs.getSolution()
+    return "optimal", np.array(solution.col_value), np.array(solution.row_dual)
+
+
+def _lp_status(model_status):
+    """linprog(method="highs")'s status string for a HiGHS model status."""
+    return LP_STATUS[_MODEL_STATUS.get(model_status.name, 4)]
+
+
+def _certified(rows, b, y):
+    """Whether y proves that no z has rows z <= b (Farkas): y >= 0, y'b < 0
+    and rows'y = 0 to CERTIFICATE_TOL; the slack LP's negated row duals have y'b = -s."""
+    return (np.all(y >= 0.0) and y @ b < 0.0 and np.abs(rows.T @ y).max(initial=0.0)
+            <= CERTIFICATE_TOL * abs(rows).max() * np.abs(y).sum())

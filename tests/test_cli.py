@@ -290,6 +290,15 @@ class TestMain:
             ({"weights": {"Q": [[True, 0], [0, True]], "R": [[1]]}}, "Q must hold JSON numbers only"),
             ({"model": dict(DEMOS["nmpc-stabilize"]["model"], T="0.1")}, "T must be a JSON number"),
             ({"model": dict(DEMOS["nmpc-stabilize"]["model"], T=[0.1])}, "T must be a JSON number"),
+            # positive, but M l^2 underflows to 0, or g_grav / l overflows
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], l=1e-300)},
+             "M l^2, T / (M l^2) and g_grav / l finite and > 0"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], M=1e-300, l=1e-10)},
+             "M l^2, T / (M l^2) and g_grav / l finite and > 0"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], g_grav=1e308, l=1e-10)},
+             "M l^2, T / (M l^2) and g_grav / l finite and > 0"),
+            ({"model": dict(DEMOS["nmpc-stabilize"]["model"], g_grav=0)},
+             "M l^2, T / (M l^2) and g_grav / l finite and > 0"),
             ({"reference": [3, 2]}, "reference must be an object"),
             ({"reference": {}}, "x_r"),
             ({"constraints": []}, "constraints must be an object"),
@@ -371,6 +380,24 @@ class TestMain:
                                             initial_state=[20, 0])))
         code = main(["run", "--config", str(cfg_path)])
         assert code == EXIT_INFEASIBLE
+
+    @pytest.mark.parametrize("args, form, message", [
+        (["run"], "condensed", "overflow encountered in matmul"),
+        (["run"], "sparse", "overflow encountered in square"),
+        (["check-feasibility", "--state=0,1"], "condensed",
+         "the phase-I verdict is not conclusive (numerical_difficulties)"),
+    ], ids=["run-condensed", "run-sparse", "check-feasibility"])
+    def test_overflowing_rows_exit_code(self, tmp_path, capsys, args, form, message):
+        # 1e308 in F_x is a finite config number, but arithmetic on the rows
+        # built from it overflows: a solver failure, raised where numpy would
+        # warn, which warnings-as-errors would turn into a traceback here;
+        # phase-I's HiGHS meets no overflow and reports its own failure
+        doc = dict(SMALL_CONFIG, solver={"formulation": form})
+        doc["constraints"] = dict(doc["constraints"], F_x=[[1e308, 0], [0, 1], [-1, 0], [0, -1]])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(args[:1] + ["--config", str(cfg_path)] + args[1:]) == EXIT_SOLVER
+        assert f"solver failure: {message}" in capsys.readouterr().err
 
     def test_reference_without_steady_input_exit_code(self, tmp_path, capsys):
         # no input holds the pendulum at a non-zero angular velocity

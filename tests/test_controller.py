@@ -1,4 +1,3 @@
-import contextlib
 import json
 import os
 import sys
@@ -146,60 +145,104 @@ class TestLmpcStep:
             lmpc_step(lti_demo_model, cfg, [20.0, 0.0])
 
     @staticmethod
-    def _pool_at_3x(form, i):
-        """The experiment document of benchmark pool system i at 3x its
-        seed-1 initial state, and its config, after checking that phase-I
-        certifies that state infeasible."""
+    def _pool_at(form, i, scale, **solver):
+        """The experiment document of benchmark pool system i at scale times
+        its seed-1 initial state, clipped to 9.9 inside the state box
+        |x| <= 10, with the solver settings given, and its config."""
         doc = workloads.lmpc_episode(1, i, form)["doc"]
-        doc["initial_state"] = np.clip(3.0 * np.array(doc["initial_state"]), -9.9, 9.9).tolist()
-        cfg = cli.parse_config(json.dumps(doc))
+        doc["initial_state"] = np.clip(scale * np.array(doc["initial_state"]), -9.9, 9.9).tolist()
+        doc["solver"].update(solver)
+        return doc, cli.parse_config(json.dumps(doc))
+
+    @classmethod
+    def _certified_pool_state(cls, form, i):
+        """_pool_at at 3x the seed-1 state, or 10x for system 4, whose 3x
+        state phase-I finds feasible, after checking that phase-I certifies
+        that state infeasible."""
+        doc, cfg = cls._pool_at(form, i, 10.0 if i == 4 else 3.0)
         report = is_state_feasible(cfg.model, cfg.mpc, cfg.initial_state)
         assert report.conclusive and not report.feasible and report.certificate is not None
         return doc, cfg
 
-    @pytest.mark.parametrize("form, i", [("condensed", 0), ("condensed", 1), ("condensed", 3),
-                                         ("sparse", 1), ("sparse", 2)])
-    def test_certified_infeasible_state_raises(self, tmp_path, form, i):
-        # a benchmark pool system at 3x its seed-1 initial state: phase-I
-        # certifies the state infeasible, and the step's QP must end
-        # infeasible too; the raw dual step has negative entries on F rows, so
-        # only its projection onto >= 0 there passes as a certificate
-        doc, cfg = self._pool_at_3x(form, i)
-        with pytest.raises(InfeasibleStepError):
-            lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+    @staticmethod
+    def _recorded_solves(monkeypatch):
+        """Record each (QpProblem, QpSolution) of lmpc_step's solve_qp calls."""
+        calls, solve = [], controller.solve_qp
+
+        def recording(p, *args, **kw):
+            calls.append((p, solve(p, *args, **kw)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(controller, "solve_qp", recording)
+        return calls
+
+    @pytest.mark.parametrize("form, i", [(form, i) for form in ("condensed", "sparse")
+                                         for i in range(8)])
+    def test_certified_infeasible_state_raises(self, tmp_path, monkeypatch, form, i):
+        # a benchmark pool system at a state phase-I certifies infeasible,
+        # run through mpc run: the first step's QP ends infeasible too, proven
+        # by the LP on its own rows before any ADMM iteration, and the step
+        # raises InfeasibleStepError with that certificate
+        doc, cfg = self._certified_pool_state(form, i)
+        calls, errors, run = self._recorded_solves(monkeypatch), [], cli.run_closed_loop
+
+        def recording_run(*args):
+            try:
+                return run(*args)
+            except InfeasibleStepError as err:
+                errors.append(err)
+                raise
+
+        monkeypatch.setattr(cli, "run_closed_loop", recording_run)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_INFEASIBLE
+        (_, sol), = calls
+        (err,) = errors
+        assert (sol.status, sol.iterations) == (qp_solver.QpStatus.INFEASIBLE, 0)
+        assert err.step == 0 and err.certificate is sol.duals
 
-    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception,
-                       reason="|A'e| of the sparse form's dual step stays above EPS_INFEASIBLE: "
-                              "the step ends max_iterations at the 20,000-iteration cap")
-    def test_certified_infeasible_sparse_pool_system_3(self):
-        # the one step only: through mpc run every step may run to the cap
-        _, cfg = self._pool_at_3x("sparse", 3)
-        with pytest.raises(InfeasibleStepError):
+    def test_certified_infeasible_sparse_pool_system_3(self, monkeypatch):
+        # the state whose step ADMM's certificate never ended: the certificate
+        # the step raises with proves, by this test's own arithmetic, that
+        # the step's QP has no solution (Farkas)
+        _, cfg = self._certified_pool_state("sparse", 3)
+        calls = self._recorded_solves(monkeypatch)
+        with pytest.raises(InfeasibleStepError) as err:
             lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+        (p, sol), = calls
+        assert sol.iterations == 0
+        F, F_eq = p.F.toarray(), p.F_eq.toarray()
+        y = err.value.certificate
+        lam, nu = y[:F.shape[0]], y[F.shape[0]:]
+        finite = np.isfinite(p.g)
+        assert lam.min() >= 0.0 and np.all(lam[~finite] == 0.0)
+        margin = p.g[finite] @ lam[finite] + p.g_eq @ nu
+        assert margin < -0.1
+        assert np.abs(F.T @ lam + F_eq.T @ nu).max() <= 1e-12 * np.abs(y).sum()
 
     def test_sparse_pool_system_3_polish_attempts(self, monkeypatch):
-        # an infeasible step: round 0 and the active-set rounds, which hand
-        # _polish a list for the rejected point, polish at most
-        # 1 + ACTIVE_SET_ROUNDS times; ADMM, which cannot end early, then
-        # polishes at most at the checks numbered by a power of two, and once
-        # at convergence
-        _, cfg = self._pool_at_3x("sparse", 3)
-        in_rounds, at_checks, sols = [], [], []
-        polish, solve = qp_solver._polish, controller.solve_qp
+        # a feasible step that no polished point ends: with zero tolerances
+        # only an exact KKT point passes, so round 0 and the active-set
+        # rounds, which hand _polish a list for the rejected point, polish at
+        # most 1 + ACTIVE_SET_ROUNDS times, the LP finds the rows feasible,
+        # and ADMM then polishes at most at the checks numbered by a power of
+        # two up to the iteration cap
+        _, cfg = self._pool_at("sparse", 3, 1.0, eps_abs=0.0, eps_rel=0.0, max_iter=600)
+        assert is_state_feasible(cfg.model, cfg.mpc, cfg.initial_state).feasible
+        in_rounds, at_checks = [], []
+        polish = qp_solver._polish
 
         def counted(*args):
             (in_rounds if len(args) == 6 else at_checks).append(1)
             return polish(*args)
 
         monkeypatch.setattr(qp_solver, "_polish", counted)
-        monkeypatch.setattr(controller, "solve_qp",
-                            lambda *args, **kw: sols.append(solve(*args, **kw)) or sols[-1])
-        with contextlib.suppress(InfeasibleStepError):
-            lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
-        checks = sols[0].iterations // qp_solver.CHECK_EVERY
+        calls = self._recorded_solves(monkeypatch)
+        lmpc_step(cfg.model, cfg.mpc, cfg.initial_state)
+        (_, sol), = calls
+        assert sol.status is qp_solver.QpStatus.MAX_ITERATIONS
+        checks = sol.iterations // qp_solver.CHECK_EVERY
         assert checks > 100
         assert 1 <= len(in_rounds) <= qp_solver.ACTIVE_SET_ROUNDS + 1
         assert len(at_checks) <= int(np.log2(checks)) + 1

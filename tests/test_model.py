@@ -33,6 +33,10 @@ class TestTypes:
             PendulumParams(M=0.0)
         with pytest.raises(ValueError):
             PendulumParams(T=-0.1)
+        # positive, but M l^2 underflows to 0, or T / (M l^2) overflows
+        for kw in ({"l": 1e-300}, {"M": 1e-300, "l": 1e-10}):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                PendulumParams(**kw)
 
     def test_polytope_row_mismatch(self):
         with pytest.raises(ShapeError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpckit import (MpcConfig, NlpProblem, NlpStatus, QpProblem, ShapeError,
-                    build_feq, build_feq_jacobian, lti_as_nonlinear, nmpc_step,
+                    build_feq, build_feq_jacobian, lti_as_nonlinear, nmpc_step, qp_solver,
                     run_closed_loop, solve_nlp, solve_qp, tracking_transform)
 from mpckit.model import LtiModel, NonlinearModel, PendulumParams, pendulum_model, pendulum_step
 from mpckit.nlp_solver import SQP_TOL
@@ -338,14 +338,20 @@ class TestSolveNlp:
         sol = solve_nlp(nlp, np.zeros(1))
         assert sol.elastic_used
 
-    def test_elastic_relaxation_with_workspace(self):
+    def test_elastic_relaxation_with_workspace(self, monkeypatch):
         # the same NlpSolution with a kept workspace, which the plain
-        # subproblems share: their ADMM runs form its factor at RHO
-        nlp = NlpProblem(H=[[1.0]], F=[[1.0]], g=[0.0],
-                         residual=lambda z: np.array([z[0] - 5.0]))
+        # subproblems share: at z = 0 the linearized z^2 = 1 reads 0 = 1, so
+        # the first subproblem is infeasible and the elastic path engages;
+        # with polishing off the later, feasible ones reach ADMM, whose runs
+        # form the kept workspace's factor at RHO
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+        nlp = NlpProblem(H=[[1.0]], F=[[-1.0]], g=[-0.5],
+                         residual=lambda z: np.array([z[0] ** 2 - 1.0]),
+                         jacobian=lambda z: np.array([[2.0 * z[0]]]))
         ws = QpWorkspace()
         kept, fresh = solve_nlp(nlp, np.zeros(1), workspace=ws), solve_nlp(nlp, np.zeros(1))
-        assert kept.elastic_used and ws.H is nlp.H and ws.lu is not None
+        assert kept.elastic_used and kept.status is NlpStatus.OPTIMAL
+        assert ws.H is nlp.H and ws.lu is not None
         for key, value in vars(fresh).items():
             assert np.array_equal(getattr(kept, key), value), key
 

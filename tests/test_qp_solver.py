@@ -69,14 +69,14 @@ class TestSolveQp:
     def test_infeasible(self):
         p = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
         sol = solve_qp(p)
-        assert sol.status is QpStatus.INFEASIBLE
+        assert sol.status is QpStatus.INFEASIBLE and sol.iterations == 0
 
     def test_infeasible_with_unbounded_row(self):
-        # the row z <= inf takes no multiplier, so the certificate is zero on
-        # it; u'e must skip that row rather than add inf * 0 = NaN
+        # the row z <= inf takes no multiplier: the LP leaves it out, so the
+        # certificate is zero on it, and g'y never adds inf * 0 = NaN
         p = QpProblem(H=[[1.0]], F=[[1.0], [-1.0], [1.0]], g=[-1.0, -2.0, np.inf])
         sol = solve_qp(p)
-        assert sol.status is QpStatus.INFEASIBLE
+        assert sol.status is QpStatus.INFEASIBLE and sol.duals[2] == 0.0
 
     def test_box_bounds(self):
         # 0 <= z <= 1 as the rows z <= 1 and -z <= 0
@@ -474,6 +474,82 @@ class TestOpenDefects:
         # z <= 1 and minimize z: unbounded below
         sol = solve_qp(QpProblem(H=[[0.0]], q=[1.0], F=[[1.0]], g=[1.0]))
         assert sol.iterations < SolverSettings().max_iter
+
+
+class TestInfeasibilityLp:
+    """After failed rounds, phase-I's slack LP on the QP's own rows: a QP is
+    INFEASIBLE only by a certificate that passes the check, and any other
+    LP outcome leaves the QP to ADMM."""
+
+    # F z <= -1 and -F z <= -1 add up to 0 <= -2
+    RANDOM_ROWS = np.random.default_rng(0).standard_normal((40, 10))
+    CONTRADICTORY = QpProblem(H=np.eye(10), F=np.vstack([RANDOM_ROWS, -RANDOM_ROWS]),
+                              g=-np.ones(80))
+
+    @staticmethod
+    def _recorded_lps(monkeypatch, change=None):
+        """Record each _solve_lp result; change(status, x, mu) may alter it."""
+        results, solve = [], qp_solver._solve_lp
+
+        def recording(kept, b):
+            results.append(solve(kept, b))
+            return results[-1] if change is None else change(*results[-1])
+
+        monkeypatch.setattr(qp_solver, "_solve_lp", recording)
+        return results
+
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_certificate_in_row_layout(self, csr):
+        # z1 <= 1 and z2 <= 1 against z1 + z2 = 3, with a row z1 + z2 <= inf:
+        # duals are a certificate over [F; F_eq], 0 on the row with g = inf,
+        # checked here by this test's own arithmetic
+        p = QpProblem(H=np.eye(2), F=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                      g=[1.0, 1.0, np.inf], F_eq=[[1.0, 1.0]], g_eq=[3.0])
+        p = _sparse_rows(p) if csr else p
+        sol = solve_qp(p)
+        assert sol.status is QpStatus.INFEASIBLE and sol.iterations == 0
+        lam, nu = sol.duals[:3], sol.duals[3:]
+        assert lam.min() >= 0.0 and lam[2] == 0.0
+        assert np.abs(_dense(p.F).T @ lam + _dense(p.F_eq).T @ nu).max() <= 1e-15
+        assert p.g[:2] @ lam[:2] + p.g_eq @ nu < 0.0
+        # the residuals reported are those of (z_star, duals)
+        ws, u = _built(p)
+        assert (sol.primal_residual, sol.dual_residual) \
+            == _residuals(ws, p.q, u, sol.z_star, sol.duals)
+
+    def test_tampered_certificate_rejected(self, monkeypatch):
+        # HiGHS's row duals with one entry doubled no longer sum the rows to 0
+        def tampered(status, x, mu):
+            mu = mu.copy()
+            mu[np.flatnonzero(mu)[0]] *= 2.0
+            return status, x, mu
+
+        results = self._recorded_lps(monkeypatch, tampered)
+        sol = solve_qp(self.CONTRADICTORY, settings=SolverSettings(max_iter=50))
+        assert [r[0] for r in results] == ["optimal"]
+        assert sol.status is QpStatus.MAX_ITERATIONS and sol.iterations == 50
+
+    def test_lp_not_optimal_runs_admm(self, monkeypatch):
+        # HiGHS stopped at its own iteration limit proves nothing, and ADMM
+        # runs to its cap, as it would for any QP it cannot solve
+        results = self._recorded_lps(monkeypatch)
+        assert solve_qp(self.CONTRADICTORY).status is QpStatus.INFEASIBLE
+        monkeypatch.setitem(qp_solver.HIGHS_OPTIONS, "simplex_iteration_limit", 1)
+        sol = solve_qp(self.CONTRADICTORY, settings=SolverSettings(max_iter=50))
+        assert [r[0] for r in results] == ["optimal", "iteration_limit"]
+        assert sol.status is QpStatus.MAX_ITERATIONS and sol.iterations == 50
+
+    def test_slack_within_eps_abs_left_to_admm(self, monkeypatch):
+        # z <= 0 and z >= 1e-7 leave a slack of 5e-8: the rows are infeasible
+        # by less than eps_abs, so ADMM runs and its accept test takes a point
+        # within that; with eps_abs below the slack the LP's certificate ends
+        # the solve
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+        near = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[0.0, -1e-7])
+        sol = solve_qp(near)
+        assert sol.status is QpStatus.OPTIMAL and sol.iterations > 0
+        sol = solve_qp(near, settings=SolverSettings(eps_abs=1e-8))
+        assert sol.status is QpStatus.INFEASIBLE and sol.iterations == 0
 
 
 class TestWorkspace:
@@ -940,8 +1016,9 @@ class TestBorderedPolish:
         assert np.array_equal(x, [0.5]) and np.array_equal(y, [0.0])
         assert res == fresh(one, x, y)
         # an ADMM iterate kept unpolished, or one that ends at the iteration
-        # cap or with a certificate, reports the residuals of the check that
-        # stopped the loop: the same bits as _residuals, for dense and CSR rows
+        # cap, reports the residuals of the check that stopped the loop, and
+        # the LP's point and certificate their own: the same bits as
+        # _residuals, for dense and CSR rows
         monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
         rng = np.random.default_rng(16)
         infeasible = QpProblem(H=[[1.0]], F=[[1.0], [-1.0]], g=[-1.0, -2.0])
