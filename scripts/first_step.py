@@ -1,0 +1,76 @@
+"""Print how much of an LMPC closed loop's step time its first step takes.
+
+    python3 scripts/first_step.py
+
+Run from the repository root; mpckit is imported from ./src and the
+episodes from bench/workloads.py, as scripts/seed_hashes.py does. For each
+LMPC form, seed-1 episodes 0-15 run through cli.parse_config and
+cli.run_experiment, PASSES times over. Every controller.lmpc_step call is
+timed, and a loop's first step, the one that builds the loop's blocks and
+QP workspace, is told apart from its later steps. Each line gives the
+median first-step time, the median later-step time and the first steps'
+share of all step time.
+
+The times are wall times of one process on the host it runs on, with one
+BLAS thread; they are for comparing two trees on one host, not constants.
+"""
+
+import os
+
+# One BLAS thread, set before numpy is first imported, as bench/run.py does.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+import json
+import sys
+from time import perf_counter
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+import workloads  # noqa: E402
+from mpckit import cli, controller  # noqa: E402
+
+SEED = 1
+EPISODES = 16
+PASSES = 2
+FORMS = ("sparse", "condensed")
+
+
+def step_times(form):
+    """(first-step times, later-step times) in ms over the form's episodes."""
+    first, later = [], []
+    step = controller.lmpc_step
+
+    def timed(model, cfg, x_k, warm=None, _ws=None):
+        is_first = _ws is None or _ws.blocks is None
+        t0 = perf_counter()
+        out = step(model, cfg, x_k, warm=warm, _ws=_ws)
+        (first if is_first else later).append(1e3 * (perf_counter() - t0))
+        return out
+
+    controller.lmpc_step = timed
+    try:
+        for _ in range(PASSES):
+            for i in range(EPISODES):
+                spec = workloads.lmpc_episode(SEED, i, form)
+                cli.run_experiment(cli.parse_config(json.dumps(spec["doc"])))
+    finally:
+        controller.lmpc_step = step
+    return np.array(first), np.array(later)
+
+
+def main():
+    for form in FORMS:
+        first, later = step_times(form)
+        share = first.sum() / (first.sum() + later.sum())
+        print(f"{form} seed-1 episodes 0-{EPISODES - 1} x {PASSES}: "
+              f"first step {np.median(first):.3f} ms (median of {first.size}), "
+              f"later steps {np.median(later):.3f} ms (median of {later.size}), "
+              f"first steps' share of step time {100 * share:.0f}%")
+
+
+if __name__ == "__main__":
+    main()

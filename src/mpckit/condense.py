@@ -86,15 +86,40 @@ def stack_constraints(X_set, U_set, terminal, N):
                               g_U=np.tile(U_set.g, N))
 
 
-def trajectory_blocks(w, c, n_u=None):
-    """Cost H and inequality rows F z <= g over the trajectory z = (X, U).
+def trajectory_blocks(Q, R, Q_N, X_set, U_set, terminal, N, N_C):
+    """Cost H and inequality rows F z <= g over the trajectory z = (X, U),
+    X the N + 1 states and U the first N_C inputs (the control horizon).
 
-    With n_u, U is the first n_u inputs (the control horizon); F keeps
-    every row.
+    H is block-diagonal with N copies of Q, then Q_N, then N_C copies of R;
+    F holds N stage blocks of X_set's rows, the terminal set's rows (or
+    X_set's), then N stage blocks of U_set's rows, those after N_C on no
+    variable: F keeps every row. H and F are CSR arrays built from the stage
+    blocks' non-zeros, with no dense matrix of the trajectory's size.
     """
-    H = block_diag(w.Q_X, w.R_U[:n_u, :n_u])
-    F = block_diag(c.F_X, c.F_U[:, :n_u])
-    return H, F, np.concatenate([c.g_X, c.g_U])
+    if not 1 <= N_C <= N:
+        raise InvalidHorizonError(f"horizons must satisfy 1 <= N_C <= N, got N={N}, N_C={N_C}")
+    last = terminal if terminal is not None else X_set
+    H = _block_diag_csr((Q, N), (Q_N, 1), (R, N_C))
+    F = _block_diag_csr((X_set.F, N), (last.F, 1), (U_set.F, N_C),
+                        (U_set.F[:, :0], N - N_C))
+    return H, F, np.concatenate([np.tile(X_set.g, N), last.g, np.tile(U_set.g, N)])
+
+
+def _block_diag_csr(*repeats):
+    """numerics.block_diag of k copies of B for each (B, k) in repeats, as the
+    CSR array that csr_array of that matrix is: only the non-zeros, sorted by
+    row and by column within a row."""
+    data, indices, counts, j = [], [], [], 0
+    for B, k in repeats:
+        B = np.asarray(B, dtype=float)
+        r, c = np.nonzero(B)
+        data.append(np.tile(B[r, c], k))
+        indices.append((j + c + B.shape[1] * np.arange(k)[:, None]).ravel())
+        counts.append(np.tile(np.count_nonzero(B, axis=1), k))
+        j += k * B.shape[1]
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                            shape=(indptr.size - 1, j))
 
 
 def condensed_rows(pm, c, N_C):
@@ -109,18 +134,19 @@ def condensed_rows(pm, c, N_C):
     return F, np.concatenate([c.g_X, c.g_U]), G
 
 
-def sparse_blocks(pm, w, c, N_C):
+def sparse_blocks(pm, H, F, g):
     """The x_k-independent blocks (H, F, g, F_eq, A_X) of assemble_sparse_qp.
 
-    As in condensed_blocks, inputs after the control horizon N_C are fixed
-    to zero: z = (X, first m N_C inputs), and F keeps every row. F and F_eq
-    are scipy.sparse CSR arrays, so the QP solver works on their non-zeros;
-    H stays dense. A_X maps x_k to the right-hand side of the dynamics rows.
+    H, F and g are trajectory_blocks' over the same horizon, kept as they
+    are: CSR arrays on z = (X, first m N_C inputs), so the QP solver works on
+    their non-zeros. F_eq = [I, -B_U] restricted to those inputs is a CSR
+    array too, of B_U's non-zeros. A_X maps x_k to the right-hand side of
+    the dynamics rows.
     """
-    n_u = pm.m * N_C
-    H, F, g = trajectory_blocks(w, c, n_u)
-    F_eq = np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]])
-    return H, sparse.csr_array(F), g, sparse.csr_array(F_eq), pm.A_X
+    nX = pm.n * (pm.N + 1)
+    F_eq = sparse.hstack([sparse.eye_array(nX, format="csr"),
+                          sparse.csr_array(-pm.B_U[:, :H.shape[0] - nX])], format="csr")
+    return H, F, g, F_eq, pm.A_X
 
 
 def condensed_blocks(pm, w, c, N_C):
@@ -142,8 +168,8 @@ def assemble_sparse_qp(blocks, x_k):
     """The sparse-form QP at x_k: z = (X, U) with the dynamics as equality
     rows [I, -B_U] z = A_X x_k.
 
-    ``blocks`` are sparse_blocks(pm, w, c, N_C), built once per closed
-    loop; only the right-hand side g_eq is evaluated at x_k.
+    ``blocks`` are sparse_blocks(pm, *trajectory_blocks(...)), built once
+    per closed loop; only the right-hand side g_eq is evaluated at x_k.
     """
     H, F, g, F_eq, A_X = blocks
     x_k = as_vector(x_k, "state", A_X.shape[1])

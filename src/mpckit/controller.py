@@ -154,8 +154,8 @@ class _Workspace:
     - ``pm``: LMPC's prediction matrices;
     - ``blocks``: LMPC's constant blocks over the control horizon N_C
       (condensed_blocks or sparse_blocks), or NMPC's cost and inequality
-      blocks (H, F, g) over z = (X, U), U the first m N_C inputs, with the
-      Jacobian map of build_feq_jacobian;
+      blocks (H, F, g) of trajectory_blocks, H and F made dense for the
+      dense Jacobian rows, with the Jacobian map of build_feq_jacobian;
     - ``qp``: the loop's QpWorkspace. LMPC's steps share all of it; NMPC's
       SQP subproblems share its H/F part (P and the checks of H and F), and
       each rebuilds its F_eq part from that iteration's Jacobian.
@@ -178,9 +178,12 @@ def lmpc_step(model, cfg, x_k, warm=None, _ws=None):
     sparse = cfg.formulation == SPARSE
     if ws.blocks is None:
         ws.pm = build_prediction(model, cfg.N)
-        w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
-        c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
-        ws.blocks = (sparse_blocks if sparse else condensed_blocks)(ws.pm, w, c, cfg.N_C)
+        if sparse:
+            ws.blocks = sparse_blocks(ws.pm, *_trajectory_blocks(cfg))
+        else:
+            w = build_weights(cfg.Q, cfg.R, cfg.Q_N, cfg.N)
+            c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, cfg.N)
+            ws.blocks = condensed_blocks(ws.pm, w, c, cfg.N_C)
     pm = ws.pm
     nX = pm.n * (pm.N + 1)
     qp = (assemble_sparse_qp if sparse else assemble_condensed_qp)(ws.blocks, x_k)
@@ -202,10 +205,8 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     residual, d = build_feq(model, x_k, N, cfg.N_C)
     ws = _ws if _ws is not None else _Workspace()
     if ws.blocks is None:
-        w = build_weights(cfg.Q, cfg.R, cfg.Q_N, N)
-        c = stack_constraints(cfg.X_set, cfg.U_set, cfg.terminal_set, N)
-        ws.blocks = (*trajectory_blocks(w, c, m * cfg.N_C),
-                     build_feq_jacobian(model, N, cfg.N_C))
+        H, F, g = _trajectory_blocks(cfg)
+        ws.blocks = (H.toarray(), F.toarray(), g, build_feq_jacobian(model, N, cfg.N_C))
     H, F, g, jacobian = ws.blocks
     nX = n * (N + 1)
     p = NlpProblem(H=H, F=F, g=g, residual=residual, jacobian=jacobian)
@@ -215,6 +216,12 @@ def nmpc_step(model, cfg, x_k, warm=None, _ws=None):
     sol = solve_nlp(p, warm, settings=cfg.settings, workspace=ws.qp)
     return _step_result(pad_inputs(sol.z_star[nX:], N, m),
                         sol.z_star[:nX].reshape(N + 1, n), sol)
+
+
+def _trajectory_blocks(cfg):
+    """trajectory_blocks of cfg's weights, sets and horizons."""
+    return trajectory_blocks(cfg.Q, cfg.R, cfg.Q_N, cfg.X_set, cfg.U_set, cfg.terminal_set,
+                             cfg.N, cfg.N_C)
 
 
 def _step_result(U, X, sol):

@@ -1,7 +1,8 @@
 """Dense linear-algebra and differentiation kernels.
 
 Matrices are 2-D float ndarrays in row-major order, vectors are 1-D float
-ndarrays; a QP row block may also be a scipy.sparse CSR array (as_rows).
+ndarrays; a QP's H and row blocks may also be scipy.sparse CSR arrays
+(as_cost, as_rows).
 Everything here is a pure function of its inputs.
 """
 
@@ -55,32 +56,39 @@ def as_symmetric(M, name):
 
 def as_cost(H, q):
     """Coerce the cost z'Hz + q'z: H square, q of matching length (zeros if
-    None). H's symmetry is tested once per solver workspace
-    (qp_solver.QpWorkspace.build), not here, since a closed loop passes the
-    same H at every step."""
-    H = as_matrix(H, "H")
+    None). A scipy.sparse H becomes a float CSR array (as_csr). H's symmetry
+    is tested once per solver workspace (qp_solver.QpWorkspace.build), not
+    here, since a closed loop passes the same H at every step."""
+    H = as_csr(H, "H") if sparse.issparse(H) else as_matrix(H, "H")
     d = H.shape[0]
-    if H.shape[1] != d:
-        raise ShapeError(f"H must be square, got {H.shape}")
+    if H.shape[1] != d or d < 1:
+        raise ShapeError(f"H must be square with at least one row, got {H.shape}")
     q = np.zeros(d) if q is None else as_vector(q, "q")
     if q.shape[0] != d:
         raise ShapeError(f"q has length {q.shape[0]}, expected {d}")
     return H, q
 
 
+def as_csr(M, name):
+    """A scipy.sparse M as a 2-D float CSR array, the very same object when it
+    is one already, so that a solver workspace keyed on it is kept."""
+    if not (isinstance(M, sparse.csr_array) and M.dtype == float):
+        M = sparse.csr_array(M, dtype=float)
+    if M.ndim != 2:
+        raise ShapeError(f"{name} must be 2-D, got shape {M.shape}")
+    return M
+
+
 def as_rows(F, g, d, name="F"):
     """Coerce a row block F z <= g (or F z = g) on d variables to a (k, d)
     matrix and a length-k vector; a missing or empty F is a block of no rows.
 
-    A scipy.sparse F becomes a float CSR array, the very same object when it
-    is one already. NaN or infinity in F, sparse or dense, is for
-    qp_solver.QpWorkspace.build to reject, once per workspace.
+    A scipy.sparse F becomes a float CSR array (as_csr). NaN or infinity in
+    F, sparse or dense, is for qp_solver.QpWorkspace.build to reject, once
+    per workspace.
     """
     if sparse.issparse(F):
-        if not (isinstance(F, sparse.csr_array) and F.dtype == float):
-            F = sparse.csr_array(F, dtype=float)
-        if F.ndim != 2:
-            raise ShapeError(f"{name} must be 2-D, got shape {F.shape}")
+        F = as_csr(F, name)
     elif F is not None and np.size(F):
         F = as_matrix(F, name)
     else:

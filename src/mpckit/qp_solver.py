@@ -16,9 +16,10 @@ A QpWorkspace keeps what depends on H and F, and what F_eq adds, across the
 solves that share them: the steps of a closed loop, or an SQP loop's
 subproblems, whose linearized dynamics F_eq change while H and F do not.
 
-F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
-them; A is then CSR too and every product with A or A' costs its non-zeros.
-G is dense, for LAPACK's LU of the reduced matrix. Polishing borders one LU
+H, F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
+all three; A is then CSR too, and every product with A, A' or P = 2H costs
+their non-zeros. P + SIGMA I stays dense, for its Cholesky test and for
+LAPACK's LU of the reduced matrix, and so does G. Polishing borders one LU
 of its KKT system's equality block K_eq by the active F rows. K_eq is stored
 as A is: sparse rows give a CSC K_eq, factored by SuperLU, dense rows a
 dense one, factored by LAPACK.
@@ -227,10 +228,11 @@ class QpWorkspace:
     """What a solve takes from H, F and F_eq alone, in two parts.
 
     The H/F part, kept while H and F are the very arrays it was built from:
-    P = 2H and P_sigma = P + SIGMA I, after H and F are tested for NaN or
-    infinity (NonFiniteError), H for symmetry to SYMMETRY_TOL (ShapeError)
-    and P_sigma for a Cholesky factor (SingularMatrixError: the rows can
-    make the reduced matrix regular for an H that is not positive
+    P = 2H, a CSR array when H is one, and the dense P_sigma = P + SIGMA I,
+    after H and F are tested for NaN or infinity (NonFiniteError), H for
+    symmetry to SYMMETRY_TOL (ShapeError), on its non-zeros when it is
+    sparse, and P_sigma for a Cholesky factor (SingularMatrixError: the rows
+    can make the reduced matrix regular for an H that is not positive
     semidefinite, and ADMM would then diverge).
     The F_eq part, rebuilt when F_eq changes too: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
@@ -265,10 +267,10 @@ class QpWorkspace:
         if kept:
             P, P_sigma = self.P, self.P_sigma
         else:
-            if np.abs(p.H - p.H.T).max() > SYMMETRY_TOL:
+            if abs(p.H - p.H.T).max() > SYMMETRY_TOL:
                 raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
             P = 2.0 * p.H
-            P_sigma = P + SIGMA * np.eye(p.d)
+            P_sigma = _dense(P) + SIGMA * np.eye(p.d)
             if _potrf(P_sigma)[1] > 0:
                 raise SingularMatrixError("P + sigma I has no Cholesky factor: "
                                           "H is not positive semidefinite")
@@ -475,7 +477,8 @@ def _polish(p, ws, s, u, idx, rejected=None):
     kept in ws.keq, and for k > 0 W = K_eq^-1 [B 0]' and the LU of
     S = -dI - [B 0] W; a SingularMatrixError from a factor gives None.
     K_eq is a scipy.sparse CSC matrix when A is sparse, so lu_factor factors
-    it by SuperLU, and an ndarray otherwise; B, W and S are dense.
+    it by SuperLU, and an ndarray otherwise; B, W and S are dense. P x costs
+    P's non-zeros when H is sparse.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
@@ -489,7 +492,7 @@ def _polish(p, ws, s, u, idx, rejected=None):
                 K = K + sparse.diags_array(diag, format="csc")
             else:
                 K = np.diag(diag)
-                K[:d, :d] += P
+                K[:d, :d] += _dense(P)
                 K[d:, :d] = A[n_in:]
                 K[:d, d:] = K[d:, :d].T
             ws.keq = lu_factor(K)
@@ -563,10 +566,13 @@ def _highs_core():
 def _highs_lp(rows):
     """A new HighsLp of phase-I's slack LP, min s over (z, s) subject to
     [rows, -1] (z, s) <= b, z free and s >= -1, without its row upper bounds
-    b, which each solve sets; rows is a dense or CSR block."""
+    b, which each solve sets; rows is a dense or CSR block. Its CSC matrix
+    holds the non-zeros of [rows, -1] only, with no dense copy of CSR rows."""
     core = _highs_core()
     n_rows, nz = rows.shape
-    A = sparse.csc_array(np.hstack([_dense(rows), -np.ones((n_rows, 1))]))
+    A = sparse.hstack([sparse.csc_array(rows), sparse.csc_array(-np.ones((n_rows, 1)))],
+                      format="csc")
+    A.eliminate_zeros()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = nz + 1
     lp.num_row_ = lp.a_matrix_.num_row_ = n_rows

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mpckit import (InvalidHorizonError, InvalidWeightError, QpProblem,
                     ShapeError, solve_qp)
 from mpckit.condense import (assemble_condensed_qp, assemble_sparse_qp,
                              build_prediction, build_weights, condensed_blocks,
-                             condensed_rows, sparse_blocks, stack_constraints)
+                             condensed_rows, sparse_blocks, stack_constraints,
+                             trajectory_blocks)
 from mpckit.model import (LtiModel, Polytope, box_polytope, empty_polytope,
                           lti_step)
+from mpckit.numerics import block_diag
 
 
 def _scalar_setup(N=1, x_k=1.0):
@@ -17,6 +20,13 @@ def _scalar_setup(N=1, x_k=1.0):
     w = build_weights([[1.0]], [[1.0]], [[1.0]], N)
     c = stack_constraints(empty_polytope(1), empty_polytope(1), None, N)
     return model, pm, w, c, np.array([x_k])
+
+
+def _sparse_form(pm, X_set, U_set, N_C=None):
+    """sparse_blocks on trajectory_blocks' CSR blocks, with identity weights."""
+    Q, R = np.eye(pm.n), np.eye(pm.m)
+    return sparse_blocks(pm, *trajectory_blocks(Q, R, Q, X_set, U_set, None, pm.N,
+                                                pm.N if N_C is None else N_C))
 
 
 class TestBuildPrediction:
@@ -139,22 +149,21 @@ class TestAssembleSparseQp:
     def test_structure(self, lti_demo_model, lti_demo_sets):
         X_set, U_set = lti_demo_sets
         pm = build_prediction(lti_demo_model, 3)
-        w = build_weights(np.eye(2), [[1.0]], np.eye(2), 3)
-        c = stack_constraints(X_set, U_set, None, 3)
-        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), [1.0, -1.0])
-        assert np.allclose(qp.H, qp.H.T)
-        assert np.linalg.eigvalsh(qp.H).min() >= -1e-12
+        qp = assemble_sparse_qp(_sparse_form(pm, X_set, U_set), [1.0, -1.0])
+        H = qp.H.toarray()
+        assert np.allclose(H, H.T)
+        assert np.linalg.eigvalsh(H).min() >= -1e-12
         assert qp.F_eq.shape[0] == 2 * 4
 
     def test_scalar_substitution(self):
-        _, pm, w, c, x = _scalar_setup()
-        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
+        _, pm, _, _, x = _scalar_setup()
+        qp = assemble_sparse_qp(_sparse_form(pm, empty_polytope(1), empty_polytope(1)), x)
         assert np.allclose(qp.F_eq.toarray(), [[1, 0, 0], [0, 1, -1]])
         assert np.allclose(qp.g_eq, [1, 1])
 
     def test_zero_state(self):
-        _, pm, w, c, _ = _scalar_setup()
-        qp = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), [0.0])
+        _, pm, _, _, _ = _scalar_setup()
+        qp = assemble_sparse_qp(_sparse_form(pm, empty_polytope(1), empty_polytope(1)), [0.0])
         assert np.allclose(qp.g_eq, 0.0)
 
     @pytest.mark.parametrize("x_k", [[1.0], [1.0, -1.0, 0.0]])
@@ -165,10 +174,69 @@ class TestAssembleSparseQp:
         pm = build_prediction(lti_demo_model, 3)
         w = build_weights(np.eye(2), [[1.0]], np.eye(2), 3)
         c = stack_constraints(X_set, U_set, None, 3)
-        blocks, assemble = {"sparse": (sparse_blocks, assemble_sparse_qp),
-                            "condensed": (condensed_blocks, assemble_condensed_qp)}[form]
+        blocks, assemble = {
+            "sparse": (_sparse_form(pm, X_set, U_set, N_C=2), assemble_sparse_qp),
+            "condensed": (condensed_blocks(pm, w, c, 2), assemble_condensed_qp)}[form]
         with pytest.raises(ShapeError, match=f"state has dimension {len(x_k)}, expected 2"):
-            assemble(blocks(pm, w, c, 2), x_k)
+            assemble(blocks, x_k)
+
+
+class TestTrajectoryBlocks:
+    """sparse_blocks' CSR H, F and F_eq, from trajectory_blocks, store what
+    csr_array of the dense stacks stores: every non-zero and no zero."""
+
+    @staticmethod
+    def _dense_stacks(pm, Q, R, Q_N, X_set, U_set, terminal, N_C):
+        # H, F, g and F_eq as numerics.block_diag stacks them, the reference
+        w = build_weights(Q, R, Q_N, pm.N)
+        c = stack_constraints(X_set, U_set, terminal, pm.N)
+        n_u = pm.m * N_C
+        return (block_diag(w.Q_X, w.R_U[:n_u, :n_u]), block_diag(c.F_X, c.F_U[:, :n_u]),
+                np.concatenate([c.g_X, c.g_U]),
+                np.hstack([np.eye(pm.n * (pm.N + 1)), -pm.B_U[:, :n_u]]))
+
+    @pytest.mark.parametrize("case", ["full-horizon", "control-horizon", "terminal-set",
+                                      "empty-X_set", "empty-U_set", "non-diagonal-Q"])
+    def test_csr_equals_dense_stacks(self, case):
+        rng = np.random.default_rng(17)
+        n, m, N = 3, 2, 5
+        pm = build_prediction(LtiModel(0.5 * rng.standard_normal((n, n)),
+                                       rng.standard_normal((n, m))), N)
+        # rows with exact zeros in them, which no block may store
+        X_set = Polytope(np.array([[1.0, 0.0, -2.0], [0.0, 3.0, 0.0], [-1.0, 0.5, 0.0]]),
+                         [1.0, 2.0, 3.0])
+        U_set, terminal, N_C = box_polytope(1.0, m), None, N
+        Q, R = np.diag([1.0, 0.0, 2.0]), np.diag([0.5, 1.5])
+        Q_N = Q
+        if case == "control-horizon":
+            N_C = 2
+        elif case == "terminal-set":
+            terminal = Polytope(np.array([[0.0, 1.0, 1.0]]), [0.25])
+        elif case == "empty-X_set":
+            X_set = empty_polytope(n)
+        elif case == "empty-U_set":
+            U_set = empty_polytope(m)
+        elif case == "non-diagonal-Q":
+            Q = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+            Q_N = 3.0 * Q + np.diag([0.0, 1.0, 0.0])
+            R = np.array([[1.0, -0.25], [-0.25, 1.0]])
+        H, F, g, F_eq, A_X = sparse_blocks(
+            pm, *trajectory_blocks(Q, R, Q_N, X_set, U_set, terminal, N, N_C))
+        ref = self._dense_stacks(pm, Q, R, Q_N, X_set, U_set, terminal, N_C)
+        for M, dense in zip((H, F, F_eq), ref[:2] + ref[3:]):
+            expected = sparse.csr_array(dense)
+            assert isinstance(M, sparse.csr_array) and M.shape == expected.shape
+            assert np.array_equal(M.indptr, expected.indptr)
+            assert np.array_equal(M.indices, expected.indices)
+            assert np.array_equal(M.data, expected.data)
+            assert np.all(M.data != 0.0)
+        assert np.array_equal(g, ref[2]) and A_X is pm.A_X
+
+    @pytest.mark.parametrize("N, N_C", [(3, 0), (3, 4), (0, 0)])
+    def test_horizons_rejected(self, N, N_C):
+        with pytest.raises(InvalidHorizonError, match="1 <= N_C <= N"):
+            trajectory_blocks([[1.0]], [[1.0]], [[1.0]], empty_polytope(1), empty_polytope(1),
+                              None, N, N_C)
 
 
 class TestAssembleCondensedQp:
@@ -203,11 +271,11 @@ class TestAssembleCondensedQp:
         for _ in range(20):
             x = rng.uniform(-2, 2, size=2)
             U = rng.uniform(-1, 1, size=4)
-            sparse = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
+            sf = assemble_sparse_qp(_sparse_form(pm, X_set, U_set), x)
             cond = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x)
             X = pm.A_X @ x + pm.B_U @ U
             z = np.concatenate([X, U])
-            assert abs(sparse.objective(z) - cond.objective(U)) \
+            assert abs(sf.objective(z) - cond.objective(U)) \
                 <= 1e-9 * max(1.0, abs(cond.objective(U)))
 
     def test_constraint_equivalence(self, lti_demo_model, lti_demo_sets):
@@ -219,11 +287,11 @@ class TestAssembleCondensedQp:
         for _ in range(30):
             x = rng.uniform(-8, 8, size=2)
             U = rng.uniform(-1.5, 1.5, size=3)
-            sparse = assemble_sparse_qp(sparse_blocks(pm, w, c, pm.N), x)
+            sf = assemble_sparse_qp(_sparse_form(pm, X_set, U_set), x)
             cond = assemble_condensed_qp(condensed_blocks(pm, w, c, pm.N), x)
             X = pm.A_X @ x + pm.B_U @ U
             z = np.concatenate([X, U])
-            ok_sparse = bool(np.all(sparse.F @ z <= sparse.g + 1e-10))
+            ok_sparse = bool(np.all(sf.F @ z <= sf.g + 1e-10))
             ok_cond = bool(np.all(cond.F @ U <= cond.g + 1e-10))
             assert ok_sparse == ok_cond
 

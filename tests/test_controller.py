@@ -848,9 +848,11 @@ class TestLoopWorkspace:
     @pytest.mark.parametrize("kind", ["condensed", "sparse", "nmpc", "nmpc-derivative-free"])
     def test_builders_once_per_loop(self, lti_demo_sets, pendulum_sets, monkeypatch, kind):
         # a step evaluates the kept blocks at x_k: every x_k-independent
-        # builder runs at the loop's first step only
+        # builder runs at the loop's first step only. The dense stacks of
+        # build_weights and stack_constraints serve the condensed form alone;
+        # the sparse form and NMPC take trajectory_blocks' CSR blocks
         builders = ("build_prediction", "build_weights", "stack_constraints",
-                    "build_feq_jacobian")
+                    "trajectory_blocks", "build_feq_jacobian")
         calls = dict.fromkeys(builders, 0)
 
         def counted(name, build):
@@ -872,9 +874,11 @@ class TestLoopWorkspace:
             cfg = _demo_cfg(pendulum_sets, N_T=8)
         traj = run_closed_loop(model, cfg, x_0)
         assert len(traj) == cfg.N_T
-        nmpc = kind.startswith("nmpc")
-        assert calls == {"build_prediction": int(not nmpc), "build_weights": 1,
-                         "stack_constraints": 1, "build_feq_jacobian": int(nmpc)}
+        nmpc, condensed = kind.startswith("nmpc"), kind == "condensed"
+        assert calls == {"build_prediction": int(not nmpc), "build_weights": int(condensed),
+                         "stack_constraints": int(condensed),
+                         "trajectory_blocks": int(not condensed),
+                         "build_feq_jacobian": int(nmpc)}
 
 
 class TestDualWarmStart:

@@ -10,8 +10,9 @@ from hypothesis.extra.numpy import arrays
 from mpckit import (MpcError, NonFiniteError, QpProblem, QpSolution, QpStatus, ShapeError,
                     SingularMatrixError, SolverSettings, kkt_residuals, solve_qp)
 from mpckit import qp_solver
-from mpckit.condense import (assemble_sparse_qp, build_prediction, build_weights,
-                             sparse_blocks, stack_constraints)
+from mpckit.condense import (assemble_sparse_qp, build_prediction, sparse_blocks,
+                             trajectory_blocks)
+from mpckit.numerics import as_cost
 from mpckit.qp_solver import _dense
 from qp_oracle import random_strictly_convex_qp, solve_oracle
 
@@ -551,6 +552,25 @@ class TestInfeasibilityLp:
         sol = solve_qp(near, settings=SolverSettings(eps_abs=1e-8))
         assert sol.status is QpStatus.INFEASIBLE and sol.iterations == 0
 
+    def test_lp_matrix_from_dense_and_csr_rows(self, monkeypatch):
+        # the LP's CSC [rows, -1] holds the arrays of csc_array of the dense
+        # block, from dense rows and from CSR rows, the latter with a stored
+        # zero and never made dense
+        rows = np.where(np.abs(self.RANDOM_ROWS) > 0.5, self.RANDOM_ROWS, 0.0)
+        ref = sparse.csc_array(np.hstack([rows, -np.ones((rows.shape[0], 1))]))
+        stored_zero = sparse.csr_array(rows)
+        stored_zero.data[0] = 0.0
+        ref_zero = sparse.csc_array(np.hstack([stored_zero.toarray(),
+                                               -np.ones((rows.shape[0], 1))]))
+        monkeypatch.setattr(sparse.csr_array, "toarray", None)
+        for block, expected in ((rows, ref), (sparse.csr_array(rows), ref),
+                                (stored_zero, ref_zero)):
+            A = qp_solver._highs_lp(block).a_matrix_
+            assert (A.num_row_, A.num_col_) == expected.shape
+            assert np.array_equal(A.start_, expected.indptr)
+            assert np.array_equal(A.index_, expected.indices)
+            assert np.array_equal(A.value_, expected.data)
+
 
 class TestWorkspace:
     def _same(self, a, b):
@@ -624,25 +644,29 @@ def _sparse_rows(p):
                      F_eq=sparse.csr_array(p.F_eq), g_eq=p.g_eq)
 
 
+def _sparse_qp(p):
+    """The QP p with H, F and F_eq as CSR arrays, as the sparse LMPC form has them."""
+    return dataclasses.replace(_sparse_rows(p), H=sparse.csr_array(p.H))
+
+
 def _sparse_form_qp(lti_12_4, N=20):
     """The sparse-form LMPC QP of the (12, 4) system at its initial state."""
     model, X_set, U_set, x0 = lti_12_4
     pm = build_prediction(model, N)
-    w = build_weights(np.eye(12), 0.1 * np.eye(4), np.eye(12), N)
-    c = stack_constraints(X_set, U_set, None, N)
-    return assemble_sparse_qp(sparse_blocks(pm, w, c, N), x0)
+    blocks = trajectory_blocks(np.eye(12), 0.1 * np.eye(4), np.eye(12), X_set, U_set, None, N, N)
+    return assemble_sparse_qp(sparse_blocks(pm, *blocks), x0)
 
 
 def _dense_rows(p):
-    return QpProblem(H=p.H, q=p.q, r=p.r, F=p.F.toarray(), g=p.g,
+    return QpProblem(H=p.H.toarray(), q=p.q, r=p.r, F=p.F.toarray(), g=p.g,
                      F_eq=p.F_eq.toarray(), g_eq=p.g_eq)
 
 
 def _pairs(lti_12_4):
-    """(dense, CSR) row forms of the oracle's random QPs and of one
-    (12, 4, 20) sparse-form QP."""
+    """(dense, CSR) forms of H and the rows of the oracle's random QPs and
+    of one (12, 4, 20) sparse-form QP."""
     rng = np.random.default_rng(31)
-    pairs = [(p, _sparse_rows(p)) for p in (random_strictly_convex_qp(rng) for _ in range(60))]
+    pairs = [(p, _sparse_qp(p)) for p in (random_strictly_convex_qp(rng) for _ in range(60))]
     sf = _sparse_form_qp(lti_12_4)
     return pairs + [(_dense_rows(sf), sf)]
 
@@ -653,14 +677,16 @@ def _rel_close(a, b, rel):
 
 
 class TestSparseRows:
-    """F and F_eq as CSR arrays give the dense rows' answers, to rounding."""
+    """H, F and F_eq as CSR arrays give the dense arrays' answers, to rounding."""
 
     def test_solutions_match_dense_rows(self, lti_12_4):
+        # a CSR H with dense rows too, whose polish adds P to a dense K_eq
         for dense, csr in _pairs(lti_12_4):
-            a, b = solve_qp(dense), solve_qp(csr)
-            assert b.status is a.status
-            assert _rel_close(b.z_star, a.z_star, 1e-9)
-            assert _rel_close(b.duals, a.duals, 1e-9)
+            a = solve_qp(dense)
+            for b in (solve_qp(csr), solve_qp(dataclasses.replace(dense, H=csr.H))):
+                assert b.status is a.status
+                assert _rel_close(b.z_star, a.z_star, 1e-9)
+                assert _rel_close(b.duals, a.duals, 1e-9)
 
     def test_reduced_matrices_match_dense_rows(self, lti_12_4, monkeypatch):
         # the reduced matrix at RHO, factored when ADMM first runs: with
@@ -701,28 +727,60 @@ class TestSparseRows:
                 assert len(rho_bases) > 1 and len(factored) == len(rho_bases)
                 assert rho_bases[0] == 1e-5
                 for rho_base, M in zip(rho_bases, factored):
-                    ref = 2.0 * p.H + qp_solver.SIGMA * np.eye(p.d) \
+                    ref = 2.0 * dense.H + qp_solver.SIGMA * np.eye(p.d) \
                         + A.T @ (rho_base * scale[:, None] * A)
                     assert _rel_close(M, ref, 1e-12)
 
     def test_csr_block_kept_as_is(self, lti_12_4):
+        # a second build on the same CSR H, F and F_eq keeps every field:
+        # re-wrapping H would rebuild the workspace and refactor K_eq
         p = _sparse_form_qp(lti_12_4, N=3)
-        assert isinstance(p.F, sparse.csr_array) and isinstance(p.F_eq, sparse.csr_array)
+        assert all(isinstance(M, sparse.csr_array) for M in (p.H, p.F, p.F_eq))
         again = QpProblem(H=p.H, q=p.q, F=p.F, g=p.g, F_eq=p.F_eq, g_eq=p.g_eq)
-        assert again.F is p.F and again.F_eq is p.F_eq
+        assert again.H is p.H and again.F is p.F and again.F_eq is p.F_eq
         ws = qp_solver.QpWorkspace()
-        ws.build(p)
+        solve_qp(p, workspace=ws)
         built = dict(vars(ws))
-        ws.build(again)
+        assert built["keq"] is not None
+        solve_qp(again, workspace=ws)
         assert vars(ws).keys() == built.keys()
         assert all(getattr(ws, key) is value for key, value in built.items())
         assert isinstance(ws.A, sparse.csr_array) and isinstance(ws.At, sparse.csr_array)
+        assert isinstance(ws.P, sparse.csr_array) and isinstance(ws.P_sigma, np.ndarray)
         assert np.array_equal(ws.At.toarray(), ws.A.toarray().T)
         # other sparse formats and dtypes become float CSR arrays
-        F = sparse.coo_matrix(np.array([[1, 0], [0, 2]], dtype=np.int32))
-        converted = QpProblem(H=np.eye(2), F=F, g=[1.0, 1.0]).F
-        assert isinstance(converted, sparse.csr_array) and converted.dtype == float
-        assert np.array_equal(converted.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+        M = sparse.coo_matrix(np.array([[1, 0], [0, 2]], dtype=np.int32))
+        converted = QpProblem(H=M, F=M, g=[1.0, 1.0])
+        for block in (converted.H, converted.F):
+            assert isinstance(block, sparse.csr_array) and block.dtype == float
+            assert np.array_equal(block.toarray(), [[1.0, 0.0], [0.0, 2.0]])
+
+    def test_csr_cost_kept_as_is(self):
+        # as_cost keeps a float CSR H as the very same object and converts
+        # any other sparse format or dtype
+        H = sparse.csr_array(np.diag([1.0, 2.0]))
+        assert as_cost(H, None)[0] is H
+        for other in (sparse.csc_array(H), sparse.coo_array(H), sparse.csr_matrix(H),
+                      sparse.csr_array(H, dtype=np.float32)):
+            converted = as_cost(other, None)[0]
+            assert isinstance(converted, sparse.csr_array) and converted.dtype == float
+            assert converted is not other and np.array_equal(converted.toarray(), H.toarray())
+        with pytest.raises(ShapeError, match="H must be square"):
+            as_cost(sparse.csr_array(np.ones((2, 3))), None)
+
+    @pytest.mark.parametrize("H, error", [
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), NonFiniteError),
+        (np.array([[1.0, 1e-3], [0.0, 1.0]]), ShapeError),
+        (np.diag([1.0, -1.0]), SingularMatrixError),
+    ], ids=["nan", "asymmetric", "indefinite"])
+    def test_bad_csr_cost_rejected(self, H, error):
+        # the workspace build tests a CSR H as it tests a dense one: NaN in
+        # its data, symmetry on its non-zeros, potrf on the dense P + sigma I
+        for rows in ({}, {"F": sparse.csr_array(np.eye(2)), "g": [1.0, 1.0]}):
+            ws = qp_solver.QpWorkspace()
+            with pytest.raises(error):
+                solve_qp(QpProblem(H=sparse.csr_array(H), **rows), workspace=ws)
+            assert ws.H is None
 
     def test_sparse_block_shape_checked(self):
         with pytest.raises(ShapeError):
