@@ -9,7 +9,10 @@ cli.run_experiment, PASSES times over. Every controller.lmpc_step call is
 timed, and a loop's first step, the one that builds the loop's blocks and
 QP workspace, is told apart from its later steps. Each line gives the
 median first-step time, the median later-step time and the first steps'
-share of all step time.
+share of all step time. The sparse form's line adds, from episode 0's loop
+workspace after its first step, the rows of the polish system's equality
+block K_eq and the L + U non-zeros of its sparse LU factor: a count that
+does not depend on the host, printed next to the wall times.
 
 The times are wall times of one process on the host it runs on, with one
 BLAS thread; they are for comparing two trees on one host, not constants.
@@ -40,8 +43,9 @@ FORMS = ("sparse", "condensed")
 
 
 def step_times(form):
-    """(first-step times, later-step times) in ms over the form's episodes."""
-    first, later = [], []
+    """(first-step times, later-step times) in ms over the form's episodes,
+    and the K_eq factor that episode 0's first step leaves in its workspace."""
+    first, later, keq = [], [], []
     step = controller.lmpc_step
 
     def timed(model, cfg, x_k, warm=None, _ws=None):
@@ -49,6 +53,8 @@ def step_times(form):
         t0 = perf_counter()
         out = step(model, cfg, x_k, warm=warm, _ws=_ws)
         (first if is_first else later).append(1e3 * (perf_counter() - t0))
+        if is_first and not keq:
+            keq.append(_ws.qp.keq)
         return out
 
     controller.lmpc_step = timed
@@ -59,17 +65,19 @@ def step_times(form):
                 cli.run_experiment(cli.parse_config(json.dumps(spec["doc"])))
     finally:
         controller.lmpc_step = step
-    return np.array(first), np.array(later)
+    return np.array(first), np.array(later), keq[0]
 
 
 def main():
     for form in FORMS:
-        first, later = step_times(form)
+        first, later, keq = step_times(form)
         share = first.sum() / (first.sum() + later.sum())
+        fill = (f"; episode 0's K_eq: {keq.shape[0]} rows, L + U {keq.lu.nnz} non-zeros"
+                if form == "sparse" else "")
         print(f"{form} seed-1 episodes 0-{EPISODES - 1} x {PASSES}: "
               f"first step {np.median(first):.3f} ms (median of {first.size}), "
               f"later steps {np.median(later):.3f} ms (median of {later.size}), "
-              f"first steps' share of step time {100 * share:.0f}%")
+              f"first steps' share of step time {100 * share:.0f}%{fill}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import numpy as np
 from . import numerics
 from .exceptions import ShapeError
 from .numerics import (as_cost, as_matrix, as_rows, as_vector, block_diag,
-                       finite_diff_jacobian, pad_inputs)
+                       finite_diff_jacobian, pad_inputs, quadratic)
 from .qp_solver import QpProblem, QpStatus, QpWorkspace, SolverSettings, solve_qp
 
 # Fixed SQP parameters: iteration cap, KKT and step-length tolerances,
@@ -53,7 +53,7 @@ class NlpProblem:
         return self.H.shape[0]
 
     def objective(self, z):
-        return float(z @ self.H @ z + self.q @ z + self.r)
+        return float(quadratic(self.H, z) + self.q @ z + self.r)
 
 
 @dataclass

@@ -100,13 +100,22 @@ def as_rows(F, g, d, name="F"):
     return F, g
 
 
+def quadratic(H, z):
+    """z'Hz: z @ H @ z for an ndarray H, z @ (H z) for a scipy.sparse one,
+    whose z @ H would build H's transpose."""
+    return z @ (H @ z) if sparse.issparse(H) else z @ H @ z
+
+
 def block_diag(*blocks):
     """The 2-D blocks on the diagonal of one zero matrix; a block may have no
-    rows or no columns.
+    rows or no columns. With a scipy.sparse block among them, the result is a
+    CSR array, by scipy.sparse.block_diag.
 
     Same result as scipy.linalg.block_diag, which costs several times more
     for the few small blocks of a horizon stack.
     """
+    if any(sparse.issparse(B) for B in blocks):
+        return sparse.block_diag(blocks, format="csr")
     out = np.zeros((sum(B.shape[0] for B in blocks), sum(B.shape[1] for B in blocks)))
     i = j = 0
     for B in blocks:

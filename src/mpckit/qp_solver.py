@@ -18,11 +18,12 @@ subproblems, whose linearized dynamics F_eq change while H and F do not.
 
 H, F and F_eq may be scipy.sparse CSR arrays, as the sparse LMPC form builds
 all three; A is then CSR too, and every product with A, A' or P = 2H costs
-their non-zeros. P + SIGMA I stays dense, for its Cholesky test and for
-LAPACK's LU of the reduced matrix, and so does G. Polishing borders one LU
-of its KKT system's equality block K_eq by the active F rows. K_eq is stored
-as A is: sparse rows give a CSC K_eq, factored by SuperLU, dense rows a
-dense one, factored by LAPACK.
+their non-zeros. A CSR H is tested for definiteness by a sparse LDL' of
+P + SIGMA I, whose dense copy is made, as G is, only when ADMM first runs,
+for LAPACK's LU of the reduced matrix. Polishing borders one LU of its KKT
+system's equality block K_eq by the active F rows. K_eq is stored as A is:
+sparse rows give a CSC K_eq, factored by SuperLU in a static minimum-degree
+order, dense rows a dense one, factored by LAPACK.
 
 ADMM's lasting output is an active set: solve_qp polishes on its active rows
 (OSQP, section 4) and returns that point once it passes the termination test.
@@ -47,7 +48,7 @@ from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .exceptions import NonFiniteError, ShapeError, SingularMatrixError
-from .numerics import SYMMETRY_TOL, as_cost, as_rows, as_vector
+from .numerics import SYMMETRY_TOL, as_cost, as_rows, as_vector, quadratic
 
 # Fixed ADMM parameters, as in OSQP (Stellato et al., Math. Prog. Comp. 2020):
 # initial step size, primal regularization, relaxation, iterations between
@@ -82,19 +83,21 @@ HIGHS_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "highs_debug_level": 0
 # LAPACK's double-precision LU routines, looked up once: scipy.linalg's
 # lu_factor/lu_solve look them up again, behind a batching wrapper, on every
 # call, which costs several times the solve itself at the sizes of an MPC step.
-# Cholesky (potrf) tests P + SIGMA I for definiteness once per workspace.
+# Cholesky (potrf) tests a dense P + SIGMA I for definiteness once per workspace.
 _getrf, _getrs, _potrf = get_lapack_funcs(("getrf", "getrs", "potrf"), (np.empty(0),))
 # SuperLU (splu) settings for a scipy.sparse matrix, in practice the sparse
 # form's quasi-definite K_eq = [P + dI, F_eq'; F_eq, -dI] (see _polish; Vanderbei,
-# SIAM J. Optim. 1995). Symmetric mode with a minimum-degree ordering of A' + A
-# orders rows and columns alike, as a structurally symmetric matrix wants: on a
-# benchmark pool system's 584-row K_eq, L + U hold 28.9k non-zeros, against
-# 56k under splu's default COLAMD, which orders the columns of A'A. A diagonal
-# pivot is kept while it is at least SPLU_PIVOT_THRESH times the largest entry
-# of its column. At 0 every nonzero diagonal is kept, and the -1e-9 pivots of
-# the -dI block lost digits (residual 6e-8); at 1, partial pivoting, the fill
-# rose to 40.8k; from 1e-3 to 0.1 both fill and residual (8e-15) held.
-SPLU_ORDERING = "MMD_AT_PLUS_A"
+# SIAM J. Optim. 1995). As in OSQP, it is ordered cheaply before its numeric
+# factor: lu_factor orders rows and columns alike by a stable argsort of the
+# column counts, a static minimum-degree order, and factors in that order in
+# symmetric mode. On a benchmark pool system's 584-row K_eq, L + U hold 28.9k
+# non-zeros, the fill of SuperLU's minimum-degree ordering of A' + A, whose
+# analysis took about 70% of that factor's time, and against 56k under splu's
+# default COLAMD, which orders the columns of A'A. A diagonal pivot is kept
+# while it is at least SPLU_PIVOT_THRESH times the largest entry of its column.
+# From 0 to 0.1 the fill and the residual (4e-14) held in the static order;
+# under the minimum-degree order the -1e-9 pivots of the -dI block lost digits
+# at 0 (residual 2e-7). At 1, partial pivoting, the fill rose to 41.7k.
 SPLU_PIVOT_THRESH = 0.1
 
 
@@ -151,7 +154,7 @@ class QpProblem:
         return self.H.shape[0]
 
     def objective(self, z):
-        return float(z @ self.H @ z + self.q @ z + self.r)
+        return float(quadratic(self.H, z) + self.q @ z + self.r)
 
 
 @dataclass
@@ -179,8 +182,9 @@ def _dense(M):
 def lu_factor(M):
     """LU factor of the square matrix M: for an ndarray, (lu, piv) by LAPACK
     getrf, as scipy.linalg.lu_factor gives it; for a scipy.sparse matrix, a
-    SuperLU object by splu in symmetric mode, SPLU_ORDERING and
-    SPLU_PIVOT_THRESH.
+    _SparseLu: splu in symmetric mode with SPLU_PIVOT_THRESH, in NATURAL
+    order, of M with rows and columns permuted alike by a stable argsort of
+    M's column counts.
 
     Raises NonFiniteError when M holds a NaN or an infinity, and
     SingularMatrixError when a pivot is exactly zero.
@@ -189,11 +193,13 @@ def lu_factor(M):
         M = sparse.csc_array(M)
         if not np.isfinite(M.data).all():
             raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
+        perm = np.argsort(np.diff(M.indptr), kind="stable")
         try:
-            return splu(M, permc_spec=SPLU_ORDERING, diag_pivot_thresh=SPLU_PIVOT_THRESH,
-                        options={"SymmetricMode": True})
+            lu = splu(M[perm][:, perm], permc_spec="NATURAL",
+                      diag_pivot_thresh=SPLU_PIVOT_THRESH, options={"SymmetricMode": True})
         except RuntimeError as err:  # SuperLU's "Factor is exactly singular"
             raise SingularMatrixError(f"sparse LU: {err}") from None
+        return _SparseLu(lu, perm)
     if not np.isfinite(M).all():
         raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
     lu, piv, info = _getrf(M)
@@ -202,12 +208,41 @@ def lu_factor(M):
     return lu, piv
 
 
+class _SparseLu:
+    """lu_factor's factor of a sparse M: lu, SuperLU's factor of M with rows
+    and columns permuted alike by perm, whose lu.nnz counts L's and U's
+    non-zeros, and M's shape."""
+
+    def __init__(self, lu, perm):
+        self.lu, self.perm, self.shape = lu, perm, lu.shape
+        self.iperm = np.argsort(perm)
+
+    def solve(self, b):
+        """x with M x = b, for b of one or more columns: b gathered into perm's
+        order, solved, and the solution gathered back."""
+        return self.lu.solve(b[self.perm])[self.iperm]
+
+
 def lu_solve(lu_piv, b):
     """x with M x = b from the factor lu_factor(M): by LAPACK getrs from
-    (lu, piv), by SuperLU's solve from a sparse M's factor."""
+    (lu, piv), by the _SparseLu's solve from a sparse M's factor."""
     if isinstance(lu_piv, tuple):
         return _getrs(*lu_piv, b)[0]
     return lu_piv.solve(b)
+
+
+def _definite(M):
+    """Whether the symmetric scipy.sparse M is positive definite, by an LDL'
+    without pivoting: splu in symmetric mode and NATURAL order with
+    diag_pivot_thresh=0 takes every nonzero diagonal pivot, so M is positive
+    definite when perm_r stays the identity and U's diagonal, the pivots, is
+    positive (Sylvester's criterion). A NaN pivot is not positive."""
+    try:
+        lu = splu(sparse.csc_array(M), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly zero pivot column
+        return False
+    return bool(np.array_equal(lu.perm_r, np.arange(M.shape[0])) and (lu.U.diagonal() > 0).all())
 
 
 def _factor(G, P_sigma, rho_base):
@@ -228,12 +263,14 @@ class QpWorkspace:
     """What a solve takes from H, F and F_eq alone, in two parts.
 
     The H/F part, kept while H and F are the very arrays it was built from:
-    P = 2H, a CSR array when H is one, and the dense P_sigma = P + SIGMA I,
+    P = 2H, a CSR array when H is one, and P_sigma = P + SIGMA I, dense,
     after H and F are tested for NaN or infinity (NonFiniteError), H for
     symmetry to SYMMETRY_TOL (ShapeError), on its non-zeros when it is
-    sparse, and P_sigma for a Cholesky factor (SingularMatrixError: the rows
+    sparse, and P + SIGMA I for definiteness (SingularMatrixError: the rows
     can make the reduced matrix regular for an H that is not positive
-    semidefinite, and ADMM would then diverge).
+    semidefinite, and ADMM would then diverge). A dense H's P_sigma is made
+    here and tested by a Cholesky factor (potrf); a CSR H's P + SIGMA I is
+    tested sparse, by _definite, and P_sigma stays None until ADMM first runs.
     The F_eq part, rebuilt when F_eq changes too: the stacked rows
     A = [F; F_eq] and their transpose At (a view of a dense A, a CSR copy of
     a sparse one), after F_eq is tested for NaN or infinity, and the per-row
@@ -242,10 +279,10 @@ class QpWorkspace:
     positive definite matrix, so a Gram matrix that overflows raises
     NonFiniteError before any solve.
     Solves fill the rest on first use: keq, lu_factor's factor of the
-    polish system's equality block (see _polish), a SuperLU object for
-    sparse rows and (lu, piv) for dense ones, and, once ADMM runs, the
-    dense Gram matrix G = A' diag(s) A and lu, the factor of the reduced
-    matrix at RHO.
+    polish system's equality block (see _polish), a _SparseLu for sparse
+    rows and (lu, piv) for dense ones, and, once ADMM runs, a CSR H's dense
+    P_sigma, the dense Gram matrix G = A' diag(s) A and lu, the factor of
+    the reduced matrix at RHO.
 
     solve_qp calls build(p) at every solve, and build returns at once while
     H, F and F_eq are the very arrays it was built from. Nothing in it
@@ -270,9 +307,14 @@ class QpWorkspace:
             if abs(p.H - p.H.T).max() > SYMMETRY_TOL:
                 raise ShapeError(f"H must be symmetric (asymmetry > {SYMMETRY_TOL})")
             P = 2.0 * p.H
-            P_sigma = _dense(P) + SIGMA * np.eye(p.d)
-            if _potrf(P_sigma)[1] > 0:
-                raise SingularMatrixError("P + sigma I has no Cholesky factor: "
+            if sparse.issparse(P):
+                P_sigma = None
+                definite = _definite(P + SIGMA * sparse.eye_array(p.d, format="csr"))
+            else:
+                P_sigma = P + SIGMA * np.eye(p.d)
+                definite = _potrf(P_sigma)[1] == 0
+            if not definite:
+                raise SingularMatrixError("P + sigma I is not positive definite: "
                                           "H is not positive semidefinite")
         if sparse.issparse(p.F) or sparse.issparse(p.F_eq):
             A = sparse.vstack([p.F, p.F_eq], format="csr")
@@ -281,7 +323,7 @@ class QpWorkspace:
             A = np.vstack([p.F, p.F_eq])
             At = A.T
         rho_scale = np.repeat([1.0, 1e3], [p.F.shape[0], p.F_eq.shape[0]])
-        if not np.isfinite(RHO * ((At ** 2) @ rho_scale) + P_sigma.diagonal()).all():
+        if not np.isfinite(RHO * ((At ** 2) @ rho_scale) + (P.diagonal() + SIGMA)).all():
             raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
         (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma,
          self.rho_scale, self.G, self.lu, self.keq) = \
@@ -385,6 +427,8 @@ def solve_qp(p, warm=None, settings=None, workspace=None):
 
     rho_base = RHO
     if ws.lu is None:
+        if ws.P_sigma is None:
+            ws.P_sigma = P.toarray() + SIGMA * np.eye(d)
         G = _dense((At * rho_scale) @ A)
         ws.G, ws.lu = G, _factor(G, ws.P_sigma, RHO)
     lu, rho = ws.lu, RHO * rho_scale
@@ -476,9 +520,10 @@ def _polish(p, ws, s, u, idx, rejected=None):
     elimination solves it with the LU of K_eq, made at the first polish and
     kept in ws.keq, and for k > 0 W = K_eq^-1 [B 0]' and the LU of
     S = -dI - [B 0] W; a SingularMatrixError from a factor gives None.
-    K_eq is a scipy.sparse CSC matrix when A is sparse, so lu_factor factors
-    it by SuperLU, and an ndarray otherwise; B, W and S are dense. P x costs
-    P's non-zeros when H is sparse.
+    K_eq is a scipy.sparse CSC matrix when A is sparse, assembled in one
+    pass from the entries of P and F_eq and factored by SuperLU in
+    lu_factor's static order, and an ndarray otherwise; B, W and S are
+    dense. P x costs P's non-zeros when H is sparse.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
@@ -487,9 +532,13 @@ def _polish(p, ws, s, u, idx, rejected=None):
         if ws.keq is None:
             diag = np.repeat([delta, -delta], [d, n0 - d])
             if sparse.issparse(A):
-                F_eq = A[n_in:]
-                K = sparse.block_array([[P, F_eq.T], [F_eq, None]], format="csc")
-                K = K + sparse.diags_array(diag, format="csc")
+                # one COO pass over P's and F_eq's entries, F_eq's twice, and
+                # the diagonal, which the conversion adds to P's
+                Pc, Fc, i = sparse.coo_array(P), A[n_in:].tocoo(), np.arange(n0)
+                K = sparse.csc_array((np.concatenate([Pc.data, Fc.data, Fc.data, diag]),
+                                      (np.concatenate([Pc.row, Fc.row + d, Fc.col, i]),
+                                       np.concatenate([Pc.col, Fc.col, Fc.row + d, i]))),
+                                     shape=(n0, n0))
             else:
                 K = np.diag(diag)
                 K[:d, :d] += _dense(P)

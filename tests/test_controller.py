@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from mpckit import (InfeasibleStepError, InvalidHorizonError,
                     InvalidWeightError, MpcConfig, NonFiniteError, ReferenceInfeasibleError,
@@ -778,6 +779,33 @@ class TestLoopWorkspace:
             assert [M.shape for M in stored] == [(keq_rows, keq_rows)]
         else:
             assert stored == []
+
+    @pytest.mark.parametrize("n, N, mmd_fill", [(12, 20, 28912), (24, 40, 197404)],
+                             ids=["pool-system-0", "24-4-40"])
+    def test_keq_fill_at_most_minimum_degree(self, monkeypatch, n, N, mmd_fill):
+        # the sparse form's K_eq factor in lu_factor's static order holds no
+        # more L + U non-zeros than SuperLU's minimum-degree ordering of
+        # A' + A gives on the same K_eq: benchmark pool system 0, and a
+        # (24, 4, 40) system drawn as the pool's are
+        if n == 12:
+            doc = workloads.lmpc_episode(1, 0, "sparse")["doc"]
+        else:
+            A, B = workloads.random_lti(workloads.rng(0, 1, 0), n, 4, 0.95, 1.02)
+            doc = workloads.lti_doc(A, B, N, N, np.zeros(n), 10.0, 1.0, R=0.1,
+                                    formulation="sparse")
+        exp = cli.parse_config(json.dumps(doc))
+        lu_factor, factored = qp_solver.lu_factor, []
+        monkeypatch.setattr(qp_solver, "lu_factor",
+                            lambda M: factored.append(M) or lu_factor(M))
+        ws = controller._Workspace()
+        lmpc_step(exp.model, exp.mpc, exp.initial_state, _ws=ws)
+        K = factored[0]
+        rows = 2 * n * (N + 1) + 4 * N
+        assert sparse.issparse(K) and K.shape == (rows, rows) and ws.qp.keq.shape == K.shape
+        mmd = splu(sparse.csc_array(K), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=qp_solver.SPLU_PIVOT_THRESH, options={"SymmetricMode": True})
+        assert mmd.nnz == mmd_fill
+        assert ws.qp.keq.lu.nnz <= mmd_fill
 
     @pytest.mark.parametrize("polish", [True, False], ids=["polish", "no-polish"])
     @pytest.mark.parametrize("jacobian", ["analytic", "finite-difference"])

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mpckit import (MpcConfig, NlpProblem, NlpStatus, QpProblem, ShapeError,
                     build_feq, build_feq_jacobian, lti_as_nonlinear, nmpc_step, qp_solver,
@@ -366,6 +367,21 @@ class TestSolveNlp:
         assert sol.elastic_used
         assert sol.merit_history[0] == pytest.approx((140000.0000014, 20005.0000002),
                                                      rel=1e-12)
+
+    @pytest.mark.parametrize("block", ["H", "F"])
+    def test_elastic_relaxation_with_csr_block(self, block):
+        # a CSR H or F reaches the elastic subproblem, whose stacked H and F
+        # then are CSR too, and the solve equals the one with dense blocks
+        # to rounding, since sparse products sum in another order
+        kw = dict(H=np.eye(2), F=np.array([[1.0, 1.0], [-1.0, 0.0]]), g=[1.0, 0.0],
+                  residual=lambda z: np.array([z[0] ** 2 + z[1] - 4.0, z[0] - z[1] - 3.0]))
+        dense = solve_nlp(NlpProblem(**kw), np.zeros(2))
+        kw[block] = sparse.csr_array(kw[block])
+        csr = solve_nlp(NlpProblem(**kw), np.zeros(2))
+        assert dense.elastic_used and csr.elastic_used
+        assert csr.status is dense.status and csr.iterations == dense.iterations
+        assert np.allclose(csr.z_star, dense.z_star, rtol=1e-9, atol=1e-12)
+        assert csr.objective == pytest.approx(dense.objective, rel=1e-9)
 
     def test_empty_inequality_block(self):
         residual = lambda z: np.array([z[0] * z[1] - 1.0])

@@ -43,6 +43,13 @@ class TestBlockDiag:
         assert np.array_equal(out, scipy.linalg.block_diag(np.zeros((0, 3)), -np.eye(2)))
         assert out.shape == (2, 5)
 
+    def test_sparse_block(self):
+        # a CSR block, with no rows too, gives a CSR array of the dense values
+        for first in (np.diag([1.0, 2.0]), np.zeros((0, 2))):
+            out = block_diag(sparse.csr_array(first), -np.eye(2))
+            assert isinstance(out, sparse.csr_array)
+            assert np.array_equal(out.toarray(), scipy.linalg.block_diag(first, -np.eye(2)))
+
 
 class TestPseudoInverseApply:
     def test_exactly_solvable(self):

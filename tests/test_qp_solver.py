@@ -733,20 +733,21 @@ class TestSparseRows:
 
     def test_csr_block_kept_as_is(self, lti_12_4):
         # a second build on the same CSR H, F and F_eq keeps every field:
-        # re-wrapping H would rebuild the workspace and refactor K_eq
+        # re-wrapping H would rebuild the workspace and refactor K_eq; solves
+        # that only polish leave the dense P_sigma unmade
         p = _sparse_form_qp(lti_12_4, N=3)
         assert all(isinstance(M, sparse.csr_array) for M in (p.H, p.F, p.F_eq))
         again = QpProblem(H=p.H, q=p.q, F=p.F, g=p.g, F_eq=p.F_eq, g_eq=p.g_eq)
         assert again.H is p.H and again.F is p.F and again.F_eq is p.F_eq
         ws = qp_solver.QpWorkspace()
-        solve_qp(p, workspace=ws)
+        assert solve_qp(p, workspace=ws).iterations == 0
         built = dict(vars(ws))
         assert built["keq"] is not None
-        solve_qp(again, workspace=ws)
+        assert solve_qp(again, workspace=ws).iterations == 0
         assert vars(ws).keys() == built.keys()
         assert all(getattr(ws, key) is value for key, value in built.items())
         assert isinstance(ws.A, sparse.csr_array) and isinstance(ws.At, sparse.csr_array)
-        assert isinstance(ws.P, sparse.csr_array) and isinstance(ws.P_sigma, np.ndarray)
+        assert isinstance(ws.P, sparse.csr_array) and ws.P_sigma is None
         assert np.array_equal(ws.At.toarray(), ws.A.toarray().T)
         # other sparse formats and dtypes become float CSR arrays
         M = sparse.coo_matrix(np.array([[1, 0], [0, 2]], dtype=np.int32))
@@ -803,6 +804,72 @@ class TestSparseRows:
             duals = rng.normal(size=dense.F.shape[0] + dense.F_eq.shape[0])
             assert kkt_residuals(csr, z, duals) \
                 == pytest.approx(kkt_residuals(dense, z, duals), rel=1e-12, abs=0.0)
+
+
+class TestSparseSetUp:
+    """A CSR H's definiteness test, its dense P_sigma and K_eq's sparse factor."""
+
+    @pytest.mark.parametrize("H", [
+        np.diag([1.0, 2.0, 3.0]),
+        scipy.linalg.block_diag([[2.0, 1.0], [1.0, 2.0]], np.eye(2), [[1.0, -0.5], [-0.5, 3.0]]),
+        scipy.linalg.block_diag(np.ones((2, 2)), np.eye(2)),
+        np.zeros((3, 3)),
+        scipy.linalg.block_diag([[2.0, 1.0], [1.0, 2.0]], np.diag([1.0, -1e-3, 2.0])),
+        np.array([[1.0, 0.5, 0.0], [0.5, 0.25 - 1e-3, 0.0], [0.0, 0.0, 1.0]]),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.diag([1.0, np.nan, 2.0]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    ], ids=["diagonal", "block", "psd-zero-eigenvalue", "zero", "eigenvalue-1e-3",
+            "coupled-negative", "zero-pivot", "nan-diagonal", "nan-off-diagonal"])
+    def test_definiteness_matches_potrf(self, H):
+        # the sparse LDL' verdict on P + sigma I is potrf's on the dense one;
+        # potrf may return info 0 with a NaN factor, so its verdict is a
+        # finite Cholesky factor
+        P_sigma = 2.0 * H + qp_solver.SIGMA * np.eye(len(H))
+        factor, info = qp_solver._potrf(P_sigma)
+        dense = info == 0 and bool(np.isfinite(np.triu(factor)).all())
+        assert qp_solver._definite(sparse.csr_array(P_sigma)) is dense
+        if np.isfinite(H).all():
+            # and the workspace build rejects a CSR H exactly when it rejects
+            # the dense one
+            for cost in (H, sparse.csr_array(H)):
+                ws = qp_solver.QpWorkspace()
+                if dense:
+                    ws.build(QpProblem(H=cost))
+                else:
+                    with pytest.raises(SingularMatrixError, match="not positive semidefinite"):
+                        ws.build(QpProblem(H=cost))
+
+    def test_dense_p_sigma_made_when_admm_first_runs(self, lti_12_4, monkeypatch):
+        p = _sparse_form_qp(lti_12_4, N=3)
+        ws = qp_solver.QpWorkspace()
+        assert solve_qp(p, workspace=ws).iterations == 0
+        assert ws.keq is not None and ws.P_sigma is None
+        monkeypatch.setattr(qp_solver, "_polish", lambda *args: None)
+        ws = qp_solver.QpWorkspace()
+        assert solve_qp(p, workspace=ws).iterations > 0
+        assert ws.keq is None and ws.lu is not None
+        assert np.array_equal(ws.P_sigma, ws.P.toarray() + qp_solver.SIGMA * np.eye(p.d))
+
+    @pytest.mark.parametrize("columns", [None, 1, 8], ids=["vector", "1-column", "8-columns"])
+    def test_sparse_factor_solves_match_dense(self, lti_12_4, monkeypatch, columns):
+        # K_eq of a (12, 4, 20) sparse-form QP, factored in an order other
+        # than its own, solves as a dense LU of it does
+        lu_factor, factored = qp_solver.lu_factor, []
+        monkeypatch.setattr(qp_solver, "lu_factor", lambda M: factored.append(M) or lu_factor(M))
+        ws = qp_solver.QpWorkspace()
+        solve_qp(_sparse_form_qp(lti_12_4), workspace=ws)
+        K, keq = factored[0], ws.keq
+        assert isinstance(keq, qp_solver._SparseLu) and keq.shape == K.shape
+        assert not np.array_equal(keq.perm, np.arange(K.shape[0]))
+        assert np.array_equal(np.diff(K.indptr)[keq.perm], np.sort(np.diff(K.indptr)))
+        dense = lu_factor(K.toarray())
+        rng = np.random.default_rng(41)
+        b = rng.normal(size=K.shape[0] if columns is None else (K.shape[0], columns))
+        x = qp_solver.lu_solve(keq, b)
+        assert x.shape == b.shape
+        assert _rel_close(x, qp_solver.lu_solve(dense, b), 1e-9)
+        assert _rel_close(K @ x, b, 1e-12)
 
 
 class TestPolishFactor:
