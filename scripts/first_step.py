@@ -10,9 +10,11 @@ timed, and a loop's first step, the one that builds the loop's blocks and
 QP workspace, is told apart from its later steps. Each line gives the
 median first-step time, the median later-step time and the first steps'
 share of all step time. The sparse form's line adds, from episode 0's loop
-workspace after its first step, the rows of the polish system's equality
-block K_eq and the L + U non-zeros of its sparse LU factor: a count that
-does not depend on the host, printed next to the wall times.
+workspace, the rows of the polish system's equality block K_eq and the
+L + U non-zeros of its sparse LU factor, and, after the loop, how many of
+its F rows have a kept K_eq column: each is one column solve the loop made.
+These counts do not depend on the host; they are printed next to the wall
+times.
 
 The times are wall times of one process on the host it runs on, with one
 BLAS thread; they are for comparing two trees on one host, not constants.
@@ -44,8 +46,8 @@ FORMS = ("sparse", "condensed")
 
 def step_times(form):
     """(first-step times, later-step times) in ms over the form's episodes,
-    and the K_eq factor that episode 0's first step leaves in its workspace."""
-    first, later, keq = [], [], []
+    and the QP workspace of episode 0's loop."""
+    first, later, loops = [], [], []
     step = controller.lmpc_step
 
     def timed(model, cfg, x_k, warm=None, _ws=None):
@@ -53,8 +55,8 @@ def step_times(form):
         t0 = perf_counter()
         out = step(model, cfg, x_k, warm=warm, _ws=_ws)
         (first if is_first else later).append(1e3 * (perf_counter() - t0))
-        if is_first and not keq:
-            keq.append(_ws.qp.keq)
+        if is_first and not loops:
+            loops.append(_ws.qp)
         return out
 
     controller.lmpc_step = timed
@@ -65,14 +67,15 @@ def step_times(form):
                 cli.run_experiment(cli.parse_config(json.dumps(spec["doc"])))
     finally:
         controller.lmpc_step = step
-    return np.array(first), np.array(later), keq[0]
+    return np.array(first), np.array(later), loops[0]
 
 
 def main():
     for form in FORMS:
-        first, later, keq = step_times(form)
+        first, later, qp = step_times(form)
         share = first.sum() / (first.sum() + later.sum())
-        fill = (f"; episode 0's K_eq: {keq.shape[0]} rows, L + U {keq.lu.nnz} non-zeros"
+        fill = (f"; episode 0's K_eq: {qp.keq.shape[0]} rows, L + U {qp.keq.lu.nnz} non-zeros, "
+                f"{len(qp.keq_cols)} of {qp.F.shape[0]} F rows' columns kept"
                 if form == "sparse" else "")
         print(f"{form} seed-1 episodes 0-{EPISODES - 1} x {PASSES}: "
               f"first step {np.median(first):.3f} ms (median of {first.size}), "

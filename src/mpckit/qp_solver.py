@@ -23,7 +23,11 @@ P + SIGMA I, whose dense copy is made, as G is, only when ADMM first runs,
 for LAPACK's LU of the reduced matrix. Polishing borders one LU of its KKT
 system's equality block K_eq by the active F rows. K_eq is stored as A is:
 sparse rows give a CSC K_eq, factored by SuperLU in a static minimum-degree
-order, dense rows a dense one, factored by LAPACK.
+order, dense rows a dense one, factored by LAPACK. Next to a sparse K_eq's
+factor the workspace keeps the K_eq column of every F row a polish has
+taken, so each row is solved once per factor, not once per polish; SuperLU
+gives a column the same bits alone or in a batch, LAPACK's getrs does not,
+so a dense K_eq solves its active rows at every polish.
 
 ADMM's lasting output is an active set: solve_qp polishes on its active rows
 (OSQP, section 4) and returns that point once it passes the termination test.
@@ -280,15 +284,19 @@ class QpWorkspace:
     NonFiniteError before any solve.
     Solves fill the rest on first use: keq, lu_factor's factor of the
     polish system's equality block (see _polish), a _SparseLu for sparse
-    rows and (lu, piv) for dense ones, and, once ADMM runs, a CSR H's dense
-    P_sigma, the dense Gram matrix G = A' diag(s) A and lu, the factor of
-    the reduced matrix at RHO.
+    rows and (lu, piv) for dense ones; with a _SparseLu, keq_cols, a dict
+    from each F row i a polish has taken to (F_i, W_i), a dense copy of the
+    row and its K_eq column, None for dense rows; and, once ADMM runs, a
+    CSR H's dense P_sigma, the dense Gram matrix G = A' diag(s) A and lu,
+    the factor of the reduced matrix at RHO. keq_cols is dropped with keq.
 
     solve_qp calls build(p) at every solve, and build returns at once while
-    H, F and F_eq are the very arrays it was built from. Nothing in it
-    depends on a solve's data or iterates, so a reused workspace gives the
-    same bits as a fresh one. A build that raises leaves the workspace as
-    it was.
+    H, F and F_eq are the very arrays it was built from. Which rows
+    keq_cols holds depends on the solves made, but no value in the
+    workspace depends on a solve's data or iterates: a kept column has the
+    bits of a fresh solve of K_eq for that row, so a reused workspace gives
+    the same bits as a fresh one. A build that raises leaves the workspace
+    as it was.
     """
 
     def __init__(self):
@@ -326,8 +334,8 @@ class QpWorkspace:
         if not np.isfinite(RHO * ((At ** 2) @ rho_scale) + (P.diagonal() + SIGMA)).all():
             raise NonFiniteError("NaN or infinity in a matrix built from H, F or F_eq")
         (self.H, self.F, self.F_eq, self.A, self.At, self.P, self.P_sigma,
-         self.rho_scale, self.G, self.lu, self.keq) = \
-            p.H, p.F, p.F_eq, A, At, P, P_sigma, rho_scale, None, None, None
+         self.rho_scale, self.G, self.lu, self.keq, self.keq_cols) = \
+            p.H, p.F, p.F_eq, A, At, P, P_sigma, rho_scale, None, None, None, None
 
 
 def _violation(r, n_in):
@@ -523,7 +531,13 @@ def _polish(p, ws, s, u, idx, rejected=None):
     K_eq is a scipy.sparse CSC matrix when A is sparse, assembled in one
     pass from the entries of P and F_eq and factored by SuperLU in
     lu_factor's static order, and an ndarray otherwise; B, W and S are
-    dense. P x costs P's non-zeros when H is sparse.
+    dense and C-ordered. A sparse K_eq's polish solves K_eq in one batch for
+    the rows idx that ws.keq_cols does not hold yet, keeps each one's dense
+    row and column there, and gathers B and W from it: SuperLU solves each
+    column of a batch as it solves that column alone, so W has the bits of
+    one solve for all k rows. A dense K_eq's polish solves all k rows, since
+    LAPACK's getrs rounds a column in a batch otherwise than alone.
+    P x costs P's non-zeros when H is sparse.
     """
     d, P, A, n_in = p.d, ws.P, ws.A, p.F.shape[0]
     n0, delta = d + A.shape[0] - n_in, 1e-9
@@ -545,10 +559,23 @@ def _polish(p, ws, s, u, idx, rejected=None):
                 K[d:, :d] = A[n_in:]
                 K[:d, d:] = K[d:, :d].T
             ws.keq = lu_factor(K)
-        keq = ws.keq
+            if sparse.issparse(A):
+                ws.keq_cols = {}
+        keq, cols = ws.keq, ws.keq_cols
         if k:
-            B = _dense(A[idx])
-            W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
+            if cols is None:
+                B = A[idx]
+                W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, k))]))
+            else:
+                # one batch for the rows no polish on this factor has solved yet
+                taken = idx.tolist()
+                new = [i for i in taken if i not in cols]
+                if new:
+                    B = A[new].toarray()
+                    W = lu_solve(keq, np.vstack([B.T, np.zeros((n0 - d, len(new)))]))
+                    cols.update(zip(new, zip(B, W.T)))
+                B = np.array([cols[i][0] for i in taken])
+                W = np.stack([cols[i][1] for i in taken], axis=1)
             s_lu = lu_factor(-delta * np.eye(k) - B @ W[:d])
     except SingularMatrixError:
         return None

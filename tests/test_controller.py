@@ -720,24 +720,37 @@ class TestLoopWorkspace:
     @pytest.mark.parametrize("form", ["condensed", "sparse"])
     def test_workspace_keeps_no_solve_history(self, monkeypatch, form):
         # the lmpc-stabilize loop polishes on the same non-empty active set
-        # at several steps; its QP workspace holds only what the build sets
-        # and K_eq's factor, the very object lu_factor returned for it, with
-        # G and the factor at RHO unformed since no step runs ADMM, and each
-        # step equals a fresh-workspace step
+        # at several steps; its QP workspace holds only what the build sets,
+        # K_eq's factor, the very object lu_factor returned for it, and, in
+        # the sparse form only, the K_eq columns of the F rows its polishes
+        # took, each a fresh solve's bits; G and the factor at RHO stay
+        # unformed since no step runs ADMM, and each step equals a
+        # fresh-workspace step
         exp = cli.demo_config("lmpc-stabilize")
         cfg = replace(exp.mpc, formulation=form)
         step, lu_factor = controller.lmpc_step, qp_solver.lu_factor
-        fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "lu", "keq"}
-        active_sets, factors = [], []
+        fields = {"H", "F", "F_eq", "A", "At", "P", "P_sigma", "G", "rho_scale", "lu", "keq",
+                  "keq_cols"}
+        active_sets, factors, kept = [], [], set()
         monkeypatch.setattr(qp_solver, "lu_factor",
                             lambda M: factors.append(lu_factor(M)) or factors[-1])
 
         def checked_step(model, cfg, x_k, warm=None, _ws=None):
             out = step(model, cfg, x_k, warm=warm, _ws=_ws)
             fresh = step(model, cfg, x_k, warm=warm)
-            assert set(vars(_ws.qp)) == fields
-            assert any(_ws.qp.keq is f for f in factors)
-            assert _ws.qp.G is None and _ws.qp.lu is None
+            qp = _ws.qp
+            assert set(vars(qp)) == fields
+            assert any(qp.keq is f for f in factors)
+            assert qp.G is None and qp.lu is None
+            if form == "condensed":
+                assert qp.keq_cols is None
+            else:
+                d = qp.P.shape[0]
+                for i, (row, col) in qp.keq_cols.items():
+                    assert np.array_equal(row, qp.F[[i]].toarray()[0])
+                    rhs = np.concatenate([row, np.zeros(qp.keq.shape[0] - d)])
+                    assert np.array_equal(col, qp_solver.lu_solve(qp.keq, rhs))
+                kept.update(qp.keq_cols)
             for a, b in ((out.solution, fresh.solution), (out, fresh)):
                 for key, value in vars(a).items():
                     if key != "solution":
@@ -751,6 +764,37 @@ class TestLoopWorkspace:
         assert len(traj) == len(active_sets) == 50
         repeated = [a for a in set(active_sets) if a and active_sets.count(a) > 1]
         assert repeated
+        assert (len(kept) > 0) == (form == "sparse")
+
+    def test_kept_keq_columns_solve_alone_and_in_batch(self, lti_12_4, monkeypatch):
+        # a (12, 4, 20) sparse loop keeps the K_eq column W_i of every F row
+        # its polishes took; SuperLU gives W_i the same bits solved alone, as
+        # a 1-column block and inside one batch of all kept rows, which is
+        # what lets a polish solve only the rows not yet kept
+        model, X_set, U_set, x0 = lti_12_4
+        cfg = MpcConfig(N=20, N_T=20, Q=np.eye(12), R=0.1 * np.eye(4), X_set=X_set,
+                        U_set=U_set, formulation="sparse")
+        step, loops = controller.lmpc_step, []
+
+        def recording_step(model, cfg, x_k, warm=None, _ws=None):
+            loops.append(_ws)
+            return step(model, cfg, x_k, warm=warm, _ws=_ws)
+
+        monkeypatch.setattr(controller, "lmpc_step", recording_step)
+        run_closed_loop(model, cfg, x0)
+        qp = loops[0].qp
+        assert all(ws is loops[0] for ws in loops)
+        rows, keq = sorted(qp.keq_cols), qp.keq
+        assert len(rows) > 1
+        d, n0 = qp.P.shape[0], keq.shape[0]
+        rhs = np.vstack([qp.F[rows].toarray().T, np.zeros((n0 - d, len(rows)))])
+        batch = qp_solver.lu_solve(keq, rhs)
+        for c, i in enumerate(rows):
+            row, col = qp.keq_cols[i]
+            assert np.array_equal(row, rhs[:d, c])
+            assert np.array_equal(col, qp_solver.lu_solve(keq, rhs[:, c]))
+            assert np.array_equal(col, qp_solver.lu_solve(keq, rhs[:, [c]])[:, 0])
+            assert np.array_equal(col, batch[:, c])
 
     @pytest.mark.parametrize("demo, form", [
         ("lmpc-stabilize", "sparse"),

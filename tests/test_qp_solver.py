@@ -1088,6 +1088,62 @@ class TestBorderedPolish:
             assert keq == ([(8 + n_eq, k)] if k else []) + [(8 + n_eq,)] * bordered
             assert others == ([(k,)] * bordered if k else [])
 
+    def test_kept_columns_solve_only_new_rows(self, monkeypatch):
+        # with CSR rows the workspace keeps the K_eq column of each F row a
+        # polish took, for as long as it keeps K_eq's factor: a polish solves
+        # K_eq in one batch for its rows not yet kept, and not at all when
+        # every one is; its refinement's 1-column solves are those of the
+        # same polish on a fresh workspace, whose answer it gives bit for bit
+        rng = np.random.default_rng(26)
+        p = _sparse_rows(_kkt_point_qp(rng, 8, 8, 3, 3, 4)[0])
+        ws, u = _built(p)
+        lu_solve, n0, taken = qp_solver.lu_solve, 8 + 3, set()
+        for idx, new in (([0, 1, 2], 3), ([0, 1, 2], 0), ([0, 1, 2, 3, 5], 2), ([1, 3], 0)):
+            runs = []
+            for w in (ws, _built(p)[0]):
+                calls, rejected = [], []
+                monkeypatch.setattr(qp_solver, "lu_solve",
+                                    lambda lu, b: calls.append((lu, b.shape)) or lu_solve(lu, b))
+                polished = qp_solver._polish(p, w, SolverSettings(), u, np.array(idx), rejected)
+                monkeypatch.setattr(qp_solver, "lu_solve", lu_solve)
+                keq = [shape for lu, shape in calls if lu is w.keq]
+                runs.append((polished, rejected, [s for s in keq if len(s) == 2],
+                             [s for s in keq if len(s) == 1]))
+            (polished, rejected, blocks, vectors), (fresh, fresh_rejected, fresh_blocks,
+                                                    fresh_vectors) = runs
+            taken.update(idx)
+            assert blocks == ([(n0, new)] if new else [])
+            assert fresh_blocks == [(n0, len(idx))]
+            assert vectors == fresh_vectors and len(vectors) >= 2
+            assert sorted(ws.keq_cols) == sorted(taken)
+            assert (polished is None) == (fresh is None)
+            if fresh is not None:
+                assert all(np.array_equal(a, b) for a, b in zip(polished[:2], fresh[:2]))
+                assert polished[2] == fresh[2]
+            assert len(rejected) == len(fresh_rejected)
+            assert all(np.array_equal(a, b) for a, b in zip(rejected, fresh_rejected))
+
+    def test_new_f_eq_drops_kept_columns(self):
+        # a kept workspace given a new F_eq on the same H and F keeps its H/F
+        # part but drops K_eq's factor and the kept columns with it, and
+        # answers as a fresh workspace does, bit for bit
+        rng = np.random.default_rng(27)
+        p, z, _ = _kkt_point_qp(rng, 8, 8, 3, 3, 4)
+        p = _sparse_rows(p)
+        ws = qp_solver.QpWorkspace()
+        solve_qp(p, workspace=ws)
+        kept, P = ws.keq_cols, ws.P
+        assert kept
+        F_eq = sparse.csr_array(p.F_eq.toarray() + 0.1 * rng.normal(size=p.F_eq.shape))
+        other = QpProblem(H=p.H, q=p.q, F=p.F, g=p.g, F_eq=F_eq, g_eq=F_eq @ z)
+        ws.build(other)
+        assert ws.P is P and ws.keq is None and ws.keq_cols is None
+        got, fresh = solve_qp(other, workspace=ws), solve_qp(other)
+        assert ws.keq_cols and ws.keq_cols is not kept
+        assert got.status is QpStatus.OPTIMAL
+        for key, value in vars(got).items():
+            assert np.array_equal(value, getattr(fresh, key)), key
+
     @pytest.mark.parametrize("rows", ["dense", "csr"])
     @pytest.mark.parametrize("rank, n_eq, k", [(3, 3, 3), (4, 0, 4), (2, 5, 1)])
     def test_matches_dense_kkt_solve(self, monkeypatch, rows, rank, n_eq, k):
